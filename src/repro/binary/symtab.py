@@ -3,8 +3,9 @@
 The paper's Section 6.2 replaces a Boost ``multi_index_container`` with a
 set of TBB concurrent hash maps keyed by offset, mangled name, pretty name
 and typed name, mediated by a master map so each symbol is inserted exactly
-once.  :class:`IndexedSymbols` reproduces that structure on top of
-:class:`~repro.runtime.conchash.ConcurrentHashMap`; hpcstruct builds it in
+once.  :class:`IndexedSymbols` reproduces that structure on top of the
+runtime's maps (:meth:`Runtime.make_map
+<repro.runtime.api.Runtime.make_map>`); hpcstruct builds it in
 parallel when ingesting binaries with very large symbol tables.
 
 Name mangling follows a simplified Itanium-like scheme:
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.binary.bytesio import ByteReader, ByteWriter
 from repro.runtime.api import Runtime
-from repro.runtime.conchash import ConcurrentHashMap
+from repro.runtime.conchash import SharedMap
 
 _ARG_TYPES = {"i": "int", "l": "long", "d": "double", "p": "void*",
               "s": "char*", "v": "void"}
@@ -170,16 +171,16 @@ class IndexedSymbols:
 
     def __init__(self, rt: Runtime):
         self._rt = rt
-        self.master: ConcurrentHashMap[Symbol, int] = \
-            ConcurrentHashMap(rt, name="sym.master")
-        self.by_offset: ConcurrentHashMap[int, list[Symbol]] = \
-            ConcurrentHashMap(rt, name="sym.by_offset")
-        self.by_mangled: ConcurrentHashMap[str, list[Symbol]] = \
-            ConcurrentHashMap(rt, name="sym.by_mangled")
-        self.by_pretty: ConcurrentHashMap[str, list[Symbol]] = \
-            ConcurrentHashMap(rt, name="sym.by_pretty")
-        self.by_typed: ConcurrentHashMap[str, list[Symbol]] = \
-            ConcurrentHashMap(rt, name="sym.by_typed")
+        self.master: SharedMap[Symbol, int] = \
+            rt.make_map("sym.master")
+        self.by_offset: SharedMap[int, list[Symbol]] = \
+            rt.make_map("sym.by_offset")
+        self.by_mangled: SharedMap[str, list[Symbol]] = \
+            rt.make_map("sym.by_mangled")
+        self.by_pretty: SharedMap[str, list[Symbol]] = \
+            rt.make_map("sym.by_pretty")
+        self.by_typed: SharedMap[str, list[Symbol]] = \
+            rt.make_map("sym.by_typed")
 
     def insert(self, sym: Symbol) -> bool:
         """Insert a symbol; False if it was already present (Listing 6)."""
@@ -195,7 +196,7 @@ class IndexedSymbols:
             self._index_into(self.by_typed, sym.typed_name, sym)
             return True
 
-    def _index_into(self, table: ConcurrentHashMap, key, sym: Symbol) -> None:
+    def _index_into(self, table: SharedMap, key, sym: Symbol) -> None:
         with table.accessor(key) as acc:
             if acc.created:
                 acc.value = [sym]

@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.core.cfg import EdgeType, Function, ReturnStatus
 from repro.runtime.api import Runtime
-from repro.runtime.conchash import ConcurrentHashMap
+from repro.runtime.conchash import SharedMap
 from repro.synth.program import KNOWN_NORETURN_NAMES
 
 
@@ -52,8 +52,8 @@ class NoReturnState:
     def __init__(self, rt: Runtime, eager_notify: bool = True):
         self._rt = rt
         self.eager_notify = eager_notify
-        self._table: ConcurrentHashMap[int, _StatusRec] = \
-            ConcurrentHashMap(rt, name="noreturn")
+        self._table: SharedMap[int, _StatusRec] = \
+            rt.make_map("noreturn")
 
     # -- setup ---------------------------------------------------------------
 

@@ -54,7 +54,7 @@ from repro.core.noreturn import (
 from repro.core.tailcall import conditional_branch_is_tail_call, is_tail_call
 from repro.isa.instructions import ControlFlowKind, Instruction, Opcode
 from repro.runtime.api import Runtime
-from repro.runtime.conchash import ConcurrentHashMap
+from repro.runtime.conchash import SharedMap
 
 
 @dataclass
@@ -166,14 +166,20 @@ class ParallelParser:
         self.finalize_accel = None
         self._frontier: list[FrontierRecord] = []
         self._frontier_ctxs: list[_TaskCtx | None] = []
-        self.blocks_by_start: ConcurrentHashMap[int, Block] = \
-            ConcurrentHashMap(rt, name="blocks")
-        self.block_ends: ConcurrentHashMap[int, Block] = \
-            ConcurrentHashMap(rt, name="block_ends")
-        self.functions: ConcurrentHashMap[int, Function] = \
-            ConcurrentHashMap(rt, name="functions")
-        self.jump_tables: ConcurrentHashMap[int, JumpTableInfo] = \
-            ConcurrentHashMap(rt, name="jump_tables")
+        self.blocks_by_start: SharedMap[int, Block] = \
+            rt.make_map("blocks")
+        self.block_ends: SharedMap[int, Block] = \
+            rt.make_map("block_ends")
+        self.functions: SharedMap[int, Function] = \
+            rt.make_map("functions")
+        self.jump_tables: SharedMap[int, JumpTableInfo] = \
+            rt.make_map("jump_tables")
+        # Per-edge / per-block counters, bound once (see metrics.bind).
+        m = rt.metrics
+        self._n_edges = m.bind("parser.edges_created")
+        self._n_blocks = m.bind("parser.blocks_created")
+        self._n_functions = m.bind("parser.functions_created")
+        self._n_splits = m.bind("parser.block_splits")
         self.noreturn = NoReturnState(
             rt, eager_notify=(self.opts.eager_noreturn_notify
                               and self.opts.task_parallel))
@@ -194,7 +200,12 @@ class ParallelParser:
     def local_decode_cache(self) -> dict[int, Instruction]:
         """The calling thread's decode cache (complete after a serial
         parse — this is the shard delta the procs backend ships home)."""
-        return getattr(self._tl, "insns", None) or {}
+        tl = self._tl
+        try:
+            return tl.insns
+        except AttributeError:
+            cache = tl.insns = {}
+            return cache
 
     def execute(self) -> ParsedCFG:
         """Run all three stages; must be called inside ``rt.run``."""
@@ -372,18 +383,22 @@ class ParallelParser:
         self._drain(ctx)
 
     def _drain(self, ctx: _TaskCtx) -> None:
+        # A task stays on one thread: resolve its decode cache once.
+        cache = (self.local_decode_cache()
+                 if self.opts.thread_local_cache else None)
         while True:
             while ctx.work:
                 block = ctx.work.pop()
-                self._parse_block(ctx, block)
+                self._parse_block(ctx, block, cache)
             if not self._retry_jump_tables(ctx):
                 break
 
     # -- block parsing -------------------------------------------------------
 
-    def _parse_block(self, ctx: _TaskCtx, block: Block) -> None:
+    def _parse_block(self, ctx: _TaskCtx, block: Block,
+                     cache: dict[int, Instruction] | None) -> None:
         ctx.reached.add(block.start)
-        insns, ended_cf = self._linear_parse(block.start)
+        insns, ended_cf = self._linear_parse(block.start, cache)
         if not insns:
             block.end = block.start  # degenerate: undecodable candidate
             return
@@ -408,16 +423,16 @@ class ParallelParser:
             return
         self._register_end(ctx, block, end, last)
 
-    def _linear_parse(self, start: int) -> tuple[list[Instruction], bool]:
-        """linearParsing with the optional thread-local decode cache."""
+    def _linear_parse(self, start: int,
+                      cache: dict[int, Instruction] | None
+                      ) -> tuple[list[Instruction], bool]:
+        """linearParsing; ``cache`` is the calling thread's decode cache
+        (Section 6.3), or None to decode every block afresh."""
         rt = self.rt
-        if not self.opts.thread_local_cache:
+        if cache is None:
             insns, ended_cf = self.decoder.linear_scan(start)
             rt.charge(rt.cost.decode_insn * len(insns))
             return insns, ended_cf
-        cache: dict[int, Instruction] = getattr(self._tl, "insns", None) or {}
-        if not hasattr(self._tl, "insns"):
-            self._tl.insns = cache
         warm = self._warm
         insns: list[Instruction] = []
         addr = start
@@ -487,7 +502,7 @@ class ParallelParser:
         rt = self.rt
         other = acc.value
         rt.charge(rt.cost.block_split)
-        rt.metrics.inc("parser.block_splits")
+        self._n_splits.inc()
         self.stats.n_splits += 1
         self._mark_dirty(blk.start, other.start)
         trace = self.op_trace
@@ -518,7 +533,7 @@ class ParallelParser:
     def _link(self, src: Block, dst: Block, etype: EdgeType) -> Edge:
         rt = self.rt
         rt.charge(rt.cost.edge_create)
-        rt.metrics.inc("parser.edges_created")
+        self._n_edges.inc()
         self._mark_dirty(src.start)
         edge = Edge(src, dst, etype)
         src.out_edges.append(edge)
@@ -531,7 +546,7 @@ class ParallelParser:
         with self.blocks_by_start.accessor(start) as acc:
             if acc.created:
                 rt.charge(rt.cost.block_create)
-                rt.metrics.inc("parser.blocks_created")
+                self._n_blocks.inc()
                 acc.value = Block(start)
                 return acc.value, True
             return acc.value, False
@@ -544,7 +559,7 @@ class ParallelParser:
         with self.functions.accessor(addr) as acc:
             if acc.created:
                 rt.charge(rt.cost.func_create)
-                rt.metrics.inc("parser.functions_created")
+                self._n_functions.inc()
                 func = Function(addr, name, entry,
                                 from_symtab=(via == "symtab"),
                                 discovered_via=via)

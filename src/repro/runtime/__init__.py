@@ -21,8 +21,9 @@ so this package provides two interchangeable backends behind one
   reproduces the serial fixed point exactly.
 
 The concurrent hash map of Listings 4–6 lives in
-:mod:`repro.runtime.conchash`, built on the runtime lock abstraction so one
-implementation serves every backend.
+:mod:`repro.runtime.conchash`: a locked implementation built on the runtime
+lock abstraction for backends whose workers can meet, and a single-writer one
+for the one-thread backends; ``rt.make_map(name)`` picks between them.
 """
 
 from repro.runtime.api import Runtime, TaskGroup

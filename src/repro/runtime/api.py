@@ -10,9 +10,8 @@ items (Listing 7), and entry-level locks (Listings 4–6).
 Shared-state discipline
 -----------------------
 All mutation of cross-task shared state must happen while holding a lock
-obtained from :meth:`Runtime.make_lock` (or inside a
-:class:`~repro.runtime.conchash.ConcurrentHashMap` accessor, which is the
-same thing).  The virtual-time backend serializes execution and orders these
+obtained from :meth:`Runtime.make_lock` (or inside an accessor of a map
+from :meth:`Runtime.make_map`, which is the same thing).  The virtual-time backend serializes execution and orders these
 critical sections in virtual time; the thread backend runs them under real
 locks.  Code that follows the discipline behaves identically on both.
 """
@@ -23,9 +22,12 @@ import abc
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.runtime.metrics import NULL_METRICS, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.runtime.conchash import SharedMap
 
 
 class RtLock(abc.ABC):
@@ -179,6 +181,22 @@ class Runtime(abc.ABC):
         On the virtual-time backend this can be a no-op (execution is
         serialized); on the thread backend it is a real lock.
         """
+
+    def make_map(self, name: str = "map") -> "SharedMap":
+        """A shared map with insert-if-absent and entry-level accessors
+        (Listings 4–6); its operations are counted as ``map.<name>.*``.
+
+        This is the one place that decides which implementation a
+        runtime's shared tables get.  The default is the locked,
+        sharded, race-annotated :class:`ConcurrentHashMap` — the only
+        correct one when workers are real or simulated threads, and the
+        one the race detector's annotations live in.  A runtime that is
+        one thread by construction overrides this to hand out the
+        :class:`~repro.runtime.conchash.SingleWriterMap` instead.
+        """
+        from repro.runtime.conchash import ConcurrentHashMap
+
+        return ConcurrentHashMap(self, name=name)
 
     # -- tasking -----------------------------------------------------------------
 

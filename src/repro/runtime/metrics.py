@@ -27,6 +27,10 @@ Design constraints:
   instrumented call sites cost one attribute read and a predictable
   branch.  Sites that would do extra work to *compute* a metric value
   (e.g. reading a clock twice) guard on ``rt.metrics.enabled``.
+- **Bind once, bump often.**  Per-event counters in hot loops go through
+  :meth:`MetricsRegistry.bind` handles (:class:`Counter`): no name
+  formatting, no dict update and — on a single-writer registry — no lock
+  per event.  Exports cannot tell a handle from ``inc``.
 
 The catalog of every metric name emitted by the library lives in
 ``docs/OBSERVABILITY.md``; ``tests/test_docs.py`` checks the catalog is
@@ -94,23 +98,65 @@ class Histogram:
         }
 
 
+class Counter:
+    """A counter pre-bound to one name (:meth:`MetricsRegistry.bind`).
+
+    Hot loops bind their names once and bump this integer slot instead
+    of formatting a name and updating the registry's dict under its lock
+    on every event.  The registry folds the slot into every read
+    (``snapshot``/``counter``/``names``); a slot that is still zero is
+    invisible, exactly like a name that was never ``inc``-ed.  This
+    base class is the unlocked form handed out by single-writer
+    registries.  Code that may run on any runtime calls :meth:`inc`; an
+    owner that is one thread by construction (the single-writer map,
+    the serial task queue) may bump ``n`` in place.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def inc(self, n: int = 1) -> None:
+        self.n += n
+
+
+class _LockedCounter(Counter):
+    """Handle of a registry that several threads update."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: threading.Lock) -> None:
+        super().__init__()
+        self._lock = lock
+
+    def inc(self, n: int = 1) -> None:
+        with self._lock:
+            self.n += n
+
+
 class MetricsRegistry:
     """Named counters and histograms for one runtime instance.
 
     Updates are guarded by a plain ``threading.Lock`` (never a runtime
     lock): on the virtual-time backend execution is already serialized
     so the lock is uncontended; on the thread backend it makes
-    concurrent updates safe.
+    concurrent updates safe.  ``single_writer`` is the owning runtime's
+    promise that only one thread ever records: :meth:`bind` then hands
+    out unlocked handles.
     """
 
     enabled = True
 
     def __init__(self, time_unit: str = "cycles",
-                 clock: Callable[[], int] | None = None):
+                 clock: Callable[[], int] | None = None,
+                 single_writer: bool = False):
         self.time_unit = time_unit
         self._clock = clock if clock is not None else (lambda: 0)
         self._lock = threading.Lock()
+        self._single_writer = single_writer
         self._counters: dict[str, int] = {}
+        self._bound: dict[str, Counter] = {}
         self._hists: dict[str, Histogram] = {}
 
     # -- recording -----------------------------------------------------------
@@ -118,6 +164,17 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
+
+    def bind(self, name: str) -> Counter:
+        """The pre-bound handle for counter ``name`` (one per name;
+        ``inc(name)`` and the handle add up)."""
+        with self._lock:
+            handle = self._bound.get(name)
+            if handle is None:
+                handle = self._bound[name] = (
+                    Counter() if self._single_writer
+                    else _LockedCounter(self._lock))
+            return handle
 
     def observe(self, name: str, value: int) -> None:
         with self._lock:
@@ -174,24 +231,33 @@ class MetricsRegistry:
 
     # -- reading -------------------------------------------------------------
 
+    def _folded(self) -> dict[str, int]:
+        """``inc``-ed totals plus every non-zero bound slot."""
+        out = dict(self._counters)
+        for name, handle in self._bound.items():
+            if handle.n:
+                out[name] = out.get(name, 0) + handle.n
+        return out
+
     def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
+        handle = self._bound.get(name)
+        return self._counters.get(name, 0) + (handle.n if handle else 0)
 
     def histogram(self, name: str) -> Histogram | None:
         return self._hists.get(name)
 
     def names(self) -> list[str]:
         """All metric names recorded so far, sorted."""
-        return sorted(set(self._counters) | set(self._hists))
+        return sorted(set(self._folded()) | set(self._hists))
 
     def snapshot(self) -> dict:
         """Versioned, JSON-ready view of everything recorded."""
         with self._lock:
+            counters = self._folded()
             return {
                 "schema": METRICS_SCHEMA,
                 "time_unit": self.time_unit,
-                "counters": {k: self._counters[k]
-                             for k in sorted(self._counters)},
+                "counters": {k: counters[k] for k in sorted(counters)},
                 "histograms": {k: self._hists[k].snapshot()
                                for k in sorted(self._hists)},
             }
@@ -207,6 +273,9 @@ class _NullMetrics(MetricsRegistry):
 
     def observe(self, name: str, value: int) -> None:
         pass
+
+    def bind(self, name: str) -> Counter:
+        return Counter()  # a scratch slot nothing ever reads
 
     def merge_snapshot(self, snap: dict, prefix: str = "") -> None:
         pass

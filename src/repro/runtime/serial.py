@@ -15,6 +15,7 @@ from typing import Any
 
 from repro.errors import RuntimeConfigError
 from repro.runtime.api import Runtime, RtLock, TaskGroup
+from repro.runtime.conchash import SingleWriterMap
 from repro.runtime.cost import DEFAULT_COSTS, CostModel
 from repro.runtime.metrics import NULL_METRICS, MetricsRegistry
 
@@ -50,7 +51,7 @@ class _SerialGroup(TaskGroup):
     def spawn(self, fn: Callable[..., Any], *args: Any) -> None:
         rt = self._rt
         rt.charge(rt.cost.spawn)
-        rt.metrics.inc("rt.tasks_spawned")
+        rt._spawned.n += 1
         self._pending += 1
         rt._queue.append((self, fn, args, rt._clock))
 
@@ -78,8 +79,13 @@ class SerialRuntime(Runtime):
         self.num_workers = 1
         self.cost = cost_model or DEFAULT_COSTS
         self._clock = 0
-        self.metrics = (MetricsRegistry("cycles", clock=lambda: self._clock)
+        # One worker, one thread: the registry may hand out unlocked
+        # counter handles.
+        self.metrics = (MetricsRegistry("cycles", clock=lambda: self._clock,
+                                        single_writer=True)
                         if enable_metrics else NULL_METRICS)
+        self._spawned = self.metrics.bind("rt.tasks_spawned")
+        self._executed = self.metrics.bind("rt.tasks_executed")
         self._queue: deque[
             tuple[_SerialGroup, Callable[..., Any], tuple, int]] = deque()
         self._ran = False
@@ -87,7 +93,7 @@ class SerialRuntime(Runtime):
     def _note_pop(self, spawned_at: int) -> None:
         m = self.metrics
         if m.enabled:
-            m.inc("rt.tasks_executed")
+            self._executed.n += 1
             m.observe("rt.task_queue_delay", self._clock - spawned_at)
 
     def charge(self, units: int) -> None:
@@ -104,6 +110,13 @@ class SerialRuntime(Runtime):
 
     def make_internal_lock(self) -> RtLock:
         return _NullLock()
+
+    def make_map(self, name: str = "map"):
+        # Nothing to lock against — unless a subclass runs under the
+        # race detector, whose annotations only the locked map carries.
+        if self.race_checking:
+            return super().make_map(name)
+        return SingleWriterMap(self, name=name)
 
     def task_group(self) -> TaskGroup:
         return _SerialGroup(self)

@@ -4,7 +4,8 @@ Three rules, each targeting a class of bug the dynamic tooling can
 only catch if the right schedule happens to run:
 
 - ``unsync-iteration``: calling ``.items()`` / ``.keys()`` /
-  ``.values()`` on a :class:`~repro.runtime.conchash.ConcurrentHashMap`
+  ``.values()`` on a shared map (bound from ``rt.make_map(...)`` or from
+  either :mod:`~repro.runtime.conchash` class by name)
   outside the map implementation itself.  These iterate the shard
   dicts with no locking; use ``items_snapshot()`` / ``snapshot()`` /
   ``sorted_items()`` instead.
@@ -79,13 +80,18 @@ def _allowed_rules(source_lines: list[str], lineno: int) -> set[str]:
     return set()
 
 
+#: Calls that produce a shared map: either class by name, or the
+#: ``rt.make_map(...)`` factory every construction site goes through.
+_MAP_CTORS = {"ConcurrentHashMap", "SingleWriterMap", "make_map"}
+
+
 def _is_conchash_ctor(node: ast.expr) -> bool:
     if not isinstance(node, ast.Call):
         return False
     fn = node.func
     name = fn.id if isinstance(fn, ast.Name) else (
         fn.attr if isinstance(fn, ast.Attribute) else None)
-    return name == "ConcurrentHashMap"
+    return name in _MAP_CTORS
 
 
 def _collect_conchash_attrs(trees: dict[Path, ast.AST]) -> set[str]:

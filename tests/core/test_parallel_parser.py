@@ -287,6 +287,30 @@ class TestAgainstGroundTruth:
         assert spans[0] > spans[1] >= spans[2]
 
 
+class TestDecodeCache:
+    def test_cache_survives_an_undecodable_first_entry(self, tiny):
+        """Regression: when the first block a thread parsed decoded
+        nothing, its stored cache was an empty (falsy) dict that
+        ``or {}`` kept replacing with a throwaway — every later block
+        decoded afresh and the procs worker shipped no instructions."""
+        binary = tiny.binary
+        real = binary.entry_addresses()[0]
+        bogus = 0x10
+        assert not binary.decoder.contains(bogus)
+        rt = SerialRuntime()
+        parser = ParallelParser(binary, rt,
+                                ParseOptions(sort_functions=False),
+                                seed_entries=[bogus, real])
+        rt.run(parser.execute_fragment)
+        assert parser.blocks_by_start.get(bogus).is_empty
+        cache = parser.local_decode_cache()
+        assert real in cache
+        # Decoded once: a second pass is all hits and charges nothing.
+        before = rt.now()
+        insns, _ended_cf = parser._linear_parse(real, cache)
+        assert insns and rt.now() == before
+
+
 class TestStats:
     def test_stats_populated(self, tiny_cfg):
         s = tiny_cfg.stats

@@ -1,27 +1,42 @@
-"""Tests for the concurrent hash map (Listings 4–6 semantics)."""
+"""Tests for the concurrent hash map (Listings 4–6 semantics).
 
+The single-runtime cases run against both implementations: the classes
+below use the locked :class:`ConcurrentHashMap`, their ``...SingleWriter``
+subclasses re-run every case on :class:`SingleWriterMap`.
+"""
+
+import json
 import sys
 import threading
 
 import pytest
 
+from repro.core import parse_binary
+from repro.errors import RuntimeConfigError
 from repro.runtime import (
     ConcurrentHashMap,
+    ProcsRuntime,
+    Runtime,
     SerialRuntime,
     ThreadRuntime,
     VirtualTimeRuntime,
 )
+from repro.runtime.conchash import SingleWriterMap
 from repro.runtime.cost import CostModel
+from repro.sanity.races import RaceDetector
+from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
 
 FREE = CostModel(spawn=0, task_pop=0, lock_handoff=0, map_op=0)
 
 
 class TestBasicOperations:
+    new_map = staticmethod(ConcurrentHashMap)
+
     def test_insert_if_absent(self):
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             assert m.insert("a", 1)
             assert not m.insert("a", 2)
             assert m.get("a") == 1
@@ -32,7 +47,7 @@ class TestBasicOperations:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             assert m.get("missing") is None
             assert m.get("missing", 7) == 7
 
@@ -42,7 +57,7 @@ class TestBasicOperations:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             m.insert(1, "x")
             m.insert(2, "y")
             assert 1 in m and 2 in m and 3 not in m
@@ -54,7 +69,7 @@ class TestBasicOperations:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             m.insert("k", 1)
             assert m.remove("k")
             assert not m.remove("k")
@@ -66,7 +81,7 @@ class TestBasicOperations:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             for k in (5, 3, 9, 1):
                 m.insert(k, k * 10)
             assert m.sorted_items() == [(1, 10), (3, 30), (5, 50), (9, 90)]
@@ -78,7 +93,7 @@ class TestBasicOperations:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             for k in range(10):
                 m.insert(k, k)
             assert sorted(m.keys()) == list(range(10))
@@ -86,13 +101,75 @@ class TestBasicOperations:
 
         rt.run(body)
 
+    def test_snapshot_api_is_ordered_and_detached(self):
+        rt = SerialRuntime()
+
+        def body():
+            m = self.new_map(rt)
+            for k in (5, 3, 9):
+                m.insert(k, k * 10)
+            with m.accessor(7):
+                pass                      # created, value never set
+            assert sorted(m.items_snapshot()) == [(3, 30), (5, 50), (9, 90)]
+            snap = m.snapshot()
+            assert snap == {3: 30, 5: 50, 9: 90}
+            m.insert(1, 10)
+            assert 1 not in snap and len(m) == 4
+            assert [k for k, _ in m.sorted_items()] == [1, 3, 5, 9]
+
+        rt.run(body)
+
+    def test_install_many_skips_charges_and_counts(self):
+        rt = SerialRuntime()
+
+        def body():
+            m = self.new_map(rt, name="bulk")
+            m.insert(1, "old")
+            with m.accessor(2):
+                pass                      # entry without a value: filled
+            t0 = rt.now()
+            made = m.install_many([(1, "new"), (2, "b"), (3, "c"), (3, "d")])
+            assert made == 2
+            assert rt.now() - t0 == 4 * rt.cost.map_op
+            assert m.snapshot() == {1: "old", 2: "b", 3: "c"}
+
+        rt.run(body)
+        assert rt.metrics.counter("map.bulk.ops") == 1 + 1 + 4
+        assert rt.metrics.counter("map.bulk.created") == 1 + 1 + 2
+        assert rt.metrics.counter("map.bulk.acquires") == 1
+
+    def test_every_operation_charges_one_map_op(self):
+        rt = SerialRuntime()
+
+        def body():
+            m = self.new_map(rt)
+            m.insert("k", 1)
+            m.insert("k", 2)
+            with m.accessor("k"):
+                pass
+            with m.accessor("absent", create=False):
+                pass
+            m.remove("k")
+            m.get("k")                    # reads are free
+            assert "k" not in m
+
+        rt.run(body)
+        assert rt.makespan == 5 * rt.cost.map_op
+        assert rt.metrics.counter("map.map.ops") == 5
+
+
+class TestBasicOperationsSingleWriter(TestBasicOperations):
+    new_map = staticmethod(SingleWriterMap)
+
 
 class TestAccessor:
+    new_map = staticmethod(ConcurrentHashMap)
+
     def test_created_flag(self):
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             with m.accessor("k") as acc:
                 assert acc.created
                 assert not acc.has_value
@@ -107,7 +184,7 @@ class TestAccessor:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             with m.accessor("k") as acc:
                 with pytest.raises(KeyError):
                     _ = acc.value
@@ -118,10 +195,41 @@ class TestAccessor:
         rt = SerialRuntime()
 
         def body():
-            m = ConcurrentHashMap(rt)
+            m = self.new_map(rt)
             with m.accessor("nope", create=False) as acc:
                 assert acc is None
             assert "nope" not in m
+
+        rt.run(body)
+
+    def test_recursive_accessor_is_a_config_error(self):
+        rt = SerialRuntime()
+
+        def body():
+            m = self.new_map(rt)
+            with m.accessor("k") as acc:
+                acc.value = 1
+                with m.accessor("other") as inner:   # distinct keys nest
+                    inner.value = 2
+                with pytest.raises(RuntimeConfigError):
+                    with m.accessor("k"):
+                        pass
+                assert acc.created and acc.value == 1
+            with m.accessor("k") as acc:              # released on exit
+                assert not acc.created
+
+        rt.run(body)
+
+    def test_exception_in_body_releases_the_entry(self):
+        rt = SerialRuntime()
+
+        def body():
+            m = self.new_map(rt)
+            with pytest.raises(ZeroDivisionError):
+                with m.accessor("k") as acc:
+                    acc.value = 1 / 0
+            with m.accessor("k") as acc:
+                assert not acc.created and not acc.has_value
 
         rt.run(body)
 
@@ -147,6 +255,12 @@ class TestAccessor:
 
         assert rt.run(body) == 2
         assert rt.makespan == 200  # serialized, not 100
+
+
+class TestAccessorSingleWriter(TestAccessor):
+    new_map = staticmethod(SingleWriterMap)
+    #: needs workers that can meet — not a single-writer case.
+    test_accessor_mutual_exclusion_vtime = None
 
 
 class TestInvariantUnderVirtualTime:
@@ -342,6 +456,56 @@ class TestThreadRuntime:
 
         rt.run(body)
         assert ids <= set(range(4))
+
+
+class _RaceCheckedSerial(SerialRuntime):
+    race_checking = True
+
+
+class _LockedSerial(SerialRuntime):
+    """Test-only: a serial runtime whose maps are the locked ones."""
+
+    def make_map(self, name="map"):
+        return Runtime.make_map(self, name)
+
+
+class TestMakeMap:
+    """The runtime, not an option, picks the implementation."""
+
+    @pytest.mark.parametrize("make_rt", [
+        SerialRuntime,
+        lambda: SerialRuntime(enable_metrics=False),
+        lambda: ProcsRuntime(2, in_process=True),
+    ], ids=["serial", "serial-no-metrics", "procs"])
+    def test_one_thread_runtimes_get_the_single_writer_map(self, make_rt):
+        assert type(make_rt().make_map("x")) is SingleWriterMap
+
+    @pytest.mark.parametrize("make_rt", [
+        lambda: ThreadRuntime(2),
+        lambda: VirtualTimeRuntime(1),
+        lambda: VirtualTimeRuntime(4),
+        lambda: VirtualTimeRuntime(2, race_detector=RaceDetector()),
+        _RaceCheckedSerial,
+        _LockedSerial,
+    ], ids=["threads", "vtime1", "vtime4", "vtime-race-checking",
+            "serial-race-checking", "serial-forced"])
+    def test_everything_else_gets_the_locked_map(self, make_rt):
+        assert type(make_rt().make_map("x")) is ConcurrentHashMap
+
+    def test_name_labels_the_metrics(self):
+        rt = SerialRuntime()
+        rt.make_map("blocks").insert(1, 1)
+        assert rt.metrics.counter("map.blocks.ops") == 1
+
+    @pytest.mark.parametrize("preset", HOSTILE_PRESETS)
+    def test_serial_parse_cannot_tell_the_maps_apart(self, preset):
+        binary = hostile_binary(preset, seed=11).binary
+        seen = []
+        for rt in (SerialRuntime(), _LockedSerial()):
+            cfg = parse_binary(binary, rt)
+            seen.append((cfg.signature(), rt.makespan,
+                         json.dumps(rt.metrics.snapshot(), sort_keys=True)))
+        assert seen[0] == seen[1]
 
 
 class TestFactory:

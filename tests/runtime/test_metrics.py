@@ -1,6 +1,8 @@
 """Tests for the structured metrics subsystem."""
 
 import json
+import sys
+import threading
 
 from repro.core.parallel_parser import parse_binary
 from repro.runtime import (
@@ -73,6 +75,86 @@ class TestPrimitives:
         assert not NULL_METRICS.enabled
         snap = NULL_METRICS.snapshot()
         assert snap["counters"] == {} and snap["histograms"] == {}
+
+
+class TestCounterHandles:
+    """Pre-bound counters: same totals, same exports as ``inc``."""
+
+    @staticmethod
+    def _registries():
+        return (MetricsRegistry(), MetricsRegistry(single_writer=True))
+
+    def test_unbumped_handle_is_invisible(self):
+        for m in self._registries():
+            h = m.bind("quiet")
+            assert m.names() == []
+            assert m.snapshot()["counters"] == {}
+            assert m.counter("quiet") == 0
+            h.inc(0)
+            assert m.names() == []
+
+    def test_handle_and_inc_on_one_name_add(self):
+        for m in self._registries():
+            h = m.bind("a")
+            h.inc()
+            m.inc("a", 4)
+            h.inc(2)
+            assert m.bind("a") is h
+            assert m.counter("a") == 7
+            assert m.names() == ["a"]
+            assert m.snapshot()["counters"] == {"a": 7}
+            # Reading folds the slot in without consuming it.
+            assert m.snapshot()["counters"] == {"a": 7}
+
+    def test_merge_of_handles_equals_merge_of_incs(self):
+        for src in self._registries():
+            twin = MetricsRegistry()
+            for name, n in (("map.x.ops", 3), ("z", 1), ("map.x.ops", 2)):
+                src.bind(name).inc(n)
+                twin.inc(name, n)
+            src.bind("never")
+            src.observe("h", 5)
+            twin.observe("h", 5)
+            assert src.snapshot() == twin.snapshot()
+            into_a, into_b = MetricsRegistry(), MetricsRegistry()
+            for dst in (into_a, into_b):
+                dst.bind("workers.z").inc(10)
+            into_a.merge_snapshot(src.snapshot(), prefix="workers.")
+            into_b.merge_snapshot(twin.snapshot(), prefix="workers.")
+            assert into_a.snapshot() == into_b.snapshot()
+            assert into_a.counter("workers.z") == 11
+            assert into_a.counter("workers.map.x.ops") == 5
+
+    def test_locked_handles_lose_no_updates(self):
+        m = MetricsRegistry()
+        h = m.bind("hits")
+
+        def bump():
+            for _ in range(2000):
+                h.inc()
+                m.inc("hits")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert m.counter("hits") == 8 * 2000 * 2
+
+    def test_null_metrics_handles_are_inert(self):
+        h = NULL_METRICS.bind("x")
+        h.inc()
+        h.n += 5
+        assert NULL_METRICS.bind("x").n == 0
+        assert NULL_METRICS.counter("x") == 0
+        assert NULL_METRICS.names() == []
+        assert NULL_METRICS.snapshot()["counters"] == {}
 
 
 class TestVtimeIntegration:
@@ -215,6 +297,17 @@ class TestOtherBackends:
         cfg = parse_binary(sb.binary, rt)
         assert cfg.signature() == vt_sig
         assert rt.metrics.counter("parser.blocks_created") > 0
+
+    def test_metrics_do_not_perturb_the_serial_clock(self):
+        """Handles or no handles, the serial makespan is the same."""
+        sb = tiny_binary()
+        rt_on, rt_off = SerialRuntime(), SerialRuntime(enable_metrics=False)
+        cfg_on = parse_binary(sb.binary, rt_on)
+        cfg_off = parse_binary(sb.binary, rt_off)
+        assert cfg_on.signature() == cfg_off.signature()
+        assert rt_on.makespan == rt_off.makespan
+        assert rt_on.metrics.counter("map.blocks.ops") > 0
+        assert rt_on.metrics.counter("rt.tasks_spawned") > 0
 
     def test_opt_out_on_every_backend(self):
         for rt in (VirtualTimeRuntime(2, enable_metrics=False),

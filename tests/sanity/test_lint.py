@@ -1,8 +1,9 @@
 """Lint tests: rule units on synthetic files, pragmas, real-tree clean."""
 
+import ast
 from pathlib import Path
 
-from repro.sanity.lint import LintFinding, run_lint
+from repro.sanity.lint import LintFinding, _collect_conchash_attrs, run_lint
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -44,6 +45,20 @@ class TestUnsyncIteration:
             "    def walk(self):\n"
             "        return list(self.functions.values())\n"))
         assert [f.rule for f in fs] == ["unsync-iteration"]
+
+    def test_factory_binding_is_tracked(self, tmp_path):
+        """Maps come from ``rt.make_map``: attribute and local alike."""
+        fs = _lint(tmp_path, (
+            "class P:\n"
+            "    def __init__(self, rt):\n"
+            "        self.functions = rt.make_map('f')\n"
+            "    def walk(self):\n"
+            "        return list(self.functions.values())\n"
+            "def w(rt):\n"
+            "    m = rt.make_map('x')\n"
+            "    return list(m.items())\n"))
+        assert [(f.rule, f.line) for f in fs] == [
+            ("unsync-iteration", 5), ("unsync-iteration", 8)]
 
     def test_plain_dict_with_same_name_is_not_flagged(self, tmp_path):
         fs = _lint(tmp_path, (
@@ -150,6 +165,16 @@ class TestRealTree:
     def test_source_tree_is_lint_clean(self):
         findings = run_lint()
         assert findings == [], "\n".join(str(f) for f in findings)
+
+    def test_parser_maps_stay_under_the_accessor_rule(self):
+        """Every shared table of the parser, the noreturn state and the
+        symbol index is a known map binding — however it is built."""
+        trees = {p: ast.parse(p.read_text())
+                 for p in sorted(SRC.rglob("*.py"))}
+        assert _collect_conchash_attrs(trees) >= {
+            "blocks_by_start", "block_ends", "functions", "jump_tables",
+            "_table", "master", "by_offset", "by_mangled", "by_pretty",
+            "by_typed"}
 
     def test_findings_are_sorted_and_printable(self, tmp_path):
         fs = _lint(tmp_path, (
