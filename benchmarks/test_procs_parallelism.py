@@ -102,7 +102,7 @@ def test_procs_wall_clock_column(benchmark, hpc_binaries):
                 "serial_wall_s": round(serial_wall, 4),
                 "procs_wall_s": round(procs_wall, 4),
                 "speedup": round(serial_wall / procs_wall, 4),
-                "fanout_wall_s": _hist_s(rt, "procs.fanout_wall_ns"),
+                "fanout_wall_s": _hist_s(rt, "procs.phase.fanout_wall_ns"),
                 "shards": rt.metrics.counter("procs.shards"),
                 "pool_fallback": rt.metrics.counter("procs.pool_fallback"),
                 "merged_cache_insns":

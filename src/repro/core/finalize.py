@@ -41,7 +41,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.parallel_parser import ParallelParser
 
 
-def finalize(parser: "ParallelParser") -> ParsedCFG:
+def finalize(parser: "ParallelParser",
+             incremental: bool = False) -> ParsedCFG:
+    """Run the correction phase over a quiesced parser.
+
+    ``incremental`` lets tail-call correction recompute, after its first
+    round, only the closures a flip could have changed.  The values are
+    the same either way; the procs coordinator asks for it, the
+    serial/vtime/threads parse keeps the full per-round recomputation
+    its virtual-time charges are defined by.
+    """
     rt = parser.rt
     sanitize = getattr(parser, "op_trace", None) is not None
     if sanitize:
@@ -54,7 +63,7 @@ def finalize(parser: "ParallelParser") -> ParsedCFG:
     tables = [info for _, info in parser.jump_tables.sorted_items()]
 
     _trim_overlapping_tables(parser, tables, blocks, functions)
-    closures = _correct_tail_calls(parser, blocks, functions)
+    closures = _correct_tail_calls(parser, blocks, functions, incremental)
     _assign_boundaries(parser, functions, closures)
     functions = _remove_dead_functions(parser, functions)
     _finalize_statuses(parser, functions)
@@ -82,17 +91,8 @@ def _trim_overlapping_tables(parser: "ParallelParser",
                              tables: list[JumpTableInfo],
                              blocks: dict[int, Block],
                              functions: dict[int, Function]) -> None:
-    """Trim unbounded table scans at the next discovered table's base.
-
-    At the procs coordinator, a worker's shard-local trim hint (the next
-    table base *within its owned range*) short-circuits the per-table
-    work: if the global next base matches the hint's, the shard already
-    saw every table that matters for this trim, so a hinted "no trim
-    needed" verdict is final and a hinted trim applies verbatim.  A
-    mismatching or missing hint falls back to the ordinary computation.
-    """
+    """Trim unbounded table scans at the next discovered table's base."""
     rt = parser.rt
-    accel = getattr(parser, "finalize_accel", None)
     starts = sorted(t.table_addr for t in tables if t.table_addr is not None)
     removed_any = []
 
@@ -102,8 +102,6 @@ def _trim_overlapping_tables(parser: "ParallelParser",
         rt.charge(rt.cost.map_op)
         idx = bisect.bisect_right(starts, info.table_addr)
         next_base = starts[idx] if idx < len(starts) else None
-        if accel is not None and accel.jt_hint(info.block_start, next_base):
-            return  # validated worker verdict: nothing to trim
         if next_base is None:
             return
         allowed = max(0, (next_base - info.table_addr) // 8)
@@ -126,7 +124,6 @@ def _trim_overlapping_tables(parser: "ParallelParser",
             e.dst.in_edges.remove(e)
             parser.stats.n_edges_trimmed += 1
         if doomed:
-            parser._mark_dirty(block.start)
             rt.metrics.inc("finalize.edges_trimmed", len(doomed))
             removed_any.append(True)
 
@@ -137,26 +134,10 @@ def _trim_overlapping_tables(parser: "ParallelParser",
 
 def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
                        functions: dict[int, Function]) -> None:
-    """O_ER cascade: drop blocks unreachable from any function entry.
-
-    At the procs coordinator, a worker's per-entry reach set (closed
-    under out-edges at export time) seeds ``reached`` wholesale when
-    still valid: none of its members mutated since export means their
-    out-edge sets are unchanged, so the set is still closed and every
-    member still reached.  Entries without a valid hint walk normally.
-    """
+    """O_ER cascade: drop blocks unreachable from any function entry."""
     rt = parser.rt
-    accel = getattr(parser, "finalize_accel", None)
     reached: set[int] = set()
-    stack = []
-    for f in functions.values():
-        hint = accel.sweep_hint(f.addr) if accel is not None else None
-        if hint is not None:
-            fresh = hint - reached
-            rt.charge(rt.cost.sweep_per_block * len(fresh))
-            reached |= fresh
-        else:
-            stack.append(f.entry)
+    stack = [f.entry for f in functions.values()]
     while stack:
         b = stack.pop()
         if b.start in reached:
@@ -168,7 +149,6 @@ def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
                 stack.append(e.dst)
     dead = [s for s in blocks if s not in reached]
     if dead:
-        parser._mark_dirty(*dead)
         rt.metrics.inc("finalize.blocks_swept", len(dead))
     for s in dead:
         b = blocks.pop(s)
@@ -204,7 +184,8 @@ def _function_closure(rt, func: Function) -> set[int]:
 
 
 def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
-                        functions: dict[int, Function]
+                        functions: dict[int, Function],
+                        incremental: bool = False
                         ) -> dict[int, set[int]] | None:
     """Iterative application of the three correction rules.
 
@@ -212,17 +193,13 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
     so :func:`_assign_boundaries` can reuse them instead of recomputing —
     or None if the round cap was hit without convergence.
 
-    At the procs coordinator two further accelerations apply, both
-    output-invariant: round 1 takes each function's closure from its
-    worker partial-finalize hint when still valid (the closure *values*
-    are identical, and the rules below are recomputed from them, so the
-    verdicts are too); rounds 2+ recompute only functions whose closures
-    a flip could have changed — a TAILCALL↔DIRECT flip at block ``s``
-    moves edges in or out of the intra-procedural set only for functions
-    containing ``s``, plus functions minted since the last round.
+    With ``incremental`` (the procs coordinator), rounds 2+ recompute
+    only functions whose closures a flip could have changed — a
+    TAILCALL↔DIRECT flip at block ``s`` moves edges in or out of the
+    intra-procedural set only for functions containing ``s``, plus
+    functions minted since the last round.  Output-invariant.
     """
     rt = parser.rt
-    accel = getattr(parser, "finalize_accel", None)
 
     symtab_entries = {s.offset for s in parser.binary.symtab.functions()}
     symtab_entries.update(s.offset
@@ -234,11 +211,8 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
         # The O_IEC fixed point of Section 5.4: each round recomputes
         # boundaries and may flip edge verdicts.
         rt.metrics.inc("finalize.tailcall_rounds")
-        first_round = dirty_funcs is None
-        if accel is None:
+        if dirty_funcs is None:
             closures = {}
-            need = sorted(functions.items())
-        elif first_round:
             need = sorted(functions.items())
         else:
             need = sorted((a, functions[a]) for a in dirty_funcs
@@ -246,12 +220,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
 
         def compute(fa):
             addr, func = fa
-            if accel is not None and first_round:
-                hint = accel.closure_hint(addr)
-                if hint is not None:
-                    rt.charge(rt.cost.closure_per_block * len(hint))
-                    closures[addr] = set(hint)
-                    return
             closures[addr] = _function_closure(rt, func)
 
         rt.parallel_for(need, compute)
@@ -310,10 +278,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
             # mutated edges since this round's compute pass).
             return closures
 
-        # A flip changes a block's out-edge type: hints that include it
-        # are stale from here on.
-        parser._mark_dirty(*flip_srcs)
-
         # Flips change the function set: rule-1 flips may need a function
         # at the target; rule-2/3 flips may orphan one (cleaned later).
         minted: list[int] = []
@@ -328,7 +292,7 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                     functions[e.dst.start] = func
                     minted.append(e.dst.start)
 
-        if accel is not None:
+        if incremental:
             dirty_funcs = set(minted)
             for s in flip_srcs:
                 dirty_funcs.update(containing.get(s, ()))

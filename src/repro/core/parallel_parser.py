@@ -80,14 +80,6 @@ class ParseOptions:
     #: at quiesced points (finalize, shard merge) — see
     #: :mod:`repro.sanity.cfgsan`.  Env ``REPRO_CFGSAN=1`` forces it on.
     sanitize: bool = False
-    #: ship worker-side partial-finalize hints in exported fragments and
-    #: consume them at the coordinator (procs backend tail optimization).
-    #: Perf-only: results are byte-identical either way — hints are
-    #: validated against a dirty-block log and fall back to recomputation.
-    #: The procs backend resolves ``REPRO_NO_PARTIAL_FINALIZE=1`` into
-    #: this flag *before* fan-out (long-lived pool workers must not read
-    #: the env themselves).
-    partial_finalize: bool = True
 
 
 @dataclass
@@ -156,14 +148,10 @@ class ParallelParser:
         #: everything.  See :meth:`set_owned_ranges`.
         self._owned_ranges: list[tuple[int, int]] | None = None
         self._own_los: list[int] = []
-        #: coordinator-side dirty-block log (procs structural merge):
-        #: starts of blocks whose out-edges or last_kind changed since the
-        #: fragments were exported.  The merge uses it to invalidate
-        #: worker partial-finalize hints; None = not tracking.
-        self._dirty_log: set[int] | None = None
-        #: coordinator-side partial-finalize hint index
-        #: (:class:`repro.core.shard_merge.FinalizeAccel`); None = off.
-        self.finalize_accel = None
+        #: ``funcs -> ownership partitions`` for the sharded noreturn
+        #: wave (set by the procs coordinator's ``StreamingMerge``);
+        #: None = one unpartitioned wave.
+        self.wave_partitions = None
         self._frontier: list[FrontierRecord] = []
         self._frontier_ctxs: list[_TaskCtx | None] = []
         self.blocks_by_start: SharedMap[int, Block] = \
@@ -278,12 +266,6 @@ class ParallelParser:
         else:
             self._owned_ranges = sorted(ranges)
             self._own_los = [lo for lo, _ in self._owned_ranges]
-
-    def _mark_dirty(self, *starts: int) -> None:
-        """Record coordinator-side block mutations (hint invalidation)."""
-        log = self._dirty_log
-        if log is not None:
-            log.update(starts)
 
     def _defer_frontier(self, ctx: _TaskCtx | None, kind: str,
                         block: Block | None = None,
@@ -480,7 +462,6 @@ class ParallelParser:
                     acc.value = blk
                     blk.end = e
                     blk.last_kind = lst.cf_kind if lst is not None else None
-                    self._mark_dirty(blk.start)
                     if lst is not None:
                         self._create_edges(ctx, blk, lst)
                     continue
@@ -504,7 +485,6 @@ class ParallelParser:
         rt.charge(rt.cost.block_split)
         self._n_splits.inc()
         self.stats.n_splits += 1
-        self._mark_dirty(blk.start, other.start)
         trace = self.op_trace
         if trace is not None:
             loser = other if other.start < blk.start else blk
@@ -534,7 +514,6 @@ class ParallelParser:
         rt = self.rt
         rt.charge(rt.cost.edge_create)
         self._n_edges.inc()
-        self._mark_dirty(src.start)
         edge = Edge(src, dst, etype)
         src.out_edges.append(edge)
         dst.in_edges.append(edge)
@@ -803,7 +782,7 @@ class ParallelParser:
         """Resolve return statuses and release deferred fall-throughs
         until nothing changes; then resolve cycles to NORETURN."""
         rt = self.rt
-        accel = self.finalize_accel
+        partition = self.wave_partitions
         probe = self.opts.fault_probe
         for _ in range(self.opts.max_waves):
             if probe is not None:
@@ -820,14 +799,7 @@ class ParallelParser:
 
             # Closure walks are the expensive part of a wave; do them in
             # parallel, then run the (cheap) status fixed point serially.
-            # At the procs coordinator, a still-valid worker hint replaces
-            # the walk entirely (worker-side partial finalization).
             def precompute(f: Function) -> None:
-                if accel is not None:
-                    hint = accel.wave_hint(f.addr)
-                    if hint is not None:
-                        memo[f.addr] = hint
-                        return
                 memo[f.addr] = base_summary(f)
 
             rt.parallel_for(
@@ -840,8 +812,7 @@ class ParallelParser:
                     memo[f.addr] = base_summary(f)
                 return memo[f.addr]
 
-            parts = (accel.wave_partitions(funcs)
-                     if accel is not None else None)
+            parts = partition(funcs) if partition is not None else None
             released = self.noreturn.resolve_wave(funcs, summary,
                                                   partitions=parts)
             if not released:

@@ -8,16 +8,17 @@ normally inside that range, and defers every cross-shard expansion step
 as a flat :class:`~repro.core.parallel_parser.FrontierRecord` instead of
 executing it.  This module is the coordinator side:
 
-1. **Rebuild** each fragment's block/edge graph from its flat pickled
-   records (instructions come from the merged decode cache, so no object
+1. **Rebuild** each fragment's block/edge graph from its integer
+   columns (instructions come from the merged decode cache, so no object
    graph crosses the process boundary).
 2. **Install** the union into a fresh :class:`ParallelParser`'s maps.
    Shard ownership makes block starts, functions, jump tables and
    noreturn records disjoint by construction; block *ends* are the one
-   place shards can disagree (linear overrun past a boundary), so every
-   imported end is re-registered through the parser's real invariant-4
-   split cascade (``_split_collision``), which reconciles the fragments
-   to the serial block set.
+   place shards can disagree (linear overrun past a boundary), so an
+   imported end that collides with an installed one is re-registered
+   through the parser's real invariant-4 split cascade
+   (``_split_collision``), which reconciles the fragments to the serial
+   block set; the rest are bulk-installed.
 3. **Replay** the frontier records through the real parser machinery —
    tail-call classification, function creation, noreturn deferral and
    jump-table analysis all run exactly as in a serial parse, just
@@ -34,8 +35,7 @@ executing it.  This module is the coordinator side:
 4. Run the wave fixed point — including the cycle rule the fragments
    had to skip, and *sharded* across ownership partitions when more
    than one claim is installed (``resolve_wave(partitions=…)``) — then
-   the ordinary ``finalize`` correction phase, accelerated by the
-   workers' :class:`PartialFinalize` hints where still valid.
+   the ordinary ``finalize`` correction phase.
 
 Steps 1–3 run *incrementally*: :class:`StreamingMerge` installs each
 fragment the moment its delta lands and drains ready frontier batches
@@ -54,9 +54,10 @@ battery (``tests/test_differential_backends.py``) pins exactly that.
 from __future__ import annotations
 
 import bisect
-import os
 import time
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import (
@@ -76,55 +77,43 @@ from repro.core.parallel_parser import (
     ParseOptions,
     _TaskCtx,
 )
-from repro.errors import RuntimeConfigError
+from repro.errors import InvalidInstructionError, RuntimeConfigError
 from repro.isa.instructions import ControlFlowKind, Instruction
 from repro.runtime.api import Runtime
 
-
-@dataclass
-class PartialFinalize:
-    """Worker-precomputed, shard-local finalize inputs (flat tuples).
-
-    Each hint is a pure function of the worker's exported block graph;
-    the coordinator validates a hint against its dirty-block log (blocks
-    whose out-edges or last_kind changed since install) and uses it only
-    when every block it mentions is untouched — then the hinted value is
-    exactly what recomputation would produce, so results are
-    byte-identical with hints on, off, or partially valid.
-    """
-
-    #: (func_addr, sorted intra-procedural closure starts, has_ret,
-    #:  sorted tail-call targets) — one walk serves the tail-call rules,
-    #: boundary assignment and the wave summary (the edge sets coincide).
-    closures: list[tuple[int, tuple[int, ...], bool, tuple[int, ...]]] = \
-        field(default_factory=list)
-    #: (func_addr, sorted all-edge reach from the entry) — seeds the
-    #: unreachable sweep (closed under out-edges at export time).
-    sweep: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-    #: (block_start, local next table base) for unbounded tables whose
-    #: trim is a no-op given that base — valid when the global next base
-    #: matches (the shard then already saw every table that matters).
-    jt_noop: list[tuple[int, int | None]] = field(default_factory=list)
+#: Small-int wire codes for the two enums a fragment's columns carry.
+_KINDS = (None, *ControlFlowKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_ETYPES = tuple(EdgeType)
+_ETYPE_CODE = {etype: code for code, etype in enumerate(_ETYPES)}
 
 
 @dataclass
 class CFGFragment:
     """Pickle-friendly structural export of one shard's fragment parse.
 
-    Everything is flat ints/strings/enums — no :class:`Block`/:class:`Edge`
-    object graph crosses the process boundary (deep linked graphs recurse
-    past pickle limits, and the coordinator rebuilds instructions from the
-    merged decode cache anyway).
+    Everything is flat — no :class:`Block`/:class:`Edge` object graph
+    crosses the process boundary (deep linked graphs recurse past pickle
+    limits, and the coordinator rebuilds instructions from the merged
+    decode cache anyway).  The three big record sets are parallel integer
+    columns (``array`` / ``bytes``; ``zip(*frag.blocks)`` gives rows),
+    which pickle as a handful of buffers instead of tens of thousands of
+    tuples.
     """
 
     shard_id: int
     owned: tuple[int, int]
-    #: (start, end, last_kind, has_teardown) per block
-    blocks: list[tuple] = field(default_factory=list)
-    #: the shard's block-ends map as (end_addr, block_start)
-    ends: list[tuple[int, int]] = field(default_factory=list)
-    #: (src_start, dst_start, etype value) in per-block creation order
-    edges: list[tuple[int, int, str]] = field(default_factory=list)
+    #: per block in start order: starts, ends (-1 = no end yet),
+    #: ``last_kind`` codes (``_KINDS``), ``has_teardown`` flags
+    blocks: tuple[array, array, bytes, bytes] = field(
+        default_factory=lambda: (array("Q"), array("q"), b"", b""))
+    #: the shard's block-ends map in end order: end addresses, block starts
+    ends: tuple[array, array] = field(
+        default_factory=lambda: (array("Q"), array("Q")))
+    #: per edge in per-block creation order: source starts, target
+    #: starts, edge-type codes (``_ETYPES``)
+    edges: tuple[array, array, bytes] = field(
+        default_factory=lambda: (array("Q"), array("Q"), b""))
     #: (addr, name, entry_start, from_symtab, discovered_via, status value)
     functions: list[tuple] = field(default_factory=list)
     jump_tables: list[JumpTableInfo] = field(default_factory=list)
@@ -141,11 +130,6 @@ class CFGFragment:
     #: attempt whose delta straggles in next to its retry's); the merge
     #: keeps the highest attempt per shard and drops the rest.
     attempt: int = 1
-    #: worker-side partial-finalize hints (None when disabled via
-    #: ``ParseOptions.partial_finalize`` / ``REPRO_NO_PARTIAL_FINALIZE``,
-    #: or for fragments from older producers — the merge treats a missing
-    #: payload as "no hints" and recomputes, so degraded rungs work).
-    partial: PartialFinalize | None = None
 
 
 def export_fragment(parser: ParallelParser, shard_id: int,
@@ -154,12 +138,19 @@ def export_fragment(parser: ParallelParser, shard_id: int,
     assert parser._owned is not None, "export requires fragment mode"
     frag = CFGFragment(shard_id=shard_id, owned=parser._owned,
                        attempt=attempt)
-    for start, b in parser.blocks_by_start.sorted_items():
-        frag.blocks.append((b.start, b.end, b.last_kind, b.has_teardown))
-        for e in b.out_edges:
-            frag.edges.append((e.src.start, e.dst.start, e.etype.value))
-    frag.ends = [(end, b.start)
-                 for end, b in parser.block_ends.sorted_items()]
+    blocks = [b for _, b in parser.blocks_by_start.sorted_items()]
+    frag.blocks = (
+        array("Q", [b.start for b in blocks]),
+        array("q", [-1 if b.end is None else b.end for b in blocks]),
+        bytes([_KIND_CODE[b.last_kind] for b in blocks]),
+        bytes([b.has_teardown for b in blocks]))
+    edges = [e for b in blocks for e in b.out_edges]
+    frag.edges = (array("Q", [e.src.start for e in edges]),
+                  array("Q", [e.dst.start for e in edges]),
+                  bytes([_ETYPE_CODE[e.etype] for e in edges]))
+    ends = parser.block_ends.sorted_items()
+    frag.ends = (array("Q", [end for end, _ in ends]),
+                 array("Q", [b.start for _, b in ends]))
     frag.functions = [
         (f.addr, f.name, f.entry.start, f.from_symtab, f.discovered_via,
          f.status.value)
@@ -183,182 +174,29 @@ def export_fragment(parser: ParallelParser, shard_id: int,
     frag.reached = {addr: sorted(starts)
                     for addr, starts in reached.items()}
     frag.n_splits = parser.stats.n_splits
-    if parser.opts.partial_finalize:
-        frag.partial = compute_partial(parser)
     return frag
 
 
-def compute_partial(parser: ParallelParser) -> PartialFinalize:
-    """Precompute shard-local finalize inputs on the worker.
-
-    Workers only create blocks at addresses they own, so every walk here
-    is automatically shard-local; cross-shard steps were frontier-deferred
-    and created no edges, so the walks are closed over the exported graph.
-    """
-    part = PartialFinalize()
-    for addr, f in parser.functions.sorted_items():
-        starts, has_ret, tails = _intra_walk(f)
-        part.closures.append((addr, tuple(sorted(starts)), has_ret,
-                              tuple(sorted(tails))))
-        part.sweep.append((addr, tuple(sorted(_all_edge_reach(f)))))
-    tables = [info for _, info in parser.jump_tables.sorted_items()]
-    bases = sorted(t.table_addr for t in tables if t.table_addr is not None)
-    for info in tables:
-        if info.table_addr is None or info.bounded:
-            continue
-        idx = bisect.bisect_right(bases, info.table_addr)
-        next_base = bases[idx] if idx < len(bases) else None
-        if next_base is not None:
-            allowed = max(0, (next_base - info.table_addr) // 8)
-            if info.n_entries > allowed:
-                continue  # a real trim is needed: no no-op verdict
-        # next_base None = "no later base in my range": a no-op verdict
-        # the coordinator may use iff the global next base is also None.
-        part.jt_noop.append((info.block_start, next_base))
-    return part
-
-
-def _intra_walk(f: Function) -> tuple[set[int], bool, set[int]]:
-    """Closure starts, has-return and tail targets in one walk.
-
-    The edge set followed here (``EdgeType.intraprocedural``) is the same
-    one both ``closure_summary_fn`` (wave) and finalize's
-    ``_function_closure`` walk, so a single worker walk serves all three
-    coordinator consumers.
-    """
-    seen: set[int] = set()
-    stack = [f.entry]
-    has_ret = False
-    tails: set[int] = set()
-    while stack:
-        b = stack.pop()
-        if b.start in seen:
-            continue
-        seen.add(b.start)
-        if b.last_kind is ControlFlowKind.RETURN:
-            has_ret = True
-        for e in b.out_edges:
-            if e.etype.intraprocedural:
-                stack.append(e.dst)
-            elif e.etype is EdgeType.TAILCALL:
-                tails.add(e.dst.start)
-    return seen, has_ret, tails
-
-
-def _all_edge_reach(f: Function) -> set[int]:
-    """Starts reachable from the entry via *all* edges (sweep seed)."""
-    seen: set[int] = set()
-    stack = [f.entry]
-    while stack:
-        b = stack.pop()
-        if b.start in seen:
-            continue
-        seen.add(b.start)
-        for e in b.out_edges:
-            if e.dst.start not in seen:
-                stack.append(e.dst)
-    return seen
-
-
-class FinalizeAccel:
-    """Coordinator-side index of worker partial-finalize hints.
-
-    Consumed by ``finalize`` (closure/sweep/jt-trim hints), by the
-    coordinator's wave fixed point (summary hints and ownership
-    partitions for the sharded wave), all via the parser's
-    ``finalize_accel`` attribute — which only :class:`StreamingMerge`
-    sets, so serial/vtime/threads parses are untouched.
-
-    Validity discipline: the parser's ``_dirty_log`` (wired to
-    :attr:`dirty`) records every block whose out-edges or last_kind
-    changed after fragment install — splits, new edges, replayed end
-    registrations, finalize trims and sweeps.  A hint is used only while
-    its block-start set is disjoint from that log.
-    """
-
-    def __init__(self, rt: Runtime):
-        self.rt = rt
-        self.dirty: set[int] = set()
-        #: func addr -> (closure starts, has_ret, tail targets)
-        self._closures: dict[int, tuple] = {}
-        self._sweeps: dict[int, frozenset[int]] = {}
-        self._jt_noop: dict[int, int | None] = {}
-        #: installed shard claims, in install order
-        self._ranges: list[tuple[int, int]] = []
-
-    def add_fragment(self, frag: CFGFragment, ingest: bool) -> None:
-        self._ranges.append(frag.owned)
-        if not ingest or frag.partial is None:
-            return
-        self.rt.metrics.inc("procs.partial.fragments")
-        for addr, starts, has_ret, tails in frag.partial.closures:
-            self._closures[addr] = (starts, has_ret, tails)
-        for addr, starts in frag.partial.sweep:
-            self._sweeps[addr] = frozenset(starts)
-        for bstart, next_base in frag.partial.jt_noop:
-            self._jt_noop[bstart] = next_base
-
-    def ranges(self) -> list[tuple[int, int]]:
-        return list(self._ranges)
-
-    # -- hint lookups (each validates against the dirty log) ----------------
-
-    def closure_hint(self, addr: int) -> tuple[int, ...] | None:
-        rec = self._closures.get(addr)
-        if rec is not None and self.dirty.isdisjoint(rec[0]):
-            self.rt.metrics.inc("procs.partial.closure_hits")
-            return rec[0]
-        self.rt.metrics.inc("procs.partial.closure_misses")
-        return None
-
-    def wave_hint(self, addr: int) -> tuple[bool, frozenset[int]] | None:
-        rec = self._closures.get(addr)
-        if rec is not None and self.dirty.isdisjoint(rec[0]):
-            rt = self.rt
-            rt.metrics.inc("procs.partial.wave_hits")
-            rt.charge(rt.cost.closure_per_block * len(rec[0]))
-            return rec[1], frozenset(rec[2])
-        self.rt.metrics.inc("procs.partial.wave_misses")
-        return None
-
-    def sweep_hint(self, addr: int) -> set[int] | None:
-        rec = self._sweeps.get(addr)
-        if rec is not None and self.dirty.isdisjoint(rec):
-            self.rt.metrics.inc("procs.partial.sweep_hits")
-            return set(rec)
-        self.rt.metrics.inc("procs.partial.sweep_misses")
-        return None
-
-    def jt_hint(self, block_start: int, global_next_base: int | None) -> bool:
-        if (block_start in self._jt_noop
-                and self._jt_noop[block_start] == global_next_base
-                and block_start not in self.dirty):
-            self.rt.metrics.inc("procs.partial.jt_hits")
-            return True
-        self.rt.metrics.inc("procs.partial.jt_misses")
-        return False
-
-    # -- sharded wave partitions --------------------------------------------
-
-    def wave_partitions(self, funcs: list[Function]
+def partition_by_claims(claims: list[tuple[int, int]],
+                        funcs: list[Function]
                         ) -> list[list[Function]] | None:
-        """Partition functions by shard-claim ownership (entry address).
+    """Partition functions by shard-claim ownership (entry address).
 
-        The claims partition the address space, so every function —
-        including ones minted at the coordinator — maps to exactly one
-        partition.  Returns None (serial wave) with fewer than two
-        non-empty partitions.
-        """
-        ranges = sorted(self._ranges)
-        if len(ranges) <= 1:
-            return None
-        los = [lo for lo, _ in ranges]
-        parts: list[list[Function]] = [[] for _ in ranges]
-        for f in funcs:
-            i = bisect.bisect_right(los, f.addr) - 1
-            parts[i if i >= 0 else 0].append(f)
-        live = [p for p in parts if p]
-        return live if len(live) > 1 else None
+    The claims partition the address space, so every function —
+    including ones minted at the coordinator — maps to exactly one
+    partition.  Returns None (serial wave) with fewer than two
+    non-empty partitions.
+    """
+    ranges = sorted(claims)
+    if len(ranges) <= 1:
+        return None
+    los = [lo for lo, _ in ranges]
+    parts: list[list[Function]] = [[] for _ in ranges]
+    for f in funcs:
+        i = bisect.bisect_right(los, f.addr) - 1
+        parts[i if i >= 0 else 0].append(f)
+    live = [p for p in parts if p]
+    return live if len(live) > 1 else None
 
 
 class StreamingMerge:
@@ -392,14 +230,9 @@ class StreamingMerge:
         self.rt = rt
         self.opts = replace(options or ParseOptions(),
                             thread_local_cache=True)
-        #: worker partial-finalize hints enabled (resolved from the
-        #: options *and*, defensively, the env — the procs backend folds
-        #: ``REPRO_NO_PARTIAL_FINALIZE=1`` into the options before
-        #: fan-out, but inline/test paths construct the merge directly).
-        self.partial_enabled = (
-            self.opts.partial_finalize
-            and os.environ.get("REPRO_NO_PARTIAL_FINALIZE") != "1")
-        self.accel = FinalizeAccel(rt)
+        #: installed shard claims, in install order: early drains own
+        #: exactly their union, the sharded wave partitions by them.
+        self.claims: list[tuple[int, int]] = []
         #: merged decode cache; grows as deltas arrive.  The parser
         #: holds this same dict, so later updates are visible to it.
         self.warm: dict[int, Instruction] = {}
@@ -407,7 +240,6 @@ class StreamingMerge:
         self.blocks: dict[int, Block] = {}
         self._parser: ParallelParser | None = None
         self._installed: dict[int, int] = {}  # shard_id -> attempt
-        self._frags: list[CFGFragment] = []
         self._frag_by_sid: dict[int, CFGFragment] = {}
         #: undrained frontier records per source shard
         self._pending: dict[int, list[FrontierRecord]] = {}
@@ -428,14 +260,10 @@ class StreamingMerge:
         if self._parser is None:
             p = ParallelParser(self.binary, self.rt, self.opts,
                                warm_cache=self.warm)
-            # Coordinator-only acceleration state: hint index + dirty
-            # log + wave partitions.  Set exclusively here so the
-            # serial/vtime/threads parse paths are structurally
-            # untouched.  With partial finalization disabled the accel
-            # simply holds no hints (every lookup misses); the sharded
-            # wave still gets its ownership partitions.
-            p.finalize_accel = self.accel
-            p._dirty_log = self.accel.dirty
+            # Set exclusively here, so the serial/vtime/threads waves
+            # stay unpartitioned.  Bound to the list, not to this
+            # object: no parser <-> merge reference cycle.
+            p.wave_partitions = partial(partition_by_claims, self.claims)
             self._parser = p
         return self._parser
 
@@ -459,10 +287,8 @@ class StreamingMerge:
         parser = self.parser
         with rt.phase("cfg_merge"):
             t0 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            n_edges = _rebuild_fragment_graph(fragment, self.warm,
-                                              self.blocks)
-            added = sorted((b[0], self.blocks[b[0]])
-                           for b in fragment.blocks)
+            added = _rebuild_fragment_graph(fragment, self.warm,
+                                            self.blocks)
             parser.blocks_by_start.install_many(added)
 
             funcs: dict[int, Function] = {}
@@ -487,23 +313,31 @@ class StreamingMerge:
                 parser.noreturn.seed_state(addr, ReturnStatus(status),
                                            sites, tails)
 
-            # Cross-shard block-end reconciliation: re-register every
-            # imported end through the real invariant-4 cascade.  Where
-            # shards disagree (one shard's linear overrun straddles
-            # another's blocks), the cascade splits exactly as
-            # concurrent registration would have.
+            # Cross-shard block-end reconciliation.  Ends nobody has
+            # registered yet go in in bulk; where shards disagree (one
+            # shard's linear overrun straddles another's blocks) the end
+            # is re-registered through the real invariant-4 cascade,
+            # which splits exactly as concurrent registration would
+            # have.  A cascade only ever re-registers at smaller
+            # addresses, so installing the free ends first leaves it the
+            # state it would have met end by end.
+            block_ends = parser.block_ends
+            free, taken = [], []
+            for end_addr, bstart in zip(*fragment.ends):
+                (taken if end_addr in block_ends else free).append(
+                    (end_addr, self.blocks[bstart]))
+            block_ends.install_many(free)
             splits_before = parser.stats.n_splits
-            for end_addr, bstart in fragment.ends:
-                _install_end(parser, self.blocks[bstart], end_addr)
+            for end_addr, blk in taken:
+                _install_end(parser, blk, end_addr)
             end_splits = parser.stats.n_splits - splits_before
             parser.stats.n_splits += fragment.n_splits
             if m.enabled:
                 wall = time.perf_counter_ns() - t0  # sanity: allow(wall-clock) coordinator-side metric
                 m.inc("procs.merge.blocks", len(added))
-                m.inc("procs.merge.edges", n_edges)
+                m.inc("procs.merge.edges", len(fragment.edges[0]))
                 m.inc("procs.merge.functions", len(funcs))
                 m.inc("procs.merge.end_splits", end_splits)
-                m.observe("procs.merge.wall_ns", wall)
                 m.observe("procs.phase.install_wall_ns", wall)
                 if streamed:
                     m.inc("procs.overlap.fragments")
@@ -511,10 +345,9 @@ class StreamingMerge:
                 else:
                     m.inc("procs.overlap.batch_fragments")
         self._installed[fragment.shard_id] = fragment.attempt
-        self._frags.append(fragment)
         self._frag_by_sid[fragment.shard_id] = fragment
         self._pending[fragment.shard_id] = list(fragment.frontier)
-        self.accel.add_fragment(fragment, ingest=self.partial_enabled)
+        self.claims.append(fragment.owned)
         # Batched early drain: replay every pending record whose endpoint
         # regions are all installed, overlapping cross-shard expansion
         # with still-outstanding shards.
@@ -526,7 +359,6 @@ class StreamingMerge:
                 m.inc("procs.frontier.records", n)
                 m.inc("procs.frontier.early_records", n)
                 m.inc("procs.frontier.batches", batches)
-                m.observe("procs.frontier.replay_wall_ns", wall)
                 m.observe("procs.phase.frontier_wall_ns", wall)
         return True
 
@@ -555,7 +387,6 @@ class StreamingMerge:
                 m.inc("procs.frontier.records", n)
                 if batches:
                     m.inc("procs.frontier.batches", batches)
-                m.observe("procs.frontier.replay_wall_ns", wall)
                 m.observe("procs.phase.frontier_wall_ns", wall)
 
         with rt.phase("cfg_wave"):
@@ -567,7 +398,7 @@ class StreamingMerge:
 
         with rt.phase("cfg_finalize"):
             t3 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            cfg = finalize(parser)
+            cfg = finalize(parser, incremental=True)
             if m.enabled:
                 m.observe("procs.phase.finalize_wall_ns",
                           time.perf_counter_ns() - t3)  # sanity: allow(wall-clock) coordinator-side metric
@@ -598,20 +429,21 @@ class StreamingMerge:
         touches lies in an installed claim (the cascade it triggers
         re-defers anything further via the restricted ownership)."""
         foreign = self.parser._foreign
+        if rec.kind in ("direct", "intra"):
+            return not foreign(rec.target)
+        if rec.kind == "resume":
+            return not foreign(rec.site[2])
+        if rec.kind == "end":
+            return not foreign(rec.last_addr)
         try:
-            if rec.kind in ("direct", "intra"):
-                return not foreign(rec.target)
-            if rec.kind == "resume":
-                return not foreign(rec.site[2])
-            if rec.kind == "end":
-                return not foreign(rec.last_addr)
             insn = self._insn_at(rec.last_addr)  # cond | call
-            if rec.kind == "call":
-                return not foreign(insn.direct_target)
-            return (not foreign(insn.direct_target)
-                    and not foreign(insn.end))
-        except Exception:
+        except InvalidInstructionError:
+            # Not classifiable yet: stays deferred until the final drain.
             return False
+        if rec.kind == "call":
+            return not foreign(insn.direct_target)
+        return (not foreign(insn.direct_target)
+                and not foreign(insn.end))
 
     def _drain_ready(self, final: bool) -> tuple[int, int]:
         """Replay every ready pending record; returns (records, batches).
@@ -623,7 +455,7 @@ class StreamingMerge:
         restores full ownership first.
         """
         parser = self.parser
-        parser.set_owned_ranges(None if final else self.accel.ranges())
+        parser.set_owned_ranges(None if final else self.claims)
         batches: list[tuple[CFGFragment, list[FrontierRecord]]] = []
         for sid in sorted(self._pending):
             recs = self._pending[sid]
@@ -799,38 +631,41 @@ def merge_fragments(binary: LoadedBinary, rt: Runtime,
 
 def _rebuild_fragment_graph(frag: CFGFragment,
                             insns: dict[int, Instruction],
-                            blocks: dict[int, Block]) -> int:
-    """Rebuild one fragment's blocks and intra-fragment edges.
+                            blocks: dict[int, Block]
+                            ) -> list[tuple[int, Block]]:
+    """Rebuild one fragment's blocks and intra-fragment edges from its
+    columns; returns the new ``(start, block)`` pairs in start order.
 
     Instructions are resolved from the merged decode cache (complete: a
     worker's cache covers every block it exported, including bytes later
-    truncated away by splits).  Returns the number of edges rebuilt.
+    truncated away by splits).
     """
-    for start, end, last_kind, has_teardown in frag.blocks:
+    added: list[tuple[int, Block]] = []
+    for start, end, kind, has_teardown in zip(*frag.blocks):
         if start in blocks:
             raise RuntimeConfigError(
                 f"shard ownership violated: block {start:#x} exported by "
                 f"shard {frag.shard_id} and an earlier shard")
         b = Block(start)
-        b.end = end
-        b.last_kind = last_kind
-        b.has_teardown = has_teardown
-        if end is not None and end > start:
-            addr = start
-            seq = []
-            while addr < end:
-                insn = insns.get(addr)
-                if insn is None:
-                    break
-                seq.append(insn)
-                addr = insn.end
-            b.insns = seq
+        if end >= 0:
+            b.end = end
+        b.last_kind = _KINDS[kind]
+        b.has_teardown = bool(has_teardown)
+        addr = start
+        seq = b.insns
+        while addr < end:
+            insn = insns.get(addr)
+            if insn is None:
+                break
+            seq.append(insn)
+            addr += insn.length
         blocks[start] = b
-    for src, dst, etype in frag.edges:
-        edge = Edge(blocks[src], blocks[dst], EdgeType(etype))
-        blocks[src].out_edges.append(edge)
-        blocks[dst].in_edges.append(edge)
-    return len(frag.edges)
+        added.append((start, b))
+    for src, dst, etype in zip(*frag.edges):
+        edge = Edge(blocks[src], blocks[dst], _ETYPES[etype])
+        edge.src.out_edges.append(edge)
+        edge.dst.in_edges.append(edge)
+    return added
 
 
 def _install_end(parser: ParallelParser, block: Block, end: int) -> None:

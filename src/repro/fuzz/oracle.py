@@ -177,13 +177,6 @@ def default_axes(*, workers: int = 4, procs_workers: int = 2,
         OracleAxis("procs", "signature",
                    _parse_sig(lambda: ProcsRuntime(
                        procs_workers, in_process=procs_inline))),
-        # The coordinator-tail degraded rung: worker partial-finalize
-        # hints off, everything recomputed coordinator-side (the same
-        # configuration ``REPRO_NO_PARTIAL_FINALIZE=1`` forces).
-        OracleAxis("procs-no-partial", "signature",
-                   _parse_sig(lambda: ProcsRuntime(
-                       procs_workers, in_process=procs_inline),
-                       ParseOptions(partial_finalize=False))),
     ]
     if include_faults:
         axes.append(OracleAxis(

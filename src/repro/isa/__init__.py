@@ -15,6 +15,8 @@ Public surface:
 - :mod:`repro.isa.encoding` — byte-level encode/decode.
 - :mod:`repro.isa.decoder` — a thread-safe streaming decoder over a code
   buffer (the InstructionAPI analog used by the parsers).
+- :mod:`repro.isa.columns` — the columnar wire form of a decode cache
+  (what a procs shard ships home instead of pickled instructions).
 """
 
 from repro.isa.registers import Reg, NUM_GP_REGS, gp_registers

@@ -22,9 +22,10 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
            per-shard deadline when ``value`` exceeds it)
 ``kill``   worker process dies via ``os._exit`` (pool workers only;
            inline execution treats it as ``exc``)
-``corrupt`` the returned :class:`ShardDelta`'s fragment is mutated
-           after its digest was computed (detected by the coordinator)
-``truncate`` the returned delta's fragment is dropped entirely
+``corrupt`` one byte of the returned :class:`ShardDelta`'s sealed
+           payload is flipped after the digest was stamped (detected
+           by whoever collects the delta)
+``truncate`` the returned delta's payload is dropped entirely
 ``pool``   pool creation fails (``attempt`` counts creations: 1 is the
            initial pool, each respawn increments)
 ``health`` the coordinator's pool health-check reports the pool dead
@@ -81,12 +82,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import re
 import time
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import InjectedFaultError, RuntimeConfigError
+from repro.isa.columns import pack_instructions, unpack_instructions
 
 #: Every legal injection site, in ladder order.  The hyphenated tail
 #: entries are corpus-level sites consumed by :mod:`repro.corpus`.
@@ -275,66 +278,75 @@ def maybe_kill_coordinator(plan: FaultPlan | None, ordinal: int) -> None:
 
 def corrupt_delta(plan: FaultPlan | None, delta: Any, shard_id: int,
                   attempt: int) -> Any:
-    """Delta faults, applied *after* the digest was computed so the
-    coordinator's integrity check is what catches them."""
+    """Delta faults, applied to the sealed payload *after* the digest
+    was stamped so the collector's integrity check is what catches
+    them — on the pool, in-process and inline rungs alike."""
     if not plan:
         return delta
     if plan.fires("truncate", shard_id, attempt):
-        delta.fragment = None
-    elif plan.fires("corrupt", shard_id, attempt) \
-            and delta.fragment is not None:
-        frag = delta.fragment
-        frag.blocks = frag.blocks[:len(frag.blocks) // 2]
-        frag.edges = frag.edges[:len(frag.edges) // 2]
+        delta.payload = None
+    elif plan.fires("corrupt", shard_id, attempt) and delta.payload:
+        blob = bytearray(delta.payload)
+        blob[len(blob) // 2] ^= 0xFF
+        delta.payload = bytes(blob)
     return delta
 
 
 # ------------------------------------------------------- delta integrity
 
-def delta_digest(delta: Any) -> str:
-    """Deterministic content digest of a :class:`ShardDelta`.
+def seal_delta(delta: Any, fragment: Any, insns: dict, counts: tuple,
+               metrics: dict | None) -> None:
+    """Pack everything the coordinator reads into one payload and stamp it.
 
-    Covers the fragment's flat records and the decode-cache keys — the
-    data the structural merge consumes.  Computed by the worker right
-    after the fragment export and recomputed by the coordinator; any
-    mismatch (bit rot, truncation, an injected ``corrupt`` fault) makes
-    the delta invalid and sends the shard down the retry ladder.
+    The producer's half of the hand-off: one ``pickle.dumps`` over the
+    fragment, the decode cache as instruction columns
+    (:mod:`repro.isa.columns`), the counts and the worker metrics
+    snapshot, then one hash over the resulting bytes.
     """
-    frag = delta.fragment
-    payload = repr((
-        delta.shard_id,
-        delta.attempt,
-        sorted(delta.insns),
-        delta.counts,
-        frag.owned,
-        frag.blocks,
-        frag.ends,
-        frag.edges,
-        frag.functions,
-        [repr(j) for j in frag.jump_tables],
-        frag.noreturn,
-        [repr(r) for r in frag.frontier],
-        sorted(frag.reached.items()),
-        frag.n_splits,
-        repr(getattr(frag, "partial", None)),
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    delta.payload = pickle.dumps(
+        (fragment, pack_instructions(insns), counts, metrics),
+        pickle.HIGHEST_PROTOCOL)
+    delta.digest = delta_digest(delta)
+
+
+def delta_digest(delta: Any) -> str:
+    """Digest of a sealed :class:`ShardDelta`: sha256 over a
+    ``shard_id:attempt:`` header and the payload bytes.
+
+    Covers everything the payload carries — block, edge and function
+    records, instruction *values*, counts, worker metrics — and binds it
+    to the attempt it was produced on.  Stamped once by the producer and
+    recomputed once by the collector; any mismatch (bit rot, truncation,
+    an injected ``corrupt`` fault, a re-stamped header) makes the delta
+    invalid and sends the shard down the retry ladder.
+    """
+    h = hashlib.sha256(f"{delta.shard_id}:{delta.attempt}:".encode())
+    h.update(delta.payload)
+    return h.hexdigest()
 
 
 def delta_error(delta: Any) -> str | None:
-    """Why a delta is unusable, or None if it is intact.
+    """Why a collected delta is unusable, or None — and then it is open.
 
-    The coordinator runs this on every collected delta; a non-None
-    reason counts as a failed attempt exactly like a worker exception.
+    The collector's half of the hand-off, run exactly once per collected
+    delta; a non-None reason counts as a failed attempt exactly like a
+    worker exception.  Only a payload whose digest matched is ever
+    unpickled: an intact delta is *opened* in place (``fragment``,
+    ``insns``, ``counts`` and ``metrics`` filled in, the payload bytes
+    released).
     """
     if delta is None:
         return "no delta returned"
     if delta.error is not None:
         return f"worker exception:\n{delta.error}"
-    if delta.fragment is None:
-        return "truncated delta: fragment missing"
+    if delta.payload is None:
+        return "truncated delta: payload missing"
     if delta.digest is None:
         return "delta carries no integrity digest"
     if delta_digest(delta) != delta.digest:
         return "corrupt delta: content digest mismatch"
+    delta.fragment, columns, delta.counts, delta.metrics = \
+        pickle.loads(delta.payload)
+    delta.payload = None
+    delta.insns = unpack_instructions(columns)
     return None

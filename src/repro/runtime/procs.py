@@ -47,11 +47,17 @@ Execution model
    :class:`~repro.core.parallel_parser.FrontierRecord` instead of
    executed.  The claim protocol is what makes fan-out cheap: a shard
    never re-parses another shard's call closure.
-4. **Streaming structural merge (coordinator)** — each worker returns
-   a pickle-friendly :class:`ShardDelta` carrying its
-   :class:`~repro.core.shard_merge.CFGFragment` (flat block, edge,
-   function, jump-table and noreturn records) plus its decode cache.
-   The coordinator folds each fragment into a
+4. **Seal, verify, open** — each worker returns a :class:`ShardDelta`
+   *sealed* around one ``bytes`` payload: its
+   :class:`~repro.core.shard_merge.CFGFragment` (block, end and edge
+   columns; function, jump-table and noreturn records), its decode
+   cache as instruction columns (:mod:`repro.isa.columns`), its counts
+   and its metrics snapshot, pickled once and stamped with one sha256
+   over the bytes.  Whoever collects the delta — the dispatch loop, the
+   in-process map, the inline rung — recomputes that hash once and only
+   then unpickles (:func:`repro.runtime.faults.delta_error`).
+5. **Streaming structural merge (coordinator)** — the coordinator
+   folds each opened fragment into a
    :class:`~repro.core.shard_merge.StreamingMerge` the moment its
    delta lands — rebuild and install overlap the still-running
    fan-out instead of waiting for the slowest shard.  Block starts,
@@ -71,9 +77,9 @@ The fan-out assumes nothing about worker health.  Every shard attempt
 is dispatched as its own ``AsyncResult`` and collected under a
 configurable per-shard deadline (``shard_deadline``) and overall parse
 budget (``parse_budget``); every collected delta is integrity-checked
-against the content digest the worker stamped on it.  A failed attempt
-— worker exception, kill, hang past the deadline, corrupt or truncated
-delta — walks a bounded ladder:
+against the digest the worker stamped on its sealed payload.  A failed
+attempt — worker exception, kill, hang past the deadline, corrupt or
+truncated delta — walks a bounded ladder:
 
 1. **re-dispatch** the shard to the pool (up to ``max_retries`` times),
    respawning the shared pool first when a health-check finds dead
@@ -128,10 +134,10 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultProbe,
     corrupt_delta,
-    delta_digest,
     delta_error,
     inject_inline_entry,
     inject_worker_entry,
+    seal_delta,
 )
 from repro.runtime.serial import SerialRuntime
 
@@ -268,28 +274,34 @@ class ShardTask:
 
 @dataclass
 class ShardDelta:
-    """A worker's pickling-friendly contribution to the merged parse."""
+    """A worker's contribution to the merged parse.
+
+    On the wire a delta is *sealed*: ``payload`` is one pickled bytes
+    object holding everything the coordinator reads and ``digest`` the
+    stamp over it (:func:`repro.runtime.faults.seal_delta`).  Collecting
+    it verifies the stamp and *opens* it in place
+    (:func:`repro.runtime.faults.delta_error`): the fields below the
+    line are filled in and the payload bytes released.
+    """
 
     shard_id: int
-    #: functions the shard's closure discovered: (addr, name, via)
-    entries: list[tuple[int, str, str]] = field(default_factory=list)
+    #: 1-based attempt this delta was produced on (retries re-stamp it)
+    attempt: int = 1
+    #: traceback text if the shard failed (handled by the retry ladder)
+    error: str | None = None
+    #: sha256 over ``shard_id:attempt:`` and the payload bytes
+    digest: str | None = None
+    payload: bytes | None = None
+    # -- opened form (empty on the wire) ------------------------------------
+    #: the structural export the coordinator merges
+    #: (:class:`repro.core.shard_merge.CFGFragment`)
+    fragment: Any | None = None
     #: the worker's decode cache: addr -> decoded Instruction
     insns: dict[int, Any] = field(default_factory=dict)
     #: (functions, blocks, edges) of the worker-local fragment
     counts: tuple[int, int, int] = (0, 0, 0)
     #: worker registry snapshot (``repro.metrics/1``), or None
     metrics: dict | None = None
-    #: traceback text if the shard failed (handled by the retry ladder)
-    error: str | None = None
-    #: the structural export the coordinator merges
-    #: (:class:`repro.core.shard_merge.CFGFragment`)
-    fragment: Any | None = None
-    #: 1-based attempt this delta was produced on (retries re-stamp it;
-    #: the coordinator keeps the highest attempt per shard)
-    attempt: int = 1
-    #: content digest stamped by the worker (``faults.delta_digest``);
-    #: the coordinator recomputes it to detect corrupt/truncated deltas
-    digest: str | None = None
 
 
 def shard_regions(entries: list[int], n_shards: int
@@ -336,8 +348,8 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     """Parse one shard fragment on a private serial runtime; used by
     both the pool workers and the in-process fallback.
 
-    Stamps the delta with its attempt number and a content digest so
-    the coordinator can detect corruption and deduplicate retries.
+    Returns the delta sealed: one payload, stamped with its attempt
+    number and digest, so whoever collects it can detect corruption.
     """
     from repro.core.parallel_parser import ParallelParser
     from repro.core.shard_merge import export_fragment
@@ -352,18 +364,12 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
                             owned_range=(task.owned_lo, task.owned_hi))
     rt.run(parser.execute_fragment)
     frag = export_fragment(parser, task.shard_id, attempt)
-    delta = ShardDelta(
-        shard_id=task.shard_id,
-        entries=[(addr, name, via)
-                 for addr, name, _entry, _sym, via, _status
-                 in frag.functions],
-        insns=dict(parser.local_decode_cache()),
-        counts=(len(frag.functions), len(frag.blocks), len(frag.edges)),
-        metrics=rt.metrics.snapshot() if enable_metrics else None,
-        fragment=frag,
-        attempt=attempt,
-    )
-    delta.digest = delta_digest(delta)
+    delta = ShardDelta(task.shard_id, attempt)
+    seal_delta(
+        delta, frag, parser.local_decode_cache(),
+        counts=(len(frag.functions), len(frag.blocks[0]),
+                len(frag.edges[0])),
+        metrics=rt.metrics.snapshot() if enable_metrics else None)
     return delta
 
 
@@ -413,7 +419,7 @@ def _parse_shard(payload: tuple) -> ShardDelta:
     Failures are returned as data (not raised) so one bad shard cannot
     poison the pool; the coordinator feeds them to the retry ladder.
     The payload's fault plan drives the deterministic injection sites
-    (entry faults before the parse, delta faults after the digest).
+    (entry faults before the parse, delta faults on the sealed payload).
     """
     token, transport, options, enable_metrics, task, attempt, plan = \
         payload
@@ -587,6 +593,20 @@ class ProcsRuntime(SerialRuntime):
             self.degradation["level"] = level
         self.metrics.inc(f"procs.degraded_to.{level}")
 
+    def _collect(self, delta: ShardDelta | None) -> str | None:
+        """Verify and open one collected delta — the coordinator's one
+        hash over it; returns why it is unusable, or None."""
+        m = self.metrics
+        size = len(delta.payload) if delta is not None and delta.payload \
+            else 0
+        t0 = time.perf_counter_ns()
+        reason = delta_error(delta)
+        if m.enabled:
+            m.inc("procs.delta.bytes", size)
+            m.observe("procs.delta.open_wall_ns",
+                      time.perf_counter_ns() - t0)
+        return reason
+
     # -- sharded CFG construction ------------------------------------------------
 
     def sharded_parse(self, binary, options=None):
@@ -604,13 +624,6 @@ class ProcsRuntime(SerialRuntime):
         from repro.core.parallel_parser import ParseOptions
 
         opts = options or ParseOptions()
-        if opts.partial_finalize and \
-                os.environ.get("REPRO_NO_PARTIAL_FINALIZE") == "1":
-            # Resolve the kill switch coordinator-side, *before* fan-out:
-            # long-lived forked pool workers must not read the env
-            # themselves (they inherited the environment of whatever
-            # parse first created the pool).
-            opts = replace(opts, partial_finalize=False)
         self._t0 = time.perf_counter()
         self._budget_t0 = time.monotonic()
         self.fault_events = []
@@ -656,29 +669,18 @@ class ProcsRuntime(SerialRuntime):
             t_pool = time.perf_counter_ns()
             deltas = self._map_shards(binary, opts, tasks)
             if m.enabled:
-                fanout_wall = time.perf_counter_ns() - t_pool
-                m.observe("procs.fanout_wall_ns", fanout_wall)
-                m.observe("procs.phase.fanout_wall_ns", fanout_wall)
+                m.observe("procs.phase.fanout_wall_ns",
+                          time.perf_counter_ns() - t_pool)
             self.shard_deltas = deltas
 
-            # Validate every delta and keep one per shard: a timed-out
-            # attempt whose result straggles in after its retry can hand
-            # the coordinator duplicate deltas — the highest attempt wins.
-            best: dict[int, ShardDelta] = {}
-            for d in deltas:
-                reason = delta_error(d)
-                if reason is not None:
-                    raise ShardFailedError(
-                        d.shard_id if d is not None else -1,
-                        getattr(d, "attempt", 0) or 0, reason)
-                cur = best.get(d.shard_id)
-                if cur is None or d.attempt > cur.attempt:
-                    best[d.shard_id] = d
-            if m.enabled and len(deltas) != len(best):
-                m.inc("procs.duplicate_deltas", len(deltas) - len(best))
-
+            # One delta per shard, in shard order, each verified and
+            # opened by whoever collected it.
             shard_insns_total = 0
-            for d in sorted(best.values(), key=lambda d: d.shard_id):
+            for d in deltas:
+                if d.fragment is None:
+                    raise ShardFailedError(
+                        d.shard_id, d.attempt,
+                        d.error or "delta reached the merge unopened")
                 shard_insns_total += len(d.insns)
                 if m.enabled:
                     m.inc("procs.shard_functions", d.counts[0])
@@ -922,7 +924,7 @@ class ProcsRuntime(SerialRuntime):
                                        "respawn")
                     retry.append(t)
                     continue
-                reason = delta_error(delta)
+                reason = self._collect(delta)
                 if reason is None:
                     deltas[t.shard_id] = delta
                     if self._merge is not None:
@@ -1020,7 +1022,7 @@ class ProcsRuntime(SerialRuntime):
                 f"{type(exc).__name__}: {exc}") from exc
         delta = corrupt_delta(self.fault_plan, delta, task.shard_id,
                               attempt_no)
-        reason = delta_error(delta)
+        reason = self._collect(delta)
         if reason is not None:
             raise ShardFailedError(task.shard_id, attempt_no, reason)
         return delta
@@ -1048,7 +1050,7 @@ class ProcsRuntime(SerialRuntime):
                     inject_inline_entry(plan, t.shard_id, a)
                     d = _run_shard(binary, opts, t, m.enabled, a, plan)
                     d = corrupt_delta(plan, d, t.shard_id, a)
-                    reason = delta_error(d)
+                    reason = self._collect(d)
                 except Exception as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                 if reason is None:

@@ -8,23 +8,24 @@ ownership-violation guard and pickle-safety of the shipped records.
 """
 
 import pickle
+from array import array
 
 import pytest
 
 from types import SimpleNamespace
 
 from repro.core import parse_binary
-from repro.core.parallel_parser import ParseOptions
+from repro.core.parallel_parser import FrontierRecord, ParseOptions
 from repro.core.shard_merge import (
     CFGFragment,
-    FinalizeAccel,
-    PartialFinalize,
     StreamingMerge,
     _rebuild_fragment_graph,
     merge_fragments,
+    partition_by_claims,
 )
-from repro.errors import RuntimeConfigError
+from repro.errors import InvalidInstructionError, RuntimeConfigError
 from repro.runtime import SerialRuntime
+from repro.runtime.faults import delta_error
 from repro.runtime.procs import ADDRESS_CEILING, ShardTask, _run_shard
 from repro.synth import tiny_binary
 
@@ -42,6 +43,7 @@ def _shard_deltas(sb, boundary, opts):
               for t in tasks]
     warm = {}
     for d in deltas:
+        assert delta_error(d) is None  # verify the seal, open the delta
         warm.update(d.insns)
     return deltas, warm
 
@@ -98,7 +100,7 @@ class TestBoundaryReconciliation:
                 f"mid-function boundary {boundary:#x} diverged")
             for f in frags:
                 lo, hi = f.owned
-                for start, _end, _lk, _td in f.blocks:
+                for start in f.blocks[0]:
                     assert lo <= start < hi, "foreign block start exported"
                 for rec in f.frontier:
                     kinds.add(rec.kind)
@@ -112,11 +114,11 @@ class TestBoundaryReconciliation:
         cfg, rt, frags = _fragment_parse(_SB, entries[len(entries) // 2])
         m = rt.metrics
         assert m.counter("procs.merge.blocks") == len(
-            {b[0] for f in frags for b in f.blocks})
+            {start for f in frags for start in f.blocks[0]})
         assert m.counter("procs.merge.functions") >= len(entries)
         assert m.counter("procs.frontier.records") == sum(
             len(f.frontier) for f in frags)
-        assert m.histogram("procs.merge.wall_ns") is not None
+        assert m.histogram("procs.phase.install_wall_ns") is not None
 
 
 class TestFragmentTransport:
@@ -150,6 +152,7 @@ class TestFragmentTransport:
                   for t in tasks for a in (1, 2)]  # two attempts each
         warm = {}
         for d in deltas:
+            assert delta_error(d) is None
             warm.update(d.insns)
         rt = SerialRuntime(enable_metrics=True)
         cfg = rt.run(lambda: merge_fragments(
@@ -162,130 +165,30 @@ class TestFragmentTransport:
         """Ownership means block starts are shard-disjoint; a violation
         is a bug upstream and must fail loudly, not merge quietly."""
         a = CFGFragment(shard_id=0, owned=(0, 100),
-                        blocks=[(16, 20, "branch", False)])
+                        blocks=(array("Q", [16]), array("q", [20]),
+                                b"\x00", b"\x00"))
         b = CFGFragment(shard_id=1, owned=(100, 200),
-                        blocks=[(16, 24, "branch", False)])
+                        blocks=(array("Q", [16]), array("q", [24]),
+                                b"\x00", b"\x00"))
         blocks = {}
         _rebuild_fragment_graph(a, {}, blocks)
         with pytest.raises(RuntimeConfigError, match="ownership violated"):
             _rebuild_fragment_graph(b, {}, blocks)
 
 
-class TestPartialFinalize:
-    def test_fragments_carry_hints_and_survive_pickle(self):
-        entries = sorted(_SB.binary.entry_addresses())
-        _, _, frags = _fragment_parse(_SB, entries[len(entries) // 2])
-        for frag in frags:
-            assert frag.partial is not None
-            assert frag.partial.closures, "worker shipped no closures"
-            assert frag.partial.sweep
-            # Every hinted address belongs to the exporting shard.
-            lo, hi = frag.owned
-            for addr, starts, _has_ret, _tails in frag.partial.closures:
-                assert lo <= addr < hi
-                assert all(lo <= s < hi for s in starts), (
-                    "closure walked into a foreign claim")
-            clone = pickle.loads(pickle.dumps(frag))
-            assert clone.partial.closures == frag.partial.closures
-            assert clone.partial.sweep == frag.partial.sweep
-            assert clone.partial.jt_noop == frag.partial.jt_noop
-
-    def test_hints_hit_and_result_stays_serial(self):
-        entries = sorted(_SB.binary.entry_addresses())
-        cfg, rt, _ = _fragment_parse(_SB, entries[len(entries) // 2])
-        assert cfg.signature() == _SERIAL_SIG
-        m = rt.metrics
-        assert m.counter("procs.partial.fragments") == 2
-        assert m.counter("procs.partial.closure_hits") >= 1
-        assert m.counter("procs.partial.wave_hits") >= 1
-
-    def test_disabled_ships_no_hints_and_matches(self):
-        entries = sorted(_SB.binary.entry_addresses())
-        cfg, rt, frags = _fragment_parse(
-            _SB, entries[len(entries) // 2],
-            opts=ParseOptions(partial_finalize=False))
-        assert all(f.partial is None for f in frags)
-        assert cfg.signature() == _SERIAL_SIG
-        for kind in ("closure", "wave", "sweep", "jt"):
-            assert rt.metrics.counter(f"procs.partial.{kind}_hits") == 0
-
-    def test_stale_payload_ignored_when_disabled(self):
-        """Degraded rung: fragments may still *carry* partial payloads
-        (mixed pool, stale producer) while the coordinator has hints
-        disabled — they must be ignored, not trusted."""
-        entries = sorted(_SB.binary.entry_addresses())
-        opts = ParseOptions()
-        deltas, warm = _shard_deltas(_SB, entries[len(entries) // 2], opts)
-        assert all(d.fragment.partial is not None for d in deltas)
-        rt = SerialRuntime(enable_metrics=True)
-        cfg = rt.run(lambda: merge_fragments(
-            _SB.binary, rt, ParseOptions(partial_finalize=False),
-            [d.fragment for d in deltas], warm))
-        assert cfg.signature() == _SERIAL_SIG
-        assert rt.metrics.counter("procs.partial.fragments") == 0
-
-
-class TestFinalizeAccel:
-    @staticmethod
-    def _accel(rt):
-        accel = FinalizeAccel(rt)
-        frag = CFGFragment(shard_id=0, owned=(0, 100))
-        frag.partial = PartialFinalize(
-            closures=[(16, (16, 24), True, (40,))],
-            sweep=[(16, (16, 24, 32))],
-            jt_noop=[(24, 96), (32, None)])
-        accel.add_fragment(frag, ingest=True)
-        return accel
-
-    def test_hints_valid_while_blocks_clean(self):
-        rt = SerialRuntime(enable_metrics=True)
-
-        def check():
-            accel = self._accel(rt)
-            assert accel.closure_hint(16) == (16, 24)
-            assert accel.wave_hint(16) == (True, frozenset({40}))
-            assert accel.sweep_hint(16) == {16, 24, 32}
-            assert accel.jt_hint(24, 96)
-            # "no local next base" verdict holds iff globally none either.
-            assert accel.jt_hint(32, None)
-            assert not accel.jt_hint(32, 500)
-            assert not accel.jt_hint(24, 104)  # global next base moved
-            assert not accel.jt_hint(99, 96)   # never hinted
-
-        rt.run(check)
-
-    def test_dirty_blocks_invalidate(self):
-        rt = SerialRuntime(enable_metrics=True)
-
-        def check():
-            accel = self._accel(rt)
-            accel.dirty.add(24)  # a split/new edge/replayed end at 24
-            assert accel.closure_hint(16) is None
-            assert accel.wave_hint(16) is None
-            assert accel.sweep_hint(16) is None
-            assert not accel.jt_hint(24, 96)
-
-        rt.run(check)
-
+class TestWavePartitions:
     def test_wave_partitions_by_claim_ownership(self):
-        rt = SerialRuntime(enable_metrics=True)
-        accel = FinalizeAccel(rt)
         funcs = [SimpleNamespace(addr=a) for a in (10, 90, 150, 260)]
         # Single claim: serial wave.
-        accel.add_fragment(CFGFragment(shard_id=0, owned=(0, 100)),
-                           ingest=False)
-        assert accel.wave_partitions(funcs) is None
+        assert partition_by_claims([(0, 100)], funcs) is None
         # Three claims: functions split by entry ownership, including a
         # coordinator-minted function (260) mapping into the last claim.
-        accel.add_fragment(CFGFragment(shard_id=1, owned=(100, 200)),
-                           ingest=False)
-        accel.add_fragment(CFGFragment(shard_id=2, owned=(200, 300)),
-                           ingest=False)
-        parts = accel.wave_partitions(funcs)
+        claims = [(0, 100), (100, 200), (200, 300)]
+        parts = partition_by_claims(claims, funcs)
         assert [[f.addr for f in p] for p in parts] == [[10, 90], [150],
                                                         [260]]
         # All functions in one claim: nothing to shard.
-        assert accel.wave_partitions(funcs[:2]) is None
+        assert partition_by_claims(claims, funcs[:2]) is None
 
 
 class TestBatchedFrontierDrains:
@@ -321,3 +224,57 @@ class TestBatchedFrontierDrains:
         for name in ("install", "frontier", "wave", "finalize"):
             assert rt.metrics.histogram(
                 f"procs.phase.{name}_wall_ns") is not None, name
+
+    @staticmethod
+    def _undecodable_cond(frag):
+        """A ``cond`` record whose branch address lies outside the code."""
+        return FrontierRecord(
+            seq=len(frag.frontier), kind="cond",
+            func_addr=frag.functions[0][0], block_start=frag.blocks[0][0],
+            end_addr=None, target=None, last_addr=ADDRESS_CEILING - 8,
+            etype=None, site=None)
+
+    def test_undecodable_record_stays_deferred_until_finish(self):
+        """`_record_ready` cannot classify a cond/call record whose
+        instruction does not decode: that is "not ready", not an error —
+        the record waits in the pending list for the final drain, which
+        replays it unconditionally (and so is where it surfaces)."""
+        entries = sorted(_SB.binary.entry_addresses())
+        deltas, _ = _shard_deltas(_SB, entries[len(entries) // 2],
+                                  ParseOptions())
+        bogus = self._undecodable_cond(deltas[1].fragment)
+        deltas[1].fragment.frontier.append(bogus)
+        rt = SerialRuntime(enable_metrics=True)
+
+        def run():
+            sm = StreamingMerge(_SB.binary, rt, ParseOptions())
+            for d in deltas:
+                sm.accept(d.fragment, d.insns)
+            assert not sm._record_ready(bogus)
+            assert sm._pending == {0: [], 1: [bogus]}
+            with pytest.raises(InvalidInstructionError):
+                sm.finish()
+
+        rt.run(run)
+
+    def test_replay_bug_is_not_swallowed(self, monkeypatch):
+        """Only a decode failure means "not ready yet"; a programming
+        error while classifying a record must propagate."""
+        entries = sorted(_SB.binary.entry_addresses())
+        deltas, _ = _shard_deltas(_SB, entries[len(entries) // 2],
+                                  ParseOptions())
+        rt = SerialRuntime()
+
+        def run():
+            sm = StreamingMerge(_SB.binary, rt, ParseOptions())
+            sm.accept(deltas[0].fragment, deltas[0].insns)
+
+            def broken(addr):
+                raise AttributeError("injected replay bug")
+
+            monkeypatch.setattr(sm, "_insn_at", broken)
+            with pytest.raises(AttributeError, match="injected"):
+                sm._record_ready(
+                    self._undecodable_cond(deltas[0].fragment))
+
+        rt.run(run)

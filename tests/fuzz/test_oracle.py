@@ -47,8 +47,7 @@ class TestDefaultAxes:
         assert axes[0].name == "serial" and axes[0].kind == "signature"
         names = [a.name for a in axes]
         assert names == ["serial", "vtime", "threads", "procs",
-                         "procs-no-partial", "procs-fault", "cfgsan",
-                         "races", "checkers"]
+                         "procs-fault", "cfgsan", "races", "checkers"]
 
     def test_checkers_axis_only_on_request(self):
         names = [a.name for a in default_axes(include_checkers=False)]
@@ -66,7 +65,7 @@ class TestDefaultAxes:
         assert not res.diverged
         assert res.failing == [] and res.findings == {}
         assert set(res.digests.values()) == {res.reference_digest}
-        assert metrics.counter("fuzz.axes.runs") == 9
+        assert metrics.counter("fuzz.axes.runs") == 8
         assert metrics.counter("fuzz.divergences") == 0
 
 

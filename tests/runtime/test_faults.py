@@ -30,6 +30,7 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultProbe,
     FaultSpec,
+    corrupt_delta,
     delta_digest,
     delta_error,
 )
@@ -125,6 +126,10 @@ class TestFaultPlanGrammar:
 
 
 class TestDeltaIntegrity:
+    """Seal -> verify -> open, against the sealed payload bytes."""
+
+    CORRUPT = "corrupt delta: content digest mismatch"
+
     def _delta(self, sb):
         task = ShardTask(0, tuple(sb.binary.entry_addresses()))
         return _run_shard(sb.binary, _opts(), task, False)
@@ -132,19 +137,67 @@ class TestDeltaIntegrity:
     def test_digest_is_deterministic(self, workload):
         sb, _ = workload
         a, b = self._delta(sb), self._delta(sb)
+        assert a.payload == b.payload
         assert a.digest == b.digest == delta_digest(a)
         assert delta_error(a) is None
 
-    def test_mutation_detected(self, workload):
+    def test_sealed_delta_carries_only_the_payload(self, workload):
         sb, _ = workload
         d = self._delta(sb)
-        d.fragment.blocks = d.fragment.blocks[:-1]
-        assert delta_error(d) == "corrupt delta: content digest mismatch"
+        assert isinstance(d.payload, bytes) and d.payload
+        assert d.fragment is None and d.insns == {} and d.metrics is None
+
+    def test_open_fills_the_fields_and_releases_the_payload(self, workload):
+        sb, _ = workload
+        task = ShardTask(0, tuple(sb.binary.entry_addresses()))
+        d = _run_shard(sb.binary, _opts(), task, True)
+        assert delta_error(d) is None
+        assert d.payload is None
+        assert d.fragment.shard_id == 0 and d.fragment.attempt == 1
+        assert d.counts == (len(d.fragment.functions),
+                            len(d.fragment.blocks[0]),
+                            len(d.fragment.edges[0]))
+        assert d.insns and all(a == i.address for a, i in d.insns.items())
+        assert d.metrics["counters"]["parser.blocks_created"] == d.counts[1]
+
+    def test_mutation_detected(self, workload):
+        """Flipping any one byte — fragment columns, instruction values
+        and the metrics snapshot all live in the payload — is caught,
+        and a corrupt payload is never opened."""
+        sb, _ = workload
+        d = self._delta(sb)
+        good = d.payload
+        for k in range(64):
+            blob = bytearray(good)
+            blob[k * (len(good) - 1) // 63] ^= 0x01
+            d.payload = bytes(blob)
+            assert delta_error(d) == self.CORRUPT, k
+            assert d.fragment is None and d.payload is not None
+
+    def test_short_payload_detected(self, workload):
+        sb, _ = workload
+        d = self._delta(sb)
+        good = d.payload
+        for eighth in range(8):
+            d.payload = good[:len(good) * eighth // 8]
+            assert delta_error(d) == self.CORRUPT, eighth
+        assert d.fragment is None
+
+    def test_restamped_header_detected(self, workload):
+        """The digest binds the payload to its shard and attempt."""
+        sb, _ = workload
+        d = self._delta(sb)
+        d.shard_id = 1
+        assert delta_error(d) == self.CORRUPT
+        d.shard_id, d.attempt = 0, 2
+        assert delta_error(d) == self.CORRUPT
+        d.attempt = 1
+        assert delta_error(d) is None
 
     def test_missing_fragment_detected(self, workload):
         sb, _ = workload
         d = self._delta(sb)
-        d.fragment = None
+        d.payload = None
         assert "truncated" in delta_error(d)
 
     def test_missing_digest_detected(self, workload):
@@ -152,6 +205,7 @@ class TestDeltaIntegrity:
         d = self._delta(sb)
         d.digest = None
         assert "no integrity digest" in delta_error(d)
+        assert d.fragment is None
 
     def test_error_and_none_detected(self, workload):
         sb, _ = workload
@@ -159,6 +213,63 @@ class TestDeltaIntegrity:
         d.error = "Boom"
         assert "worker exception" in delta_error(d)
         assert delta_error(None) == "no delta returned"
+
+    def test_fault_sites_act_on_the_payload(self, workload):
+        sb, _ = workload
+        d = self._delta(sb)
+        good = d.payload
+        corrupt_delta(FaultPlan.from_spec("corrupt@0"), d, 0, 1)
+        assert d.payload != good and len(d.payload) == len(good)
+        assert delta_error(d) == self.CORRUPT
+        corrupt_delta(FaultPlan.from_spec("truncate@0"), d, 0, 1)
+        assert d.payload is None and "truncated" in delta_error(d)
+
+
+def _count_digests(monkeypatch) -> list:
+    """Count ``faults.delta_digest`` calls made in this process."""
+    from repro.runtime import faults
+
+    calls: list = []
+    real = faults.delta_digest
+
+    def counted(delta):
+        calls.append((delta.shard_id, delta.attempt))
+        return real(delta)
+
+    monkeypatch.setattr(faults, "delta_digest", counted)
+    return calls
+
+
+class TestVerifyOnce:
+    """A healthy delta is hashed once where it is produced and once
+    where it is collected — nowhere else."""
+
+    def test_in_process_hashes_each_delta_twice(self, workload, monkeypatch):
+        sb, want = workload
+        calls = _count_digests(monkeypatch)
+        rt = ProcsRuntime(2, in_process=True)
+        assert parse_binary(sb.binary, rt).signature() == want
+        assert sorted(calls) == [(0, 1), (0, 1), (1, 1), (1, 1)]
+
+    @needs_pool
+    def test_pool_coordinator_hashes_each_delta_once(self, workload,
+                                                     monkeypatch):
+        sb, want = workload
+        calls = _count_digests(monkeypatch)
+        rt = ProcsRuntime(2, shard_deadline=30.0)
+        assert parse_binary(sb.binary, rt).signature() == want
+        assert rt.degradation["level"] == "none"
+        assert rt.metrics.counter("procs.pool_fallback") == 0
+        # The producer's pass ran in the worker processes.
+        assert sorted(calls) == [(0, 1), (1, 1)]
+
+    def test_transport_metrics_recorded(self, workload):
+        sb, want = workload
+        rt = ProcsRuntime(2, in_process=True)
+        assert parse_binary(sb.binary, rt).signature() == want
+        m = rt.metrics
+        assert m.counter("procs.delta.bytes") > 0
+        assert m.histogram("procs.delta.open_wall_ns").count == 2
 
 
 class TestParseShardErrorAsData:

@@ -86,6 +86,8 @@ class TestProcsRuntime:
         assert deltas is not None and len(deltas) == 3
         n_entries = len(sb.binary.entry_addresses())
         assert sum(len(d.insns) > 0 for d in deltas) == 3
+        # Opened, not kept twice: the sealed payload bytes are released.
+        assert [d.payload for d in deltas] == [None] * 3
         assert rt.metrics.counter("procs.shards") == 3
         # Every shard parsed at least its own seeds into functions.
         assert (rt.metrics.counter("procs.shard_functions")

@@ -253,23 +253,3 @@ def test_findings_sidecar_matches_across_worker_counts(
             got = _findings_bytes(sb.binary, rt)
             assert got == reference_findings[name], (name, n,
                                                      type(rt).__name__)
-
-
-def test_procs_no_partial_finalize_matches_serial(reference_signatures,
-                                                  monkeypatch):
-    """``REPRO_NO_PARTIAL_FINALIZE=1`` is the degraded rung for the
-    worker-side finalize hints: the coordinator must ignore shipped
-    ``CFGFragment.partial`` data (fragments from a mixed/stale pool may
-    still carry it), recompute everything itself, and land on the same
-    byte-identical fixed point — with zero hint hits recorded."""
-    monkeypatch.setenv("REPRO_NO_PARTIAL_FINALIZE", "1")
-    for name in ("cross-shard-splits", "wave-cross-shard",
-                 "noreturn-heavy"):
-        sb = _PROGRAMS[name]
-        rt = ProcsRuntime(PROCS_WORKERS, in_process=PROCS_INLINE)
-        got = parse_binary(sb.binary, rt).signature()
-        assert got == reference_signatures[name], name
-        assert rt.degradation["level"] == "none"
-        for kind in ("closure", "wave", "sweep", "jt"):
-            assert rt.metrics.counter(f"procs.partial.{kind}_hits") == 0, (
-                name, kind)
