@@ -2,8 +2,12 @@
 
 Each checker is a small bottom-up interprocedural analysis driven by
 :mod:`repro.analyses.interproc`: it computes a per-function *summary*
-(what a caller needs to know about a callee) and, once summaries have
-reached a fixpoint, a reporting pass collects findings.  Summaries form
+(what a caller needs to know about a callee) and raw findings; the
+scheduler keeps the findings of the round in which the summaries
+stopped changing.  A function reaches a checker as a :class:`FuncPlan`
+— compiled once per unit — and a block as the *effect*
+:meth:`Checker.compile_block` distilled from its instructions, so a
+fixpoint visit costs O(1)–O(calls), not O(instructions).  Summaries form
 a join-semilattice with a commutative, associative, idempotent
 :meth:`Checker.join`, so the fixpoint — and therefore the findings —
 is independent of evaluation schedule: the property the differential
@@ -15,7 +19,7 @@ The synthetic ABI the checkers assume (documented in
 - ``R0`` is the return value, ``R1``–``R3`` are arguments (defined at
   entry);
 - ``R0``–``R7`` are caller-saved (``CALL``/``ICALL`` clobber them —
-  the ISA's ``regs_written`` says so);
+  the ISA's def/use table says so);
 - ``R8``–``R15`` are scratch (no cross-call contract);
 - ``FP`` is callee-saved, preserved via ``ENTER``/``LEAVE``;
 - functions return with zero net stack displacement.
@@ -37,18 +41,18 @@ Four checkers:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analyses.dataflow import (
     DataflowProblem,
-    DataflowResult,
     Direction,
-    solve_dataflow,
+    run_worklist,
 )
-from repro.core.cfg import Block, Function, JumpTableInfo
-from repro.isa.instructions import Opcode
-from repro.isa.registers import Reg
+from repro.core.cfg import JumpTableInfo
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.registers import Reg, mask_of, regs_in
 
 #: Unknown / conflicting stack height (shared with stack_height.TOP).
 TOP = "top"
@@ -60,33 +64,57 @@ _R0_BIT = 1 << Reg.R0
 _FP_BIT = 1 << Reg.FP
 
 
-def _mask_of(regs) -> int:
-    m = 0
-    for r in regs:
-        m |= 1 << int(r)
-    return m
-
-
-def _regs_in(mask: int) -> list[Reg]:
-    return [Reg(i) for i in range(19) if mask & (1 << i)]
-
-
 @dataclass(frozen=True)
-class FuncView:
-    """What a checker sees of one function (schedule-independent)."""
+class FuncPlan:
+    """One function compiled for the checkers (schedule-independent).
 
-    func: Function
+    Everything that is constant per function is worked out once, by
+    ``FuncUnit.compile`` on the worker that analyzes the unit: blocks
+    are indices into address-sorted parallel tuples, edges are index
+    lists, and each dataflow checker's transfer over a block is the
+    *effect* its :meth:`Checker.compile_block` distilled from the
+    instructions.
+    """
+
     entry: int
     name: str
+    #: per block, address-sorted: start address and instructions.
+    starts: tuple[int, ...]
+    insns: tuple[tuple[Instruction, ...], ...]
+    #: intra-procedural predecessor / successor block indices.
+    preds: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[int, ...], ...]
+    #: True at the entry block (the forward boundary).
+    at_entry: tuple[bool, ...]
+    #: ``(block index, "ret" | "tailcall", address of the leaving
+    #: instruction, tail-call target or None)`` per block that leaves
+    #: the function, in address order.
+    exits: tuple[tuple[int, str, int, int | None], ...]
     jump_tables: tuple[JumpTableInfo, ...]
-    #: block start -> tail-call target entry (None if unresolvable).
-    tailcalls: dict[int, int | None]
+    #: checker name -> that checker's effect per block.
+    effects: dict[str, tuple[Any, ...]]
 
 
 #: ``getsumm(callee_entry_or_None) -> summary`` — resolves a call
 #: target to the current summary, falling back to the checker's
 #: conservative ABI default for unknown targets.
 SummaryLookup = Callable[[int | None], Any]
+
+
+def _meet_must(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a & b
+
+
+def _meet_height(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a == b else TOP
 
 
 class Checker:
@@ -107,7 +135,27 @@ class Checker:
         """Order-independent summary join (commutative, associative)."""
         raise NotImplementedError
 
-    def analyze(self, view: FuncView, getsumm: SummaryLookup
+    def compile_block(self, insns: tuple[Instruction, ...]) -> Any:
+        """Distill one block into this checker's transfer *effect*.
+
+        The effect is everything :meth:`apply` needs and nothing that
+        depends on the incoming fact or on a summary: a direct call
+        stays a lookup of its target at its position (``None`` stands
+        for an indirect call, which takes :meth:`unknown`).  Checkers
+        without a dataflow fact keep this default.
+        """
+        return None
+
+    def apply(self, effect: Any, fact: Any, getsumm: SummaryLookup) -> Any:
+        """The block transfer: ``fact`` through a compiled ``effect``.
+
+        Equal to folding the block's instructions one by one
+        (``tests/analyses/test_block_effects.py`` keeps that fold as
+        the oracle).
+        """
+        raise NotImplementedError
+
+    def analyze(self, plan: FuncPlan, getsumm: SummaryLookup
                 ) -> tuple[Any, list[dict]]:
         """Analyze one function; return (summary, raw findings).
 
@@ -116,24 +164,23 @@ class Checker:
         """
         raise NotImplementedError
 
-    # -- shared helpers -----------------------------------------------------
+    def _solve(self, plan: FuncPlan, getsumm: SummaryLookup, boundary: Any,
+               meet: Callable[[Any, Any], Any]) -> tuple[list, list]:
+        """Forward fixpoint of :meth:`apply` over the plan (entry fact
+        ``boundary``, ``None`` = unreached): in/out facts per block."""
+        effects = plan.effects[self.name]
+        problem = DataflowProblem(
+            direction=Direction.FORWARD, boundary=boundary, init=None,
+            meet=meet,
+            transfer=functools.partial(self.apply, getsumm=getsumm))
+        in_facts, out_facts, _ = run_worklist(
+            problem, effects, plan.preds, plan.succs, plan.at_entry,
+            range(len(effects)))
+        return in_facts, out_facts
 
-    @staticmethod
-    def _call_target(block: Block) -> int | None:
-        """Direct-call target of the block's final CALL, else None."""
-        last = block.insns[-1] if block.insns else None
-        if last is not None and last.opcode is Opcode.CALL:
-            return last.direct_target
-        return None
 
-    @staticmethod
-    def _exit_kind(view: FuncView, block: Block) -> str | None:
-        """"ret" / "tailcall" when the block leaves the function."""
-        if block.insns and block.insns[-1].is_ret:
-            return "ret"
-        if block.start in view.tailcalls:
-            return "tailcall"
-        return None
+# Op kinds of a callee-saved block effect.
+_SAVE, _RESTORE, _CLOBBER, _CALL = range(4)
 
 
 class CalleeSavedChecker(Checker):
@@ -146,12 +193,16 @@ class CalleeSavedChecker(Checker):
     adds the callee's may-clobber summary minus the saved set; the
     summary is the union of dirty sets over all exits, so clobbers
     propagate transitively up the call graph.
+
+    Block effect: the ``(kind, mask-or-target)`` ops that touch a
+    checked register, adjacent ops of one kind merged — empty for most
+    blocks.
     """
 
     name = "callee-saved"
 
     def __init__(self, checked=(Reg.FP,)):
-        self.checked = _mask_of(checked)
+        self.checked = mask_of(checked)
 
     def bottom(self) -> int:
         return 0
@@ -162,73 +213,71 @@ class CalleeSavedChecker(Checker):
     def join(self, a: int, b: int) -> int:
         return a | b
 
-    def _meet(self, a, b):
+    @staticmethod
+    def _meet(a, b):
         if a is None:
             return b
         if b is None:
             return a
         return (a[0] | b[0], a[1] & b[1])
 
-    def _transfer(self, block: Block, fact, getsumm: SummaryLookup):
-        if fact is None:
-            return None
-        dirty, saved = fact
-        for insn in block.insns:
+    def compile_block(self, insns):
+        checked = self.checked
+        ops: list[tuple[int, int]] = []
+        for insn in insns:
             op = insn.opcode
             if op is Opcode.ENTER:
-                saved |= _FP_BIT
+                kind, arg = _SAVE, _FP_BIT
             elif op is Opcode.LEAVE:
-                dirty &= ~_FP_BIT
+                kind, arg = _RESTORE, _FP_BIT
             elif op is Opcode.PUSH:
-                saved |= (1 << insn.operands[0]) & self.checked
+                kind, arg = _SAVE, (1 << insn.operands[0]) & checked
             elif op is Opcode.POP:
-                dirty &= ~((1 << insn.operands[0]) & self.checked)
+                kind, arg = _RESTORE, (1 << insn.operands[0]) & checked
             elif op is Opcode.CALL:
-                clobber = getsumm(insn.direct_target) & self.checked
-                dirty |= clobber & ~saved
+                ops.append((_CALL, insn.direct_target))
+                continue
             elif op is Opcode.ICALL:
-                clobber = self.unknown() & self.checked
-                dirty |= clobber & ~saved
+                kind, arg = _CLOBBER, self.unknown() & checked
             else:
-                w = _mask_of(insn.regs_written()) & self.checked
-                dirty |= w & ~saved
+                kind, arg = _CLOBBER, insn.written_mask() & checked
+            if not arg:
+                continue
+            if ops and ops[-1][0] == kind:
+                ops[-1] = (kind, ops[-1][1] | arg)
+            else:
+                ops.append((kind, arg))
+        return tuple(ops)
+
+    def apply(self, effect, fact, getsumm):
+        if fact is None or not effect:
+            return fact
+        dirty, saved = fact
+        for kind, arg in effect:
+            if kind == _SAVE:
+                saved |= arg
+            elif kind == _RESTORE:
+                dirty &= ~arg
+            elif kind == _CLOBBER:
+                dirty |= arg & ~saved
+            else:
+                dirty |= getsumm(arg) & self.checked & ~saved
         return (dirty, saved)
 
-    def _solve(self, view: FuncView,
-               getsumm: SummaryLookup) -> DataflowResult:
-        problem = DataflowProblem(
-            direction=Direction.FORWARD, boundary=(0, 0), init=None,
-            meet=self._meet,
-            transfer=lambda b, f: self._transfer(b, f, getsumm))
-        return solve_dataflow(view.func, problem)
-
-    def _exit_dirty(self, view: FuncView, block: Block, fact,
-                    getsumm: SummaryLookup) -> int:
-        dirty, saved = fact
-        target = view.tailcalls.get(block.start)
-        if self._exit_kind(view, block) == "tailcall":
-            clobber = getsumm(target) & self.checked
-            dirty |= clobber & ~saved
-        return dirty
-
-    def analyze(self, view: FuncView, getsumm: SummaryLookup
+    def analyze(self, plan: FuncPlan, getsumm: SummaryLookup
                 ) -> tuple[int, list[dict]]:
-        res = self._solve(view, getsumm)
+        _, out_facts = self._solve(plan, getsumm, (0, 0), self._meet)
         summary = 0
         findings: list[dict] = []
-        for block in view.func.blocks:
-            if block.is_empty:
-                continue
-            kind = self._exit_kind(view, block)
-            if kind is None:
-                continue
-            fact = res.out_facts.get(block.start)
+        for i, kind, addr, target in plan.exits:
+            fact = out_facts[i]
             if fact is None:
                 continue  # unreachable exit
-            dirty = self._exit_dirty(view, block, fact, getsumm)
+            dirty, saved = fact
+            if kind == "tailcall":
+                dirty |= getsumm(target) & self.checked & ~saved
             summary |= dirty
-            addr = block.insns[-1].address if block.insns else block.start
-            for reg in _regs_in(dirty):
+            for reg in regs_in(dirty):
                 findings.append({
                     "rule": self.name, "address": addr,
                     "detail": f"callee-saved {reg.name} clobbered "
@@ -246,6 +295,13 @@ class UninitRegChecker(Checker):
     survive calls but are never assumed defined at entry — reads of
     them are not checked (no ABI contract).  A read of a checked
     register outside the must-defined set is flagged.
+
+    Block effect ``(calls, gen, exposed, late)``: ``calls`` holds
+    ``(general-purpose writes since the previous call, target)`` per
+    call, ``gen`` the writes after the last one; ``exposed`` are the
+    checked reads that see the block's incoming fact (no write, no
+    call before them) and ``late`` those that see a callee's summary
+    instead — the reporting walk enters a block only for these.
     """
 
     name = "uninit-reg"
@@ -262,6 +318,37 @@ class UninitRegChecker(Checker):
     def join(self, a: int, b: int) -> int:
         return a & b
 
+    def compile_block(self, insns):
+        calls: list[tuple[int, int | None]] = []
+        gen = local = exposed = late = 0
+        for insn in insns:
+            op = insn.opcode
+            if op is not Opcode.RET:  # RET's R0/SP reads: ABI formalities
+                reads = insn.read_mask() & self._CHECKED_READS & ~local
+                if calls:
+                    late |= reads
+                else:
+                    exposed |= reads
+            if op is Opcode.CALL or op is Opcode.ICALL:
+                calls.append((gen, insn.direct_target))
+                gen = 0
+                local &= ~_CALLER_SAVED
+            else:
+                written = insn.written_mask() & _GP_MASK
+                gen |= written
+                local |= written
+        return tuple(calls), gen, exposed, late
+
+    def apply(self, effect, fact, getsumm):
+        if fact is None:
+            return None
+        calls, gen, _, _ = effect
+        for before, target in calls:
+            summ = self.unknown() if target is None else getsumm(target)
+            fact = ((fact | before) & ~_CALLER_SAVED) \
+                | (summ & _CALLER_SAVED)
+        return fact | gen
+
     def _step(self, insn, defined: int, getsumm: SummaryLookup) -> int:
         op = insn.opcode
         if op is Opcode.CALL:
@@ -269,46 +356,33 @@ class UninitRegChecker(Checker):
             return (defined & ~_CALLER_SAVED) | (summ & _CALLER_SAVED)
         if op is Opcode.ICALL:
             return (defined & ~_CALLER_SAVED) | _R0_BIT
-        return defined | (_mask_of(insn.regs_written()) & _GP_MASK)
+        return defined | (insn.written_mask() & _GP_MASK)
 
-    def _transfer(self, block: Block, fact, getsumm: SummaryLookup):
-        if fact is None:
-            return None
-        defined = fact
-        for insn in block.insns:
-            defined = self._step(insn, defined, getsumm)
-        return defined
-
-    def analyze(self, view: FuncView, getsumm: SummaryLookup
+    def analyze(self, plan: FuncPlan, getsumm: SummaryLookup
                 ) -> tuple[int, list[dict]]:
-        problem = DataflowProblem(
-            direction=Direction.FORWARD, boundary=_ARG_MASK, init=None,
-            meet=lambda a, b: b if a is None else (
-                a if b is None else a & b),
-            transfer=lambda b, f: self._transfer(b, f, getsumm))
-        res = solve_dataflow(view.func, problem)
-
-        summary = self._FULL
-        have_ret = False
+        in_facts, out_facts = self._solve(plan, getsumm, _ARG_MASK,
+                                          _meet_must)
         findings: list[dict] = []
-        for block in view.func.blocks:
-            if block.is_empty:
-                continue
-            defined = res.in_facts.get(block.start)
-            if defined is None:
-                continue  # unreachable
-            for insn in block.insns:
-                if not insn.is_ret:  # RET's R0/SP reads are ABI formalities
-                    reads = _mask_of(insn.regs_read())
-                    undef = reads & self._CHECKED_READS & ~defined
-                    for reg in _regs_in(undef):
+        for (_, _, exposed, late), defined, insns in zip(
+                plan.effects[self.name], in_facts, plan.insns):
+            if defined is None or not (late or exposed & ~defined):
+                continue  # unreachable, or nothing here can be undefined
+            for insn in insns:
+                if not insn.is_ret:
+                    undef = (insn.read_mask() & self._CHECKED_READS
+                             & ~defined)
+                    for reg in regs_in(undef):
                         findings.append({
                             "rule": self.name, "address": insn.address,
                             "detail": f"read of maybe-uninitialized "
                                       f"{reg.name}"})
                 defined = self._step(insn, defined, getsumm)
-            if block.insns and block.insns[-1].is_ret:
-                summary &= defined
+
+        summary = self._FULL
+        have_ret = False
+        for i, kind, _, _ in plan.exits:
+            if kind == "ret" and out_facts[i] is not None:
+                summary &= out_facts[i]
                 have_ret = True
         if not have_ret:
             summary = self.bottom()  # no returns: summary never consumed
@@ -324,6 +398,11 @@ class StackBalanceChecker(Checker):
     return — or a tail call — at a *definite* nonzero height is
     flagged; ``TOP`` heights stay silent (unknown is not a finding).
     The summary is the join of heights at return exits.
+
+    Block effect ``(anchored, delta, calls)``: whether a ``LEAVE``
+    re-anchors the height, then the net static displacement (``TOP``
+    if an instruction's is unknown) and the call targets *after* the
+    last ``LEAVE`` — what precedes it cannot reach the block's end.
     """
 
     name = "stack-balance"
@@ -335,62 +414,55 @@ class StackBalanceChecker(Checker):
         return 0  # ABI: unknown callees are balanced
 
     def join(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a == b else TOP
+        return _meet_height(a, b)
 
-    def _transfer(self, block: Block, h, getsumm: SummaryLookup):
-        if h is None:
-            return None
-        for insn in block.insns:
+    def compile_block(self, insns):
+        anchored = False
+        delta: Any = 0
+        calls: list[int | None] = []
+        for insn in insns:
             op = insn.opcode
             if op is Opcode.LEAVE:
-                h = 0  # frame restored to call-time height
-                continue
-            if h == TOP:
-                continue
-            if op is Opcode.CALL:
-                # Equality, not identity: callee summaries may have
-                # crossed a process boundary, so the TOP sentinel can
-                # be an unpickled copy of the module constant.
-                d = getsumm(insn.direct_target)
-                h = TOP if d == TOP else (h if d is None else h + d)
-                continue
-            if op is Opcode.ICALL:
-                d = self.unknown()
-                h = TOP if d == TOP else h + d
-                continue
-            d = insn.sp_delta()
-            h = TOP if d is None else h + d
+                anchored, delta, calls = True, 0, []
+            elif op is Opcode.CALL or op is Opcode.ICALL:
+                calls.append(insn.direct_target)
+            elif delta != TOP:
+                d = insn.sp_delta()
+                delta = TOP if d is None else delta + d
+        return anchored, delta, tuple(calls)
+
+    def apply(self, effect, h, getsumm):
+        if h is None:
+            return None
+        anchored, delta, calls = effect
+        if anchored:
+            h = 0
+        # Equality, not identity: callee summaries may have crossed a
+        # process boundary, so the TOP sentinel can be an unpickled
+        # copy of the module constant.
+        if h == TOP or delta == TOP:
+            return TOP
+        h += delta
+        for target in calls:
+            d = self.unknown() if target is None else getsumm(target)
+            if d == TOP:
+                return TOP
+            if d is not None:
+                h += d
         return h
 
-    def analyze(self, view: FuncView, getsumm: SummaryLookup
+    def analyze(self, plan: FuncPlan, getsumm: SummaryLookup
                 ) -> tuple[Any, list[dict]]:
-        problem = DataflowProblem(
-            direction=Direction.FORWARD, boundary=0, init=None,
-            meet=lambda a, b: b if a is None else (
-                a if b is None else (a if a == b else TOP)),
-            transfer=lambda b, f: self._transfer(b, f, getsumm))
-        res = solve_dataflow(view.func, problem)
-
+        _, out_facts = self._solve(plan, getsumm, 0, _meet_height)
         summary = self.bottom()
         findings: list[dict] = []
-        for block in view.func.blocks:
-            if block.is_empty:
-                continue
-            kind = self._exit_kind(view, block)
-            if kind is None:
-                continue
-            h = res.out_facts.get(block.start)
+        for i, kind, addr, _ in plan.exits:
+            h = out_facts[i]
             if h is None:
                 continue  # unreachable exit
             if kind == "ret":
                 summary = self.join(summary, h)
             if h != TOP and h != 0:
-                addr = (block.insns[-1].address if block.insns
-                        else block.start)
                 what = ("returns" if kind == "ret" else "tail-calls")
                 findings.append({
                     "rule": self.name, "address": addr,
@@ -420,11 +492,11 @@ class JumpTableBoundsChecker(Checker):
     def join(self, a, b):
         return None
 
-    def analyze(self, view: FuncView, getsumm: SummaryLookup
+    def analyze(self, plan: FuncPlan, getsumm: SummaryLookup
                 ) -> tuple[None, list[dict]]:
-        member = {b.start for b in view.func.blocks if not b.is_empty}
+        member = set(plan.starts)
         findings: list[dict] = []
-        for jt in view.jump_tables:
+        for jt in plan.jump_tables:
             if jt.table_addr is None:
                 findings.append({
                     "rule": self.name, "address": jt.block_start,

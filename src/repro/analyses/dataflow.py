@@ -1,8 +1,11 @@
 """Generic iterative dataflow solver over a function's blocks.
 
 Facts are arbitrary values combined with a caller-supplied meet; transfer
-functions map a block's input fact to its output fact.  The solver runs a
-standard worklist to a fixed point.  Register-set problems use Python
+functions map a block's input fact to its output fact.  One worklist,
+:func:`run_worklist`, runs to a fixed point over index-addressed
+predecessor/successor arrays; :func:`solve_dataflow` is its adapter
+for a parsed :class:`Function`, the interprocedural checkers feed it
+their compiled plans directly.  Register-set problems use Python
 integers as bit vectors (bit i = register i), which makes meet/transfer
 cheap and hashable.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,8 +44,10 @@ class DataflowProblem:
     init: Any
     #: meet(a, b) -> combined fact.
     meet: Callable[[Any, Any], Any]
-    #: transfer(block, in_fact) -> out_fact.
-    transfer: Callable[[Block, Any], Any]
+    #: transfer(node, in_fact) -> out_fact; a node is a :class:`Block`
+    #: under :func:`solve_dataflow`, else what the caller handed
+    #: :func:`run_worklist`.
+    transfer: Callable[[Any, Any], Any]
     #: cost charged per transfer application (virtual time).
     cost_per_transfer: int = 0
 
@@ -56,11 +61,59 @@ class DataflowResult:
     iterations: int
 
 
+def run_worklist(problem: DataflowProblem, nodes: Sequence[Any],
+                 preds: Sequence[Sequence[int]],
+                 succs: Sequence[Sequence[int]],
+                 at_boundary: Sequence[bool], seed: Iterable[int],
+                 visit: Callable[[int], None] | None = None
+                 ) -> tuple[list[Any], list[Any], int]:
+    """The one worklist, over node indices.
+
+    ``preds[i]`` / ``succs[i]`` are node indices in *flow* direction
+    (a backward problem passes them swapped), ``at_boundary[i]`` marks
+    the nodes that also meet ``problem.boundary``, ``seed`` is the
+    initial worklist (every index once) and ``problem.transfer`` is
+    applied to ``nodes[i]`` — whatever the caller put there: a
+    :class:`Block`, or a checker's compiled block effect.  ``visit(i)``
+    runs before each transfer (cost accounting).  Returns the in/out
+    facts as lists indexed like ``nodes``, and the visit count.
+    """
+    init, boundary = problem.init, problem.boundary
+    meet, transfer = problem.meet, problem.transfer
+    in_facts = [init] * len(nodes)
+    out_facts = [init] * len(nodes)
+    work = deque(seed)
+    queued = [True] * len(nodes)
+    iterations = 0
+    while work:
+        i = work.popleft()
+        queued[i] = False
+        iterations += 1
+        fact = init
+        for p in preds[i]:
+            fact = meet(fact, out_facts[p])
+        if at_boundary[i]:
+            fact = meet(fact, boundary)
+        in_facts[i] = fact
+        if visit is not None:
+            visit(i)
+        new_out = transfer(nodes[i], fact)
+        if new_out != out_facts[i]:
+            out_facts[i] = new_out
+            for s in succs[i]:
+                if not queued[s]:
+                    queued[s] = True
+                    work.append(s)
+    return in_facts, out_facts, iterations
+
+
 def solve_dataflow(func: Function, problem: DataflowProblem,
                    rt: Runtime | None = None,
                    order_key: Callable[[Block], Any] | None = None
                    ) -> DataflowResult:
     """Solve ``problem`` over ``func``'s intra-procedural CFG.
+
+    Builds the index arrays :func:`run_worklist` wants once per solve.
 
     ``order_key`` reorders the *initial* worklist (default: address
     order, reversed for backward problems).  For a monotone framework
@@ -71,58 +124,34 @@ def solve_dataflow(func: Function, problem: DataflowProblem,
     """
     blocks = function_blocks(func)
     member = member_set(func)
-    forward = problem.direction is Direction.FORWARD
-
-    if forward:
-        def preds(b):
-            return intra_predecessors(b, member)
-
-        def succs(b):
-            return intra_successors(b, member)
+    index = {b.start: i for i, b in enumerate(blocks)}
+    down = [[index[s.start] for s in intra_successors(b, member)]
+            for b in blocks]
+    up = [[index[p.start] for p in intra_predecessors(b, member)]
+          for b in blocks]
+    if problem.direction is Direction.FORWARD:
+        preds, succs = up, down
+        at_boundary = [b.start == func.addr for b in blocks]
+        seed = range(len(blocks))
     else:
-        def preds(b):
-            return intra_successors(b, member)
-
-        def succs(b):
-            return intra_predecessors(b, member)
-
-    is_boundary: Callable[[Block], bool]
-    if forward:
-        def is_boundary(b):
-            return b.start == func.addr
-    else:
-        def is_boundary(b):
-            return not intra_successors(b, member)
-
-    in_facts: dict[int, Any] = {b.start: problem.init for b in blocks}
-    out_facts: dict[int, Any] = {b.start: problem.init for b in blocks}
-
+        preds, succs = down, up
+        at_boundary = [not out for out in down]
+        seed = range(len(blocks) - 1, -1, -1)
     if order_key is not None:
-        seed_order: list[Block] = sorted(blocks, key=order_key)
-    else:
-        seed_order = list(blocks if forward else reversed(blocks))
-    work = deque(seed_order)
-    queued = {b.start for b in blocks}
-    iterations = 0
-    while work:
-        b = work.popleft()
-        queued.discard(b.start)
-        iterations += 1
-        incoming = [out_facts[p.start] for p in preds(b)]
-        if is_boundary(b):
-            incoming.append(problem.boundary)
-        fact = problem.init
-        for pf in incoming:
-            fact = problem.meet(fact, pf)
-        in_facts[b.start] = fact
-        if rt is not None and problem.cost_per_transfer:
-            rt.charge(problem.cost_per_transfer * max(1, len(b.insns)))
-        new_out = problem.transfer(b, fact)
-        if new_out != out_facts[b.start]:
-            out_facts[b.start] = new_out
-            for s in succs(b):
-                if s.start not in queued:
-                    queued.add(s.start)
-                    work.append(s)
-    return DataflowResult(in_facts=in_facts, out_facts=out_facts,
+        seed = sorted(range(len(blocks)),
+                      key=lambda i: order_key(blocks[i]))
+
+    visit = None
+    if rt is not None and problem.cost_per_transfer:
+        costs = [problem.cost_per_transfer * max(1, len(b.insns))
+                 for b in blocks]
+
+        def visit(i):
+            rt.charge(costs[i])
+
+    in_facts, out_facts, iterations = run_worklist(
+        problem, blocks, preds, succs, at_boundary, seed, visit)
+    starts = [b.start for b in blocks]
+    return DataflowResult(in_facts=dict(zip(starts, in_facts)),
+                          out_facts=dict(zip(starts, out_facts)),
                           iterations=iterations)

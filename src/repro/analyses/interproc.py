@@ -7,9 +7,10 @@ The driver behind ``repro analyze``.  Given a parsed (read-only) CFG it
 2. walks the condensation bottom-up in *waves* — every callee SCC is
    finished before any of its callers starts — running the registered
    checkers (:mod:`repro.analyses.checkers`) over each SCC;
-3. inside an SCC, iterates the member functions' summaries to a
-   fixpoint (finite join-semilattices; cycles converge), then runs one
-   reporting pass that collects findings.
+3. inside an SCC, compiles each member once into a plan and iterates
+   the members' summaries to a fixpoint (finite join-semilattices;
+   cycles converge); the findings are those of the round that changed
+   no summary.
 
 SCCs within one wave are mutually independent, so they fan out in
 parallel: via ``rt.parallel_for`` on the in-process backends, or over
@@ -31,15 +32,14 @@ from typing import Any
 
 from repro.analyses.callgraph import build_call_graph, condensation_waves
 from repro.analyses.checkers import (
-    FuncView,
+    Checker,
+    FuncPlan,
     make_checker,
     resolve_checks,
 )
 from repro.analyses.common import INTRA_EDGES
 from repro.analyses.findings import finding, sort_findings
 from repro.core.cfg import (
-    Block,
-    Edge,
     EdgeType,
     Function,
     JumpTableInfo,
@@ -67,27 +67,39 @@ class FuncUnit:
     tailcalls: tuple[tuple[int, int | None], ...]
     jump_tables: tuple[JumpTableInfo, ...]
 
-    def materialize(self) -> FuncView:
-        """Rebuild a real Function/Block/Edge graph for the solvers."""
-        blocks: dict[int, Block] = {}
-        for start, end, insns in self.blocks:
-            b = Block(start)
-            b.end = end
-            b.insns = list(insns)
-            blocks[start] = b
-        for src, dst, etype in self.edges:
-            e = Edge(blocks[src], blocks[dst], EdgeType(etype))
-            blocks[src].out_edges.append(e)
-            blocks[dst].in_edges.append(e)
-        entry_block = blocks.get(self.entry) or Block(self.entry)
-        if entry_block.end is None:
-            entry_block.end = self.entry
-        func = Function(self.entry, self.name, entry_block,
-                        from_symtab=False, discovered_via="analysis")
-        func.blocks = [blocks[s] for s in sorted(blocks)]
-        return FuncView(func=func, entry=self.entry, name=self.name,
-                        jump_tables=self.jump_tables,
-                        tailcalls=dict(self.tailcalls))
+    def compile(self, checkers: list[Checker]) -> FuncPlan:
+        """Compile this snapshot into the plan ``checkers`` analyze.
+
+        Runs inside :func:`analyze_unit`, i.e. on whichever worker got
+        the unit: the plan is never pickled and lives as long as the
+        unit's analysis.
+        """
+        starts = tuple(start for start, _, _ in self.blocks)
+        insns = tuple(body for _, _, body in self.blocks)
+        index = {start: i for i, start in enumerate(starts)}
+        preds: list[list[int]] = [[] for _ in starts]
+        succs: list[list[int]] = [[] for _ in starts]
+        for src, dst, _ in self.edges:
+            succs[index[src]].append(index[dst])
+            preds[index[dst]].append(index[src])
+        tailcalls = dict(self.tailcalls)
+        exits = []
+        for i, body in enumerate(insns):
+            if body and body[-1].is_ret:
+                kind = "ret"
+            elif starts[i] in tailcalls:
+                kind = "tailcall"
+            else:
+                continue
+            exits.append((i, kind, body[-1].address if body else starts[i],
+                          tailcalls.get(starts[i])))
+        return FuncPlan(
+            entry=self.entry, name=self.name, starts=starts, insns=insns,
+            preds=tuple(map(tuple, preds)), succs=tuple(map(tuple, succs)),
+            at_entry=tuple(start == self.entry for start in starts),
+            exits=tuple(exits), jump_tables=self.jump_tables,
+            effects={c.name: tuple(map(c.compile_block, insns))
+                     for c in checkers})
 
 
 @dataclass
@@ -140,12 +152,20 @@ def analyze_unit(unit: SCCUnit) -> dict:
     Every dispatch path — inline, ``rt.parallel_for`` task, pool
     worker — calls exactly this function, which is what makes the
     findings independent of backend and schedule.  Returns
-    ``{"index", "summaries", "findings", "rounds"}``; findings carry
-    function attribution but not yet the binary name.
+    ``{"index", "summaries", "findings", "rounds", "capped"}``;
+    findings carry function attribution but not yet the binary name.
+
+    Each member is compiled once (:meth:`FuncUnit.compile`); a round
+    analyzes every member with every checker against the current
+    summaries.  Findings are those of the round in which no summary
+    changed: every ``analyze`` of that round saw the final summaries,
+    so it *is* the reporting pass.  Only a unit that hits the round
+    cap (``capped``) gets a separate one, against the summaries the
+    cap left.
     """
     checkers = [make_checker(n) for n in unit.checks]
-    views = {u.entry: u.materialize() for u in unit.funcs}
-    entries = sorted(views)
+    plans = {u.entry: u.compile(checkers) for u in unit.funcs}
+    entries = sorted(plans)
     local: dict[str, dict[int, Any]] = {
         c.name: {e: c.bottom() for e in entries} for c in checkers}
 
@@ -162,31 +182,34 @@ def analyze_unit(unit: SCCUnit) -> dict:
             return checker.unknown()
         return getsumm
 
-    rounds = 0
-    changed = True
-    # Finite lattices converge; the cap is a deterministic safety valve.
-    max_rounds = 4 * len(entries) + 16
-    while changed and rounds < max_rounds:
-        rounds += 1
+    def sweep(commit: bool) -> tuple[bool, list[dict]]:
+        """Analyze every member with every checker against the current
+        summaries; ``commit`` stores the summaries that come back."""
         changed = False
+        findings: list[dict] = []
         for c in checkers:
             loc = local[c.name]
             getsumm = lookup(c, loc)
             for e in entries:
-                new, _ = c.analyze(views[e], getsumm)
-                if new != loc[e]:
+                new, raw = c.analyze(plans[e], getsumm)
+                if commit and new != loc[e]:
                     loc[e] = new
                     changed = True
+                for f in raw:
+                    findings.append({**f, "function": plans[e].name})
+        return changed, findings
 
-    findings: list[dict] = []
-    for c in checkers:
-        getsumm = lookup(c, local[c.name])
-        for e in entries:
-            _, raw = c.analyze(views[e], getsumm)
-            for f in raw:
-                findings.append({**f, "function": views[e].name})
+    # Finite lattices converge; the cap is a deterministic safety valve.
+    max_rounds = 4 * len(entries) + 16
+    rounds = 0
+    changed = True
+    while changed and rounds < max_rounds:
+        rounds += 1
+        changed, findings = sweep(commit=True)
+    if changed:
+        _, findings = sweep(commit=False)
     return {"index": unit.index, "summaries": local,
-            "findings": findings, "rounds": rounds}
+            "findings": findings, "rounds": rounds, "capped": changed}
 
 
 @dataclass
@@ -234,6 +257,7 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
         "sccs": len(sccs),
         "waves": len(waves),
         "rounds": 0,
+        "capped_units": 0,
         "pool_units": 0,
         "pool_fallback": 0,
     }
@@ -258,6 +282,7 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
     def absorb(results: list[dict]) -> None:
         for res in sorted(results, key=lambda r: r["index"]):
             stats["rounds"] += res["rounds"]
+            stats["capped_units"] += res["capped"]
             for n in names:
                 summaries[n].update(res["summaries"][n])
             for f in res["findings"]:
@@ -327,6 +352,7 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
         m.inc("analysis.sccs", stats["sccs"])
         m.inc("analysis.waves", stats["waves"])
         m.inc("analysis.scc_rounds", stats["rounds"])
+        m.inc("analysis.capped_units", stats["capped_units"])
         m.inc("analysis.findings", stats["findings"])
         m.inc("analysis.pool_units", stats["pool_units"])
         m.inc("analysis.pool_fallback", stats["pool_fallback"])

@@ -17,15 +17,8 @@ from repro.analyses.dataflow import (
     solve_dataflow,
 )
 from repro.core.cfg import Block, Function
-from repro.isa.registers import NUM_REGS, Reg
+from repro.isa.registers import Reg, mask_of, regs_in
 from repro.runtime.api import Runtime
-
-
-def _regs_to_bits(regs) -> int:
-    bits = 0
-    for r in regs:
-        bits |= 1 << int(r)
-    return bits
 
 
 def _popcount(v: int) -> int:
@@ -41,8 +34,7 @@ class LivenessResult:
     iterations: int
 
     def live_in_regs(self, block_start: int) -> set[Reg]:
-        bits = self.live_in.get(block_start, 0)
-        return {Reg(i) for i in range(NUM_REGS) if bits >> i & 1}
+        return set(regs_in(self.live_in.get(block_start, 0)))
 
     def max_live(self) -> int:
         """Maximum simultaneously-live register count (a DF feature)."""
@@ -59,8 +51,8 @@ def block_transfer(block: Block, live_out: int) -> int:
     """Backward transfer: live_in = gen ∪ (live_out − kill), per insn."""
     live = live_out
     for insn in reversed(block.insns):
-        live &= ~_regs_to_bits(insn.regs_written())
-        live |= _regs_to_bits(insn.regs_read())
+        live &= ~insn.written_mask()
+        live |= insn.read_mask()
     return live
 
 
@@ -72,7 +64,7 @@ def liveness(func: Function, rt: Runtime | None = None,
     property battery uses seeded shuffles; the fixpoint is identical).
     """
     # At function exits the ABI return register and SP are live.
-    boundary = _regs_to_bits({Reg.R0, Reg.SP})
+    boundary = mask_of({Reg.R0, Reg.SP})
     cost = rt.cost.liveness_per_insn if rt is not None else 0
     problem = DataflowProblem(
         direction=Direction.BACKWARD,

@@ -432,14 +432,15 @@ def cmd_analyze(args) -> int:
 
     findings: list[dict] = []
     stats = {"binaries": len(binaries), "functions": 0, "call_edges": 0,
-             "sccs": 0, "waves": 0, "rounds": 0}
+             "sccs": 0, "waves": 0, "rounds": 0, "capped_units": 0}
     for binary in binaries:
         cfg = parse_binary(binary, _make_rt(args))
         # Runtime.run is single-use: analysis gets its own fresh runtime.
         res = run_checkers(cfg, checks, rt=_make_rt(args),
                            binary=binary.name)
         findings.extend(res.findings)
-        for k in ("functions", "call_edges", "sccs", "waves", "rounds"):
+        for k in ("functions", "call_edges", "sccs", "waves", "rounds",
+                  "capped_units"):
             stats[k] += res.stats[k]
 
     doc = findings_document("checkers", list(checks), findings,

@@ -18,9 +18,10 @@ Control-flow relevant opcodes mirror the constructs discussed in the paper:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
-from repro.isa.registers import Reg
+from repro.isa.registers import Reg, mask_of, regs_in
 
 
 class Opcode(enum.IntEnum):
@@ -95,6 +96,62 @@ _CF_KIND: dict[Opcode, ControlFlowKind] = {
     Opcode.RET: ControlFlowKind.RETURN,
     Opcode.HALT: ControlFlowKind.HALT,
 }
+
+
+_SP = 1 << Reg.SP
+_FP = 1 << Reg.FP
+_FLAGS = 1 << Reg.FLAGS
+#: Calls clobber the caller-saved half of the register file.
+_CALL_CLOBBER = mask_of(Reg(i) for i in range(8))
+
+_ALU_RR = (0, (0, 1), 0, (0,))
+
+#: The ISA's def/use facts, stated once: per opcode ``(fixed read mask,
+#: operand positions read as registers, fixed written mask, operand
+#: positions written as registers)``.  Every opcode has a row
+#: (``tests/isa/test_defuse.py`` iterates :class:`Opcode`).
+_DEFUSE: dict[Opcode, tuple[int, tuple[int, ...], int, tuple[int, ...]]] = {
+    Opcode.NOP: (0, (), 0, ()),
+    Opcode.HALT: (0, (), 0, ()),
+    Opcode.MOV_RI: (0, (), 0, (0,)),
+    Opcode.MOV_RR: (0, (1,), 0, (0,)),
+    Opcode.ADD: _ALU_RR,
+    Opcode.SUB: _ALU_RR,
+    Opcode.MUL: _ALU_RR,
+    Opcode.XOR: _ALU_RR,
+    Opcode.AND: _ALU_RR,
+    Opcode.OR: _ALU_RR,
+    Opcode.ADDI: (0, (0,), 0, (0,)),
+    Opcode.CMP_RI: (0, (0,), _FLAGS, ()),
+    Opcode.CMP_RR: (0, (0, 1), _FLAGS, ()),
+    Opcode.LOAD: (0, (1,), 0, (0,)),
+    Opcode.STORE: (0, (0, 2), 0, ()),
+    Opcode.LOADIDX: (0, (1, 2), 0, (0,)),
+    Opcode.LEA: (0, (), 0, (0,)),
+    Opcode.PUSH: (_SP, (0,), _SP, ()),
+    Opcode.POP: (_SP, (), _SP, (0,)),
+    Opcode.ENTER: (_SP | _FP, (), _SP | _FP, ()),
+    Opcode.LEAVE: (_FP, (), _SP | _FP, ()),
+    Opcode.JMP: (0, (), 0, ()),
+    Opcode.JCC: (_FLAGS, (), 0, ()),
+    Opcode.CALL: (0, (), _CALL_CLOBBER, ()),
+    Opcode.ICALL: (0, (0,), _CALL_CLOBBER, ()),
+    Opcode.IJMP: (0, (0,), 0, ()),
+    Opcode.RET: (_SP | 1 << Reg.R0, (), 0, ()),
+}
+
+_READS = {op: row[:2] for op, row in _DEFUSE.items()}
+_WRITES = {op: row[2:] for op, row in _DEFUSE.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _reg_set(mask: int) -> frozenset[Reg]:
+    """The interned register set of a def/use mask.
+
+    Unbounded but small: masks come from the table above, i.e. a fixed
+    part plus at most two operand registers.
+    """
+    return frozenset(regs_in(mask))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,66 +274,38 @@ class Instruction:
 
     # -- def/use sets for dataflow ------------------------------------------
 
+    def read_mask(self) -> int:
+        """Registers read, as a bit vector (bit *i* = ``Reg(i)``)."""
+        mask, positions = _READS[self.opcode]
+        for p in positions:
+            mask |= 1 << self.operands[p]
+        return mask
+
+    def written_mask(self) -> int:
+        """Registers written, as a bit vector (bit *i* = ``Reg(i)``)."""
+        mask, positions = _WRITES[self.opcode]
+        for p in positions:
+            mask |= 1 << self.operands[p]
+        return mask
+
+    # The two set forms repeat the mask loop instead of calling
+    # read_mask()/written_mask(): they are the jump-table slicer's
+    # per-instruction calls, and a second Python frame each is the
+    # larger part of their cost.
+
     def regs_read(self) -> frozenset[Reg]:
         """Registers read by this instruction (for liveness/slicing)."""
-        op = self.opcode
-        o = self.operands
-        if op is Opcode.MOV_RR:
-            return frozenset({Reg(o[1])})
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.XOR,
-                  Opcode.AND, Opcode.OR):
-            return frozenset({Reg(o[0]), Reg(o[1])})
-        if op is Opcode.ADDI:
-            return frozenset({Reg(o[0])})
-        if op is Opcode.CMP_RI:
-            return frozenset({Reg(o[0])})
-        if op is Opcode.CMP_RR:
-            return frozenset({Reg(o[0]), Reg(o[1])})
-        if op is Opcode.LOAD:
-            return frozenset({Reg(o[1])})
-        if op is Opcode.STORE:
-            return frozenset({Reg(o[0]), Reg(o[2])})
-        if op is Opcode.LOADIDX:
-            return frozenset({Reg(o[1]), Reg(o[2])})
-        if op is Opcode.PUSH:
-            return frozenset({Reg(o[0]), Reg.SP})
-        if op is Opcode.POP:
-            return frozenset({Reg.SP})
-        if op is Opcode.ENTER:
-            return frozenset({Reg.SP, Reg.FP})
-        if op is Opcode.LEAVE:
-            return frozenset({Reg.FP})
-        if op is Opcode.JCC:
-            return frozenset({Reg.FLAGS})
-        if op in (Opcode.ICALL, Opcode.IJMP):
-            return frozenset({Reg(o[0])})
-        if op is Opcode.RET:
-            return frozenset({Reg.SP, Reg.R0})
-        return frozenset()
+        mask, positions = _READS[self.opcode]
+        for p in positions:
+            mask |= 1 << self.operands[p]
+        return _reg_set(mask)
 
     def regs_written(self) -> frozenset[Reg]:
         """Registers written by this instruction."""
-        op = self.opcode
-        o = self.operands
-        if op in (Opcode.MOV_RI, Opcode.MOV_RR, Opcode.ADD, Opcode.SUB,
-                  Opcode.MUL, Opcode.XOR, Opcode.AND, Opcode.OR,
-                  Opcode.ADDI, Opcode.LOAD, Opcode.LOADIDX, Opcode.LEA):
-            return frozenset({Reg(o[0])})
-        if op in (Opcode.CMP_RI, Opcode.CMP_RR):
-            return frozenset({Reg.FLAGS})
-        if op is Opcode.PUSH:
-            return frozenset({Reg.SP})
-        if op is Opcode.POP:
-            return frozenset({Reg(o[0]), Reg.SP})
-        if op is Opcode.ENTER:
-            return frozenset({Reg.SP, Reg.FP})
-        if op is Opcode.LEAVE:
-            return frozenset({Reg.SP, Reg.FP})
-        if op in (Opcode.CALL, Opcode.ICALL):
-            # Calls clobber the caller-saved half of the register file.
-            return frozenset({Reg.R0, Reg.R1, Reg.R2, Reg.R3,
-                              Reg.R4, Reg.R5, Reg.R6, Reg.R7})
-        return frozenset()
+        mask, positions = _WRITES[self.opcode]
+        for p in positions:
+            mask |= 1 << self.operands[p]
+        return _reg_set(mask)
 
     # -- stack effect --------------------------------------------------------
 

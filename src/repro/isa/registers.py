@@ -62,3 +62,24 @@ ARG0_REG = Reg.R1
 def gp_registers() -> list[Reg]:
     """Return the general-purpose registers in numeric order."""
     return [r for r in Reg if r.is_gp]
+
+
+def mask_of(regs) -> int:
+    """Bit vector of a register collection (bit *i* = ``Reg(i)``)."""
+    mask = 0
+    for r in regs:
+        mask |= 1 << r
+    return mask
+
+
+def regs_in(mask: int) -> tuple[Reg, ...]:
+    """The registers of a bit vector, in numeric order.
+
+    Raises ``ValueError`` for a bit that names no register.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(Reg(low.bit_length() - 1))
+        mask ^= low
+    return tuple(out)

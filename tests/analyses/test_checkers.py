@@ -241,7 +241,8 @@ class TestStackBalance:
         ``h + "top"`` raised TypeError)."""
         import pickle
 
-        from repro.analyses.checkers import TOP, FuncView, make_checker
+        from repro.analyses.checkers import TOP, make_checker
+        from repro.analyses.interproc import snapshot_function
 
         def build(a):
             a.label("caller")
@@ -254,14 +255,13 @@ class TestStackBalance:
                                         "forked": "forked"})
         cfg = parse_binary(binary, SerialRuntime())
         func = next(f for f in cfg.functions() if f.name == "caller")
-        view = FuncView(func=func, entry=func.entry, name=func.name,
-                        jump_tables=(), tailcalls={})
+        checker = make_checker("stack-balance")
+        plan = snapshot_function(func, set(), {}).compile([checker])
         top_copy = pickle.loads(pickle.dumps(TOP))
         if top_copy is TOP:  # in case unpickling ever interns
             top_copy = "".join(TOP)
         assert top_copy == TOP
-        checker = make_checker("stack-balance")
-        summary, findings = checker.analyze(view, lambda target: top_copy)
+        summary, findings = checker.analyze(plan, lambda target: top_copy)
         assert summary == TOP
         assert findings == []  # TOP stays silent
 

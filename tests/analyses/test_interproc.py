@@ -6,6 +6,8 @@ import pickle
 
 import pytest
 
+from repro.analyses import checkers, interproc
+from repro.analyses.checkers import ALL_CHECKS, Checker, make_checker
 from repro.analyses.findings import canonical_bytes, findings_document
 from repro.analyses.interproc import (
     FuncUnit,
@@ -15,6 +17,7 @@ from repro.analyses.interproc import (
     snapshot_function,
 )
 from repro.core import parse_binary
+from repro.isa import Cond, Opcode, Reg
 from repro.runtime import (
     ProcsRuntime,
     SerialRuntime,
@@ -22,6 +25,8 @@ from repro.runtime import (
     VirtualTimeRuntime,
 )
 from repro.synth import hostile_binary, tiny_binary
+from repro.synth.asm import L
+from tests.core.test_parallel_parser import make_binary
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +46,25 @@ class TestUnits:
         unit = snapshot_function(func, set(graph.entries), jt_by_block)
         clone = pickle.loads(pickle.dumps(unit))
         assert clone == unit
-        view = clone.materialize()
-        assert view.entry == func.addr
-        assert len(view.func.blocks) == sum(
+        plan = clone.compile([make_checker(n) for n in ALL_CHECKS])
+        assert plan.entry == func.addr
+        assert len(plan.starts) == len(plan.insns) == sum(
             1 for b in func.blocks if not b.is_empty)
+        assert all(len(effects) == len(plan.starts)
+                   for effects in plan.effects.values())
 
-    def test_materialize_rebuilds_edges_both_ways(self, tiny_cfg):
+    def test_plan_rebuilds_edges_both_ways(self, tiny_cfg):
         func = max(tiny_cfg.functions(), key=lambda f: len(f.blocks))
         unit = snapshot_function(func, {f.addr for f in
                                         tiny_cfg.functions()}, {})
-        view = unit.materialize()
-        for b in view.func.blocks:
-            for e in b.out_edges:
-                assert e in e.dst.in_edges
+        plan = unit.compile([])
+        assert sum(map(len, plan.succs)) == len(unit.edges) > 0
+        for src, out in enumerate(plan.succs):
+            for dst in out:
+                assert plan.preds[dst].count(src) == out.count(dst)
+        assert sum(map(len, plan.preds)) == len(unit.edges)
+        assert plan.at_entry.count(True) == 1
+        assert plan.starts[plan.at_entry.index(True)] == func.addr
 
     def test_analyze_unit_is_pure(self, tiny_cfg):
         func = next(iter(tiny_cfg.functions()))
@@ -66,6 +77,172 @@ class TestUnits:
         b = analyze_unit(pickle.loads(pickle.dumps(unit)))
         assert a == b
         assert a["rounds"] >= 1
+
+
+def _recursive_program(a):
+    """Mutual recursion A<->B with a third caller C, a self-recursive
+    singleton S, and a tail-call cycle T1<->T2.  The defects are placed
+    so that early rounds see findings the converged round must not
+    (B's unbalanced push makes A's height -8, then TOP) and miss one
+    it must (R5 after ``call B`` is defined only under bottom)."""
+    a.label("A")
+    a.cmp_ri(Reg.R1, 0)
+    a.jcc(Cond.EQ, L("A_base"))
+    a.call(L("B"))
+    a.insn(Opcode.ADD, Reg.R0, Reg.R5)
+    a.ret()
+    a.label("A_base")
+    a.mov_ri(Reg.R0, 1)
+    a.mov_ri(Reg.R4, 2)
+    a.ret()
+    a.label("B")
+    a.insn(Opcode.PUSH, Reg.R9)
+    a.mov_ri(Reg.FP, 3)
+    a.call(L("A"))
+    a.ret()
+    a.label("C")
+    a.call(L("A"))
+    a.insn(Opcode.MOV_RR, Reg.R5, Reg.R4)
+    a.ret()
+    a.label("S")
+    a.cmp_ri(Reg.R1, 0)
+    a.jcc(Cond.EQ, L("S_base"))
+    a.insn(Opcode.PUSH, Reg.R1)
+    a.call(L("S"))
+    a.insn(Opcode.MOV_RR, Reg.R6, Reg.R5)
+    a.ret()
+    a.label("S_base")
+    a.mov_ri(Reg.R5, 1)
+    a.ret()
+    a.label("T1")
+    a.cmp_ri(Reg.R1, 0)
+    a.jcc(Cond.EQ, L("T_base"))
+    a.mov_ri(Reg.R6, 1)
+    a.jmp(L("T2"))
+    a.label("T_base")
+    a.insn(Opcode.MOV_RR, Reg.R0, Reg.R6)
+    a.ret()
+    a.label("T2")
+    a.insn(Opcode.PUSH, Reg.R2)
+    a.mov_ri(Reg.FP, 1)
+    a.jmp(L("T1"))
+
+
+@pytest.fixture
+def unit_log(monkeypatch):
+    """Every (unit, result) pair ``run_checkers`` hands to / gets from
+    ``analyze_unit`` while the fixture is live."""
+    log = []
+    real = interproc.analyze_unit
+
+    def recording(unit):
+        result = real(unit)
+        log.append((unit, result))
+        return result
+
+    monkeypatch.setattr(interproc, "analyze_unit", recording)
+    return log
+
+
+class _FlipChecker(Checker):
+    """Deliberately non-monotone: a recursive function's summary is the
+    negation of what it just looked up, so no round is ever stable."""
+
+    name = "flip"
+
+    def bottom(self):
+        return 0
+
+    def unknown(self):
+        return 0
+
+    def join(self, a, b):
+        return a | b
+
+    def analyze(self, plan, getsumm):
+        if not any(insn.opcode is Opcode.CALL
+                   and insn.direct_target == plan.entry
+                   for body in plan.insns for insn in body):
+            return 0, []
+        seen = getsumm(plan.entry)
+        return 1 - seen, [{"rule": self.name, "address": plan.entry,
+                           "detail": f"looked up {seen}"}]
+
+
+class TestFixpointRounds:
+    @pytest.fixture(scope="class")
+    def recursive_cfg(self):
+        names = ("A", "B", "C", "S", "T1", "T2")
+        binary, _ = make_binary(_recursive_program, {n: n for n in names})
+        return parse_binary(binary, SerialRuntime())
+
+    def test_converged_round_equals_a_from_scratch_reporting_pass(
+            self, recursive_cfg, unit_log):
+        res = run_checkers(recursive_cfg, "all", binary="rec.bin")
+        assert res.stats["capped_units"] == 0
+        by_members = {}
+        for unit, result in unit_log:
+            by_members[tuple(f.name for f in unit.funcs)] = result
+            cs = [make_checker(n) for n in unit.checks]
+            plans = {u.entry: u.compile(cs) for u in unit.funcs}
+            scratch = []
+            for c in cs:
+                final = {**unit.external.get(c.name, {}),
+                         **result["summaries"][c.name]}
+                for e in sorted(plans):
+                    summary, raw = c.analyze(
+                        plans[e], lambda t, c=c, final=final:
+                        final.get(t, c.unknown()))
+                    assert summary == final[e]  # it is a fixpoint
+                    scratch += [{**f, "function": plans[e].name}
+                                for f in raw]
+            assert result["findings"] == scratch
+        assert sorted(by_members) == [("A", "B"), ("C",), ("S",),
+                                      ("T1", "T2")]
+        # Early rounds had phantom stack-balance findings in A and B;
+        # the converged one has none, and has A's late R5 read.
+        assert by_members["A", "B"]["rounds"] >= 3
+        assert sorted((f["function"], f["rule"])
+                      for f in by_members["A", "B"]["findings"]) == [
+            ("A", "callee-saved"), ("A", "uninit-reg"),
+            ("B", "callee-saved")]
+        assert by_members["T1", "T2"]["rounds"] >= 3
+
+    def test_a_singleton_that_calls_itself_is_recursive(
+            self, recursive_cfg, unit_log):
+        """Its first round reads its own bottom summary, so that round
+        must never be taken for the converged one."""
+        run_checkers(recursive_cfg, "all")
+        (unit, result), = [(u, r) for u, r in unit_log
+                           if [f.name for f in u.funcs] == ["S"]]
+        entry = unit.funcs[0].entry
+        assert any(insn.opcode is Opcode.CALL
+                   and insn.direct_target == entry
+                   for _, _, body in unit.funcs[0].blocks for insn in body)
+        assert result["rounds"] >= 2 and not result["capped"]
+        # bottom (all defined) would have hidden S's undefined R5.
+        assert result["summaries"]["uninit-reg"][entry] \
+            != make_checker("uninit-reg").bottom()
+
+    def test_round_cap_is_reported_and_deterministic(
+            self, recursive_cfg, unit_log, monkeypatch):
+        monkeypatch.setitem(checkers._CHECKER_FACTORIES, "flip",
+                            _FlipChecker)
+        rt = VirtualTimeRuntime(2)
+        res = run_checkers(recursive_cfg, ("flip",), rt=rt)
+        assert res.stats["capped_units"] == 1
+        assert rt.metrics.counter("analysis.capped_units") == 1
+        (unit, result), = [(u, r) for u, r in unit_log if r["capped"]]
+        assert [f.name for f in unit.funcs] == ["S"]
+        assert result["rounds"] == 4 * 1 + 16
+        # The fallback reporting pass reads the summaries the cap left
+        # and does not move them: an even number of flips is back at 0.
+        assert result["summaries"]["flip"] == {unit.funcs[0].entry: 0}
+        assert [f["detail"] for f in result["findings"]] == ["looked up 0"]
+        assert analyze_unit(pickle.loads(pickle.dumps(unit))) == result
+        again = run_checkers(recursive_cfg, ("flip",))
+        assert again.findings == res.findings
+        assert again.stats["capped_units"] == 1
 
 
 class TestScheduleIndependence:

@@ -168,6 +168,7 @@ class TestCliAnalyze:
         assert out["checks"] == ["callee-saved", "jt-bounds",
                                  "stack-balance", "uninit-reg"]
         assert out["functions"] > 10 and out["waves"] >= 1
+        assert out["rounds"] >= out["sccs"] and out["capped_units"] == 0
         doc = json.loads(path.read_text())
         assert validate_findings(doc) == []
         assert doc["generator"] == "checkers"
