@@ -19,10 +19,8 @@ recorded honestly as the tracked trajectory in the
 ``procs_parallelism.json`` sidecar (``repro.bench-procs/4``, validated
 in-run; the top-level ``cores`` field records how many CPU cores the
 harness machine actually exposed, so a flat speedup curve can be read
-against the hardware that produced it).  Setting
-``REPRO_PROCS_SMOKE_FACTOR=N`` additionally turns the run into a loose
-smoke guard: fail if ``procs_wall_s > N × serial_wall_s`` on any row
-(the CI procs-smoke job uses N=2).
+against the hardware that produced it).  Speed regressions are gated
+where the numbers can be believed: ``benchmarks/e2e``.
 """
 
 import os
@@ -45,9 +43,6 @@ elif PROCS_WORKERS:
     SWEEP = [int(PROCS_WORKERS)]
 else:
     SWEEP = [2, 4, 8, 16]
-#: Optional loose wall-clock guard (CI smoke): procs may be at most this
-#: many times slower than serial.  Unset = record-only, never fail.
-SMOKE_FACTOR = os.environ.get("REPRO_PROCS_SMOKE_FACTOR")
 
 
 def _hist_s(rt, name):
@@ -157,25 +152,3 @@ def test_procs_wall_clock_column(benchmark, hpc_binaries):
             r = by_row[(sb.name, workers)]
             assert r["shards"] >= 1
             assert r["procs_wall_s"] > 0
-            if SMOKE_FACTOR is None:
-                continue
-            # Flake-resistant tripwire: the recorded row keeps its honest
-            # first measurement, but a guard violation is re-measured
-            # before failing so a noisy-neighbor blip can't redden CI.  A
-            # real regression fails every attempt.
-            factor = float(SMOKE_FACTOR)
-            serial_wall, procs_wall = (r["serial_wall_s"],
-                                       r["procs_wall_s"])
-            for _ in range(2):
-                if procs_wall <= factor * serial_wall:
-                    break
-                t0 = time.perf_counter()
-                parse_binary(sb.binary, SerialRuntime())
-                serial_wall = time.perf_counter() - t0
-                retry = ProcsRuntime(workers)
-                parse_binary(sb.binary, retry)
-                procs_wall = retry.makespan
-            assert procs_wall <= factor * serial_wall, (
-                f"{r['binary']} @ {workers} workers: procs "
-                f"{procs_wall:.4f}s exceeds {SMOKE_FACTOR}x serial "
-                f"{serial_wall:.4f}s")

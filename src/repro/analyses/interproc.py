@@ -298,7 +298,7 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
 
         from repro.runtime.procs import _shared_pool
         try:
-            ctx = mp.get_context(rt.start_method)
+            ctx = mp.get_context()
             pool = _shared_pool(ctx, rt.num_workers)
         except Exception:
             pool = None  # sandboxes without semaphores: run inline

@@ -187,7 +187,6 @@ class NoReturnState:
         self,
         functions: list[Function],
         closure_summary: Callable[[Function], tuple[bool, frozenset[int]]],
-        partitions: list[list[Function]] | None = None,
     ) -> list[DeferredCallSite]:
         """One round of the fixed point run at a wave boundary.
 
@@ -200,17 +199,6 @@ class NoReturnState:
         return, so non-returning conclusions wait for quiescence
         (:meth:`resolve_cycles`).  Returns all call sites newly released
         by RETURN statuses.
-
-        ``partitions`` (procs coordinator) shards the worklist by
-        function-entry ownership: each round runs every partition's local
-        fixed point under ``rt.parallel_for`` with a deterministic round
-        barrier, repeating until a full round derives nothing.  The
-        derivation UNSET→RETURN is monotone on the status lattice and
-        confluent (a function's verdict depends only on its own summary
-        and statuses that can only grow towards RETURN), so the fixed
-        point — and therefore the released-site *set* — is identical to
-        the serial schedule; released sites are concatenated in partition
-        order so the result is deterministic as a list too.
         """
         released: list[DeferredCallSite] = []
         # Without eager notification, call sites accumulate on functions
@@ -221,77 +209,27 @@ class NoReturnState:
                     rec = acc.value
                     released.extend(rec.waiters)
                     rec.waiters = []
-        if partitions is None:
-            changed = True
-            while changed:
-                changed = False
-                for f in functions:
-                    if self.status_of(f.addr) is not ReturnStatus.UNSET:
-                        continue
-                    has_ret, tail_targets = closure_summary(f)
-                    if has_ret or any(
-                            self.status_of(t) is ReturnStatus.RETURN
-                            for t in tail_targets):
-                        with self._table.accessor(f.addr) as acc:
-                            rec = acc.value
-                            if rec.status is ReturnStatus.UNSET:
-                                rec.status = ReturnStatus.RETURN
-                                released.extend(rec.waiters)
-                                rec.waiters = []
-                                changed = True
-        else:
-            released.extend(self._resolve_wave_sharded(
-                partitions, closure_summary))
+        changed = True
+        while changed:
+            changed = False
+            for f in functions:
+                if self.status_of(f.addr) is not ReturnStatus.UNSET:
+                    continue
+                has_ret, tail_targets = closure_summary(f)
+                if has_ret or any(
+                        self.status_of(t) is ReturnStatus.RETURN
+                        for t in tail_targets):
+                    with self._table.accessor(f.addr) as acc:
+                        rec = acc.value
+                        if rec.status is ReturnStatus.UNSET:
+                            rec.status = ReturnStatus.RETURN
+                            released.extend(rec.waiters)
+                            rec.waiters = []
+                            changed = True
         for f in functions:
             f.status = self.status_of(f.addr)
         if released:
             self._rt.metrics.inc("noreturn.wave_released", len(released))
-        return released
-
-    def _resolve_wave_sharded(
-        self,
-        partitions: list[list[Function]],
-        closure_summary: Callable[[Function], tuple[bool, frozenset[int]]],
-    ) -> list[DeferredCallSite]:
-        """Partitioned RETURN derivation: rounds of per-shard local fixed
-        points with a barrier between rounds (see :meth:`resolve_wave`)."""
-        rt = self._rt
-        by_part: list[list[DeferredCallSite]] = [[] for _ in partitions]
-        progress = [False] * len(partitions)
-        rounds = 0
-
-        def run_partition(i: int) -> None:
-            out = by_part[i]
-            changed = True
-            while changed:
-                changed = False
-                for f in partitions[i]:
-                    if self.status_of(f.addr) is not ReturnStatus.UNSET:
-                        continue
-                    has_ret, tail_targets = closure_summary(f)
-                    if has_ret or any(
-                            self.status_of(t) is ReturnStatus.RETURN
-                            for t in tail_targets):
-                        with self._table.accessor(f.addr) as acc:
-                            rec = acc.value
-                            if rec.status is ReturnStatus.UNSET:
-                                rec.status = ReturnStatus.RETURN
-                                out.extend(rec.waiters)
-                                rec.waiters = []
-                                changed = True
-                                progress[i] = True
-
-        while True:
-            rounds += 1
-            for i in range(len(partitions)):
-                progress[i] = False
-            rt.parallel_for(list(range(len(partitions))), run_partition)
-            if not any(progress):
-                break
-        rt.metrics.inc("noreturn.sharded_rounds", rounds)
-        released: list[DeferredCallSite] = []
-        for out in by_part:
-            released.extend(out)
         return released
 
     def resolve_cycles(self, functions: list[Function]) -> None:

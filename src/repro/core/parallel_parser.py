@@ -27,7 +27,6 @@ semantics and re-analyzed after a function gains more control-flow paths
 
 from __future__ import annotations
 
-import bisect
 import os
 import threading
 from dataclasses import dataclass, field
@@ -142,16 +141,6 @@ class ParallelParser:
         #: mode): expansion steps targeting a foreign address are recorded
         #: in ``_frontier`` instead of executed.  None = own everything.
         self._owned = owned_range
-        #: multi-range ownership (coordinator early drains): the union of
-        #: installed shard claims, as a sorted disjoint ``[(lo, hi), …]``
-        #: list.  Only consulted when ``_owned`` is None; None = own
-        #: everything.  See :meth:`set_owned_ranges`.
-        self._owned_ranges: list[tuple[int, int]] | None = None
-        self._own_los: list[int] = []
-        #: ``funcs -> ownership partitions`` for the sharded noreturn
-        #: wave (set by the procs coordinator's ``StreamingMerge``);
-        #: None = one unpartitioned wave.
-        self.wave_partitions = None
         self._frontier: list[FrontierRecord] = []
         self._frontier_ctxs: list[_TaskCtx | None] = []
         self.blocks_by_start: SharedMap[int, Block] = \
@@ -242,30 +231,7 @@ class ParallelParser:
         if self._owned is not None:
             lo, hi = self._owned
             return not (lo <= addr < hi)
-        ranges = self._owned_ranges
-        if ranges is None:
-            return False
-        i = bisect.bisect_right(self._own_los, addr) - 1
-        return i < 0 or addr >= ranges[i][1]
-
-    def set_owned_ranges(self,
-                         ranges: list[tuple[int, int]] | None) -> None:
-        """Own exactly the union of ``ranges`` (coordinator early drains).
-
-        While some shards are still outstanding, the coordinator replays
-        ready frontier records with ownership restricted to the installed
-        claims: any cascade step that would touch a not-yet-installed
-        region re-defers itself through the ordinary ``_defer_frontier``
-        path instead of creating blocks a later fragment will export
-        (which would trip the shard-ownership guard).  None restores
-        full ownership for the final drain.
-        """
-        if ranges is None:
-            self._owned_ranges = None
-            self._own_los = []
-        else:
-            self._owned_ranges = sorted(ranges)
-            self._own_los = [lo for lo, _ in self._owned_ranges]
+        return False
 
     def _defer_frontier(self, ctx: _TaskCtx | None, kind: str,
                         block: Block | None = None,
@@ -782,7 +748,6 @@ class ParallelParser:
         """Resolve return statuses and release deferred fall-throughs
         until nothing changes; then resolve cycles to NORETURN."""
         rt = self.rt
-        partition = self.wave_partitions
         probe = self.opts.fault_probe
         for _ in range(self.opts.max_waves):
             if probe is not None:
@@ -812,9 +777,7 @@ class ParallelParser:
                     memo[f.addr] = base_summary(f)
                 return memo[f.addr]
 
-            parts = partition(funcs) if partition is not None else None
-            released = self.noreturn.resolve_wave(funcs, summary,
-                                                  partitions=parts)
+            released = self.noreturn.resolve_wave(funcs, summary)
             if not released:
                 if self._owned is None:
                     # Fragment mode skips the cycle rule: concluding

@@ -22,26 +22,19 @@ executing it.  This module is the coordinator side:
 3. **Replay** the frontier records through the real parser machinery —
    tail-call classification, function creation, noreturn deferral and
    jump-table analysis all run exactly as in a serial parse, just
-   starting from the merged state.  Replay is *batched*: after every
-   install, records whose endpoint regions are all installed drain
-   immediately (coordinator ownership restricted to the installed
-   claims, so cascades re-defer anything further), overlapping
-   cross-shard expansion with still-outstanding shards; the final drain
-   at :meth:`StreamingMerge.finish` restores full ownership.  Within a
-   batch records replay in discovery order; across batches (one per
-   source shard) they replay in parallel (``rt.parallel_for``), safe
-   because ownership claims make the record sets disjoint and all
-   shared state goes through the accessor-based invariant machinery.
-4. Run the wave fixed point — including the cycle rule the fragments
-   had to skip, and *sharded* across ownership partitions when more
-   than one claim is installed (``resolve_wave(partitions=…)``) — then
-   the ordinary ``finalize`` correction phase.
+   starting from the merged state.  A record is by definition a step
+   into another shard's claim, so replay needs *every* fragment
+   installed: it runs once, in :meth:`StreamingMerge.finish`, in shard
+   order and discovery order within a shard.
+4. Run the ordinary wave fixed point — including the cycle rule the
+   fragments had to skip — then the ``finalize`` correction phase.
 
-Steps 1–3 run *incrementally*: :class:`StreamingMerge` installs each
-fragment the moment its delta lands and drains ready frontier batches
-right after, overlapping merge and replay work with the still-running
-fan-out; :func:`merge_fragments` is the batch wrapper the
-inline/degraded paths use (same code path, installs in shard order).
+Steps 1–2 run *incrementally*: :class:`StreamingMerge` installs each
+fragment the moment its delta lands, overlapping rebuild and install
+with the still-running fan-out (the coordinator would otherwise sit
+blocked on the slowest shard).  Steps 3–4 are the serial tail: the
+coordinator runtime is one thread, so each runs once, after the last
+fragment is in.
 
 Correctness rests on the battery-proven schedule independence of the
 invariant machinery: a fragment is a prefix of a valid global schedule
@@ -53,11 +46,9 @@ battery (``tests/test_differential_backends.py``) pins exactly that.
 
 from __future__ import annotations
 
-import bisect
 import time
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import (
@@ -77,7 +68,7 @@ from repro.core.parallel_parser import (
     ParseOptions,
     _TaskCtx,
 )
-from repro.errors import InvalidInstructionError, RuntimeConfigError
+from repro.errors import RuntimeConfigError
 from repro.isa.instructions import ControlFlowKind, Instruction
 from repro.runtime.api import Runtime
 
@@ -125,19 +116,12 @@ class CFGFragment:
     #: func addr -> reached block starts (frontier replay task seeds)
     reached: dict[int, list[int]] = field(default_factory=dict)
     n_splits: int = 0
-    #: 1-based shard attempt this fragment came from.  The retry ladder
-    #: can hand the merge duplicate fragments for one shard (a timed-out
-    #: attempt whose delta straggles in next to its retry's); the merge
-    #: keeps the highest attempt per shard and drops the rest.
-    attempt: int = 1
 
 
-def export_fragment(parser: ParallelParser, shard_id: int,
-                    attempt: int = 1) -> CFGFragment:
+def export_fragment(parser: ParallelParser, shard_id: int) -> CFGFragment:
     """Flatten a fragment-mode parser's state for shipping home."""
     assert parser._owned is not None, "export requires fragment mode"
-    frag = CFGFragment(shard_id=shard_id, owned=parser._owned,
-                       attempt=attempt)
+    frag = CFGFragment(shard_id=shard_id, owned=parser._owned)
     blocks = [b for _, b in parser.blocks_by_start.sorted_items()]
     frag.blocks = (
         array("Q", [b.start for b in blocks]),
@@ -177,39 +161,17 @@ def export_fragment(parser: ParallelParser, shard_id: int,
     return frag
 
 
-def partition_by_claims(claims: list[tuple[int, int]],
-                        funcs: list[Function]
-                        ) -> list[list[Function]] | None:
-    """Partition functions by shard-claim ownership (entry address).
-
-    The claims partition the address space, so every function —
-    including ones minted at the coordinator — maps to exactly one
-    partition.  Returns None (serial wave) with fewer than two
-    non-empty partitions.
-    """
-    ranges = sorted(claims)
-    if len(ranges) <= 1:
-        return None
-    los = [lo for lo, _ in ranges]
-    parts: list[list[Function]] = [[] for _ in ranges]
-    for f in funcs:
-        i = bisect.bisect_right(los, f.addr) - 1
-        parts[i if i >= 0 else 0].append(f)
-    live = [p for p in parts if p]
-    return live if len(live) > 1 else None
-
-
 class StreamingMerge:
     """Incremental coordinator: fold fragments in as they arrive.
 
-    The batch merge waits for every shard before touching the graph; a
-    streaming coordinator starts step 2 (rebuild + install) the moment
+    A batch merge would wait for every shard before touching the graph;
+    a streaming coordinator starts step 2 (rebuild + install) the moment
     the first :class:`ShardDelta` lands, overlapping merge work with
     the still-running fan-out.  The procs backend feeds
     :meth:`accept` from its dispatch loop; :meth:`finish` runs the
     parts that genuinely need *all* fragments — the frontier replay
-    (a record can target any foreign shard's blocks), the wave fixed
-    point and finalization.
+    (a record is a step into a foreign shard's claim), the wave fixed
+    point and finalization — once each, on the coordinator's one thread.
 
     Per-fragment installation is order-independent: ownership claims
     make block starts, functions, jump tables and noreturn records
@@ -219,9 +181,7 @@ class StreamingMerge:
     arrival order equals installing them in shard order.
 
     Must be used inside ``rt.run`` on the coordinator runtime.  One
-    fragment per shard: a duplicate (the retry ladder's straggler case)
-    is skipped — callers that can see both attempts dedup first, as
-    :func:`merge_fragments` does.
+    fragment per shard: a second one for the same shard is skipped.
     """
 
     def __init__(self, binary: LoadedBinary, rt: Runtime,
@@ -230,24 +190,15 @@ class StreamingMerge:
         self.rt = rt
         self.opts = replace(options or ParseOptions(),
                             thread_local_cache=True)
-        #: installed shard claims, in install order: early drains own
-        #: exactly their union, the sharded wave partitions by them.
-        self.claims: list[tuple[int, int]] = []
         #: merged decode cache; grows as deltas arrive.  The parser
         #: holds this same dict, so later updates are visible to it.
         self.warm: dict[int, Instruction] = {}
         #: every installed block by start (cross-fragment ownership guard)
         self.blocks: dict[int, Block] = {}
         self._parser: ParallelParser | None = None
-        self._installed: dict[int, int] = {}  # shard_id -> attempt
-        self._frag_by_sid: dict[int, CFGFragment] = {}
-        #: undrained frontier records per source shard
-        self._pending: dict[int, list[FrontierRecord]] = {}
-        #: persistent replay contexts, one per (shard, function) — a
-        #: shard's records may drain across several batches; reusing the
-        #: context preserves the "at least what the shard task had"
-        #: seeding across them.
-        self._replay_ctxs: dict[tuple[int, int], _TaskCtx] = {}
+        #: installed fragments by shard id (their frontiers replay in
+        #: :meth:`finish`)
+        self._frags: dict[int, CFGFragment] = {}
 
     @property
     def parser(self) -> ParallelParser:
@@ -258,13 +209,8 @@ class StreamingMerge:
         land keeps the shared ``warm`` dict wired in.
         """
         if self._parser is None:
-            p = ParallelParser(self.binary, self.rt, self.opts,
-                               warm_cache=self.warm)
-            # Set exclusively here, so the serial/vtime/threads waves
-            # stay unpartitioned.  Bound to the list, not to this
-            # object: no parser <-> merge reference cycle.
-            p.wave_partitions = partial(partition_by_claims, self.claims)
-            self._parser = p
+            self._parser = ParallelParser(self.binary, self.rt, self.opts,
+                                          warm_cache=self.warm)
         return self._parser
 
     def accept(self, fragment: CFGFragment,
@@ -278,7 +224,7 @@ class StreamingMerge:
         the ``procs.overlap.*`` metrics.  Returns False (and installs
         nothing) for a shard that already has a fragment installed.
         """
-        if fragment.shard_id in self._installed:
+        if fragment.shard_id in self._frags:
             return False
         if insns:
             self.warm.update(insns)
@@ -344,50 +290,35 @@ class StreamingMerge:
                     m.observe("procs.overlap.install_wall_ns", wall)
                 else:
                     m.inc("procs.overlap.batch_fragments")
-        self._installed[fragment.shard_id] = fragment.attempt
-        self._frag_by_sid[fragment.shard_id] = fragment
-        self._pending[fragment.shard_id] = list(fragment.frontier)
-        self.claims.append(fragment.owned)
-        # Batched early drain: replay every pending record whose endpoint
-        # regions are all installed, overlapping cross-shard expansion
-        # with still-outstanding shards.
-        with rt.phase("cfg_frontier"):
-            t1 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            n, batches = self._drain_ready(final=False)
-            if m.enabled and n:
-                wall = time.perf_counter_ns() - t1  # sanity: allow(wall-clock) coordinator-side metric
-                m.inc("procs.frontier.records", n)
-                m.inc("procs.frontier.early_records", n)
-                m.inc("procs.frontier.batches", batches)
-                m.observe("procs.phase.frontier_wall_ns", wall)
+        self._frags[fragment.shard_id] = fragment
         return True
 
     def finish(self) -> ParsedCFG:
-        """Complete the parse: final frontier drain, waves, finalization.
+        """Complete the parse: frontier replay, waves, finalization.
 
-        Only callable once every shard's fragment has been accepted —
-        the final drain restores full ownership, so any record (or
-        re-deferred cascade step) still pending replays unconditionally.
+        Only callable once every shard's fragment has been accepted:
+        a frontier record targets another shard's claim, and the replay
+        runs with full ownership.
         """
         rt = self.rt
         m = rt.metrics
         parser = self.parser
 
-        if getattr(parser, "op_trace", None) is not None:
-            # Debug hook: the merged-from-shards graph must satisfy the
-            # structural invariants before the remaining replay extends it.
-            from repro.sanity.cfgsan import run_cfgsan
-            run_cfgsan(parser, "shard-merge")
-
         with rt.phase("cfg_frontier"):
             t1 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            n, batches = self._drain_ready(final=True)
+            n = self._replay_frontier()
             if m.enabled:
-                wall = time.perf_counter_ns() - t1  # sanity: allow(wall-clock) coordinator-side metric
                 m.inc("procs.frontier.records", n)
-                if batches:
-                    m.inc("procs.frontier.batches", batches)
-                m.observe("procs.phase.frontier_wall_ns", wall)
+                m.observe("procs.phase.frontier_wall_ns",
+                          time.perf_counter_ns() - t1)  # sanity: allow(wall-clock) coordinator-side metric
+
+        if getattr(parser, "op_trace", None) is not None:
+            # Debug hook: the merged-and-replayed graph must satisfy the
+            # structural invariants before the wave extends it.  Not
+            # earlier — until its deferred "end" record replays, an
+            # overrunning block legitimately overlaps its owner's.
+            from repro.sanity.cfgsan import run_cfgsan
+            run_cfgsan(parser, "shard-merge")
 
         with rt.phase("cfg_wave"):
             t2 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
@@ -404,7 +335,7 @@ class StreamingMerge:
                           time.perf_counter_ns() - t3)  # sanity: allow(wall-clock) coordinator-side metric
         return cfg
 
-    # ------------------------------------------------- batched frontier drains
+    # --------------------------------------------------------- frontier replay
 
     def _insn_at(self, addr: int) -> Instruction:
         """Resolve an instruction for replay: merged warm cache, then the
@@ -424,109 +355,23 @@ class StreamingMerge:
         assert blk is not None, f"replay source block {start:#x} missing"
         return blk
 
-    def _record_ready(self, rec: FrontierRecord) -> bool:
-        """True when every address this record's replay step itself
-        touches lies in an installed claim (the cascade it triggers
-        re-defers anything further via the restricted ownership)."""
-        foreign = self.parser._foreign
-        if rec.kind in ("direct", "intra"):
-            return not foreign(rec.target)
-        if rec.kind == "resume":
-            return not foreign(rec.site[2])
-        if rec.kind == "end":
-            return not foreign(rec.last_addr)
-        try:
-            insn = self._insn_at(rec.last_addr)  # cond | call
-        except InvalidInstructionError:
-            # Not classifiable yet: stays deferred until the final drain.
-            return False
-        if rec.kind == "call":
-            return not foreign(insn.direct_target)
-        return (not foreign(insn.direct_target)
-                and not foreign(insn.end))
+    def _replay_frontier(self) -> int:
+        """Replay every shard's frontier records through the real parser
+        machinery; returns the number of records replayed.
 
-    def _drain_ready(self, final: bool) -> tuple[int, int]:
-        """Replay every ready pending record; returns (records, batches).
-
-        Ownership is restricted to the union of installed claims while
-        shards are outstanding (``final=False``), so replay cascades
-        re-defer any step into a not-yet-installed region instead of
-        creating blocks a later fragment will export.  The final drain
-        restores full ownership first.
+        Shard order, discovery order within a shard.  Tasks the replay
+        discovers spawn into the group (or round queue) as in a live
+        parse, and the replay quiesces before returning.
         """
         parser = self.parser
-        parser.set_owned_ranges(None if final else self.claims)
-        batches: list[tuple[CFGFragment, list[FrontierRecord]]] = []
-        for sid in sorted(self._pending):
-            recs = self._pending[sid]
-            if not recs:
-                continue
-            if final:
-                ready, rest = recs, []
-            else:
-                ready, rest = [], []
-                for rec in recs:
-                    (ready if self._record_ready(rec) else rest).append(rec)
-            if ready:
-                self._pending[sid] = rest
-                batches.append((self._frag_by_sid[sid], ready))
-        own = self._take_ready_own(final)
-        if not batches and not own:
-            return 0, 0
-        self._replay_batches(batches, own)
-        n = sum(len(r) for _, r in batches) + len(own)
-        return n, len(batches) + (1 if own else 0)
-
-    def _take_ready_own(self, final: bool
-                        ) -> list[tuple[FrontierRecord, _TaskCtx | None]]:
-        """Pop coordinator-re-deferred records that became ready.
-
-        Cascades during early drains defer steps into uninstalled
-        regions through the ordinary ``_defer_frontier`` path; their
-        live contexts ride along so a later drain resumes them exactly
-        where they stopped.
-        """
-        parser = self.parser
-        if not parser._frontier:
-            return []
-        own: list[tuple[FrontierRecord, _TaskCtx | None]] = []
-        keep_r: list[FrontierRecord] = []
-        keep_c: list[_TaskCtx | None] = []
-        for rec, ctx in zip(parser._frontier, parser._frontier_ctxs):
-            if final or self._record_ready(rec):
-                own.append((rec, ctx))
-            else:
-                keep_r.append(rec)
-                keep_c.append(ctx)
-        parser._frontier = keep_r
-        parser._frontier_ctxs = keep_c
-        return own
-
-    def _replay_batches(self, batches, own) -> None:
-        """Replay drained batches through the real parser machinery.
-
-        Within a batch records replay in discovery order; across batches
-        (one per source shard — their records were produced inside
-        disjoint claims) they replay under ``rt.parallel_for``, exactly
-        like the old whole-frontier replay but per drain.  Tasks the
-        replay discovers spawn into the shared group (or round queue) as
-        in a live parse, and the drain quiesces before returning.
-        """
-        parser = self.parser
-        rt = parser.rt
+        rt = self.rt
         group = rt.task_group() if parser.opts.task_parallel else None
         parser._group = group
+        n = 0
         try:
-            if group is not None and len(batches) > 1:
-                rt.parallel_for(
-                    batches,
-                    lambda b: self._replay_batch(b[0], b[1]),
-                    sort_key=lambda b: b[0].shard_id)
-            else:
-                for frag, recs in batches:
-                    self._replay_batch(frag, recs)
-            for rec, ctx in own:
-                self._replay_own(rec, ctx)
+            for _, frag in sorted(self._frags.items()):
+                self._replay_shard(frag)
+                n += len(frag.frontier)
             if group is not None:
                 group.wait()
             else:
@@ -539,47 +384,31 @@ class StreamingMerge:
                     current = parser._round_discovered
         finally:
             parser._group = None
+        return n
 
-    def _replay_batch(self, frag: CFGFragment,
-                      recs: list[FrontierRecord]) -> None:
+    def _replay_shard(self, frag: CFGFragment) -> None:
         parser = self.parser
-        for rec in recs:
+        # One context per function, seeded with at least what the
+        # shard's traversal task had reached.
+        ctxs: dict[int, _TaskCtx] = {}
+        for rec in frag.frontier:
             if rec.kind == "resume":
                 c, bs, ft, ce = rec.site
                 parser._resume_call_ft(DeferredCallSite(
                     caller_addr=c, block=self._block_at(bs),
                     fallthrough=ft, callee_addr=ce))
                 continue
-            key = (frag.shard_id, rec.func_addr)
-            ctx = self._replay_ctxs.get(key)
+            ctx = ctxs.get(rec.func_addr)
             if ctx is None:
                 func = parser.functions.get(rec.func_addr)
                 assert func is not None, (
                     f"frontier record for unknown function "
                     f"{rec.func_addr:#x}")
-                ctx = _TaskCtx(func=func)
+                ctx = ctxs[rec.func_addr] = _TaskCtx(func=func)
                 ctx.reached.update(frag.reached.get(rec.func_addr, ()))
                 ctx.reached.add(rec.func_addr)
-                self._replay_ctxs[key] = ctx
             self._replay_record(ctx, rec)
             parser._drain(ctx)
-
-    def _replay_own(self, rec: FrontierRecord,
-                    ctx: _TaskCtx | None) -> None:
-        parser = self.parser
-        if rec.kind == "resume":
-            c, bs, ft, ce = rec.site
-            parser._resume_call_ft(DeferredCallSite(
-                caller_addr=c, block=self._block_at(bs),
-                fallthrough=ft, callee_addr=ce))
-            return
-        if ctx is None:
-            func = parser.functions.get(rec.func_addr)
-            assert func is not None
-            ctx = _TaskCtx(func=func)
-            ctx.reached.add(rec.func_addr)
-        self._replay_record(ctx, rec)
-        parser._drain(ctx)
 
     def _replay_record(self, ctx: _TaskCtx, rec: FrontierRecord) -> None:
         parser = self.parser
@@ -599,34 +428,6 @@ class StreamingMerge:
         else:  # intra
             parser._add_intra_target(ctx, src, rec.target,
                                      EdgeType(rec.etype))
-
-
-def merge_fragments(binary: LoadedBinary, rt: Runtime,
-                    options: ParseOptions | None,
-                    fragments: list[CFGFragment],
-                    warm_cache: dict[int, Instruction]) -> ParsedCFG:
-    """Stitch shard fragments into the serial fixed point (batch form).
-
-    The thin non-streaming wrapper over :class:`StreamingMerge`: dedup
-    duplicate-attempt fragments from the retry ladder (highest attempt
-    wins — the one the coordinator actually validated last), install
-    them all, finish.  Must be called inside ``rt.run`` on the
-    coordinator runtime.
-    """
-    merge = StreamingMerge(binary, rt, options)
-    merge.warm.update(warm_cache)
-    m = rt.metrics
-    by_shard: dict[int, CFGFragment] = {}
-    for f in fragments:
-        cur = by_shard.get(f.shard_id)
-        if cur is None or f.attempt > cur.attempt:
-            by_shard[f.shard_id] = f
-    if m.enabled and len(by_shard) != len(fragments):
-        m.inc("procs.merge.duplicate_fragments",
-              len(fragments) - len(by_shard))
-    for sid in sorted(by_shard):
-        merge.accept(by_shard[sid])
-    return merge.finish()
 
 
 def _rebuild_fragment_graph(frag: CFGFragment,

@@ -34,8 +34,8 @@ Execution model
 3. **Fragment parse (parallel)** — shard tasks are dispatched to a
    long-lived worker pool shared by every :class:`ProcsRuntime` in the
    process (pool creation dwarfs a dispatch round, so the pool is only
-   rebuilt when its start method or size changes, and is sized to the
-   cores actually available).  Each worker rebuilds the binary from
+   rebuilt when its size changes, and is sized to the cores actually
+   available).  Each worker rebuilds the binary from
    the shipped transport — cached per parse token, so only the first
    task to reach a worker pays the rebuild — then runs the ordinary
    parallel parser in
@@ -63,11 +63,11 @@ Execution model
    fan-out instead of waiting for the slowest shard.  Block starts,
    functions and noreturn records are disjoint by ownership; block
    *ends* are reconciled through the real invariant-4 split cascade
-   where shards disagree.  Once every shard is in, the frontier
-   records replay through the ordinary parser machinery (in parallel
-   across shards — ownership makes the record sets disjoint), the
-   wave fixed point runs (including the cycle rule fragments must
-   skip), and the ordinary ``finalize`` correction phase completes.
+   where shards disagree.  Once every shard is in, the serial tail
+   runs on the coordinator's one thread: the frontier records replay
+   once through the ordinary parser machinery, the wave fixed point
+   runs (including the cycle rule fragments must skip), and the
+   ordinary ``finalize`` correction phase completes.
    Schedule independence of the invariant machinery (battery-proven)
    makes the result equal the serial fixed point byte-for-byte.
 
@@ -83,12 +83,14 @@ truncated delta — walks a bounded ladder:
 
 1. **re-dispatch** the shard to the pool (up to ``max_retries`` times),
    respawning the shared pool first when a health-check finds dead
-   workers (bounded by ``max_pool_respawns``);
+   workers (at most :data:`MAX_POOL_RESPAWNS` times per parse);
 2. **inline re-execution** of just that shard in the coordinator
    process (the ``shard_inline`` degradation step);
 3. if even that fails, the whole parse degrades to a plain **serial
    parse** on the coordinator — the ladder's last rung always yields
-   the same fixed point.
+   the same fixed point.  The one error that never degrades is a
+   :class:`~repro.errors.SanityCheckError`: a sanitizer verdict is a
+   result, not a fault, and reaches the caller.
 
 Every rung records a structured fault event (``rt.fault_events``, also
 exported in the run report) and a ``procs.*`` metric; the highest
@@ -127,6 +129,7 @@ from repro.errors import (
     InjectedFaultError,
     PoolBrokenError,
     RuntimeConfigError,
+    SanityCheckError,
     ShardFailedError,
     ShardTimeoutError,
 )
@@ -163,9 +166,9 @@ _PAYLOAD_TOKENS = itertools.count(1)
 #: in this process.  Pool creation (fork + bootstrap) costs an order of
 #: magnitude more than dispatching a round of shard tasks, so the pool
 #: outlives individual parses and is only recreated when the requested
-#: start method or size changes.  Any pool error discards it.
+#: size changes.  Any pool error discards it.
 _POOL: Any | None = None
-_POOL_KEY: tuple[str, int] | None = None
+_POOL_SIZE: int | None = None
 
 #: Upper bound of the last shard's ownership claim: the claims partition
 #: ``[0, ADDRESS_CEILING)`` so every address has exactly one owner.
@@ -178,8 +181,8 @@ DEFAULT_SHARD_DEADLINE = 60.0
 #: Default bound on per-shard pool re-dispatches after the first attempt.
 DEFAULT_MAX_RETRIES = 2
 
-#: Default bound on shared-pool respawns within one parse.
-DEFAULT_MAX_POOL_RESPAWNS = 2
+#: Bound on shared-pool respawns within one parse.
+MAX_POOL_RESPAWNS = 2
 
 #: The degradation ladder, least to most degraded.  ``rt.degradation``
 #: reports the highest level a parse reached.
@@ -262,14 +265,6 @@ class ShardTask:
     seeds: tuple[int, ...]
     owned_lo: int = 0
     owned_hi: int = ADDRESS_CEILING
-
-    @property
-    def lo(self) -> int:
-        return self.seeds[0]
-
-    @property
-    def hi(self) -> int:
-        return self.seeds[-1]
 
 
 @dataclass
@@ -363,7 +358,7 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
                             seed_entries=list(task.seeds),
                             owned_range=(task.owned_lo, task.owned_hi))
     rt.run(parser.execute_fragment)
-    frag = export_fragment(parser, task.shard_id, attempt)
+    frag = export_fragment(parser, task.shard_id)
     delta = ShardDelta(task.shard_id, attempt)
     seal_delta(
         delta, frag, parser.local_decode_cache(),
@@ -444,27 +439,26 @@ _POOL_GUARD = threading.RLock()
 
 
 def _shared_pool(ctx, processes: int):
-    """Return the cached worker pool, recreating it on a config change."""
-    global _POOL, _POOL_KEY
+    """Return the cached worker pool, recreating it on a size change."""
+    global _POOL, _POOL_SIZE
     with _POOL_GUARD:
-        key = (ctx.get_start_method(), processes)
-        if _POOL is not None and _POOL_KEY == key:
+        if _POOL is not None and _POOL_SIZE == processes:
             return _POOL
         shutdown_pool()
         _POOL = ctx.Pool(processes=processes)
-        _POOL_KEY = key
+        _POOL_SIZE = processes
         return _POOL
 
 
 def shutdown_pool() -> None:
     """Discard the cached worker pool (also safe when none exists)."""
-    global _POOL, _POOL_KEY
+    global _POOL, _POOL_SIZE
     with _POOL_GUARD:
         if _POOL is not None:
             _POOL.terminate()
             _POOL.join()
         _POOL = None
-        _POOL_KEY = None
+        _POOL_SIZE = None
 
 
 # Tear the pool down before interpreter shutdown dismantles the modules
@@ -490,7 +484,6 @@ class ProcsRuntime(SerialRuntime):
       once exhausted, remaining shards run inline immediately;
     - ``max_retries`` — pool re-dispatches per shard after the first
       attempt, before the shard is re-executed inline;
-    - ``max_pool_respawns`` — shared-pool rebuilds per parse;
     - ``fault_plan`` — deterministic fault injection
       (:class:`~repro.runtime.faults.FaultPlan`); defaults to the plan
       named by ``REPRO_FAULT_PLAN`` if set;
@@ -501,12 +494,10 @@ class ProcsRuntime(SerialRuntime):
 
     def __init__(self, n_workers: int, cost_model=None,
                  enable_metrics: bool = True,
-                 start_method: str | None = None,
                  in_process: bool = False,
                  shard_deadline: float | None = DEFAULT_SHARD_DEADLINE,
                  parse_budget: float | None = None,
                  max_retries: int = DEFAULT_MAX_RETRIES,
-                 max_pool_respawns: int = DEFAULT_MAX_POOL_RESPAWNS,
                  fault_plan: FaultPlan | None = None,
                  admission: PoolAdmission | None = None):
         if n_workers < 1:
@@ -517,14 +508,9 @@ class ProcsRuntime(SerialRuntime):
             raise RuntimeConfigError("parse_budget must be positive")
         if max_retries < 0:
             raise RuntimeConfigError("max_retries must be >= 0")
-        if max_pool_respawns < 0:
-            raise RuntimeConfigError("max_pool_respawns must be >= 0")
         super().__init__(cost_model=cost_model,
                          enable_metrics=enable_metrics)
         self.num_workers = n_workers
-        #: multiprocessing start method ("fork", "spawn", ...); None =
-        #: platform default.
-        self.start_method = start_method
         #: run shards inline in the coordinator process (test/debug
         #: escape hatch; also the automatic fallback when no pool can
         #: be created, e.g. in sandboxes without semaphore support).
@@ -532,7 +518,6 @@ class ProcsRuntime(SerialRuntime):
         self.shard_deadline = shard_deadline
         self.parse_budget = parse_budget
         self.max_retries = max_retries
-        self.max_pool_respawns = max_pool_respawns
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
         #: optional shared :class:`PoolAdmission` gate bounding how many
@@ -633,6 +618,10 @@ class ProcsRuntime(SerialRuntime):
         self._health_checks = 0
         try:
             return self._sharded_parse_inner(binary, opts)
+        except SanityCheckError:
+            # A sanitizer verdict is a result, not a fault: re-parsing
+            # serially would only hide the violation it reports.
+            raise
         except Exception as exc:
             # Last rung of the ladder: nothing recoverable remains in
             # the sharded pipeline, so produce the fixed point the only
@@ -740,8 +729,7 @@ class ProcsRuntime(SerialRuntime):
         if self.in_process or len(tasks) <= 1:
             return self._map_inline(binary, opts, tasks)
         try:
-            ctx = (multiprocessing.get_context(self.start_method)
-                   if self.start_method else multiprocessing.get_context())
+            ctx = multiprocessing.get_context()
             # More worker processes than hardware threads cannot run in
             # parallel; they only add fork, scheduling and IPC overhead,
             # so the pool is capped at the cores this process may use.
@@ -962,7 +950,7 @@ class ProcsRuntime(SerialRuntime):
             elif pool_broken:
                 respawns += 1
                 shutdown_pool()
-                if respawns > self.max_pool_respawns:
+                if respawns > MAX_POOL_RESPAWNS:
                     self._record_fault("pool_broken", None,
                                        self._pool_creations, "inline")
                     self._degrade("inline",

@@ -26,21 +26,16 @@ from repro.sanity.races import RACES_SCHEMA
 #: Version identifier of the exported run-report JSON document.
 REPORT_SCHEMA = "repro.run-report/1"
 
-#: Version identifier of the procs-parallelism benchmark sidecar.  Rev 2
-#: added the per-row ``speedup`` column (``serial_wall_s /
-#: procs_wall_s``); rev 3 added the shared-memory-transport and
-#: merge-overlap columns (``shm_bytes``, ``shm_fallback``,
-#: ``overlap_fragments``, ``overlap_install_wall_s``); rev 4 added the
-#: per-phase breakdown columns (``install_wall_s``, ``frontier_wall_s``,
-#: ``wave_wall_s``, ``finalize_wall_s``) and the top-level ``cores``
-#: field recording how many CPU cores the harness machine exposed.
-#: Older documents remain valid and are still accepted by
-#: :func:`validate_bench_procs`.
+#: Version identifier of the procs-parallelism benchmark sidecar: per
+#: row the wall columns and their ``speedup`` (``serial_wall_s /
+#: procs_wall_s``), the shared-memory-transport and merge-overlap
+#: columns (``shm_bytes``, ``shm_fallback``, ``overlap_fragments``,
+#: ``overlap_install_wall_s``) and the per-phase breakdown
+#: (``install_wall_s``, ``frontier_wall_s``, ``wave_wall_s``,
+#: ``finalize_wall_s``); at the top level ``cores``, how many CPU cores
+#: the harness machine exposed.  :func:`validate_bench_procs` accepts
+#: this revision only.
 BENCH_PROCS_SCHEMA = "repro.bench-procs/4"
-
-#: Older sidecar revisions the validator still accepts.
-_BENCH_PROCS_ACCEPTED = ("repro.bench-procs/1", "repro.bench-procs/2",
-                         "repro.bench-procs/3", BENCH_PROCS_SCHEMA)
 
 _GLYPHS = " .:-=+*#%@"
 
@@ -292,11 +287,7 @@ def validate_races(obj: Any) -> list[str]:
 def validate_bench_procs(obj: Any) -> list[str]:
     """Check a procs-parallelism benchmark sidecar against its schema.
 
-    Accepts ``repro.bench-procs/1`` through ``/4`` documents; the
-    per-row ``speedup`` column (serial wall seconds over procs wall
-    seconds) is required from rev 2 on, the shared-memory-transport and
-    merge-overlap columns from rev 3 on, and the per-phase breakdown
-    columns plus the top-level ``cores`` field from rev 4 on.  The
+    Accepts exactly ``repro.bench-procs/4``.  The per-row
     ``speedup`` column must agree with ``serial_wall_s / procs_wall_s``
     up to the 4-decimal rounding all three columns carry — anything
     beyond that bound is a recording error, not noise.  Returns a list
@@ -312,37 +303,28 @@ def validate_bench_procs(obj: Any) -> list[str]:
     if not expect(isinstance(obj, dict), "sidecar is not an object"):
         return errs
     schema = obj.get("schema")
-    if not expect(schema in _BENCH_PROCS_ACCEPTED,
-                  f"schema is {schema!r}, want one of "
-                  f"{_BENCH_PROCS_ACCEPTED!r}"):
+    if not expect(schema == BENCH_PROCS_SCHEMA,
+                  f"schema is {schema!r}, want {BENCH_PROCS_SCHEMA!r}"):
         return errs
-    rev = _BENCH_PROCS_ACCEPTED.index(schema) + 1
     expect(isinstance(obj.get("scale"), (int, float))
            and not isinstance(obj.get("scale"), bool)
            and obj.get("scale", 0) > 0, "scale must be a positive number")
     expect(isinstance(obj.get("workers"), int)
            and obj.get("workers", 0) >= 1, "workers must be an int >= 1")
-    if rev >= 4:
-        expect(isinstance(obj.get("cores"), int)
-               and not isinstance(obj.get("cores"), bool)
-               and obj.get("cores", 0) >= 1,
-               "cores must be an int >= 1")
+    expect(isinstance(obj.get("cores"), int)
+           and not isinstance(obj.get("cores"), bool)
+           and obj.get("cores", 0) >= 1,
+           "cores must be an int >= 1")
     rows = obj.get("rows")
     if not expect(isinstance(rows, list) and rows,
                   "rows must be a non-empty list"):
         return errs
-    numeric = ["serial_wall_s", "procs_wall_s", "fanout_wall_s"]
-    counters = ["shards", "pool_fallback", "merged_cache_insns"]
-    if rev >= 2:
-        numeric.append("speedup")
-        counters.append("duplicate_insns")
-    if rev >= 3:
-        numeric.append("overlap_install_wall_s")
-        counters.extend(["shm_bytes", "shm_fallback",
-                         "overlap_fragments"])
-    if rev >= 4:
-        numeric.extend(["install_wall_s", "frontier_wall_s",
-                        "wave_wall_s", "finalize_wall_s"])
+    numeric = ["serial_wall_s", "procs_wall_s", "fanout_wall_s",
+               "speedup", "overlap_install_wall_s", "install_wall_s",
+               "frontier_wall_s", "wave_wall_s", "finalize_wall_s"]
+    counters = ["shards", "pool_fallback", "merged_cache_insns",
+                "duplicate_insns", "shm_bytes", "shm_fallback",
+                "overlap_fragments"]
     for i, row in enumerate(rows):
         if not expect(isinstance(row, dict), f"row[{i}] must be an object"):
             continue
@@ -361,22 +343,21 @@ def validate_bench_procs(obj: Any) -> list[str]:
             expect(isinstance(v, int) and not isinstance(v, bool)
                    and v >= 0,
                    f"row[{i}]: {col} must be an int >= 0")
-        if rev >= 2:
-            s, p, spd = (row.get("serial_wall_s"), row.get("procs_wall_s"),
-                         row.get("speedup"))
-            if all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in (s, p, spd)) and p > 0 and spd >= 0:
-                # All three columns are recorded rounded to 4 decimals,
-                # so the stored speedup may differ from the ratio of the
-                # stored wall times by at most the propagated half-ulp:
-                # 5e-5 on speedup itself, plus (5e-5 / p) * (1 + s/p)
-                # from the numerator and denominator.  Beyond that the
-                # row is internally inconsistent.
-                tol = 5e-5 * (1.0 + (1.0 + s / p) / p) + 1e-9
-                expect(abs(spd - s / p) <= tol,
-                       f"row[{i}]: speedup {spd} inconsistent with "
-                       f"serial_wall_s/procs_wall_s = {s / p} "
-                       f"(rounding tolerance {tol:.2e})")
+        s, p, spd = (row.get("serial_wall_s"), row.get("procs_wall_s"),
+                     row.get("speedup"))
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in (s, p, spd)) and p > 0 and spd >= 0:
+            # All three columns are recorded rounded to 4 decimals,
+            # so the stored speedup may differ from the ratio of the
+            # stored wall times by at most the propagated half-ulp:
+            # 5e-5 on speedup itself, plus (5e-5 / p) * (1 + s/p)
+            # from the numerator and denominator.  Beyond that the
+            # row is internally inconsistent.
+            tol = 5e-5 * (1.0 + (1.0 + s / p) / p) + 1e-9
+            expect(abs(spd - s / p) <= tol,
+                   f"row[{i}]: speedup {spd} inconsistent with "
+                   f"serial_wall_s/procs_wall_s = {s / p} "
+                   f"(rounding tolerance {tol:.2e})")
     return errs
 
 

@@ -12,27 +12,28 @@ from array import array
 
 import pytest
 
-from types import SimpleNamespace
-
 from repro.core import parse_binary
 from repro.core.parallel_parser import FrontierRecord, ParseOptions
 from repro.core.shard_merge import (
     CFGFragment,
     StreamingMerge,
     _rebuild_fragment_graph,
-    merge_fragments,
-    partition_by_claims,
 )
 from repro.errors import InvalidInstructionError, RuntimeConfigError
 from repro.runtime import SerialRuntime
 from repro.runtime.faults import delta_error
-from repro.runtime.procs import ADDRESS_CEILING, ShardTask, _run_shard
+from repro.runtime.procs import (
+    ADDRESS_CEILING,
+    ProcsRuntime,
+    ShardTask,
+    _run_shard,
+)
 from repro.synth import tiny_binary
 
 
 def _shard_deltas(sb, boundary, opts):
     """Two fragment parses with the ownership claim cut at ``boundary``
-    (entries split by claim membership); return (deltas, warm cache)."""
+    (entries split by claim membership); returns the opened deltas."""
     entries = sorted(sb.binary.entry_addresses())
     seeds = [tuple(a for a in entries if a < boundary),
              tuple(a for a in entries if a >= boundary)]
@@ -41,21 +42,26 @@ def _shard_deltas(sb, boundary, opts):
              ShardTask(1, seeds[1], boundary, ADDRESS_CEILING)]
     deltas = [_run_shard(sb.binary, opts, t, enable_metrics=True)
               for t in tasks]
-    warm = {}
     for d in deltas:
         assert delta_error(d) is None  # verify the seal, open the delta
-        warm.update(d.insns)
-    return deltas, warm
+    return deltas
+
+
+def _merge_all(sm, deltas):
+    """Accept every delta in shard order, then finish."""
+    for d in deltas:
+        sm.accept(d.fragment, d.insns)
+    return sm.finish()
 
 
 def _fragment_parse(sb, boundary, opts=None):
-    """Run a two-shard fragment parse and the batch merge; return
+    """Run a two-shard fragment parse and the merge; return
     (merged ParsedCFG, coordinator runtime, fragments)."""
     opts = opts or ParseOptions()
-    deltas, warm = _shard_deltas(sb, boundary, opts)
+    deltas = _shard_deltas(sb, boundary, opts)
     rt = SerialRuntime(enable_metrics=True)
-    cfg = rt.run(lambda: merge_fragments(
-        sb.binary, rt, opts, [d.fragment for d in deltas], warm))
+    cfg = rt.run(
+        lambda: _merge_all(StreamingMerge(sb.binary, rt, opts), deltas))
     return cfg, rt, [d.fragment for d in deltas]
 
 
@@ -135,32 +141,6 @@ class TestFragmentTransport:
             assert clone.frontier == frag.frontier
             assert clone.reached == frag.reached
 
-    def test_duplicate_attempt_fragments_deduped_by_max_attempt(self):
-        """The retry ladder can hand the merge two fragments for one
-        shard (a timed-out attempt's delta straggling in next to its
-        retry's).  The merge must keep the highest attempt per shard
-        and still reproduce the serial fixed point."""
-        entries = sorted(_SB.binary.entry_addresses())
-        boundary = entries[len(entries) // 2]
-        seeds = [tuple(a for a in entries if a < boundary),
-                 tuple(a for a in entries if a >= boundary)]
-        tasks = [ShardTask(0, seeds[0], 0, boundary),
-                 ShardTask(1, seeds[1], boundary, ADDRESS_CEILING)]
-        opts = ParseOptions()
-        deltas = [_run_shard(_SB.binary, opts, t, enable_metrics=False,
-                             attempt=a)
-                  for t in tasks for a in (1, 2)]  # two attempts each
-        warm = {}
-        for d in deltas:
-            assert delta_error(d) is None
-            warm.update(d.insns)
-        rt = SerialRuntime(enable_metrics=True)
-        cfg = rt.run(lambda: merge_fragments(
-            _SB.binary, rt, opts, [d.fragment for d in deltas], warm))
-        assert cfg.signature() == _SERIAL_SIG
-        assert [d.fragment.attempt for d in deltas] == [1, 2, 1, 2]
-        assert rt.metrics.counter("procs.merge.duplicate_fragments") == 2
-
     def test_duplicate_block_start_rejected(self):
         """Ownership means block starts are shard-disjoint; a violation
         is a bug upstream and must fail loudly, not merge quietly."""
@@ -176,54 +156,78 @@ class TestFragmentTransport:
             _rebuild_fragment_graph(b, {}, blocks)
 
 
-class TestWavePartitions:
-    def test_wave_partitions_by_claim_ownership(self):
-        funcs = [SimpleNamespace(addr=a) for a in (10, 90, 150, 260)]
-        # Single claim: serial wave.
-        assert partition_by_claims([(0, 100)], funcs) is None
-        # Three claims: functions split by entry ownership, including a
-        # coordinator-minted function (260) mapping into the last claim.
-        claims = [(0, 100), (100, 200), (200, 300)]
-        parts = partition_by_claims(claims, funcs)
-        assert [[f.addr for f in p] for p in parts] == [[10, 90], [150],
-                                                        [260]]
-        # All functions in one claim: nothing to shard.
-        assert partition_by_claims(claims, funcs[:2]) is None
-
-
-class TestBatchedFrontierDrains:
-    def test_early_drain_overlaps_outstanding_shards(self):
-        """Once both endpoint claims are installed, ready records drain
-        *before* finish(): with two shards everything is ready at the
-        second accept, so the early-drain counters fire and the final
-        drain has nothing left — and the result is still serial."""
+class TestFrontierReplay:
+    @staticmethod
+    def _mid_deltas():
         entries = sorted(_SB.binary.entry_addresses())
-        boundary = entries[len(entries) // 2]
-        deltas, warm = _shard_deltas(_SB, boundary, ParseOptions())
+        return _shard_deltas(_SB, entries[len(entries) // 2],
+                             ParseOptions())
+
+    def test_records_replay_once_in_finish(self):
+        """``accept`` installs and stops there; ``finish`` replays every
+        shipped record exactly once — and the result is still serial."""
+        deltas = self._mid_deltas()
         n_records = sum(len(d.fragment.frontier) for d in deltas)
         assert n_records, "corpus produced no frontier traffic"
         rt = SerialRuntime(enable_metrics=True)
 
         def run():
             sm = StreamingMerge(_SB.binary, rt, ParseOptions())
-            sm.accept(deltas[0].fragment, deltas[0].insns)
-            after_first = rt.metrics.counter("procs.frontier.early_records")
-            sm.accept(deltas[1].fragment, deltas[1].insns)
-            after_second = rt.metrics.counter("procs.frontier.early_records")
-            return sm.finish(), after_first, after_second
+            for d in deltas:
+                sm.accept(d.fragment, d.insns)
+                assert rt.metrics.counter("procs.frontier.records") == 0
+            return sm.finish()
 
-        cfg, after_first, after_second = rt.run(run)
+        cfg = rt.run(run)
         assert cfg.signature() == _SERIAL_SIG
-        # Nothing was ready while shard 1's claim was missing; everything
-        # drained the moment ownership completed.
-        assert after_first == 0
-        assert after_second >= n_records
-        assert rt.metrics.counter("procs.frontier.batches") >= 1
-        # The five coordinator phase timers all exist even though the
-        # final drain was empty (CI's procs-smoke asserts the same).
+        assert rt.metrics.counter("procs.frontier.records") == n_records
+        # The merge's four phase timers all exist (the fifth, fan-out,
+        # is the dispatch loop's; CI's procs-smoke asserts all five).
         for name in ("install", "frontier", "wave", "finalize"):
             assert rt.metrics.histogram(
                 f"procs.phase.{name}_wall_ns") is not None, name
+
+    @pytest.fixture(scope="class")
+    def split_bait(self):
+        """The battery's cross-shard-splits program and its serial
+        signature."""
+        sb = tiny_binary(seed=47, n_functions=44, n_shared_error_groups=6,
+                         shared_group_size=8, pct_error_call=0.25,
+                         pct_tail_call=0.20, pct_switch=0.20)
+        return sb, parse_binary(sb.binary, SerialRuntime()).signature()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_replayed_equals_shipped_at_every_shard_count(self, n,
+                                                          split_bait):
+        """No record replays twice, whatever the shard geometry."""
+        sb, want = split_bait
+        rt = ProcsRuntime(n, in_process=True)
+        assert parse_binary(sb.binary, rt).signature() == want
+        shipped = sum(len(d.fragment.frontier) for d in rt.shard_deltas)
+        assert shipped
+        assert rt.metrics.counter("procs.frontier.records") == shipped
+        # One replay, one wave, one finalize: each tail phase is
+        # observed exactly once, next to the fan-out and the installs.
+        for name in ("fanout", "frontier", "wave", "finalize"):
+            assert rt.metrics.histogram(
+                f"procs.phase.{name}_wall_ns").count == 1, name
+        assert rt.metrics.histogram(
+            "procs.phase.install_wall_ns").count == len(rt.shard_deltas)
+
+    def test_second_fragment_for_a_shard_is_skipped(self):
+        deltas = self._mid_deltas()
+        rt = SerialRuntime(enable_metrics=True)
+
+        def run():
+            sm = StreamingMerge(_SB.binary, rt, ParseOptions())
+            assert sm.accept(deltas[0].fragment, deltas[0].insns)
+            blocks = rt.metrics.counter("procs.merge.blocks")
+            assert not sm.accept(deltas[0].fragment, deltas[0].insns)
+            assert rt.metrics.counter("procs.merge.blocks") == blocks
+            assert sm.accept(deltas[1].fragment, deltas[1].insns)
+            return sm.finish()
+
+        assert rt.run(run).signature() == _SERIAL_SIG
 
     @staticmethod
     def _undecodable_cond(frag):
@@ -234,47 +238,42 @@ class TestBatchedFrontierDrains:
             end_addr=None, target=None, last_addr=ADDRESS_CEILING - 8,
             etype=None, site=None)
 
-    def test_undecodable_record_stays_deferred_until_finish(self):
-        """`_record_ready` cannot classify a cond/call record whose
-        instruction does not decode: that is "not ready", not an error —
-        the record waits in the pending list for the final drain, which
-        replays it unconditionally (and so is where it surfaces)."""
-        entries = sorted(_SB.binary.entry_addresses())
-        deltas, _ = _shard_deltas(_SB, entries[len(entries) // 2],
-                                  ParseOptions())
-        bogus = self._undecodable_cond(deltas[1].fragment)
-        deltas[1].fragment.frontier.append(bogus)
+    def test_undecodable_record_surfaces_from_finish(self):
+        """A cond/call record whose instruction does not decode is
+        installed like any other fragment content and fails where it
+        replays: ``finish()``."""
+        deltas = self._mid_deltas()
+        deltas[1].fragment.frontier.append(
+            self._undecodable_cond(deltas[1].fragment))
         rt = SerialRuntime(enable_metrics=True)
 
         def run():
             sm = StreamingMerge(_SB.binary, rt, ParseOptions())
             for d in deltas:
-                sm.accept(d.fragment, d.insns)
-            assert not sm._record_ready(bogus)
-            assert sm._pending == {0: [], 1: [bogus]}
+                assert sm.accept(d.fragment, d.insns)
             with pytest.raises(InvalidInstructionError):
                 sm.finish()
 
         rt.run(run)
 
     def test_replay_bug_is_not_swallowed(self, monkeypatch):
-        """Only a decode failure means "not ready yet"; a programming
-        error while classifying a record must propagate."""
-        entries = sorted(_SB.binary.entry_addresses())
-        deltas, _ = _shard_deltas(_SB, entries[len(entries) // 2],
-                                  ParseOptions())
+        """A programming error inside replay must propagate out of
+        ``finish()``, not be mistaken for a deferred record."""
+        deltas = self._mid_deltas()
+        assert any(r.kind in ("cond", "call", "end")
+                   for d in deltas for r in d.fragment.frontier)
         rt = SerialRuntime()
 
         def run():
             sm = StreamingMerge(_SB.binary, rt, ParseOptions())
-            sm.accept(deltas[0].fragment, deltas[0].insns)
+            for d in deltas:
+                sm.accept(d.fragment, d.insns)
 
             def broken(addr):
                 raise AttributeError("injected replay bug")
 
             monkeypatch.setattr(sm, "_insn_at", broken)
             with pytest.raises(AttributeError, match="injected"):
-                sm._record_ready(
-                    self._undecodable_cond(deltas[0].fragment))
+                sm.finish()
 
         rt.run(run)

@@ -153,7 +153,7 @@ class TestDeltaIntegrity:
         d = _run_shard(sb.binary, _opts(), task, True)
         assert delta_error(d) is None
         assert d.payload is None
-        assert d.fragment.shard_id == 0 and d.fragment.attempt == 1
+        assert d.fragment.shard_id == 0 and d.attempt == 1
         assert d.counts == (len(d.fragment.functions),
                             len(d.fragment.blocks[0]),
                             len(d.fragment.edges[0]))
@@ -523,8 +523,7 @@ class TestPoolLadder:
 class TestConfigValidation:
     def test_bad_knobs_rejected(self):
         for kw in ({"shard_deadline": 0}, {"shard_deadline": -1},
-                   {"parse_budget": 0}, {"max_retries": -1},
-                   {"max_pool_respawns": -1}):
+                   {"parse_budget": 0}, {"max_retries": -1}):
             with pytest.raises(RuntimeConfigError):
                 ProcsRuntime(2, **kw)
 

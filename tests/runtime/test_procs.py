@@ -6,6 +6,7 @@ from repro.core import parse_binary
 from repro.errors import RuntimeConfigError
 from repro.runtime import ProcsRuntime, SerialRuntime
 from repro.runtime.procs import (
+    ADDRESS_CEILING,
     PoolAdmission,
     ShardDelta,
     ShardTask,
@@ -159,8 +160,9 @@ class TestProcsRuntime:
 
 class TestShardTask:
     def test_region_bounds(self):
+        # A task built without a claim owns the whole address space.
         t = ShardTask(0, (10, 20, 30))
-        assert (t.lo, t.hi) == (10, 30)
+        assert (t.owned_lo, t.owned_hi) == (0, ADDRESS_CEILING)
 
 
 class TestPoolAdmission:

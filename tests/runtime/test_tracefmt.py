@@ -241,30 +241,6 @@ class TestBenchProcsValidator:
         # Full JSON round trip preserves validity.
         assert validate_bench_procs(json.loads(json.dumps(doc))) == []
 
-    def test_rev1_still_accepted_without_new_columns(self):
-        doc = self._sidecar(schema="repro.bench-procs/1")
-        del doc["cores"]
-        for col in ("speedup", "duplicate_insns", "shm_bytes",
-                    "shm_fallback", "overlap_fragments",
-                    "overlap_install_wall_s") + self._REV4_PHASE_COLS:
-            del doc["rows"][0][col]
-        assert validate_bench_procs(doc) == []
-
-    def test_rev2_accepted_without_rev3_columns(self):
-        doc = self._sidecar(schema="repro.bench-procs/2")
-        del doc["cores"]
-        for col in ("shm_bytes", "shm_fallback", "overlap_fragments",
-                    "overlap_install_wall_s") + self._REV4_PHASE_COLS:
-            del doc["rows"][0][col]
-        assert validate_bench_procs(doc) == []
-
-    def test_rev3_accepted_without_rev4_columns(self):
-        doc = self._sidecar(schema="repro.bench-procs/3")
-        del doc["cores"]
-        for col in self._REV4_PHASE_COLS:
-            del doc["rows"][0][col]
-        assert validate_bench_procs(doc) == []
-
     def test_rev2_requires_speedup_and_duplicates(self):
         doc = self._sidecar()
         del doc["rows"][0]["speedup"]
@@ -317,6 +293,11 @@ class TestBenchProcsValidator:
     def test_structural_corruption_flagged(self):
         assert validate_bench_procs("not a dict")
         assert validate_bench_procs({"schema": "repro.bench-procs/99"})
+        # Older revisions are rejected outright, naming the one accepted.
+        for rev in (1, 2, 3):
+            errs = validate_bench_procs(
+                self._sidecar(schema=f"repro.bench-procs/{rev}"))
+            assert len(errs) == 1 and BENCH_PROCS_SCHEMA in errs[0], rev
         doc = self._sidecar()
         doc["rows"] = []
         assert validate_bench_procs(doc)

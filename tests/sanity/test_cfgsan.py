@@ -62,10 +62,69 @@ class TestCleanParses:
         sb = tiny_binary()
         rt = ProcsRuntime(2, in_process=True)
         cfg = parse_binary(sb.binary, rt, ParseOptions(sanitize=True))
-        # shard-merge hook + finalize entry/exit all ran clean.
+        # shard-merge hook + finalize entry/exit all ran clean — on the
+        # sharded pipeline, not on a quiet serial re-parse.
         assert rt.metrics.counter("sanity.cfgsan.checks") >= 3
         assert rt.metrics.counter("sanity.cfgsan.violations") == 0
+        assert rt.degradation["level"] == "none"
         assert check_cfg(cfg) == []
+
+    def test_procs_shard_merge_violation_reaches_the_caller(
+            self, monkeypatch):
+        """A sanitizer verdict is not a fault to recover from: the procs
+        ladder must not swallow it into a serial re-parse."""
+        from repro.sanity import cfgsan
+
+        real = cfgsan.run_cfgsan
+
+        def failing(parser, where, **kw):
+            if where == "shard-merge":
+                raise SanityCheckError(where, ["injected violation"])
+            return real(parser, where, **kw)
+
+        monkeypatch.setattr(cfgsan, "run_cfgsan", failing)
+        rt = ProcsRuntime(2, in_process=True)
+        with pytest.raises(SanityCheckError, match="shard-merge"):
+            parse_binary(tiny_binary().binary, rt,
+                         ParseOptions(sanitize=True))
+        assert rt.degradation["level"] == "none"
+
+    def test_procs_hook_runs_after_the_frontier_replay(self):
+        """Mid-function claim boundaries make shards overrun each other:
+        until its deferred "end" record replays, such a block overlaps
+        its owner's.  The hook sits after the replay, where the
+        invariants are supposed to hold — so the sweep is clean."""
+        from tests.core.test_shard_merge import (
+            _SB,
+            _SERIAL_SIG,
+            _fragment_parse,
+        )
+
+        entries = sorted(_SB.binary.entry_addresses())
+        n_end = 0
+        for k in range(1, len(entries) - 1):
+            cut = entries[k] + 4  # one insn into function k's body
+            cfg, rt, frags = _fragment_parse(_SB, cut,
+                                             ParseOptions(sanitize=True))
+            assert cfg.signature() == _SERIAL_SIG, hex(cut)
+            assert rt.metrics.counter("sanity.cfgsan.checks") >= 3
+            assert rt.metrics.counter("sanity.cfgsan.violations") == 0
+            n_end += sum(r.kind == "end" for f in frags for r in f.frontier)
+        assert n_end, "sweep produced no overrun records"
+
+    def test_procs_transient_overlap_is_gone_by_the_hook(self):
+        """A parse whose un-replayed union really does overlap (8 shards
+        over overlapping entries: two overrunning blocks wait on their
+        "end" records) is clean where the hook runs."""
+        from repro.synth.hostile import hostile_binary
+
+        sb = hostile_binary("overlap-entry", seed=1)
+        rt = ProcsRuntime(8, in_process=True)
+        parse_binary(sb.binary, rt, ParseOptions(sanitize=True))
+        assert any(r.kind == "end" for d in rt.shard_deltas
+                   for r in d.fragment.frontier)
+        assert rt.metrics.counter("sanity.cfgsan.violations") == 0
+        assert rt.degradation["level"] == "none"
 
 
 class TestStructuralNegatives:

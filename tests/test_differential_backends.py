@@ -70,14 +70,14 @@ def _corpus() -> dict[str, object]:
             seed=47, n_functions=44, n_shared_error_groups=6,
             shared_group_size=8, pct_error_call=0.25,
             pct_tail_call=0.20, pct_switch=0.20),
-        # Sharded-wave bait: the noreturn wrapper chain spans half the
+        # Cross-shard wave bait: the noreturn wrapper chain spans half the
         # function population, so any shard boundary cuts it — noreturn
         # status must flow *down* the address space (each wrapper's
         # callee sits at a higher address, often in another shard's
-        # partition) and *up* (the last wrapper calls ``exit`` at the
+        # claim) and *up* (the last wrapper calls ``exit`` at the
         # lowest address).  Several mutual-recursion pairs land near the
         # middle so at least one cycle straddles the boundary and is
-        # routed through ``resolve_cycles`` across partitions.
+        # routed through ``resolve_cycles`` across claims.
         "wave-cross-shard": tiny_binary(
             seed=61, n_functions=24, noreturn_chain_len=12,
             n_noreturn_cycles=4, pct_error_call=0.30,
@@ -196,7 +196,7 @@ def test_procs_shm_fallback_matches_serial(reference_signatures):
 def test_procs_worker_counts_agree(name, reference_signatures):
     """Shard geometry must not leak into the result: 1, 2 and 3 worker
     pools (different region boundaries → different cross-shard splits
-    and different sharded-wave partitions) all reproduce the serial
+    and different frontier records) all reproduce the serial
     signature byte-for-byte."""
     sb = _PROGRAMS[name]
     for n in (1, 2, 3):

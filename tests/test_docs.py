@@ -69,6 +69,38 @@ class TestMetricsCatalog:
             "metrics emitted but not in docs/OBSERVABILITY.md catalog: "
             f"{missing}")
 
+    def test_every_documented_metric_is_emittable(self, catalog_text):
+        """The other direction: a catalog row naming a metric nothing
+        under ``src/repro`` can emit is stale.  Plain names must occur
+        as string literals; enumerated families (``<placeholder>`` rows,
+        ``procs.degraded_to.*``) as the literal prefix an f-string
+        builds on, with the suffix in the tuple the code iterates."""
+        from repro.runtime.procs import DEGRADATION_LEVELS
+
+        catalog = catalog_text.split("\n## Metrics catalog\n")[1] \
+            .split("\n## ")[0]
+        source = "\n".join(
+            path.read_text()
+            for path in sorted((REPO / "src" / "repro").rglob("*.py")))
+        names = re.findall(r"^\| `([^`]+)` \|", catalog, re.M)
+        assert len(names) > 50, "catalog rows not found"
+        stale = []
+        for name in names:
+            prefix, _, suffix = name.rpartition(".")
+            if "<" in name:
+                ok = f'f"{name.split("<")[0]}{{' in source
+            elif prefix == "procs.degraded_to":
+                ok = (suffix in DEGRADATION_LEVELS
+                      and f'f"{prefix}.{{' in source)
+            else:
+                ok = f'"{name}"' in source
+            if not ok:
+                stale.append(name)
+        assert not stale, (
+            "metrics in the docs/OBSERVABILITY.md catalog that nothing "
+            f"under src/repro emits: {stale}")
+        assert '"workers."' in source  # the documented worker prefix
+
     def test_map_names_in_use_are_documented(self, emitted_names,
                                              catalog_text):
         map_names = {self._normalize(n)[1] for n in emitted_names
