@@ -42,11 +42,8 @@ def test_figure2_phase_trace(benchmark):
         lines.append(f"{label:<42} {p.start:>10,} {p.duration:>10,} "
                      f"{util:>5.0%}")
     lines.append(f"{'TOTAL':<42} {'':>10} {res.makespan:>10,}")
-    from repro.runtime.tracefmt import (
-        render_trace,
-        run_report,
-        validate_report,
-    )
+    from repro.runtime.tracefmt import render_trace, run_report
+    from repro.schema import validate_report
 
     lines.append("")
     lines.append(render_trace(rt.trace, width=96))

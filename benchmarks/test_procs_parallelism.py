@@ -28,7 +28,7 @@ import time
 
 from repro.core import parse_binary
 from repro.runtime import ProcsRuntime, SerialRuntime
-from repro.runtime.tracefmt import BENCH_PROCS_SCHEMA, validate_bench_procs
+from repro.schema import BENCH_PROCS_SCHEMA, validate_bench_procs
 
 from conftest import HPC_SCALE, run_once, write_table
 

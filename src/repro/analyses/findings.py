@@ -4,15 +4,15 @@ Every findings producer — the interprocedural checkers
 (:mod:`repro.analyses.interproc`), the ground-truth corpus checker
 (:mod:`repro.apps.checker`) and the static lint
 (:mod:`repro.sanity.lint`) — emits the same versioned document so CI
-artifacts share one validator (``repro.runtime.tracefmt
-.validate_findings``) and one byte-level determinism contract:
+artifacts share one validator (``repro.schema.validate_findings``)
+and one byte-level determinism contract:
 
 - a finding is a flat record ``{rule, detail, binary, function,
   address, path, line}`` with ``None`` for fields that do not apply;
 - findings are sorted by :func:`finding_sort_key` (binary, path,
   address, line, function, rule, detail) — independent of discovery
   order, hence of backend, worker count and schedule;
-- the canonical byte form is :func:`canonical_bytes`:
+- the canonical byte form is :func:`repro.schema.canonical_bytes`:
   ``json.dumps(doc, indent=2, sort_keys=True)`` plus a trailing
   newline.  The document carries **no** backend or worker-count
   fields, so two runs that agree on the findings agree on the bytes —
@@ -22,19 +22,12 @@ artifacts share one validator (``repro.runtime.tracefmt
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
-#: Version identifier of the findings sidecar.
-FINDINGS_SCHEMA = "repro.findings/1"
-
-#: Known producers of findings documents.
-FINDINGS_GENERATORS = ("checkers", "groundtruth", "lint")
-
-#: The per-finding fields, all always present (``None`` = not
-#: applicable).  ``rule`` and ``detail`` are never ``None``.
-FINDING_FIELDS = ("rule", "detail", "binary", "function", "address",
-                  "path", "line")
+from repro.schema import (  # noqa: F401  (re-exported)
+    FINDING_FIELDS,
+    FINDINGS_GENERATORS,
+    FINDINGS_SCHEMA,
+    canonical_bytes,
+)
 
 
 def finding(rule: str, detail: str, *, binary: str | None = None,
@@ -82,14 +75,3 @@ def findings_document(generator: str, checks: list[str],
         "findings": normalized,
         "summary": {"findings": len(normalized), "by_rule": by_rule},
     }
-
-
-def canonical_bytes(doc: dict) -> bytes:
-    """The canonical byte form every producer must write."""
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-
-
-def write_findings(path: Any, doc: dict) -> None:
-    """Write ``doc`` in canonical byte form to ``path``."""
-    with open(path, "wb") as fh:
-        fh.write(canonical_bytes(doc))

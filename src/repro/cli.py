@@ -42,6 +42,15 @@ import sys
 from repro.binary.loader import load_image
 from repro.core.parallel_parser import ParseOptions, parse_binary
 from repro.runtime import make_runtime
+from repro.schema import (
+    CORPUS_BACKENDS,
+    CORPUS_REPORT_SCHEMA,
+    FINDINGS_SCHEMA,
+    FUZZ_REPORT_SCHEMA,
+    RACES_SCHEMA,
+    RUN_REPORT_SCHEMA,
+    write_sidecar,
+)
 from repro.synth import (
     camellia_like,
     llnl1_like,
@@ -254,7 +263,6 @@ def cmd_trace(args) -> int:
         render_phase_table,
         render_trace,
         run_report,
-        validate_report,
     )
 
     binary, _ = _load_workload(args.workload, args.scale)
@@ -276,13 +284,8 @@ def cmd_trace(args) -> int:
         print()
         print(render_metrics(rt.metrics.snapshot()))
     if args.json:
-        report = run_report(rt, workload=args.workload)
-        errors = validate_report(report)
-        if errors:
-            raise RuntimeError(f"exported report is invalid: {errors}")
-        with open(args.json, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        write_sidecar(run_report(rt, workload=args.workload),
+                      RUN_REPORT_SCHEMA, args.json)
         print(f"\nrun report written to {args.json}")
     return 0
 
@@ -302,19 +305,15 @@ def cmd_check(args) -> int:
         cfg = parse_binary(sb.binary, rt)
         reports.append(check_binary(sb, cfg))
     if args.json:
-        from repro.analyses.findings import findings_document, write_findings
+        from repro.analyses.findings import findings_document
         from repro.apps.checker import GROUNDTRUTH_CHECKS, report_to_findings
-        from repro.runtime.tracefmt import validate_findings
 
         doc = findings_document(
             "groundtruth", list(GROUNDTRUTH_CHECKS),
             report_to_findings(reports),
             subject={"corpus": "coreutils_like_corpus",
                      "n_binaries": args.n_binaries})
-        errors = validate_findings(doc)
-        if errors:
-            raise RuntimeError(f"findings document is invalid: {errors}")
-        write_findings(args.json, doc)
+        write_sidecar(doc, FINDINGS_SCHEMA, args.json)
         print(f"ground-truth findings written to {args.json}",
               file=sys.stderr)
     print(json.dumps(summarize(reports), indent=2))
@@ -322,12 +321,10 @@ def cmd_check(args) -> int:
 
 
 def _emit_race_report(args, report: dict) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = write_sidecar(report, RACES_SCHEMA, args.json).decode()
     if args.json:
-        with open(args.json, "w") as f:
-            f.write(text + "\n")
         print(f"race report written to {args.json}", file=sys.stderr)
-    print(text)
+    print(text, end="")
     return 1 if report["findings"] else 0
 
 
@@ -401,9 +398,8 @@ def _check_cfgsan(args) -> int:
 def cmd_analyze(args) -> int:
     """Interprocedural checkers over a workload or a seeded corpus."""
     from repro.analyses.checkers import resolve_checks
-    from repro.analyses.findings import findings_document, write_findings
+    from repro.analyses.findings import findings_document
     from repro.analyses.interproc import run_checkers
-    from repro.runtime.tracefmt import validate_findings
 
     try:
         checks = resolve_checks(args.checks)
@@ -445,11 +441,8 @@ def cmd_analyze(args) -> int:
 
     doc = findings_document("checkers", list(checks), findings,
                             subject=subject)
-    errors = validate_findings(doc)
-    if errors:
-        raise RuntimeError(f"findings document is invalid: {errors}")
+    write_sidecar(doc, FINDINGS_SCHEMA, args.json)
     if args.json:
-        write_findings(args.json, doc)
         print(f"findings written to {args.json}", file=sys.stderr)
     print(json.dumps({
         "backend": args.runtime,
@@ -465,7 +458,6 @@ def cmd_fuzz(args) -> int:
     """Seeded differential-fuzzing campaign (docs/FUZZING.md)."""
     from repro.fuzz.driver import fuzz_run
     from repro.runtime.metrics import MetricsRegistry
-    from repro.runtime.tracefmt import validate_fuzz_report
 
     metrics = None if args.no_metrics else MetricsRegistry()
     report = fuzz_run(
@@ -475,13 +467,8 @@ def cmd_fuzz(args) -> int:
         workers=args.workers, procs_workers=args.procs_workers,
         procs_inline=not args.procs_pool, include_shm=args.procs_pool,
         race_schedules=args.race_schedules, metrics=metrics)
-    errors = validate_fuzz_report(report)
-    if errors:
-        raise RuntimeError(f"fuzz report is invalid: {errors}")
+    write_sidecar(report, FUZZ_REPORT_SCHEMA, args.json)
     if args.json:
-        with open(args.json, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
         print(f"fuzz report written to {args.json}", file=sys.stderr)
     # stdout gets the digest-free view; the full per-case rows and any
     # minimized repro specs live in the --json sidecar.
@@ -509,7 +496,6 @@ def cmd_corpus(args) -> int:
     from repro.corpus.report import REPORT_NAME
     from repro.runtime.faults import FaultPlan
     from repro.runtime.metrics import MetricsRegistry
-    from repro.runtime.tracefmt import validate_corpus_report
 
     plan = (FaultPlan.from_spec(args.fault_plan)
             if args.fault_plan else None)
@@ -528,10 +514,9 @@ def cmd_corpus(args) -> int:
     summary = run_corpus(args.dir, config, resume=args.resume,
                          in_process=args.in_process, fault_plan=plan,
                          metrics=metrics)
+    # run_corpus writes without validating; check what landed on disk.
     with open(Path(args.dir) / REPORT_NAME) as f:
-        errors = validate_corpus_report(json.load(f))
-    if errors:
-        raise RuntimeError(f"corpus report is invalid: {errors}")
+        write_sidecar(json.load(f), CORPUS_REPORT_SCHEMA)
     if metrics is not None:
         summary["metrics"] = {
             k: v for k, v in sorted(
@@ -546,27 +531,17 @@ def cmd_lint(args) -> int:
 
     findings = run_lint(paths=args.paths or None)
     if args.json is not None:
-        from repro.analyses.findings import (
-            canonical_bytes,
-            finding,
-            findings_document,
-        )
-        from repro.runtime.tracefmt import validate_findings
+        from repro.analyses.findings import finding, findings_document
 
         doc = findings_document(
             "lint", list(LINT_RULES),
             [finding(f.rule, f.message, path=f.path, line=f.line)
              for f in findings],
             subject={"paths": list(args.paths) if args.paths else None})
-        errors = validate_findings(doc)
-        if errors:
-            raise RuntimeError(f"findings document is invalid: {errors}")
-        text = canonical_bytes(doc).decode()
         if args.json == "-":
-            print(text, end="")
+            print(write_sidecar(doc, FINDINGS_SCHEMA).decode(), end="")
         else:
-            with open(args.json, "w") as f:
-                f.write(text)
+            write_sidecar(doc, FINDINGS_SCHEMA, args.json)
             print(f"lint findings written to {args.json}",
                   file=sys.stderr)
     else:
@@ -724,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SECONDS",
                     help="per-attempt deadline for one binary "
                          "(default 120)")
-    co.add_argument("--backend", choices=["procs", "serial"],
+    co.add_argument("--backend", choices=list(CORPUS_BACKENDS),
                     default="procs",
                     help="analysis backend (default procs)")
     co.add_argument("--procs-workers", type=int, default=2,

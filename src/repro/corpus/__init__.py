@@ -35,4 +35,4 @@ from repro.corpus.driver import (  # noqa: F401
     run_corpus,
 )
 from repro.corpus.journal import JOURNAL_SCHEMA, Journal  # noqa: F401
-from repro.corpus.report import build_report, render_report  # noqa: F401
+from repro.corpus.report import build_report  # noqa: F401

@@ -54,7 +54,7 @@ from pathlib import Path
 from repro.core import parse_binary
 from repro.corpus.journal import JOURNAL_NAME, Journal, summarize_records
 from repro.corpus.quarantine import write_quarantine
-from repro.corpus.report import REPORT_NAME, build_report, render_report
+from repro.corpus.report import REPORT_NAME, build_report
 from repro.errors import CorpusError
 from repro.fuzz.oracle import signature_digest
 from repro.runtime.faults import (
@@ -66,6 +66,7 @@ from repro.runtime.metrics import NULL_METRICS
 from repro.runtime.procs import PoolAdmission, ProcsRuntime
 from repro.runtime.serial import SerialRuntime
 from repro.runtime.shm import sweep_orphans
+from repro.schema import CORPUS_BACKENDS, canonical_bytes
 from repro.seeds import derive_seed
 from repro.synth.codegen import synthesize
 from repro.synth.hostile import HOSTILE_PRESETS, hostile_params
@@ -133,7 +134,7 @@ class CorpusConfig:
             raise CorpusError("window must be >= 1")
         if self.binary_deadline <= 0:
             raise CorpusError("binary deadline must be positive")
-        if self.backend not in ("procs", "serial"):
+        if self.backend not in CORPUS_BACKENDS:
             raise CorpusError(f"unknown backend {self.backend!r}")
         if self.journal_batch < 1:
             raise CorpusError("journal batch must be >= 1")
@@ -259,7 +260,7 @@ class CorpusDriver:
 
         report = build_report(self.config.header(), completed, quarantined)
         report_path = self.run_dir / REPORT_NAME
-        report_path.write_bytes(render_report(report))
+        report_path.write_bytes(canonical_bytes(report))
         return {
             "dir": str(self.run_dir),
             "schema": report["schema"],

@@ -13,20 +13,17 @@ never from run wall-clock (two invocations can't share one clock):
 - window-shrink counts are recomputed from the recorded timeout
   failures rather than read off the live ladder;
 - binaries are emitted in index order, floats rounded at the source,
-  keys sorted by the renderer.
+  keys sorted by :func:`repro.schema.canonical_bytes`.
 
-Validated by ``validate_corpus_report`` in
-:mod:`repro.runtime.tracefmt`.
+Checked by :func:`repro.schema.validate`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any
 
-#: Version identifier of the corpus report sidecar.
-REPORT_SCHEMA = "repro.corpus-report/1"
+from repro.schema import CORPUS_REPORT_SCHEMA as REPORT_SCHEMA
 
 #: Report filename inside a corpus run directory.
 REPORT_NAME = "corpus_report.json"
@@ -166,8 +163,3 @@ def build_report(header: dict, completed: dict[int, dict],
             "entries": q_entries,
         },
     }
-
-
-def render_report(report: dict) -> bytes:
-    """The canonical byte form the chaos tests compare."""
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()

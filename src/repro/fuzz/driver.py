@@ -21,12 +21,9 @@ from typing import Any
 from repro.fuzz.oracle import OracleAxis, default_axes, run_oracle
 from repro.fuzz.reduce import divergence_predicate, reduce
 from repro.fuzz.specio import case_to_json
+from repro.schema import FUZZ_REPORT_SCHEMA
 from repro.seeds import derive_seed
 from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
-
-#: Version identifier of the fuzz campaign report (validated in
-#: :mod:`repro.runtime.tracefmt`).
-FUZZ_REPORT_SCHEMA = "repro.fuzz-report/1"
 
 
 def fuzz_run(runs: int, seed: int, *, presets: tuple[str, ...] | None = None,

@@ -17,6 +17,7 @@ import json
 from typing import Any
 
 from repro.errors import SynthesisError
+from repro.schema import FUZZ_CASE_SCHEMA as CASE_SCHEMA
 from repro.synth.program import (
     Epilogue,
     FunctionSpec,
@@ -25,9 +26,6 @@ from repro.synth.program import (
     Segment,
     SwitchSpec,
 )
-
-#: Version identifier of a pinned fuzz-corpus case document.
-CASE_SCHEMA = "repro.fuzz-case/1"
 
 
 # ----------------------------------------------------------------- spec

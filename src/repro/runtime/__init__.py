@@ -34,6 +34,7 @@ from repro.runtime.vtime import VirtualTimeRuntime
 from repro.runtime.threads import ThreadRuntime
 from repro.runtime.procs import ProcsRuntime
 from repro.runtime.conchash import ConcurrentHashMap
+from repro.schema import BACKENDS  # noqa: F401  (make_runtime's names)
 
 __all__ = [
     "Runtime",
@@ -48,9 +49,6 @@ __all__ = [
     "ProcsRuntime",
     "ConcurrentHashMap",
 ]
-
-#: Names accepted by :func:`make_runtime` (and the CLI ``--backend``).
-BACKENDS = ("vtime", "threads", "serial", "procs")
 
 
 def make_runtime(kind: str, n_workers: int, **kwargs) -> Runtime:

@@ -43,8 +43,7 @@ import threading
 from collections.abc import Callable
 from contextlib import contextmanager
 
-#: Schema identifier embedded in :meth:`MetricsRegistry.snapshot`.
-METRICS_SCHEMA = "repro.metrics/1"
+from repro.schema import METRICS_SCHEMA
 
 
 def bucket_bound(value: int) -> int:

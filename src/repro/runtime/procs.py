@@ -143,6 +143,7 @@ from repro.runtime.faults import (
     seal_delta,
 )
 from repro.runtime.serial import SerialRuntime
+from repro.schema import DEGRADATION_LEVELS
 
 #: Worker-side cache of binaries rebuilt from task transports, keyed by
 #: the coordinator's payload token (one token per parse).  Values are
@@ -183,10 +184,6 @@ DEFAULT_MAX_RETRIES = 2
 
 #: Bound on shared-pool respawns within one parse.
 MAX_POOL_RESPAWNS = 2
-
-#: The degradation ladder, least to most degraded.  ``rt.degradation``
-#: reports the highest level a parse reached.
-DEGRADATION_LEVELS = ("none", "shard_inline", "inline", "serial")
 
 
 class PoolAdmission:

@@ -32,8 +32,7 @@ from collections.abc import Callable
 from pathlib import PurePath
 from typing import Any
 
-#: Schema identifier for the serialized race report (see tracefmt).
-RACES_SCHEMA = "repro.races/1"
+from repro.schema import RACES_SCHEMA
 
 #: Filenames whose frames are skipped when attributing an access to a
 #: source site: the detector itself and the instrumented runtime layers.

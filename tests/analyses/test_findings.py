@@ -13,9 +13,8 @@ from repro.analyses.findings import (
     finding_sort_key,
     findings_document,
     sort_findings,
-    write_findings,
 )
-from repro.runtime.tracefmt import validate_findings
+from repro.schema import validate_findings, write_sidecar
 
 
 def _sample_findings() -> list[dict]:
@@ -82,7 +81,7 @@ class TestDocument:
     def test_write_findings_roundtrip(self, tmp_path):
         doc = findings_document("lint", ["wall-clock"], [])
         path = tmp_path / "f.json"
-        write_findings(path, doc)
+        write_sidecar(doc, FINDINGS_SCHEMA, path)
         assert path.read_bytes() == canonical_bytes(doc)
         assert json.loads(path.read_text()) == doc
 

@@ -99,7 +99,7 @@ class TestCli:
         assert "counter" in out            # metrics table header
         assert "lock.acquires" in out
 
-        from repro.runtime.tracefmt import validate_report
+        from repro.schema import validate_report
         report = json.loads(report_path.read_text())
         assert validate_report(report) == []
         assert report["backend"] == "vtime"
@@ -120,7 +120,7 @@ class TestCli:
 
 class TestCliFuzz:
     def test_fuzz_clean_campaign(self, capsys, tmp_path):
-        from repro.runtime.tracefmt import validate_fuzz_report
+        from repro.schema import validate_fuzz_report
 
         path = str(tmp_path / "fuzz.json")
         rc = main(["fuzz", "--runs", "2", "--seed", "5",
@@ -158,7 +158,7 @@ class TestCliFuzz:
 
 class TestCliAnalyze:
     def test_analyze_workload_writes_valid_sidecar(self, capsys, tmp_path):
-        from repro.runtime.tracefmt import validate_findings
+        from repro.schema import validate_findings
 
         path = tmp_path / "findings.json"
         rc, out = run_cli(capsys, "analyze", "tiny", "--runtime", "serial",
@@ -209,7 +209,7 @@ class TestCliAnalyze:
 
 class TestCliFindingsSidecars:
     def test_lint_json_is_a_findings_document(self, capsys, tmp_path):
-        from repro.runtime.tracefmt import validate_findings
+        from repro.schema import validate_findings
 
         path = tmp_path / "lint.json"
         rc = main(["lint", "--json", str(path)])
@@ -228,7 +228,7 @@ class TestCliFindingsSidecars:
         assert doc["schema"] == "repro.findings/1"
 
     def test_check_json_is_a_groundtruth_sidecar(self, capsys, tmp_path):
-        from repro.runtime.tracefmt import validate_findings
+        from repro.schema import validate_findings
 
         path = tmp_path / "gt.json"
         rc, out = run_cli(capsys, "check", "--n-binaries", "2", "-j", "2",

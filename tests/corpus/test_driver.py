@@ -26,7 +26,7 @@ from repro.corpus.report import REPORT_NAME
 from repro.errors import CorpusError
 from repro.fuzz.specio import spec_from_json, spec_to_json
 from repro.runtime.faults import FaultPlan
-from repro.runtime.tracefmt import validate_corpus_report
+from repro.schema import validate_corpus_report
 from repro.synth.codegen import synthesize
 
 

@@ -42,7 +42,8 @@ from repro.runtime.procs import (
     ShardTask,
     shutdown_pool,
 )
-from repro.runtime.tracefmt import run_report, validate_report
+from repro.runtime.tracefmt import run_report
+from repro.schema import validate_report
 from repro.synth import tiny_binary
 
 

@@ -12,7 +12,8 @@ from repro.runtime.procs import (
     ShardTask,
     shard_regions,
 )
-from repro.runtime.tracefmt import run_report, validate_report
+from repro.runtime.tracefmt import run_report
+from repro.schema import validate_report
 from repro.synth import tiny_binary
 
 

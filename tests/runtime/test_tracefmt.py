@@ -6,14 +6,16 @@ from repro.runtime import SerialRuntime, VirtualTimeRuntime
 from repro.runtime.api import PhaseSpan, Trace, TraceInterval
 from repro.runtime.cost import CostModel
 from repro.runtime.tracefmt import (
-    BENCH_PROCS_SCHEMA,
-    RACES_SCHEMA,
     render_metrics,
     render_phase_table,
     render_trace,
     run_report,
     trace_from_json,
     trace_to_json,
+)
+from repro.schema import (
+    BENCH_PROCS_SCHEMA,
+    RACES_SCHEMA,
     validate_bench_procs,
     validate_races,
     validate_report,
@@ -392,7 +394,7 @@ class TestFuzzReportSchema:
 
     def test_real_campaign_report_validates(self):
         from repro.fuzz.driver import FUZZ_REPORT_SCHEMA
-        from repro.runtime.tracefmt import validate_fuzz_report
+        from repro.schema import validate_fuzz_report
 
         rep = self._campaign()
         assert rep["schema"] == FUZZ_REPORT_SCHEMA
@@ -403,7 +405,7 @@ class TestFuzzReportSchema:
 
     def test_minimized_campaign_report_validates(self):
         from repro.fuzz.specio import CASE_SCHEMA
-        from repro.runtime.tracefmt import validate_fuzz_report
+        from repro.schema import validate_fuzz_report
 
         rep = self._campaign(minimize=True)
         assert validate_fuzz_report(rep) == []
@@ -413,7 +415,7 @@ class TestFuzzReportSchema:
         assert tuple(after) <= tuple(before)
 
     def test_structural_corruption_is_flagged(self):
-        from repro.runtime.tracefmt import validate_fuzz_report
+        from repro.schema import validate_fuzz_report
 
         rep = self._campaign()
         assert validate_fuzz_report("not a dict")

@@ -1,4 +1,5 @@
-"""Documentation checks: links resolve, metrics catalog is complete."""
+"""Documentation checks: links resolve, the metrics catalog is complete,
+the schema tables match ``repro.schema``."""
 
 import re
 from pathlib import Path
@@ -7,6 +8,14 @@ import pytest
 
 from repro.apps.hpcstruct import hpcstruct
 from repro.runtime import VirtualTimeRuntime
+from repro.schema import (
+    BANNED,
+    BENCH_PROCS_SCHEMA,
+    METRICS_SCHEMA,
+    RUN_REPORT_SCHEMA,
+    SCHEMAS,
+    Opt,
+)
 from repro.synth import tiny_binary
 
 REPO = Path(__file__).resolve().parents[1]
@@ -119,3 +128,46 @@ class TestMetricsCatalog:
                          "finalize.tailcall_rounds",
                          "map.blocks.acquires"):
             assert expected in emitted_names
+
+
+_REPORT, _METRICS = SCHEMAS[RUN_REPORT_SCHEMA], SCHEMAS[METRICS_SCHEMA]
+
+
+class TestSchemaTables:
+    """The docs' field tables and ``repro.schema.SCHEMAS`` say the same
+    thing: the same fields, and the same ones optional."""
+
+    @staticmethod
+    def _documented(doc, heading):
+        """``{field: type cell}`` of the first table after ``heading``."""
+        text = (REPO / "docs" / doc).read_text().split(heading, 1)[1]
+        rows: dict[str, str] = {}
+        for line in text.splitlines():
+            if line.startswith("|"):
+                cells = re.split(r"(?<!\\)\|", line.strip("|"))
+                for field in re.findall(r"`([^`]+)`", cells[0]):
+                    rows[field] = cells[1]
+            elif rows:
+                break
+        return rows
+
+    @pytest.mark.parametrize("doc, heading, spec", [
+        ("OBSERVABILITY.md", "\n## Run-report JSON schema\n", _REPORT),
+        ("OBSERVABILITY.md", "\n### `metrics` (schema id", _METRICS),
+        ("OBSERVABILITY.md", "\nHistogram object:\n",
+         _METRICS.fields["histograms"].value),
+        ("OBSERVABILITY.md", "\n### `trace`\n", _REPORT.fields["trace"].spec),
+        ("PERFORMANCE.md", "\n## The benchmark and its sidecar columns\n",
+         SCHEMAS[BENCH_PROCS_SCHEMA].fields["rows"].item),
+    ], ids=["run-report", "metrics", "histogram", "trace", "bench-row"])
+    def test_table_matches_schema(self, doc, heading, spec):
+        documented = self._documented(doc, heading)
+        table = {k: type(sub) is Opt for k, sub in spec.fields.items()
+                 if sub is not BANNED}
+        assert sorted(documented) == sorted(table), (
+            f"docs/{doc} and SCHEMAS disagree on the fields after "
+            f"{heading.strip()!r}")
+        for field, optional in table.items():
+            assert ("optional" in documented[field]) == optional, (
+                f"docs/{doc}: {field} is "
+                f"{'optional' if optional else 'required'} in SCHEMAS")
