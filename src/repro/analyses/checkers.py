@@ -42,7 +42,7 @@ Four checkers:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.analyses.dataflow import (
@@ -68,12 +68,11 @@ _FP_BIT = 1 << Reg.FP
 class FuncPlan:
     """One function compiled for the checkers (schedule-independent).
 
-    Everything that is constant per function is worked out once, by
-    ``FuncUnit.compile`` on the worker that analyzes the unit: blocks
-    are indices into address-sorted parallel tuples, edges are index
-    lists, and each dataflow checker's transfer over a block is the
-    *effect* its :meth:`Checker.compile_block` distilled from the
-    instructions.
+    Everything that is constant per function is worked out once:
+    ``interproc.snapshot_function`` builds the structure straight from
+    the parsed graph (blocks are indices into address-sorted parallel
+    tuples, edges are index lists) with ``effects`` empty, and
+    ``analyze_unit`` adds the unit's checkers' (:meth:`with_effects`).
     """
 
     entry: int
@@ -93,6 +92,14 @@ class FuncPlan:
     jump_tables: tuple[JumpTableInfo, ...]
     #: checker name -> that checker's effect per block.
     effects: dict[str, tuple[Any, ...]]
+
+    def with_effects(self, checkers: list[Checker]) -> FuncPlan:
+        """This plan with, per checker, the *effect* its
+        :meth:`Checker.compile_block` distilled from each block's
+        instructions — a dataflow checker's whole transfer over it."""
+        return replace(self, effects={
+            c.name: tuple(map(c.compile_block, self.insns))
+            for c in checkers})
 
 
 #: ``getsumm(callee_entry_or_None) -> summary`` — resolves a call

@@ -41,8 +41,15 @@ import sys
 
 from repro.binary.loader import load_image
 from repro.core.parallel_parser import ParseOptions, parse_binary
+from repro.errors import (
+    CorpusError,
+    ImageFormatError,
+    RuntimeConfigError,
+    SynthesisError,
+)
 from repro.runtime import make_runtime
 from repro.schema import (
+    BACKENDS,
     CORPUS_BACKENDS,
     CORPUS_REPORT_SCHEMA,
     FINDINGS_SCHEMA,
@@ -68,6 +75,12 @@ _PRESETS = {
 }
 
 
+#: ``hpcstruct`` / ``binfeat`` run ``ParallelParser.execute`` inside
+#: ``rt.run`` and never ``sharded_parse``: a ``procs`` runtime would be
+#: a serial one under another name.
+_UNSHARDED_BACKENDS = tuple(b for b in BACKENDS if b != "procs")
+
+
 def _load_workload(spec: str, scale: float):
     """Resolve a preset name or image path to (LoadedBinary, synth|None)."""
     if spec in _PRESETS:
@@ -76,18 +89,21 @@ def _load_workload(spec: str, scale: float):
     return load_image(spec), None
 
 
-def _add_runtime_args(p: argparse.ArgumentParser) -> None:
-    from repro.runtime import BACKENDS
-
+def _add_runtime_args(p: argparse.ArgumentParser,
+                      backends: tuple[str, ...] = BACKENDS) -> None:
+    """Runtime selection among ``backends``; the sharding flags only
+    for commands whose parse a ``procs`` runtime actually shards."""
     p.add_argument("--workers", "-j", type=int, default=8,
                    help="number of (simulated or real) workers")
     p.add_argument("--runtime", "--backend", dest="runtime",
-                   choices=list(BACKENDS),
+                   choices=list(backends),
                    default="vtime", help="execution backend")
     p.add_argument("--scale", type=float, default=0.1,
                    help="workload scale factor for presets")
     p.add_argument("--no-metrics", action="store_true",
                    help="opt out of structured metrics collection")
+    if "procs" not in backends:
+        return
     p.add_argument("--shard-deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="procs only: per-shard deadline for one pool "
@@ -100,6 +116,29 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
                         "e.g. 'exc@1x1,delay@0=2' "
                         "(grammar in docs/ROBUSTNESS.md; also read from "
                         "the REPRO_FAULT_PLAN environment variable)")
+
+
+# argparse ``type=`` callables; a ValueError becomes the usage error
+# "invalid <function name> value: <text>", so the names are the message.
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+def comma_separated_ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def check_names(text: str) -> tuple[str, ...]:
+    from repro.analyses.checkers import resolve_checks
+
+    try:
+        return resolve_checks(text)
+    except ValueError as e:  # its message lists the choices: keep it
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _make_rt(args, **kw):
@@ -244,8 +283,7 @@ def cmd_sweep(args) -> int:
     binary, _ = _load_workload(args.workload, args.scale)
     rows = []
     base = None
-    counts = [int(x) for x in args.workers_list.split(",")]
-    for n in counts:
+    for n in args.workers_list:
         rt = make_runtime("vtime", n)
         parse_binary(binary, rt, ParseOptions())
         if base is None:
@@ -335,13 +373,8 @@ def _check_races(args) -> int:
     if args.fixture:
         from repro.sanity.fixtures import fixture_workload
 
-        try:
-            workload = fixture_workload(args.fixture)
-        except KeyError as e:
-            print(f"error: {e.args[0]}", file=sys.stderr)
-            return 2
         report = run_race_sweep(
-            workload, n_workers=args.workers,
+            fixture_workload(args.fixture), n_workers=args.workers,
             schedules=args.race_schedules, base_seed=args.seed,
             workload_name=f"fixture:{args.fixture}")
         return _emit_race_report(args, report)
@@ -397,16 +430,10 @@ def _check_cfgsan(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Interprocedural checkers over a workload or a seeded corpus."""
-    from repro.analyses.checkers import resolve_checks
     from repro.analyses.findings import findings_document
     from repro.analyses.interproc import run_checkers
 
-    try:
-        checks = resolve_checks(args.checks)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
+    checks = args.checks
     if args.corpus is not None:
         from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
 
@@ -553,6 +580,9 @@ def cmd_lint(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sanity.fixtures import FIXTURES
+    from repro.synth.hostile import HOSTILE_PRESETS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Parallel binary code analysis (PPoPP 2021 reproduction)",
@@ -572,12 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     hp = sub.add_parser("hpcstruct", help="program structure recovery")
     hp.add_argument("workload", help="preset name or .sbin path")
-    _add_runtime_args(hp)
+    _add_runtime_args(hp, _UNSHARDED_BACKENDS)
     hp.set_defaults(fn=cmd_hpcstruct)
 
     bp = sub.add_parser("binfeat", help="forensic feature extraction")
     bp.add_argument("--n-binaries", type=int, default=8)
-    _add_runtime_args(bp)
+    _add_runtime_args(bp, _UNSHARDED_BACKENDS)
     bp.set_defaults(fn=cmd_binfeat)
 
     cp = sub.add_parser(
@@ -594,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="races only: schedules per workload (default 6)")
     cp.add_argument("--seed", type=int, default=0,
                     help="races only: base schedule seed (default 0)")
-    cp.add_argument("--fixture", metavar="NAME",
+    cp.add_argument("--fixture", metavar="NAME", choices=sorted(FIXTURES),
                     help="races only: sweep a repro.sanity.fixtures "
                          "workload (e.g. counter-racy) instead of the "
                          "corpus")
@@ -624,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--n-functions", type=int, default=None,
                     help="corpus only: override the per-binary function "
                          "count")
-    ap.add_argument("--checks", default="all",
+    ap.add_argument("--checks", type=check_names, default="all",
                     help="comma-separated check names, or 'all' "
                          "(default)")
     ap.add_argument("--json", metavar="PATH",
@@ -635,13 +665,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser(
         "fuzz", help="seeded differential-fuzzing campaign")
-    fz.add_argument("--runs", type=int, default=30,
+    fz.add_argument("--runs", type=positive_int, default=30,
                     help="number of fuzz cases (default 30)")
     fz.add_argument("--seed", type=int, default=0,
                     help="master seed; every per-case RNG is split off "
                          "this one value (default 0)")
     fz.add_argument("--preset", action="append", dest="presets",
-                    metavar="NAME",
+                    metavar="NAME", choices=HOSTILE_PRESETS,
                     help="hostile preset axis to fuzz (repeatable; "
                          "default: all presets, round-robin)")
     fz.add_argument("--minimize", action="store_true",
@@ -753,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     wp = sub.add_parser("sweep", help="worker-count speedup sweep")
     wp.add_argument("workload", help="preset name or .sbin path")
-    wp.add_argument("--workers-list", default="1,2,4,8,16",
+    wp.add_argument("--workers-list", type=comma_separated_ints,
+                    default="1,2,4,8,16",
                     help="comma-separated worker counts")
     wp.add_argument("--scale", type=float, default=0.1)
     wp.set_defaults(fn=cmd_sweep)
@@ -763,7 +794,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (RuntimeConfigError, ImageFormatError, SynthesisError,
+            CorpusError, OSError) as e:
+        # Bad input argparse cannot judge: a worker count the runtime
+        # refuses, a fault plan, an image path, a preset, a run dir.
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

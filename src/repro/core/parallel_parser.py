@@ -103,10 +103,9 @@ class FrontierRecord:
     another shard.  The record is flat ints/strings so it pickles without
     dragging the block graph along; the coordinator replays it through
     the real parser machinery during the structural merge
-    (``repro.core.shard_merge``).
+    (``repro.core.shard_merge``), in list order — discovery order.
     """
 
-    seq: int                      #: discovery order within the shard
     kind: str                     #: direct | cond | call | intra | resume
     func_addr: int                #: the traversal task's function
     block_start: int | None       #: source block at record time
@@ -124,7 +123,6 @@ class ParallelParser:
     def __init__(self, binary: LoadedBinary, rt: Runtime,
                  options: ParseOptions | None = None,
                  seed_entries: list[int] | None = None,
-                 warm_cache: dict[int, Instruction] | None = None,
                  owned_range: tuple[int, int] | None = None):
         self.binary = binary
         self.rt = rt
@@ -134,9 +132,6 @@ class ParallelParser:
         #: restrict stage 1 to these entries (procs backend shards);
         #: None means the binary's full ``F0``.
         self.seed_entries = seed_entries
-        #: read-only pre-decoded instructions (procs backend merge):
-        #: semantically transparent — only removes redundant decoding.
-        self._warm = warm_cache or None
         #: shard ownership claim ``[lo, hi)`` (procs backend fragment
         #: mode): expansion steps targeting a foreign address are recorded
         #: in ``_frontier`` instead of executed.  None = own everything.
@@ -242,7 +237,6 @@ class ParallelParser:
         """Record a cross-shard expansion step for coordinator replay."""
         self.rt.metrics.inc("parser.frontier_deferred")
         self._frontier.append(FrontierRecord(
-            seq=len(self._frontier),
             kind=kind,
             func_addr=(ctx.func.addr if ctx is not None
                        else site.caller_addr),
@@ -381,19 +375,11 @@ class ParallelParser:
             insns, ended_cf = self.decoder.linear_scan(start)
             rt.charge(rt.cost.decode_insn * len(insns))
             return insns, ended_cf
-        warm = self._warm
         insns: list[Instruction] = []
         addr = start
         misses = 0
         while True:
             insn = cache.get(addr)
-            if insn is None and warm is not None:
-                # Pre-decoded by a shard worker (procs backend): a warm
-                # hit costs no decode charge — that work already ran in
-                # parallel.
-                insn = warm.get(addr)
-                if insn is not None:
-                    cache[addr] = insn
             if insn is None:
                 if not self.decoder.contains(addr):
                     break

@@ -186,40 +186,27 @@ class StreamingMerge:
 
     def __init__(self, binary: LoadedBinary, rt: Runtime,
                  options: ParseOptions | None = None):
-        self.binary = binary
         self.rt = rt
-        self.opts = replace(options or ParseOptions(),
-                            thread_local_cache=True)
-        #: merged decode cache; grows as deltas arrive.  The parser
-        #: holds this same dict, so later updates are visible to it.
-        self.warm: dict[int, Instruction] = {}
+        #: the merged-state parser; everything here runs on its thread
+        self.parser = ParallelParser(
+            binary, rt, replace(options or ParseOptions(),
+                                thread_local_cache=True))
+        #: merged decode cache: the parser's own, so what the deltas
+        #: bring and what the replay decodes sit in one dict.
+        self.warm = self.parser.local_decode_cache()
         #: every installed block by start (cross-fragment ownership guard)
         self.blocks: dict[int, Block] = {}
-        self._parser: ParallelParser | None = None
         #: installed fragments by shard id (their frontiers replay in
         #: :meth:`finish`)
         self._frags: dict[int, CFGFragment] = {}
-
-    @property
-    def parser(self) -> ParallelParser:
-        """The merged-state parser (created on first use).
-
-        Lazy because the parser treats an empty warm cache as "no warm
-        cache" — constructing it after the first delta's instructions
-        land keeps the shared ``warm`` dict wired in.
-        """
-        if self._parser is None:
-            self._parser = ParallelParser(self.binary, self.rt, self.opts,
-                                          warm_cache=self.warm)
-        return self._parser
 
     def accept(self, fragment: CFGFragment,
                insns: dict[int, Instruction] | None = None,
                streamed: bool = False) -> bool:
         """Install one shard's fragment into the merged graph.
 
-        ``insns`` is the shard's decode cache (merged into the warm
-        cache before the rebuild resolves instructions from it);
+        ``insns`` is the shard's decode cache (merged into ``warm``
+        before the rebuild resolves instructions from it);
         ``streamed`` marks an install that overlapped the fan-out, for
         the ``procs.overlap.*`` metrics.  Returns False (and installs
         nothing) for a shard that already has a fragment installed.
@@ -338,12 +325,9 @@ class StreamingMerge:
     # --------------------------------------------------------- frontier replay
 
     def _insn_at(self, addr: int) -> Instruction:
-        """Resolve an instruction for replay: merged warm cache, then the
-        coordinator's own decode cache (cascade-parsed blocks), then a
-        direct deterministic decode."""
+        """Resolve an instruction for replay: the merged decode cache,
+        then a direct deterministic decode."""
         insn = self.warm.get(addr)
-        if insn is None:
-            insn = self.parser.local_decode_cache().get(addr)
         if insn is None:
             insn = self.parser.decoder.decode_at(addr)
         return insn

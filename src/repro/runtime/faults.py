@@ -294,17 +294,17 @@ def corrupt_delta(plan: FaultPlan | None, delta: Any, shard_id: int,
 
 # ------------------------------------------------------- delta integrity
 
-def seal_delta(delta: Any, fragment: Any, insns: dict, counts: tuple,
+def seal_delta(delta: Any, fragment: Any, insns: dict,
                metrics: dict | None) -> None:
     """Pack everything the coordinator reads into one payload and stamp it.
 
     The producer's half of the hand-off: one ``pickle.dumps`` over the
     fragment, the decode cache as instruction columns
-    (:mod:`repro.isa.columns`), the counts and the worker metrics
-    snapshot, then one hash over the resulting bytes.
+    (:mod:`repro.isa.columns`) and the worker metrics snapshot, then
+    one hash over the resulting bytes.
     """
     delta.payload = pickle.dumps(
-        (fragment, pack_instructions(insns), counts, metrics),
+        (fragment, pack_instructions(insns), metrics),
         pickle.HIGHEST_PROTOCOL)
     delta.digest = delta_digest(delta)
 
@@ -314,7 +314,7 @@ def delta_digest(delta: Any) -> str:
     ``shard_id:attempt:`` header and the payload bytes.
 
     Covers everything the payload carries — block, edge and function
-    records, instruction *values*, counts, worker metrics — and binds it
+    records, instruction *values*, worker metrics — and binds it
     to the attempt it was produced on.  Stamped once by the producer and
     recomputed once by the collector; any mismatch (bit rot, truncation,
     an injected ``corrupt`` fault, a re-stamped header) makes the delta
@@ -332,8 +332,7 @@ def delta_error(delta: Any) -> str | None:
     delta; a non-None reason counts as a failed attempt exactly like a
     worker exception.  Only a payload whose digest matched is ever
     unpickled: an intact delta is *opened* in place (``fragment``,
-    ``insns``, ``counts`` and ``metrics`` filled in, the payload bytes
-    released).
+    ``insns`` and ``metrics`` filled in, the payload bytes released).
     """
     if delta is None:
         return "no delta returned"
@@ -345,8 +344,7 @@ def delta_error(delta: Any) -> str | None:
         return "delta carries no integrity digest"
     if delta_digest(delta) != delta.digest:
         return "corrupt delta: content digest mismatch"
-    delta.fragment, columns, delta.counts, delta.metrics = \
-        pickle.loads(delta.payload)
+    delta.fragment, columns, delta.metrics = pickle.loads(delta.payload)
     delta.payload = None
     delta.insns = unpack_instructions(columns)
     return None

@@ -51,9 +51,9 @@ Execution model
    *sealed* around one ``bytes`` payload: its
    :class:`~repro.core.shard_merge.CFGFragment` (block, end and edge
    columns; function, jump-table and noreturn records), its decode
-   cache as instruction columns (:mod:`repro.isa.columns`), its counts
-   and its metrics snapshot, pickled once and stamped with one sha256
-   over the bytes.  Whoever collects the delta — the dispatch loop, the
+   cache as instruction columns (:mod:`repro.isa.columns`) and its
+   metrics snapshot, pickled once and stamped with one sha256 over the
+   bytes.  Whoever collects the delta — the dispatch loop, the
    in-process map, the inline rung — recomputes that hash once and only
    then unpickles (:func:`repro.runtime.faults.delta_error`).
 5. **Streaming structural merge (coordinator)** — the coordinator
@@ -290,8 +290,6 @@ class ShardDelta:
     fragment: Any | None = None
     #: the worker's decode cache: addr -> decoded Instruction
     insns: dict[int, Any] = field(default_factory=dict)
-    #: (functions, blocks, edges) of the worker-local fragment
-    counts: tuple[int, int, int] = (0, 0, 0)
     #: worker registry snapshot (``repro.metrics/1``), or None
     metrics: dict | None = None
 
@@ -359,8 +357,6 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     delta = ShardDelta(task.shard_id, attempt)
     seal_delta(
         delta, frag, parser.local_decode_cache(),
-        counts=(len(frag.functions), len(frag.blocks[0]),
-                len(frag.edges[0])),
         metrics=rt.metrics.snapshot() if enable_metrics else None)
     return delta
 
@@ -669,7 +665,8 @@ class ProcsRuntime(SerialRuntime):
                         d.error or "delta reached the merge unopened")
                 shard_insns_total += len(d.insns)
                 if m.enabled:
-                    m.inc("procs.shard_functions", d.counts[0])
+                    m.inc("procs.shard_functions",
+                          len(d.fragment.functions))
                     m.inc("procs.shard_insns_decoded", len(d.insns))
                     if d.metrics is not None:
                         m.merge_snapshot(d.metrics, prefix="workers.")

@@ -1,9 +1,8 @@
 """One schema layer: every versioned JSON sidecar, stated as a table.
 
-The repository's results are seven JSON documents — run report,
-metrics snapshot, race sweep, procs-parallelism benchmark sidecar, fuzz
-campaign report, corpus report, findings — and this module is the one
-executable statement of what each holds:
+The repository's results are six JSON documents — run report, metrics
+snapshot, race sweep, fuzz campaign report, corpus report, findings —
+and this module is the one executable statement of what each holds:
 
 - a small spec vocabulary (:class:`Num`, :class:`Is`, :class:`OneOf`,
   :class:`Nullable`, :class:`ListOf`, :class:`MapOf`, :class:`Obj`
@@ -38,10 +37,6 @@ from typing import Any
 RUN_REPORT_SCHEMA = "repro.run-report/1"
 METRICS_SCHEMA = "repro.metrics/1"
 RACES_SCHEMA = "repro.races/1"
-#: Rev 4 only: per row the wall columns and their ``speedup``, the
-#: transport / overlap columns and the per-phase breakdown; at the top
-#: level ``cores``, the CPU cores the harness machine exposed.
-BENCH_PROCS_SCHEMA = "repro.bench-procs/4"
 FUZZ_REPORT_SCHEMA = "repro.fuzz-report/1"
 #: A pinned fuzz-corpus case; the report embeds minimized repros as such.
 FUZZ_CASE_SCHEMA = "repro.fuzz-case/1"
@@ -82,18 +77,17 @@ def is_num(v: Any) -> bool:
 class Num:
     """A number (an int when ``integral``), optionally bounded below."""
 
-    def __init__(self, lo: float | None = None, *, integral: bool = False,
-                 strict: bool = False) -> None:
-        self.lo, self.integral, self.strict = lo, integral, strict
+    def __init__(self, lo: float | None = None, *,
+                 integral: bool = False) -> None:
+        self.lo, self.integral = lo, integral
         self.what = "an int" if integral else "a finite number"
         if lo is not None:
-            self.what += f" {'>' if strict else '>='} {lo}"
+            self.what += f" >= {lo}"
 
     def accepts(self, v: Any) -> bool:
         if not (is_int(v) if self.integral else is_num(v)):
             return False
-        return (self.lo is None
-                or (v > self.lo if self.strict else v >= self.lo))
+        return self.lo is None or v >= self.lo
 
 
 class Is:
@@ -285,18 +279,6 @@ SCHEMAS: dict[str, Obj] = {
         findings=ListOf(Obj(location=STR, kind=OneOf(*RACE_KINDS),
                             sites=ListOf(STR, length=2), count=INT1,
                             first_seed=Nullable(INT)))),
-    BENCH_PROCS_SCHEMA: Obj(
-        schema=OneOf(BENCH_PROCS_SCHEMA), scale=Num(0, strict=True),
-        workers=INT1, cores=INT1,
-        rows=ListOf(min_len=1, item=Obj(
-            binary=STR, workers=INT1, serial_wall_s=NUM0,
-            procs_wall_s=NUM0, speedup=NUM0, fanout_wall_s=NUM0,
-            shards=INT0, pool_fallback=INT0, merged_cache_insns=INT0,
-            duplicate_insns=INT0, frontier_records=Opt(INT0),
-            shm_bytes=INT0, shm_fallback=INT0, overlap_fragments=INT0,
-            overlap_install_wall_s=NUM0, install_wall_s=NUM0,
-            frontier_wall_s=NUM0, wave_wall_s=NUM0,
-            finalize_wall_s=NUM0))),
     FUZZ_REPORT_SCHEMA: Obj(
         schema=OneOf(FUZZ_REPORT_SCHEMA), seed=INT, runs=INT1,
         presets=ListOf(STR, min_len=1), axes=ListOf(STR, min_len=1),
@@ -378,23 +360,6 @@ def _check_metrics(doc: dict) -> Iterator[str]:
 def _check_races(doc: dict) -> Iterator[str]:
     yield from _agree("$.schedules", doc["schedules"], "len(seeds)",
                       len(doc["seeds"]))
-
-
-def _check_bench_procs(doc: dict) -> Iterator[str]:
-    for i, row in enumerate(doc["rows"]):
-        s, p, spd = row["serial_wall_s"], row["procs_wall_s"], row["speedup"]
-        if p > 0:
-            # All three columns are recorded rounded to 4 decimals,
-            # so the stored speedup may differ from the ratio of the
-            # stored wall times by at most the propagated half-ulp:
-            # 5e-5 on speedup itself, plus (5e-5 / p) * (1 + s/p)
-            # from the numerator and denominator.  Beyond that the
-            # row is internally inconsistent.
-            tol = 5e-5 * (1.0 + (1.0 + s / p) / p) + 1e-9
-            if not abs(spd - s / p) <= tol:
-                yield (f"$.rows[{i}].speedup {spd} inconsistent with "
-                       f"serial_wall_s/procs_wall_s = {s / p} "
-                       f"(rounding tolerance {tol:.2e})")
 
 
 def _check_fuzz_report(doc: dict) -> Iterator[str]:
@@ -488,7 +453,6 @@ _HOOKS = {
     RUN_REPORT_SCHEMA: _check_run_report,
     METRICS_SCHEMA: _check_metrics,
     RACES_SCHEMA: _check_races,
-    BENCH_PROCS_SCHEMA: _check_bench_procs,
     FUZZ_REPORT_SCHEMA: _check_fuzz_report,
     CORPUS_REPORT_SCHEMA: _check_corpus_report,
     FINDINGS_SCHEMA: _check_findings,
@@ -511,7 +475,6 @@ def validate(doc: Any, schema_id: str) -> list[str]:
 
 validate_report = partial(validate, schema_id=RUN_REPORT_SCHEMA)
 validate_races = partial(validate, schema_id=RACES_SCHEMA)
-validate_bench_procs = partial(validate, schema_id=BENCH_PROCS_SCHEMA)
 validate_fuzz_report = partial(validate, schema_id=FUZZ_REPORT_SCHEMA)
 validate_corpus_report = partial(validate, schema_id=CORPUS_REPORT_SCHEMA)
 validate_findings = partial(validate, schema_id=FINDINGS_SCHEMA)

@@ -234,10 +234,11 @@ class TestStackBalance:
         assert res.findings == []
 
     def test_top_summary_survives_a_process_boundary(self):
-        """A procs pool worker sees *unpickled* external summaries, so
-        the TOP sentinel arrives as an equal-but-not-identical string.
-        The transfer must compare by equality, not identity (found by
-        the 30-binary analysis-differential corpus on the real pool:
+        """A unit that crossed a process boundary carries *unpickled*
+        external summaries, so the TOP sentinel arrives as an
+        equal-but-not-identical string.  The transfer must compare by
+        equality, not identity (found by the 30-binary
+        analysis-differential corpus when units went to a worker pool:
         ``h + "top"`` raised TypeError)."""
         import pickle
 
@@ -256,7 +257,7 @@ class TestStackBalance:
         cfg = parse_binary(binary, SerialRuntime())
         func = next(f for f in cfg.functions() if f.name == "caller")
         checker = make_checker("stack-balance")
-        plan = snapshot_function(func, set(), {}).compile([checker])
+        plan = snapshot_function(func, set(), {}).with_effects([checker])
         top_copy = pickle.loads(pickle.dumps(TOP))
         if top_copy is TOP:  # in case unpickling ever interns
             top_copy = "".join(TOP)

@@ -3,30 +3,39 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass, fields
 
 import pytest
 
 from repro.analyses import checkers, interproc
-from repro.analyses.checkers import ALL_CHECKS, Checker, make_checker
+from repro.analyses.callgraph import build_call_graph
+from repro.analyses.checkers import (
+    ALL_CHECKS,
+    Checker,
+    FuncPlan,
+    make_checker,
+)
+from repro.analyses.common import INTRA_EDGES
 from repro.analyses.findings import canonical_bytes, findings_document
 from repro.analyses.interproc import (
-    FuncUnit,
     SCCUnit,
     analyze_unit,
     run_checkers,
     snapshot_function,
 )
 from repro.core import parse_binary
+from repro.core.cfg import EdgeType
 from repro.isa import Cond, Opcode, Reg
 from repro.runtime import (
     ProcsRuntime,
     SerialRuntime,
     ThreadRuntime,
     VirtualTimeRuntime,
+    procs,
 )
 from repro.synth import hostile_binary, tiny_binary
 from repro.synth.asm import L
-from tests.core.test_parallel_parser import make_binary
+from tests.analyses.test_interproc_pins import CORPUS
 
 
 @pytest.fixture(scope="module")
@@ -34,35 +43,123 @@ def tiny_cfg():
     return parse_binary(tiny_binary().binary, SerialRuntime())
 
 
+# The two-step ``snapshot_function`` replaced, verbatim from its last
+# commit: flatten the function into address-keyed tuples, then re-derive
+# the plan's index arrays from them.  Kept as the oracle for the order
+# contract (successor, predecessor and tail-call tie-break order fix the
+# worklist's visit order, hence ``rounds``).
+
+@dataclass(frozen=True)
+class _OracleUnit:
+    entry: int
+    name: str
+    blocks: tuple
+    edges: tuple
+    tailcalls: tuple
+    jump_tables: tuple
+
+    def compile(self, checkers):
+        starts = tuple(start for start, _, _ in self.blocks)
+        insns = tuple(body for _, _, body in self.blocks)
+        index = {start: i for i, start in enumerate(starts)}
+        preds = [[] for _ in starts]
+        succs = [[] for _ in starts]
+        for src, dst, _ in self.edges:
+            succs[index[src]].append(index[dst])
+            preds[index[dst]].append(index[src])
+        tailcalls = dict(self.tailcalls)
+        exits = []
+        for i, body in enumerate(insns):
+            if body and body[-1].is_ret:
+                kind = "ret"
+            elif starts[i] in tailcalls:
+                kind = "tailcall"
+            else:
+                continue
+            exits.append((i, kind, body[-1].address if body else starts[i],
+                          tailcalls.get(starts[i])))
+        return FuncPlan(
+            entry=self.entry, name=self.name, starts=starts, insns=insns,
+            preds=tuple(map(tuple, preds)), succs=tuple(map(tuple, succs)),
+            at_entry=tuple(start == self.entry for start in starts),
+            exits=tuple(exits), jump_tables=self.jump_tables,
+            effects={c.name: tuple(map(c.compile_block, insns))
+                     for c in checkers})
+
+
+def _oracle_snapshot(func, entry_set, jt_by_block):
+    live = sorted((b for b in func.blocks if not b.is_empty),
+                  key=lambda b: b.start)
+    member = {b.start for b in live}
+    blocks = tuple((b.start, b.end, tuple(b.insns)) for b in live)
+    edges = []
+    tailcalls = []
+    tables = []
+    for b in live:
+        for e in b.out_edges:
+            if e.etype in INTRA_EDGES and e.dst.start in member:
+                edges.append((b.start, e.dst.start, e.etype.value))
+            elif e.etype is EdgeType.TAILCALL:
+                target = (e.dst.start if e.dst.start in entry_set
+                          else None)
+                tailcalls.append((b.start, target))
+        tables.extend(jt_by_block.get(b.start, ()))
+    return _OracleUnit(
+        entry=func.addr, name=func.name, blocks=blocks,
+        edges=tuple(sorted(set(edges))),
+        tailcalls=tuple(sorted(set(tailcalls),
+                               key=lambda t: (t[0], t[1] or -1))),
+        jump_tables=tuple(sorted(tables, key=lambda j: j.block_start)))
+
+
+def _snapshot_args(cfg):
+    jt_by_block = {}
+    for jt in cfg.jump_tables:
+        jt_by_block.setdefault(jt.block_start, []).append(jt)
+    return set(build_call_graph(cfg).entries), jt_by_block
+
+
+@pytest.mark.parametrize("key", list(CORPUS))
+def test_plan_equals_the_two_step_it_replaced(key):
+    """Field for field, on every function of the pinned binaries: any
+    reordering of preds / succs or a changed tail-call tie-break fails
+    here before it shows up as a different ``rounds``."""
+    cfg = parse_binary(CORPUS[key]().binary, SerialRuntime())
+    entry_set, jt_by_block = _snapshot_args(cfg)
+    for func in cfg.functions():
+        plan = snapshot_function(func, entry_set, jt_by_block)
+        want = _oracle_snapshot(func, entry_set, jt_by_block).compile([])
+        assert plan.effects == {}
+        for f in fields(FuncPlan):
+            assert getattr(plan, f.name) == getattr(want, f.name), \
+                (func.name, f.name)
+
+
 class TestUnits:
     def test_snapshot_is_picklable_and_self_contained(self, tiny_cfg):
-        from repro.analyses.callgraph import build_call_graph
-
-        graph = build_call_graph(tiny_cfg)
-        jt_by_block = {}
-        for jt in tiny_cfg.jump_tables:
-            jt_by_block.setdefault(jt.block_start, []).append(jt)
         func = max(tiny_cfg.functions(), key=lambda f: len(f.blocks))
-        unit = snapshot_function(func, set(graph.entries), jt_by_block)
-        clone = pickle.loads(pickle.dumps(unit))
-        assert clone == unit
-        plan = clone.compile([make_checker(n) for n in ALL_CHECKS])
+        plan = snapshot_function(func, *_snapshot_args(tiny_cfg))
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and plan.effects == {}
+        plan = clone.with_effects([make_checker(n) for n in ALL_CHECKS])
+        assert clone.effects == {}  # a new plan; units share the old one
         assert plan.entry == func.addr
         assert len(plan.starts) == len(plan.insns) == sum(
             1 for b in func.blocks if not b.is_empty)
+        assert sorted(plan.effects) == sorted(ALL_CHECKS)
         assert all(len(effects) == len(plan.starts)
                    for effects in plan.effects.values())
 
     def test_plan_rebuilds_edges_both_ways(self, tiny_cfg):
         func = max(tiny_cfg.functions(), key=lambda f: len(f.blocks))
-        unit = snapshot_function(func, {f.addr for f in
-                                        tiny_cfg.functions()}, {})
-        plan = unit.compile([])
-        assert sum(map(len, plan.succs)) == len(unit.edges) > 0
+        entry_set = {f.addr for f in tiny_cfg.functions()}
+        plan = snapshot_function(func, entry_set, {})
+        n_edges = len(_oracle_snapshot(func, entry_set, {}).edges)
+        assert sum(map(len, plan.succs)) == n_edges > 0
         for src, out in enumerate(plan.succs):
             for dst in out:
                 assert plan.preds[dst].count(src) == out.count(dst)
-        assert sum(map(len, plan.preds)) == len(unit.edges)
+        assert sum(map(len, plan.preds)) == n_edges
         assert plan.at_entry.count(True) == 1
         assert plan.starts[plan.at_entry.index(True)] == func.addr
 
@@ -144,6 +241,15 @@ def unit_log(monkeypatch):
     return log
 
 
+def _assert_real_procs_runtime_equals_inline(cfg):
+    ref = run_checkers(cfg, "all")
+    res = run_checkers(cfg, "all", rt=ProcsRuntime(2))
+    assert res.findings == ref.findings
+    assert res.summaries == ref.summaries
+    assert res.stats == ref.stats and res.stats["rounds"] >= 1
+    assert not any(key.startswith("pool_") for key in res.stats)
+
+
 class _FlipChecker(Checker):
     """Deliberately non-monotone: a recursive function's summary is the
     negation of what it just looked up, so no round is ever stable."""
@@ -172,6 +278,11 @@ class _FlipChecker(Checker):
 class TestFixpointRounds:
     @pytest.fixture(scope="class")
     def recursive_cfg(self):
+        # make_binary's module needs hypothesis; the plan oracle above
+        # must also run on the minimal install (CI's no-hypothesis step).
+        pytest.importorskip("hypothesis")
+        from tests.core.test_parallel_parser import make_binary
+
         names = ("A", "B", "C", "S", "T1", "T2")
         binary, _ = make_binary(_recursive_program, {n: n for n in names})
         return parse_binary(binary, SerialRuntime())
@@ -184,7 +295,7 @@ class TestFixpointRounds:
         for unit, result in unit_log:
             by_members[tuple(f.name for f in unit.funcs)] = result
             cs = [make_checker(n) for n in unit.checks]
-            plans = {u.entry: u.compile(cs) for u in unit.funcs}
+            plans = {p.entry: p.with_effects(cs) for p in unit.funcs}
             scratch = []
             for c in cs:
                 final = {**unit.external.get(c.name, {}),
@@ -218,11 +329,14 @@ class TestFixpointRounds:
         entry = unit.funcs[0].entry
         assert any(insn.opcode is Opcode.CALL
                    and insn.direct_target == entry
-                   for _, _, body in unit.funcs[0].blocks for insn in body)
+                   for body in unit.funcs[0].insns for insn in body)
         assert result["rounds"] >= 2 and not result["capped"]
         # bottom (all defined) would have hidden S's undefined R5.
         assert result["summaries"]["uninit-reg"][entry] \
             != make_checker("uninit-reg").bottom()
+
+    def test_procs_runtime_equals_inline(self, recursive_cfg):
+        _assert_real_procs_runtime_equals_inline(recursive_cfg)
 
     def test_round_cap_is_reported_and_deterministic(
             self, recursive_cfg, unit_log, monkeypatch):
@@ -270,6 +384,26 @@ class TestScheduleIndependence:
                 binary, ProcsRuntime(n, in_process=True)) == ref, n
 
 
+    def test_procs_runtime_equals_inline_and_forks_nothing(
+            self, monkeypatch):
+        """A ``ProcsRuntime`` shards the parse; its checkers run here,
+        where the CFG is.  They used to ask the shared pool for
+        ``num_workers`` processes, which tore down and re-forked the
+        pool the parse had sized to the core count."""
+        asked = []
+
+        def no_pool(ctx, size):
+            asked.append(size)
+            raise RuntimeError("the checkers asked for a worker pool")
+
+        monkeypatch.setattr(procs, "_shared_pool", no_pool)
+        binary = hostile_binary("hostile-all", seed=9, n_functions=14).binary
+        cfg = parse_binary(binary, SerialRuntime())
+        _assert_real_procs_runtime_equals_inline(cfg)
+        run_checkers(cfg, "all", rt=ProcsRuntime(8))
+        assert asked == []
+
+
 class TestRun:
     def test_stats_shape(self, tiny_cfg):
         res = run_checkers(tiny_cfg, "all")
@@ -278,7 +412,7 @@ class TestRun:
         assert s["sccs"] >= 1 and s["waves"] >= 1
         assert s["rounds"] >= s["sccs"]  # every SCC iterates at least once
         assert s["findings"] == len(res.findings)
-        assert s["pool_units"] == 0  # no procs pool in this run
+        assert not any(key.startswith("pool_") for key in s)
 
     def test_summaries_cover_every_entry_and_check(self, tiny_cfg):
         res = run_checkers(tiny_cfg, "all")

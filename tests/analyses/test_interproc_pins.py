@@ -4,7 +4,7 @@
 ``repro.findings/1`` bytes and of ``repr`` of the sorted per-function
 summaries, recorded with the checkers that walked a rebuilt
 ``Function`` graph instruction by instruction, three passes per
-function — before ``FuncUnit.compile`` and the block effects.
+function — before the compiled plans and the block effects.
 Replaying them is that change's "same summaries, same findings"
 contract over three LLNL2-like binaries, a TF-like one and four seeds
 of every hostile preset.

@@ -13,6 +13,15 @@ def run_cli(capsys, *argv):
     return rc, json.loads(out)
 
 
+def exit_status(*argv):
+    """What the shell sees: ``main``'s return value, or the status
+    argparse exits with when it rejects the command line itself."""
+    try:
+        return main(list(argv))
+    except SystemExit as e:
+        return e.code
+
+
 class TestCli:
     def test_synth_tiny(self, capsys):
         rc, out = run_cli(capsys, "synth", "tiny")
@@ -117,6 +126,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        "parse tiny --backend procs --max-retries -1",
+        "parse tiny --backend procs --fault-plan bogus@1",
+        "parse nosuchfile.sbin",
+        "parse tiny -j 0",
+        "sweep tiny --workers-list 1,,2",
+        "fuzz --runs 0",
+        "analyze --corpus 2 --preset bogus",
+        "check --races --fixture nope",
+        "hpcstruct tiny --backend procs",
+        "binfeat --backend procs",
+        "hpcstruct tiny --max-retries 2",
+    ])
+    def test_bad_input_is_one_error_line_and_exit_2(self, capsys, argv):
+        assert exit_status(*argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
 
 class TestCliFuzz:
     def test_fuzz_clean_campaign(self, capsys, tmp_path):
@@ -151,9 +179,8 @@ class TestCliFuzz:
         assert open(a).read() == open(b).read()
 
     def test_fuzz_rejects_unknown_preset(self, capsys):
-        with pytest.raises(ValueError, match="unknown preset"):
-            main(["fuzz", "--runs", "1", "--preset", "bogus"])
-        capsys.readouterr()
+        assert exit_status("fuzz", "--runs", "1", "--preset", "bogus") == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestCliAnalyze:
@@ -197,8 +224,8 @@ class TestCliAnalyze:
         assert out["checks"] == ["jt-bounds", "stack-balance"]
 
     def test_analyze_rejects_unknown_check(self, capsys):
-        rc = main(["analyze", "tiny", "--checks", "bogus"])
-        capsys.readouterr()
+        rc = exit_status("analyze", "tiny", "--checks", "bogus")
+        assert "unknown check 'bogus'" in capsys.readouterr().err
         assert rc == 2
 
     def test_analyze_requires_a_target(self, capsys):

@@ -182,7 +182,8 @@ class TestFrontierReplay:
         assert cfg.signature() == _SERIAL_SIG
         assert rt.metrics.counter("procs.frontier.records") == n_records
         # The merge's four phase timers all exist (the fifth, fan-out,
-        # is the dispatch loop's; CI's procs-smoke asserts all five).
+        # is the dispatch loop's; tests/runtime/test_procs.py asserts
+        # all five on the real pool).
         for name in ("install", "frontier", "wave", "finalize"):
             assert rt.metrics.histogram(
                 f"procs.phase.{name}_wall_ns") is not None, name
@@ -233,7 +234,7 @@ class TestFrontierReplay:
     def _undecodable_cond(frag):
         """A ``cond`` record whose branch address lies outside the code."""
         return FrontierRecord(
-            seq=len(frag.frontier), kind="cond",
+            kind="cond",
             func_addr=frag.functions[0][0], block_start=frag.blocks[0][0],
             end_addr=None, target=None, last_addr=ADDRESS_CEILING - 8,
             etype=None, site=None)

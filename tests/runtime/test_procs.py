@@ -14,7 +14,7 @@ from repro.runtime.procs import (
 )
 from repro.runtime.tracefmt import run_report
 from repro.schema import validate_report
-from repro.synth import tiny_binary
+from repro.synth import hpcstruct_binaries, tiny_binary
 
 
 class TestShardRegions:
@@ -148,6 +148,23 @@ class TestProcsRuntime:
         # a serial re-parse: fragments were imported and stitched.
         assert rt.metrics.counter("procs.merge.blocks") > 0
         assert rt.metrics.counter("procs.shards") == 4
+
+    def test_table1_binaries_on_the_pool_match_serial_and_time_every_phase(
+            self):
+        """The four Table-1 presets, sharded 2 and 4 ways over the real
+        worker pool: the serial fixed point, and every coordinator
+        phase observed (docs/OBSERVABILITY.md's ``procs.phase.*``)."""
+        for sb in hpcstruct_binaries(scale=0.1):
+            want = parse_binary(sb.binary, SerialRuntime()).signature()
+            for workers in (2, 4):
+                rt = ProcsRuntime(workers)
+                assert parse_binary(sb.binary, rt).signature() == want, \
+                    (sb.name, workers)
+                for phase in ("fanout", "install", "frontier", "wave",
+                              "finalize"):
+                    assert rt.metrics.histogram(
+                        f"procs.phase.{phase}_wall_ns") is not None, \
+                        (sb.name, workers, phase)
 
     def test_run_report_backend_and_unit(self):
         rt = ProcsRuntime(2, in_process=True)

@@ -13,13 +13,7 @@ from repro.runtime.tracefmt import (
     trace_from_json,
     trace_to_json,
 )
-from repro.schema import (
-    BENCH_PROCS_SCHEMA,
-    RACES_SCHEMA,
-    validate_bench_procs,
-    validate_races,
-    validate_report,
-)
+from repro.schema import RACES_SCHEMA, validate_races, validate_report
 
 FREE = CostModel(spawn=0, task_pop=0, lock_handoff=0, map_op=0)
 
@@ -202,113 +196,6 @@ class TestJsonExport:
         assert "histogram (cycles)" in out
         assert render_metrics({"counters": {}, "histograms": {}}) == \
             "(no metrics)"
-
-
-class TestBenchProcsValidator:
-    _REV4_PHASE_COLS = ("install_wall_s", "frontier_wall_s",
-                        "wave_wall_s", "finalize_wall_s")
-
-    @staticmethod
-    def _sidecar(schema=BENCH_PROCS_SCHEMA):
-        return {
-            "schema": schema,
-            "scale": 0.15,
-            "workers": 4,
-            "cores": 4,
-            "rows": [{
-                "binary": "LLNL1-like",
-                "workers": 4,
-                "serial_wall_s": 0.05,
-                "procs_wall_s": 0.2,
-                "speedup": 0.25,
-                "fanout_wall_s": 0.15,
-                "shards": 4,
-                "pool_fallback": 0,
-                "merged_cache_insns": 1000,
-                "duplicate_insns": 12,
-                "shm_bytes": 65536,
-                "shm_fallback": 0,
-                "overlap_fragments": 3,
-                "overlap_install_wall_s": 0.01,
-                "install_wall_s": 0.008,
-                "frontier_wall_s": 0.004,
-                "wave_wall_s": 0.002,
-                "finalize_wall_s": 0.006,
-            }],
-        }
-
-    def test_rev4_sidecar_validates(self):
-        doc = self._sidecar()
-        assert validate_bench_procs(doc) == []
-        # Full JSON round trip preserves validity.
-        assert validate_bench_procs(json.loads(json.dumps(doc))) == []
-
-    def test_rev2_requires_speedup_and_duplicates(self):
-        doc = self._sidecar()
-        del doc["rows"][0]["speedup"]
-        assert any("speedup" in p for p in validate_bench_procs(doc))
-        doc = self._sidecar()
-        del doc["rows"][0]["duplicate_insns"]
-        assert any("duplicate_insns" in p
-                   for p in validate_bench_procs(doc))
-
-    def test_rev3_requires_transport_and_overlap_columns(self):
-        for col in ("shm_bytes", "shm_fallback", "overlap_fragments",
-                    "overlap_install_wall_s"):
-            doc = self._sidecar()
-            del doc["rows"][0][col]
-            assert any(col in p for p in validate_bench_procs(doc)), col
-        doc = self._sidecar()
-        doc["rows"][0]["shm_fallback"] = 0.5  # counters must be ints
-        assert any("shm_fallback" in p for p in validate_bench_procs(doc))
-
-    def test_rev4_requires_phase_columns_and_cores(self):
-        for col in self._REV4_PHASE_COLS:
-            doc = self._sidecar()
-            del doc["rows"][0][col]
-            assert any(col in p for p in validate_bench_procs(doc)), col
-        doc = self._sidecar()
-        del doc["cores"]
-        assert any("cores" in p for p in validate_bench_procs(doc))
-        doc = self._sidecar()
-        doc["cores"] = 0
-        assert any("cores" in p for p in validate_bench_procs(doc))
-
-    def test_rev2_speedup_must_match_walls(self):
-        doc = self._sidecar()
-        doc["rows"][0]["speedup"] = 3.0  # serial/procs is actually 0.25
-        assert any("inconsistent" in p for p in validate_bench_procs(doc))
-
-    def test_speedup_rounding_tolerance_is_tight(self):
-        # Within 4-decimal rounding of the wall columns: accepted.  The
-        # true walls 0.05004/0.19996 round to the stored 0.05/0.2 while
-        # their true ratio rounds to 0.2503.
-        doc = self._sidecar()
-        doc["rows"][0]["speedup"] = 0.2503
-        assert validate_bench_procs(doc) == []
-        # Just beyond what rounding can explain: rejected.  The old
-        # validator's 1% relative slack let this through.
-        doc = self._sidecar()
-        doc["rows"][0]["speedup"] = 0.2515
-        assert any("inconsistent" in p for p in validate_bench_procs(doc))
-
-    def test_structural_corruption_flagged(self):
-        assert validate_bench_procs("not a dict")
-        assert validate_bench_procs({"schema": "repro.bench-procs/99"})
-        # Older revisions are rejected outright, naming the one accepted.
-        for rev in (1, 2, 3):
-            errs = validate_bench_procs(
-                self._sidecar(schema=f"repro.bench-procs/{rev}"))
-            assert len(errs) == 1 and BENCH_PROCS_SCHEMA in errs[0], rev
-        doc = self._sidecar()
-        doc["rows"] = []
-        assert validate_bench_procs(doc)
-        doc = self._sidecar()
-        doc["rows"][0]["shards"] = -1
-        assert any("shards" in p for p in validate_bench_procs(doc))
-        doc = self._sidecar()
-        doc["scale"] = 0
-        assert any("scale" in p for p in validate_bench_procs(doc))
 
 
 class TestRacesValidator:

@@ -10,7 +10,6 @@ from repro.apps.hpcstruct import hpcstruct
 from repro.runtime import VirtualTimeRuntime
 from repro.schema import (
     BANNED,
-    BENCH_PROCS_SCHEMA,
     METRICS_SCHEMA,
     RUN_REPORT_SCHEMA,
     SCHEMAS,
@@ -157,9 +156,7 @@ class TestSchemaTables:
         ("OBSERVABILITY.md", "\nHistogram object:\n",
          _METRICS.fields["histograms"].value),
         ("OBSERVABILITY.md", "\n### `trace`\n", _REPORT.fields["trace"].spec),
-        ("PERFORMANCE.md", "\n## The benchmark and its sidecar columns\n",
-         SCHEMAS[BENCH_PROCS_SCHEMA].fields["rows"].item),
-    ], ids=["run-report", "metrics", "histogram", "trace", "bench-row"])
+    ], ids=["run-report", "metrics", "histogram", "trace"])
     def test_table_matches_schema(self, doc, heading, spec):
         documented = self._documented(doc, heading)
         table = {k: type(sub) is Opt for k, sub in spec.fields.items()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +22,6 @@ from repro.runtime import ProcsRuntime
 from repro.runtime.faults import FaultPlan
 from repro.runtime.tracefmt import run_report
 from repro.schema import (
-    BENCH_PROCS_SCHEMA,
     CORPUS_REPORT_SCHEMA,
     FINDINGS_SCHEMA,
     FUZZ_REPORT_SCHEMA,
@@ -40,7 +38,6 @@ from repro.schema import (
     Opt,
     check,
     validate,
-    validate_bench_procs,
     validate_corpus_report,
     validate_findings,
     validate_fuzz_report,
@@ -53,8 +50,6 @@ from repro.synth import tiny_binary
 from tests.analyses import test_findings as findings_fixture
 from tests.corpus import test_driver as corpus_fixture
 from tests.runtime import test_tracefmt as tracefmt_fixture
-
-REPO = Path(__file__).resolve().parents[1]
 
 _DELETE = object()
 #: What every leaf is replaced by: one value of each JSON type, plus
@@ -84,16 +79,12 @@ def documents(tmp_path_factory):
             tmp, plan=FaultPlan.from_spec("binary-crash@1x99"))
         corpus = corpus_fixture._report(tmp)
 
-    # The committed sidecar is what the benchmark wrote.
-    bench = json.loads(
-        (REPO / "benchmarks" / "out" / "procs_parallelism.json").read_text())
     docs = {
         "traced": (RUN_REPORT_SCHEMA,
                    run_report(traced, workload="w", races=sweep)),
         "faulted": (RUN_REPORT_SCHEMA, run_report(faulted, workload="tiny")),
         "metrics": (METRICS_SCHEMA, traced.metrics.snapshot()),
         "races": (RACES_SCHEMA, sweep),
-        "bench": (BENCH_PROCS_SCHEMA, bench),
         "fuzz": (FUZZ_REPORT_SCHEMA,
                  tracefmt_fixture.TestFuzzReportSchema._campaign(
                      minimize=True)),
@@ -191,7 +182,7 @@ class TestMutationSweep:
             assert doc == pristine  # the sweep undid itself
         # The fixtures are not degenerate: thousands of mutants, most
         # of them caught.
-        assert n > 4000 and rejected > n // 2, (n, rejected)
+        assert n > 3000 and rejected > n // 2, (n, rejected)
 
     def test_every_schema_id_has_a_document(self, documents):
         assert {sid for sid, _ in documents.values()} == set(SCHEMAS)
@@ -258,15 +249,15 @@ class TestReportsNotRaises:
         assert any(p.startswith("$.cases[0].reference must be a string")
                    for p in problems), problems
 
-    def test_number_no_float_can_hold(self):
-        # 10**400 parses as a JSON int; the parent's speedup check
-        # raised OverflowError dividing it.
+    def test_number_no_float_can_hold(self, documents):
+        # 10**400 parses as a JSON int; float arithmetic on it in a
+        # hook would raise OverflowError.
         for huge in (10 ** 400, float("inf"), float("nan")):
-            doc = tracefmt_fixture.TestBenchProcsValidator._sidecar()
-            doc["rows"][0]["serial_wall_s"] = huge
-            problems = validate_bench_procs(doc)
-            assert any(p.startswith("$.rows[0].serial_wall_s must be a "
-                                    "finite number") for p in problems)
+            doc = copy.deepcopy(documents["traced"][1])
+            doc["makespan"] = huge
+            problems = validate_report(doc)
+            assert any(p.startswith("$.makespan must be a finite number")
+                       for p in problems), problems
 
 
 class TestTrueIsNotAnInt:
@@ -280,12 +271,6 @@ class TestTrueIsNotAnInt:
         doc["metrics"]["counters"]["x"] = True
         assert any("$.counters.x must be an int" in p
                    for p in validate_report(doc))
-
-    def test_bench_procs(self):
-        doc = tracefmt_fixture.TestBenchProcsValidator._sidecar()
-        doc["workers"] = True
-        assert any(p.startswith("$.workers") for p in
-                   validate_bench_procs(doc))
 
 
 class TestAbsentIsNotNull:
