@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.isa.instructions import ControlFlowKind, Instruction, Opcode
+from repro.isa.instructions import ControlFlowKind, Instruction, has_teardown
 
 
 class EdgeType(enum.Enum):
@@ -112,10 +112,7 @@ class Block:
         self.insns = keep
         self.end = new_end
         self.last_kind = None
-        self.has_teardown = any(
-            i.opcode is Opcode.LEAVE or (i.sp_delta() or 0) > 0
-            for i in keep
-        )
+        self.has_teardown = has_teardown(keep)
         return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

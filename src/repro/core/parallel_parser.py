@@ -51,7 +51,7 @@ from repro.core.noreturn import (
     closure_summary_fn,
 )
 from repro.core.tailcall import conditional_branch_is_tail_call, is_tail_call
-from repro.isa.instructions import ControlFlowKind, Instruction, Opcode
+from repro.isa.instructions import ControlFlowKind, Instruction, has_teardown
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
 
@@ -345,10 +345,7 @@ class ParallelParser:
             block.end = block.start  # degenerate: undecodable candidate
             return
         block.insns = insns
-        block.has_teardown = any(
-            i.opcode is Opcode.LEAVE or (i.sp_delta() or 0) > 0
-            for i in insns
-        )
+        block.has_teardown = has_teardown(insns)
         last = insns[-1] if ended_cf else None
         end = insns[-1].end
         if last is not None and self._foreign(last.address):
@@ -370,32 +367,10 @@ class ParallelParser:
                       ) -> tuple[list[Instruction], bool]:
         """linearParsing; ``cache`` is the calling thread's decode cache
         (Section 6.3), or None to decode every block afresh."""
+        insns, ended_cf, misses = self.decoder.scan_run(start, cache)
         rt = self.rt
-        if cache is None:
-            insns, ended_cf = self.decoder.linear_scan(start)
-            rt.charge(rt.cost.decode_insn * len(insns))
-            return insns, ended_cf
-        insns: list[Instruction] = []
-        addr = start
-        misses = 0
-        while True:
-            insn = cache.get(addr)
-            if insn is None:
-                if not self.decoder.contains(addr):
-                    break
-                try:
-                    insn = self.decoder.decode_at(addr)
-                except Exception:
-                    break
-                cache[addr] = insn
-                misses += 1
-            insns.append(insn)
-            if insn.is_control_flow:
-                rt.charge(rt.cost.decode_insn * misses)
-                return insns, True
-            addr = insn.end
         rt.charge(rt.cost.decode_insn * misses)
-        return insns, False
+        return insns, ended_cf
 
     # -- invariants 2-4: end registration, edge creation, splitting ------------
 

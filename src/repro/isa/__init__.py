@@ -25,6 +25,7 @@ from repro.isa.instructions import (
     Cond,
     Instruction,
     ControlFlowKind,
+    has_teardown,
 )
 from repro.isa.encoding import encode, decode, instruction_length
 from repro.isa.decoder import Decoder
@@ -37,6 +38,7 @@ __all__ = [
     "Cond",
     "Instruction",
     "ControlFlowKind",
+    "has_teardown",
     "encode",
     "decode",
     "instruction_length",

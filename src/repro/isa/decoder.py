@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.errors import InvalidInstructionError
-from repro.isa.encoding import decode
-from repro.isa.instructions import Instruction
+from repro.isa.encoding import DECODE_ROWS, decode
+from repro.isa.instructions import _CF_KIND, Instruction
 
 
 class Decoder:
@@ -63,6 +63,54 @@ class Decoder:
             raise InvalidInstructionError(address, "outside code region")
         return decode(self._code, address - self._base, address)
 
+    def scan_run(self, address: int,
+                 cache: dict[int, Instruction] | None
+                 ) -> tuple[list[Instruction], bool, int]:
+        """Decode linearly until a control-flow instruction (inclusive).
+
+        This is the ``linearParsing`` primitive of Listing 3, and the one
+        decode loop: every other linear walk below is a caller.  Returns
+        the instructions, a flag that is True when the run ended at a
+        control-flow instruction (False when it ran into undecodable
+        bytes or out of the region — a forced block end with no outgoing
+        edges), and the number of instructions decoded rather than found
+        in ``cache``.  ``cache`` is the caller's decode cache, keyed by
+        instruction address, read and filled here (Section 6.3); None
+        decodes the whole run afresh.
+        """
+        if cache is None:
+            cache = {}
+        cached = cache.get
+        code, base, size = self._code, self._base, self._limit - self._base
+        insns: list[Instruction] = []
+        misses = 0
+        addr = address
+        while True:
+            insn = cached(addr)
+            if insn is None:
+                # encoding.decode, unrolled: the same checks in the same
+                # order, ending the run where decode raises.
+                offset = addr - base
+                if not 0 <= offset < size:
+                    return insns, False, misses
+                row = DECODE_ROWS[code[offset]]
+                if row is None:
+                    return insns, False, misses
+                opcode, length, unpack, checks = row
+                if offset + length > size:
+                    return insns, False, misses
+                operands = unpack(code, offset + 1)
+                for pos, bound, _name in checks:
+                    if operands[pos] >= bound:
+                        return insns, False, misses
+                insn = cache[addr] = Instruction(
+                    addr, opcode, operands, length)
+                misses += 1
+            insns.append(insn)
+            if insn.opcode in _CF_KIND:
+                return insns, True, misses
+            addr += insn.length
+
     def iter_from(self, address: int) -> Iterator[Instruction]:
         """Yield consecutive instructions starting at ``address``.
 
@@ -70,42 +118,26 @@ class Decoder:
         undecodable byte sequence; CFG construction treats that point as a
         forced block end.
         """
-        addr = address
-        while self.contains(addr):
-            try:
-                insn = self.decode_at(addr)
-            except InvalidInstructionError:
+        while True:
+            insns, ended_cf, _misses = self.scan_run(address, None)
+            yield from insns
+            if not ended_cf:
                 return
-            yield insn
-            addr = insn.end
+            address = insns[-1].end
 
     def linear_scan(
         self, address: int, stop_before: int | None = None
     ) -> tuple[list[Instruction], bool]:
-        """Decode linearly until a control-flow instruction (inclusive).
+        """:meth:`scan_run` without a cache.
 
-        This is the ``linearParsing`` primitive of Listing 3.  Returns the
-        decoded instructions and a flag that is True when the scan ended at a
-        control-flow instruction (False when it ran into undecodable bytes or
-        the end of the region — a forced block end with no outgoing edges).
-
-        ``stop_before`` optionally bounds the scan (exclusive); the scan also
-        stops when the *next* instruction would start at or past it.  The
-        parsers do not use this for correctness (per Invariant 2 the check is
-        deferred to control-flow instructions) but the serial reference parser
-        uses it for the "early block ending" case of ``O_BER``.
+        ``stop_before`` optionally bounds the scan (exclusive): it stops
+        when the *next* instruction would start at or past it.  The
+        parsers do not use this (per Invariant 2 the check is deferred to
+        control-flow instructions); it is the "early block ending" case
+        of ``O_BER``.
         """
-        insns: list[Instruction] = []
-        addr = address
-        while self.contains(addr):
-            if stop_before is not None and addr >= stop_before:
-                return insns, False
-            try:
-                insn = self.decode_at(addr)
-            except InvalidInstructionError:
-                return insns, False
-            insns.append(insn)
-            if insn.is_control_flow:
-                return insns, True
-            addr = insn.end
-        return insns, False
+        insns, ended_cf, _misses = self.scan_run(address, None)
+        if stop_before is not None and insns \
+                and insns[-1].address >= stop_before:
+            return [i for i in insns if i.address < stop_before], False
+        return insns, ended_cf

@@ -47,14 +47,35 @@ _LAYOUT: dict[Opcode, tuple[str, ...]] = {
     Opcode.RET: (),
 }
 
-_FIELD_SIZE = {"r": 1, "c": 1, "i32": 4, "i16": 2}
+#: ``struct`` code of each field kind (little-endian, unaligned).
+_FIELD_CODE = {"r": "B", "c": "B", "i32": "I", "i16": "H"}
+#: Range-checked field kinds: exclusive bound, name in the error message.
+_FIELD_RANGE = {"r": (len(Reg), "register"), "c": (len(Cond), "condition")}
 
-_LENGTHS: dict[Opcode, int] = {
-    op: 1 + sum(_FIELD_SIZE[f] for f in fields)
+_OPERANDS: dict[Opcode, struct.Struct] = {
+    op: struct.Struct("<" + "".join(_FIELD_CODE[f] for f in fields))
     for op, fields in _LAYOUT.items()
 }
 
-_VALID_OPCODES = frozenset(int(op) for op in Opcode)
+_LENGTHS: dict[Opcode, int] = {
+    op: 1 + operands.size for op, operands in _OPERANDS.items()
+}
+
+
+def _decode_row(opcode: Opcode) -> tuple:
+    checks = tuple((pos, *_FIELD_RANGE[f])
+                   for pos, f in enumerate(_LAYOUT[opcode])
+                   if f in _FIELD_RANGE)
+    return (opcode, _LENGTHS[opcode], _OPERANDS[opcode].unpack_from,
+            checks)
+
+
+#: ``_LAYOUT`` compiled for decoding, indexed by opcode byte: ``None``
+#: for a byte that is no opcode, else ``(opcode, encoded length,
+#: unpack_from of the whole operand layout, ((operand position,
+#: exclusive bound, name), ...) of its range-checked fields)``.
+DECODE_ROWS: tuple[tuple | None, ...] = tuple(map(
+    {int(op): _decode_row(op) for op in Opcode}.get, range(256)))
 
 #: Longest encoded instruction, in bytes.
 MAX_INSTRUCTION_LENGTH = max(_LENGTHS.values())
@@ -112,34 +133,16 @@ def decode(buf: bytes | memoryview, offset: int, address: int) -> Instruction:
     """
     if offset >= len(buf):
         raise InvalidInstructionError(address, "past end of code")
-    opbyte = buf[offset]
-    if opbyte not in _VALID_OPCODES:
-        raise InvalidInstructionError(address, f"invalid opcode {opbyte:#04x}")
-    opcode = Opcode(opbyte)
-    fields = _LAYOUT[opcode]
-    length = _LENGTHS[opcode]
+    row = DECODE_ROWS[buf[offset]]
+    if row is None:
+        raise InvalidInstructionError(
+            address, f"invalid opcode {buf[offset]:#04x}")
+    opcode, length, unpack, checks = row
     if offset + length > len(buf):
         raise InvalidInstructionError(address, "truncated instruction")
-    operands: list[int] = []
-    pos = offset + 1
-    for kind in fields:
-        if kind == "r":
-            v = buf[pos]
-            if v >= len(Reg):
-                raise InvalidInstructionError(address, f"bad register {v}")
-            operands.append(v)
-            pos += 1
-        elif kind == "c":
-            v = buf[pos]
-            if v >= len(Cond):
-                raise InvalidInstructionError(address, f"bad condition {v}")
-            operands.append(v)
-            pos += 1
-        elif kind == "i32":
-            operands.append(struct.unpack_from("<I", buf, pos)[0])
-            pos += 4
-        else:  # i16
-            operands.append(struct.unpack_from("<H", buf, pos)[0])
-            pos += 2
-    return Instruction(address=address, opcode=opcode,
-                       operands=tuple(operands), length=length)
+    operands = unpack(buf, offset + 1)
+    for pos, bound, name in checks:
+        if operands[pos] >= bound:
+            raise InvalidInstructionError(
+                address, f"bad {name} {operands[pos]}")
+    return Instruction(address, opcode, operands, length)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.isa.registers import Reg, mask_of, regs_in
@@ -341,6 +342,28 @@ class Instruction:
         for v in self.operands:
             out.append(str(v))
         return out
+
+
+#: Opcodes that always undo part of a frame (``sp_delta()`` is positive,
+#: or, for LEAVE, SP is restored from FP).  ``ADDI SP, +imm`` is the one
+#: opcode whose answer depends on its operands.
+_TEARDOWN = frozenset({Opcode.LEAVE, Opcode.POP})
+# Enum members bound once: a class-attribute read per instruction costs
+# more than the rest of the loop body.
+_ADDI, _SP_OPERAND = Opcode.ADDI, int(Reg.SP)
+
+
+def has_teardown(insns: Iterable[Instruction]) -> bool:
+    """True if any instruction tears a frame down: ``LEAVE``, or a
+    positive static SP adjustment (tail-call heuristic 3)."""
+    for i in insns:
+        op = i.opcode
+        if op in _TEARDOWN:
+            return True
+        if op is _ADDI and i.operands[0] == _SP_OPERAND \
+                and 0 < i.operands[1] < 1 << 31:
+            return True
+    return False
 
 
 def _as_signed32(v: int) -> int:

@@ -142,7 +142,7 @@ class MetricsRegistry:
     so the lock is uncontended; on the thread backend it makes
     concurrent updates safe.  ``single_writer`` is the owning runtime's
     promise that only one thread ever records: :meth:`bind` then hands
-    out unlocked handles.
+    out unlocked handles, and :meth:`inc` / :meth:`observe` skip the lock.
     """
 
     enabled = True
@@ -161,6 +161,9 @@ class MetricsRegistry:
     # -- recording -----------------------------------------------------------
 
     def inc(self, name: str, n: int = 1) -> None:
+        if self._single_writer:
+            self._counters[name] = self._counters.get(name, 0) + n
+            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
@@ -176,11 +179,17 @@ class MetricsRegistry:
             return handle
 
     def observe(self, name: str, value: int) -> None:
-        with self._lock:
+        locked = not self._single_writer
+        if locked:
+            self._lock.acquire()
+        try:
             h = self._hists.get(name)
             if h is None:
                 h = self._hists[name] = Histogram()
             h.observe(value)
+        finally:
+            if locked:
+                self._lock.release()
 
     def clock(self) -> int:
         """The owning backend's clock, in ``time_unit`` units."""

@@ -79,7 +79,8 @@ def ref_written(op, o) -> frozenset[Reg]:
 _FIELD_VALUES = {
     "r": [int(r) for r in Reg],
     "c": [int(c) for c in Cond],
-    "i32": [0, (1 << 32) - 1],
+    # both sides of the signed boundary: test_teardown.py sweeps these too
+    "i32": [0, 1, (1 << 31) - 1, 1 << 31, (1 << 32) - 1],
     "i16": [0, (1 << 16) - 1],
 }
 

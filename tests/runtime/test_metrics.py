@@ -125,6 +125,23 @@ class TestCounterHandles:
             assert into_a.counter("workers.z") == 11
             assert into_a.counter("workers.map.x.ops") == 5
 
+    def test_single_writer_inc_and_observe_skip_the_lock(self):
+        class Untouchable:
+            def acquire(self):
+                raise AssertionError("single-writer update took the lock")
+            __enter__ = acquire
+
+        locked, solo = self._registries()
+        real, solo._lock = solo._lock, Untouchable()
+        for m in (locked, solo):
+            for name, n in (("a", 1), ("b", 3), ("a", 2)):
+                m.inc(name, n)
+            for v in (5, 0, 9):
+                m.observe("h", v)
+        solo._lock = real
+        assert solo.snapshot() == locked.snapshot()
+        assert not locked._lock.locked()
+
     def test_locked_handles_lose_no_updates(self):
         m = MetricsRegistry()
         h = m.bind("hits")
