@@ -210,31 +210,13 @@ def cmd_parse(args) -> int:
     key, value = _makespan_field(args, rt)
     out[key] = value
     if args.runtime == "procs" and rt.metrics.enabled:
-        out["procs"] = {
-            "shards": rt.metrics.counter("procs.shards"),
-            "pool_fallback": rt.metrics.counter("procs.pool_fallback"),
-            "merged_cache_insns":
-                rt.metrics.counter("procs.merged_cache_insns"),
-            "duplicate_insns":
-                rt.metrics.counter("procs.duplicate_insns"),
-            "merged_blocks": rt.metrics.counter("procs.merge.blocks"),
-            "merged_edges": rt.metrics.counter("procs.merge.edges"),
-            "merge_end_splits":
-                rt.metrics.counter("procs.merge.end_splits"),
-            "frontier_records":
-                rt.metrics.counter("procs.frontier.records"),
-            "shard_timeouts": rt.metrics.counter("procs.shard_timeout"),
-            "retries": (rt.metrics.counter("procs.retry.dispatch")
-                        + rt.metrics.counter("procs.retry.inline")),
-            "pool_respawns": rt.metrics.counter("procs.pool_respawn"),
-            "shm_segments": rt.metrics.counter("procs.shm.segments"),
-            "shm_bytes": rt.metrics.counter("procs.shm.bytes"),
-            "shm_fallback": rt.metrics.counter("procs.shm.fallback"),
-            "overlap_fragments":
-                rt.metrics.counter("procs.overlap.fragments"),
-            "degraded_to": rt.degradation["level"],
-            "fault_events": len(rt.fault_events),
-        }
+        # The coordinator's procs.* counters, under their catalog names
+        # (docs/OBSERVABILITY.md; a counter never incremented is absent).
+        counters = rt.metrics.snapshot()["counters"]
+        out["procs"] = {name: n for name, n in counters.items()
+                        if name.startswith("procs.")}
+        out["procs"]["degraded_to"] = rt.degradation["level"]
+        out["procs"]["fault_events"] = len(rt.fault_events)
     print(json.dumps(out, indent=2))
     return 0
 

@@ -41,16 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.parallel_parser import ParallelParser
 
 
-def finalize(parser: "ParallelParser",
-             incremental: bool = False) -> ParsedCFG:
-    """Run the correction phase over a quiesced parser.
-
-    ``incremental`` lets tail-call correction recompute, after its first
-    round, only the closures a flip could have changed.  The values are
-    the same either way; the procs coordinator asks for it, the
-    serial/vtime/threads parse keeps the full per-round recomputation
-    its virtual-time charges are defined by.
-    """
+def finalize(parser: "ParallelParser") -> ParsedCFG:
+    """Run the correction phase over a quiesced parser."""
     rt = parser.rt
     sanitize = getattr(parser, "op_trace", None) is not None
     if sanitize:
@@ -63,7 +55,7 @@ def finalize(parser: "ParallelParser",
     tables = [info for _, info in parser.jump_tables.sorted_items()]
 
     _trim_overlapping_tables(parser, tables, blocks, functions)
-    closures = _correct_tail_calls(parser, blocks, functions, incremental)
+    closures = _correct_tail_calls(parser, blocks, functions)
     _assign_boundaries(parser, functions, closures)
     functions = _remove_dead_functions(parser, functions)
     _finalize_statuses(parser, functions)
@@ -183,21 +175,38 @@ def _function_closure(rt, func: Function) -> set[int]:
     return seen
 
 
+def _refresh_closures(rt, functions: dict[int, Function],
+                      closures: dict[int, set[int]],
+                      dirty: set[int]) -> None:
+    """One correction round's closure pass: one task per function.
+
+    A function whose closure is memoized and not ``dirty`` charges the
+    walk it would have made instead of making it — a TAILCALL↔DIRECT
+    flip at block ``s`` moves edges in or out of the intra-procedural
+    set only for functions containing ``s`` — so clocks and schedules
+    are exactly those of a full recomputation.
+    """
+    def compute(fa):
+        addr, func = fa
+        memo = closures.get(addr)
+        if memo is None or addr in dirty:
+            closures[addr] = _function_closure(rt, func)
+        else:
+            rt.charge(rt.cost.closure_per_block * len(memo))
+
+    rt.parallel_for(sorted(functions.items()), compute)
+
+
 def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
-                        functions: dict[int, Function],
-                        incremental: bool = False
+                        functions: dict[int, Function]
                         ) -> dict[int, set[int]] | None:
     """Iterative application of the three correction rules.
 
     Returns the closures of the converged round (every function, fresh)
     so :func:`_assign_boundaries` can reuse them instead of recomputing —
-    or None if the round cap was hit without convergence.
-
-    With ``incremental`` (the procs coordinator), rounds 2+ recompute
-    only functions whose closures a flip could have changed — a
-    TAILCALL↔DIRECT flip at block ``s`` moves edges in or out of the
-    intra-procedural set only for functions containing ``s``, plus
-    functions minted since the last round.  Output-invariant.
+    or None if the round cap was hit without convergence.  Rounds 2+
+    re-walk only the closures of functions containing a flipped edge's
+    source block and of functions minted since the last round.
     """
     rt = parser.rt
 
@@ -206,23 +215,12 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                           for s in parser.binary.dynsym.functions())
 
     closures: dict[int, set[int]] = {}
-    dirty_funcs: set[int] | None = None  # None = (re)compute everything
+    dirty: set[int] = set()
     for _round in range(8):
         # The O_IEC fixed point of Section 5.4: each round recomputes
         # boundaries and may flip edge verdicts.
         rt.metrics.inc("finalize.tailcall_rounds")
-        if dirty_funcs is None:
-            closures = {}
-            need = sorted(functions.items())
-        else:
-            need = sorted((a, functions[a]) for a in dirty_funcs
-                          if a in functions)
-
-        def compute(fa):
-            addr, func = fa
-            closures[addr] = _function_closure(rt, func)
-
-        rt.parallel_for(need, compute)
+        _refresh_closures(rt, functions, closures, dirty)
 
         # Block start -> functions containing it.
         containing: dict[int, set[int]] = {}
@@ -279,8 +277,8 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
             return closures
 
         # Flips change the function set: rule-1 flips may need a function
-        # at the target; rule-2/3 flips may orphan one (cleaned later).
-        minted: list[int] = []
+        # at the target (it has no closure yet, so the next round walks
+        # it); rule-2/3 flips may orphan one (cleaned later).
         for b in blocks.values():
             for e in b.out_edges:
                 if e.etype is EdgeType.TAILCALL and \
@@ -290,12 +288,10 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                                     discovered_via="tailcall")
                     func.status = parser.noreturn.status_of(e.dst.start)
                     functions[e.dst.start] = func
-                    minted.append(e.dst.start)
 
-        if incremental:
-            dirty_funcs = set(minted)
-            for s in flip_srcs:
-                dirty_funcs.update(containing.get(s, ()))
+        dirty = set()
+        for s in flip_srcs:
+            dirty.update(containing.get(s, ()))
     return None
 
 

@@ -23,12 +23,19 @@ fixed point for statuses that need whole-closure information (shared
 blocks, call chains, cycles).  Jump tables are analyzed with union
 semantics and re-analyzed after a function gains more control-flow paths
 (the fixed-point refinement of Section 5.3).
+
+The procs backend's frontier protocol lives here too: a parser with an
+ownership range defers each expansion step into a foreign shard as a
+:class:`FrontierRecord`, and the coordinator's merged parser runs those
+records through the same code paths (:meth:`ParallelParser.
+replay_frontier`) before its own wave and finalization.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,6 +61,11 @@ from repro.core.tailcall import conditional_branch_is_tail_call, is_tail_call
 from repro.isa.instructions import ControlFlowKind, Instruction, has_teardown
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
+
+#: control flow whose successors are known at decode time; in fragment
+#: mode a foreign successor defers the block's whole edge creation.
+_DIRECT_KINDS = frozenset((ControlFlowKind.DIRECT_JUMP,
+                           ControlFlowKind.COND_JUMP, ControlFlowKind.CALL))
 
 
 @dataclass
@@ -101,17 +113,26 @@ class FrontierRecord:
     A shard worker parsing with an ownership range records — instead of
     executing — every expansion step whose target address belongs to
     another shard.  The record is flat ints/strings so it pickles without
-    dragging the block graph along; the coordinator replays it through
-    the real parser machinery during the structural merge
-    (``repro.core.shard_merge``), in list order — discovery order.
+    dragging the block graph along; the coordinator hands it back to
+    :meth:`ParallelParser.replay_frontier`, which runs the deferred step
+    through the same code path a live parse would have, in list order —
+    discovery order.  Kinds:
+
+    - ``end``: a block end past the claim (``_register_end``);
+    - ``edges``: a direct jump, conditional jump or call with a foreign
+      successor (``_create_edges``);
+    - ``intra``: one intra-procedural edge into a foreign block
+      (``_add_intra_target``);
+    - ``resume``: a released call fall-through into a foreign block
+      (``_resume_call_ft``).
     """
 
-    kind: str                     #: direct | cond | call | intra | resume
+    kind: str                     #: end | edges | intra | resume
     func_addr: int                #: the traversal task's function
     block_start: int | None       #: source block at record time
     end_addr: int | None          #: the source block's registered end
-    target: int | None            #: branch/intra target (direct/intra)
-    last_addr: int | None         #: CF instruction address (cond/call)
+    target: int | None            #: edge target (intra)
+    last_addr: int | None         #: CF instruction address (end/edges)
     etype: str | None             #: EdgeType value (intra)
     #: (caller_addr, block_start, fallthrough, callee_addr) for resume
     site: tuple[int, int, int, int] | None
@@ -135,7 +156,7 @@ class ParallelParser:
         #: shard ownership claim ``[lo, hi)`` (procs backend fragment
         #: mode): expansion steps targeting a foreign address are recorded
         #: in ``_frontier`` instead of executed.  None = own everything.
-        self._owned = owned_range
+        self.owned_range = owned_range
         self._frontier: list[FrontierRecord] = []
         self._frontier_ctxs: list[_TaskCtx | None] = []
         self.blocks_by_start: SharedMap[int, Block] = \
@@ -164,8 +185,9 @@ class ParallelParser:
             [] if (self.opts.sanitize
                    or os.environ.get("REPRO_CFGSAN") == "1") else None)
         self._tl = threading.local()
-        self._group = None            # traversal task group
-        self._round_discovered: list[Function] = []  # round-mode only
+        self._group = None            # the active _quiesce task group
+        #: round mode only: traversals discovered during the current round
+        self._round_discovered: list[tuple[Function, list[Block]]] = []
 
     # ------------------------------------------------------------- public API
 
@@ -181,28 +203,19 @@ class ParallelParser:
 
     def execute(self) -> ParsedCFG:
         """Run all three stages; must be called inside ``rt.run``."""
-        rt = self.rt
-        with rt.phase("cfg_init"):
-            initial = self._init_functions()
-        with rt.phase("cfg_traversal"):
-            if self.opts.task_parallel:
-                self._traverse_tasked(initial)
-            else:
-                self._traverse_rounds(initial)
-            self._noreturn_waves()
-        with rt.phase("cfg_finalize"):
-            cfg = finalize(self)
-        return cfg
+        self.execute_fragment()
+        with self.rt.phase("cfg_finalize"):
+            return finalize(self)
 
     def execute_fragment(self) -> None:
-        """Stages 1–2 only, bounded by the shard ownership range.
+        """Stages 1–2: function initialization, traversal, noreturn waves.
 
-        Used by procs-backend workers: traversal defers every cross-shard
-        step into ``_frontier``, the wave fixed point runs without the
-        cycle rule (an UNSET→NORETURN conclusion is unsound on a partial
-        closure), and finalization is skipped — the coordinator merges the
-        exported fragment (``repro.core.shard_merge``) and completes the
-        parse there.  Must be called inside ``rt.run``.
+        With an ownership range (procs-backend workers) traversal defers
+        every cross-shard step into the frontier, the wave fixed point
+        runs without the cycle rule (an UNSET→NORETURN conclusion is
+        unsound on a partial closure), and the coordinator completes the
+        parse from the exported fragment (``repro.core.shard_merge``).
+        Must be called inside ``rt.run``.
         """
         rt = self.rt
         with rt.phase("cfg_init"):
@@ -213,20 +226,97 @@ class ParallelParser:
             # contained by the retry ladder (runtime/faults.py).
             self.opts.fault_probe.raise_if("frag")
         with rt.phase("cfg_traversal"):
-            if self.opts.task_parallel:
-                self._traverse_tasked(initial)
-            else:
-                self._traverse_rounds(initial)
-            self._noreturn_waves()
+            self._traverse(initial)
+            self.noreturn_waves()
 
     # ------------------------------------------------- shard frontier (procs)
 
     def _foreign(self, addr: int) -> bool:
         """True if ``addr`` is owned by another shard (fragment mode)."""
-        if self._owned is not None:
-            lo, hi = self._owned
+        owned = self.owned_range
+        if owned is not None:
+            lo, hi = owned
             return not (lo <= addr < hi)
         return False
+
+    def export_frontier(self) -> tuple[list[FrontierRecord],
+                                       dict[int, list[int]]]:
+        """The deferred records in discovery order, and per function the
+        sorted block starts its deferring tasks had reached — one shard's
+        input to :meth:`replay_frontier`."""
+        reached: dict[int, set[int]] = {}
+        for ctx in self._frontier_ctxs:
+            if ctx is not None:
+                reached.setdefault(ctx.func.addr, set()).update(ctx.reached)
+        return (list(self._frontier),
+                {addr: sorted(starts) for addr, starts in reached.items()})
+
+    def replay_frontier(self, shipped: list[tuple[list[FrontierRecord],
+                                                  dict[int, list[int]]]]
+                        ) -> int:
+        """Run every shard's deferred steps on this (merged, unowned)
+        parser; returns the number of records replayed.
+
+        ``shipped`` holds one :meth:`export_frontier` result per shard,
+        in shard order; records replay in discovery order within a shard.
+        Each record takes the code path it was deferred from, starting
+        from the merged state, and the traversals it discovers run to
+        quiescence before this returns.
+        """
+        def replay() -> None:
+            for records, reached in shipped:
+                self._replay_shard(records, reached)
+
+        self._quiesce(replay)
+        return sum(len(records) for records, _ in shipped)
+
+    def _replay_shard(self, records: list[FrontierRecord],
+                      reached: dict[int, list[int]]) -> None:
+        # One context per function, seeded with at least what the
+        # shard's traversal task had reached.
+        ctxs: dict[int, _TaskCtx] = {}
+        for rec in records:
+            if rec.kind == "resume":
+                c, bs, ft, ce = rec.site
+                self._resume_call_ft(DeferredCallSite(
+                    caller_addr=c, block=self._block_at(bs),
+                    fallthrough=ft, callee_addr=ce))
+                continue
+            ctx = ctxs.get(rec.func_addr)
+            if ctx is None:
+                func = self.functions.get(rec.func_addr)
+                assert func is not None, (
+                    f"frontier record for unknown function "
+                    f"{rec.func_addr:#x}")
+                ctx = ctxs[rec.func_addr] = _TaskCtx(func=func)
+                ctx.reached.update(reached.get(rec.func_addr, ()))
+                ctx.reached.add(rec.func_addr)
+            if rec.kind == "end":
+                self._register_end(ctx, self._block_at(rec.block_start),
+                                   rec.end_addr, self._insn_at(rec.last_addr))
+            else:
+                src = self.block_ends.get(rec.end_addr)
+                if src is None:
+                    src = self._block_at(rec.block_start)
+                if rec.kind == "edges":
+                    self._create_edges(ctx, src, self._insn_at(rec.last_addr))
+                else:  # intra
+                    self._add_intra_target(ctx, src, rec.target,
+                                           EdgeType(rec.etype))
+            self._drain(ctx)
+
+    def _insn_at(self, addr: int) -> Instruction:
+        """A replayed record's instruction: the decode cache (which the
+        merge fills with every shard's), else a direct decode."""
+        insn = self.local_decode_cache().get(addr)
+        if insn is None:
+            insn = self.decoder.decode_at(addr)
+        return insn
+
+    def _block_at(self, start: int) -> Block:
+        blk = self.blocks_by_start.get(start)
+        assert blk is not None, f"replay source block {start:#x} missing"
+        return blk
 
     def _defer_frontier(self, ctx: _TaskCtx | None, kind: str,
                         block: Block | None = None,
@@ -286,36 +376,48 @@ class ParallelParser:
 
     # -------------------------------------------------------------- stage 2
 
-    def _traverse_tasked(self, initial) -> None:
-        """Task parallelism: a task per function, spawned on discovery.
+    def _quiesce(self, work: Callable[[], None]) -> None:
+        """Run ``work``, then every traversal it discovers, to quiescence.
+
+        With ``task_parallel`` (spawn-on-discovery, Section 6.3) the work
+        and everything it spawns are tasks of one group; otherwise
+        discovered traversals queue up and run in rounds of
+        ``parallel_for`` (Listing 2's loop) until a round discovers none.
+        """
+        rt = self.rt
+        if self.opts.task_parallel:
+            group = self._group = rt.task_group()
+            work()
+            group.wait()
+            return
+        self._round_discovered = []
+        work()
+        while self._round_discovered:
+            current, self._round_discovered = self._round_discovered, []
+            rt.parallel_for(current, lambda fs: self._traverse_task(*fs))
+
+    def _traverse(self, initial: list[tuple[Function, list[Block]]]
+                  ) -> None:
+        """Stage 2: a traversal task per function, spawned on discovery.
 
         Initial tasks are fanned out as a splitting tree so launching
         thousands of functions isn't itself a serial phase.
         """
-        group = self.rt.task_group()
-        self._group = group
-
         def spawn_range(lo: int, hi: int) -> None:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                group.spawn(spawn_range, mid, hi)
+                self._group.spawn(spawn_range, mid, hi)
                 hi = mid
             if hi > lo:
-                func, seeds = initial[lo]
-                self._traverse_task(func, seeds)
+                self._traverse_task(*initial[lo])
 
-        if initial:
-            spawn_range(0, len(initial))
-        group.wait()
+        def start() -> None:
+            if not self.opts.task_parallel:
+                self._round_discovered.extend(initial)
+            elif initial:
+                spawn_range(0, len(initial))
 
-    def _traverse_rounds(self, initial) -> None:
-        """Round-based parallel-for (Listing 2's loop; ablation mode)."""
-        current = list(initial)
-        while current:
-            self._round_discovered = []
-            self.rt.parallel_for(
-                current, lambda fs: self._traverse_task(fs[0], fs[1]))
-            current = [(f, seeds) for f, seeds in self._round_discovered]
+        self._quiesce(start)
 
     def _traverse_task(self, func: Function, seeds: list[Block]) -> None:
         """ControlFlowTraversal(f) — Listing 3."""
@@ -374,38 +476,44 @@ class ParallelParser:
 
     # -- invariants 2-4: end registration, edge creation, splitting ------------
 
-    def _register_end(self, ctx: _TaskCtx, block: Block, end: int,
+    def _register_end(self, ctx: _TaskCtx | None, block: Block, end: int,
                       last: Instruction | None) -> None:
-        rt = self.rt
-        pending: tuple[Block, int, Instruction | None] | None = \
-            (block, end, last)
-        while pending is not None:
-            blk, e, lst = pending
-            pending = None
-            with self.block_ends.accessor(e) as acc:
+        while True:
+            with self.block_ends.accessor(end) as acc:
                 if acc.created:
-                    # Invariant 2 won: this block owns end e; invariant 3:
-                    # we create its outgoing edges, under the accessor.
-                    acc.value = blk
-                    blk.end = e
-                    blk.last_kind = lst.cf_kind if lst is not None else None
-                    if lst is not None:
-                        self._create_edges(ctx, blk, lst)
-                    continue
-                if acc.value is blk:
-                    continue
-                pending = self._split_collision(blk, e, acc)
+                    # Invariant 2 won: this block owns the end; invariant
+                    # 3: we create its outgoing edges, under the accessor.
+                    acc.value = block
+                    block.end = end
+                    if last is not None:
+                        block.last_kind = last.cf_kind
+                        self._create_edges(ctx, block, last)
+                    return
+                if acc.value is block:
+                    return
+                # A split loser re-registers at a smaller end, where its
+                # truncated instruction list ends without a CF instruction.
+                block, end = self._split_collision(block, end, acc)
+                last = None
+
+    def install_end(self, block: Block, end: int) -> None:
+        """Register an imported block end (procs structural merge),
+        cascading splits on collision.
+
+        ``_register_end`` minus edge creation: the owning shard already
+        created this end's edges, and losers in the cascade carry theirs
+        along exactly as invariant 4 moves them.  This is how the merge
+        reconciles shards that disagree about where a region's blocks end.
+        """
+        self._register_end(None, block, end, None)
 
     def _split_collision(self, blk: Block, e: int, acc
-                         ) -> tuple[Block, int, None]:
+                         ) -> tuple[Block, int]:
         """Invariant 4: two distinct blocks claim end ``e`` — split.
 
         ``acc`` is the held accessor for ``block_ends[e]``.  Returns the
         (block, end) pair that must re-register at a strictly smaller end
-        address.  Shared with the procs-backend structural merge, which
-        re-registers imported shard block ends through the same cascade
-        to reconcile cross-shard disagreements about where a region's
-        blocks end.
+        address.
         """
         rt = self.rt
         other = acc.value
@@ -430,12 +538,12 @@ class ParallelParser:
             blk.out_edges.extend(moved)
             other.truncate(blk.start)
             self._link(other, blk, EdgeType.FALLTHROUGH)
-            return (other, blk.start, None)
+            return other, blk.start
         # We are the longer block: truncate ourselves and
         # re-register at the incumbent's start.
         blk.truncate(other.start)
         self._link(blk, other, EdgeType.FALLTHROUGH)
-        return (blk, other.start, None)
+        return blk, other.start
 
     def _link(self, src: Block, dst: Block, etype: EdgeType) -> Edge:
         rt = self.rt
@@ -481,6 +589,16 @@ class ParallelParser:
     def _create_edges(self, ctx: _TaskCtx, block: Block,
                       last: Instruction) -> None:
         kind = last.cf_kind
+        if (self.owned_range is not None and kind in _DIRECT_KINDS
+                and (self._foreign(last.direct_target)
+                     or (kind is ControlFlowKind.COND_JUMP
+                         and self._foreign(last.end)))):
+            # A foreign successor: the coordinator replays this whole
+            # expansion — tail-call classification against the merged
+            # function map, function creation, both conditional edges,
+            # the call fall-through deferral — exactly once.
+            self._defer_frontier(ctx, "edges", block=block, last=last)
+            return
         if kind is ControlFlowKind.DIRECT_JUMP:
             self._direct_branch(ctx, block, last.direct_target)
         elif kind is ControlFlowKind.COND_JUMP:
@@ -538,11 +656,6 @@ class ParallelParser:
 
     def _direct_branch(self, ctx: _TaskCtx, block: Block,
                        target: int) -> None:
-        if self._foreign(target):
-            # Defer before tail-call classification: the coordinator sees
-            # the merged function map, the shard would mis-classify.
-            self._defer_frontier(ctx, "direct", block=block, target=target)
-            return
         if is_tail_call(target, block,
                         is_known_entry=lambda t: t in self.functions,
                         reached_in_function=lambda t: t in ctx.reached):
@@ -552,11 +665,6 @@ class ParallelParser:
 
     def _cond_branch(self, ctx: _TaskCtx, block: Block,
                      last: Instruction) -> None:
-        if self._foreign(last.direct_target) or self._foreign(last.end):
-            # Either successor is foreign: defer the whole conditional so
-            # both edges are created once, by the coordinator.
-            self._defer_frontier(ctx, "cond", block=block, last=last)
-            return
         target = last.direct_target
         if conditional_branch_is_tail_call(
                 target, is_known_entry=lambda t: t in self.functions):
@@ -581,11 +689,6 @@ class ParallelParser:
                 self._spawn_resume(site)
 
     def _call(self, ctx: _TaskCtx, block: Block, last: Instruction) -> None:
-        if self._foreign(last.direct_target):
-            # Foreign callee: the whole call expansion (function creation,
-            # CALL edge, fall-through deferral) replays at the coordinator.
-            self._defer_frontier(ctx, "call", block=block, last=last)
-            return
         target = last.direct_target
         func, created, seeds = self._make_function(
             target, f"func_{target:x}", via="call")
@@ -654,13 +757,12 @@ class ParallelParser:
 
     def _spawn_traversal(self, func: Function, seeds: list[Block]) -> None:
         if self.opts.task_parallel:
-            assert self._group is not None
             self._group.spawn(self._traverse_task, func, seeds)
         else:
             self._round_discovered.append((func, seeds))
 
     def _spawn_resume(self, site: DeferredCallSite) -> None:
-        if self.opts.task_parallel and self._group is not None:
+        if self.opts.task_parallel:
             self._group.spawn(self._resume_call_ft, site)
         else:
             self._resume_call_ft(site)
@@ -705,9 +807,10 @@ class ParallelParser:
 
     # -- wave-level noreturn fixed point ------------------------------------------
 
-    def _noreturn_waves(self) -> None:
+    def noreturn_waves(self) -> None:
         """Resolve return statuses and release deferred fall-throughs
-        until nothing changes; then resolve cycles to NORETURN."""
+        until nothing changes; then resolve cycles to NORETURN (not in
+        fragment mode — the coordinator runs it on the merged parser)."""
         rt = self.rt
         probe = self.opts.fault_probe
         for _ in range(self.opts.max_waves):
@@ -740,34 +843,28 @@ class ParallelParser:
 
             released = self.noreturn.resolve_wave(funcs, summary)
             if not released:
-                if self._owned is None:
+                if self.owned_range is None:
                     # Fragment mode skips the cycle rule: concluding
                     # UNSET→NORETURN from a shard-local closure is
                     # unsound (a RET may live in another shard).  The
                     # coordinator runs it after the structural merge.
                     self.noreturn.resolve_cycles(funcs)
                 return
-            if self.opts.task_parallel:
-                # Resumed parsing may eagerly release more sites or
-                # discover functions; those spawns must join the *active*
-                # group, or they could still be queued when the cycle rule
-                # runs (a real bug this fixed: a late resume racing
-                # resolve_cycles made statuses schedule-dependent).
-                self._group = rt.task_group()
-                for site in released:
-                    self._group.spawn(self._resume_call_ft, site)
-                self._group.wait()
-            else:
-                rt.parallel_for(released, self._resume_call_ft)
-                current = self._round_discovered
-                while current:
-                    self._round_discovered = []
-                    rt.parallel_for(
-                        current,
-                        lambda fs: self._traverse_task(fs[0], fs[1]))
-                    current = self._round_discovered
-        raise RuntimeError("noreturn wave fixed point did not converge")
 
+            # Resumed parsing may eagerly release more sites or discover
+            # functions; those must run inside this quiesce, or they
+            # could still be queued when the cycle rule runs (a real bug:
+            # a late resume racing resolve_cycles made statuses
+            # schedule-dependent).
+            def release() -> None:
+                if self.opts.task_parallel:
+                    for site in released:
+                        self._group.spawn(self._resume_call_ft, site)
+                else:
+                    rt.parallel_for(released, self._resume_call_ft)
+
+            self._quiesce(release)
+        raise RuntimeError("noreturn wave fixed point did not converge")
 
 
 def parse_binary(binary: LoadedBinary, rt: Runtime,

@@ -51,8 +51,8 @@ class LegacySerialParser:
             rank = {addr: i for i, addr in enumerate(self._order)}
             initial.sort(key=lambda fs: (rank.get(fs[0].addr, len(rank)),
                                          fs[0].addr))
-        parser._traverse_tasked(initial)
-        parser._noreturn_waves()
+        parser._traverse(initial)
+        parser.noreturn_waves()
 
         # Expansion only: assign boundaries, skip every correction step.
         functions = {addr: f for addr, f in parser.functions.sorted_items()}

@@ -17,17 +17,19 @@ executing it.  This module is the coordinator side:
    place shards can disagree (linear overrun past a boundary), so an
    imported end that collides with an installed one is re-registered
    through the parser's real invariant-4 split cascade
-   (``_split_collision``), which reconciles the fragments to the serial
-   block set; the rest are bulk-installed.
-3. **Replay** the frontier records through the real parser machinery —
-   tail-call classification, function creation, noreturn deferral and
-   jump-table analysis all run exactly as in a serial parse, just
-   starting from the merged state.  A record is by definition a step
-   into another shard's claim, so replay needs *every* fragment
-   installed: it runs once, in :meth:`StreamingMerge.finish`, in shard
-   order and discovery order within a shard.
-4. Run the ordinary wave fixed point — including the cycle rule the
-   fragments had to skip — then the ``finalize`` correction phase.
+   (:meth:`ParallelParser.install_end`), which reconciles the fragments
+   to the serial block set; the rest are bulk-installed.
+3. **Replay** the frontier records on the merged parser
+   (:meth:`ParallelParser.replay_frontier`) — tail-call classification,
+   function creation, noreturn deferral and jump-table analysis all run
+   exactly as in a serial parse, just starting from the merged state.
+   A record is by definition a step into another shard's claim, so
+   replay needs *every* fragment installed: it runs once, in
+   :meth:`StreamingMerge.finish`, in shard order and discovery order
+   within a shard.
+4. Run the parser's ordinary wave fixed point — including the cycle
+   rule the fragments had to skip — then the ``finalize`` correction
+   phase.
 
 Steps 1–2 run *incrementally*: :class:`StreamingMerge` installs each
 fragment the moment its delta lands, overlapping rebuild and install
@@ -66,7 +68,6 @@ from repro.core.parallel_parser import (
     FrontierRecord,
     ParallelParser,
     ParseOptions,
-    _TaskCtx,
 )
 from repro.errors import RuntimeConfigError
 from repro.isa.instructions import ControlFlowKind, Instruction
@@ -120,8 +121,8 @@ class CFGFragment:
 
 def export_fragment(parser: ParallelParser, shard_id: int) -> CFGFragment:
     """Flatten a fragment-mode parser's state for shipping home."""
-    assert parser._owned is not None, "export requires fragment mode"
-    frag = CFGFragment(shard_id=shard_id, owned=parser._owned)
+    assert parser.owned_range is not None, "export requires fragment mode"
+    frag = CFGFragment(shard_id=shard_id, owned=parser.owned_range)
     blocks = [b for _, b in parser.blocks_by_start.sorted_items()]
     frag.blocks = (
         array("Q", [b.start for b in blocks]),
@@ -150,13 +151,7 @@ def export_fragment(parser: ParallelParser, shard_id: int) -> CFGFragment:
         for addr, status, waiters, tail_waiters
         in parser.noreturn.dump_state()
     ]
-    frag.frontier = list(parser._frontier)
-    reached: dict[int, set[int]] = {}
-    for ctx in parser._frontier_ctxs:
-        if ctx is not None:
-            reached.setdefault(ctx.func.addr, set()).update(ctx.reached)
-    frag.reached = {addr: sorted(starts)
-                    for addr, starts in reached.items()}
+    frag.frontier, frag.reached = parser.export_frontier()
     frag.n_splits = parser.stats.n_splits
     return frag
 
@@ -262,7 +257,7 @@ class StreamingMerge:
             block_ends.install_many(free)
             splits_before = parser.stats.n_splits
             for end_addr, blk in taken:
-                _install_end(parser, blk, end_addr)
+                parser.install_end(blk, end_addr)
             end_splits = parser.stats.n_splits - splits_before
             parser.stats.n_splits += fragment.n_splits
             if m.enabled:
@@ -293,13 +288,15 @@ class StreamingMerge:
 
         with rt.phase("cfg_frontier"):
             t1 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            n = self._replay_frontier()
+            n = parser.replay_frontier(
+                [(frag.frontier, frag.reached)
+                 for _, frag in sorted(self._frags.items())])
             if m.enabled:
                 m.inc("procs.frontier.records", n)
                 m.observe("procs.phase.frontier_wall_ns",
                           time.perf_counter_ns() - t1)  # sanity: allow(wall-clock) coordinator-side metric
 
-        if getattr(parser, "op_trace", None) is not None:
+        if parser.op_trace is not None:
             # Debug hook: the merged-and-replayed graph must satisfy the
             # structural invariants before the wave extends it.  Not
             # earlier — until its deferred "end" record replays, an
@@ -309,109 +306,18 @@ class StreamingMerge:
 
         with rt.phase("cfg_wave"):
             t2 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            parser._noreturn_waves()
+            parser.noreturn_waves()
             if m.enabled:
                 m.observe("procs.phase.wave_wall_ns",
                           time.perf_counter_ns() - t2)  # sanity: allow(wall-clock) coordinator-side metric
 
         with rt.phase("cfg_finalize"):
             t3 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            cfg = finalize(parser, incremental=True)
+            cfg = finalize(parser)
             if m.enabled:
                 m.observe("procs.phase.finalize_wall_ns",
                           time.perf_counter_ns() - t3)  # sanity: allow(wall-clock) coordinator-side metric
         return cfg
-
-    # --------------------------------------------------------- frontier replay
-
-    def _insn_at(self, addr: int) -> Instruction:
-        """Resolve an instruction for replay: the merged decode cache,
-        then a direct deterministic decode."""
-        insn = self.warm.get(addr)
-        if insn is None:
-            insn = self.parser.decoder.decode_at(addr)
-        return insn
-
-    def _block_at(self, start: int) -> Block:
-        blk = self.blocks.get(start)
-        if blk is None:
-            blk = self.parser.blocks_by_start.get(start)
-        assert blk is not None, f"replay source block {start:#x} missing"
-        return blk
-
-    def _replay_frontier(self) -> int:
-        """Replay every shard's frontier records through the real parser
-        machinery; returns the number of records replayed.
-
-        Shard order, discovery order within a shard.  Tasks the replay
-        discovers spawn into the group (or round queue) as in a live
-        parse, and the replay quiesces before returning.
-        """
-        parser = self.parser
-        rt = self.rt
-        group = rt.task_group() if parser.opts.task_parallel else None
-        parser._group = group
-        n = 0
-        try:
-            for _, frag in sorted(self._frags.items()):
-                self._replay_shard(frag)
-                n += len(frag.frontier)
-            if group is not None:
-                group.wait()
-            else:
-                current = parser._round_discovered
-                while current:
-                    parser._round_discovered = []
-                    rt.parallel_for(
-                        current,
-                        lambda fs: parser._traverse_task(fs[0], fs[1]))
-                    current = parser._round_discovered
-        finally:
-            parser._group = None
-        return n
-
-    def _replay_shard(self, frag: CFGFragment) -> None:
-        parser = self.parser
-        # One context per function, seeded with at least what the
-        # shard's traversal task had reached.
-        ctxs: dict[int, _TaskCtx] = {}
-        for rec in frag.frontier:
-            if rec.kind == "resume":
-                c, bs, ft, ce = rec.site
-                parser._resume_call_ft(DeferredCallSite(
-                    caller_addr=c, block=self._block_at(bs),
-                    fallthrough=ft, callee_addr=ce))
-                continue
-            ctx = ctxs.get(rec.func_addr)
-            if ctx is None:
-                func = parser.functions.get(rec.func_addr)
-                assert func is not None, (
-                    f"frontier record for unknown function "
-                    f"{rec.func_addr:#x}")
-                ctx = ctxs[rec.func_addr] = _TaskCtx(func=func)
-                ctx.reached.update(frag.reached.get(rec.func_addr, ()))
-                ctx.reached.add(rec.func_addr)
-            self._replay_record(ctx, rec)
-            parser._drain(ctx)
-
-    def _replay_record(self, ctx: _TaskCtx, rec: FrontierRecord) -> None:
-        parser = self.parser
-        if rec.kind == "end":
-            parser._register_end(ctx, self._block_at(rec.block_start),
-                                 rec.end_addr, self._insn_at(rec.last_addr))
-            return
-        src = parser.block_ends.get(rec.end_addr)
-        if src is None:
-            src = self._block_at(rec.block_start)
-        if rec.kind == "direct":
-            parser._direct_branch(ctx, src, rec.target)
-        elif rec.kind == "cond":
-            parser._cond_branch(ctx, src, self._insn_at(rec.last_addr))
-        elif rec.kind == "call":
-            parser._call(ctx, src, self._insn_at(rec.last_addr))
-        else:  # intra
-            parser._add_intra_target(ctx, src, rec.target,
-                                     EdgeType(rec.etype))
 
 
 def _rebuild_fragment_graph(frag: CFGFragment,
@@ -451,27 +357,3 @@ def _rebuild_fragment_graph(frag: CFGFragment,
         edge.src.out_edges.append(edge)
         edge.dst.in_edges.append(edge)
     return added
-
-
-def _install_end(parser: ParallelParser, block: Block, end: int) -> None:
-    """Register an imported block end, cascading splits on collision.
-
-    Mirrors ``_register_end``'s loop minus edge creation (the owning
-    shard already created this end's edges; losers in the cascade carry
-    theirs along exactly as invariant 4 moves them).
-    """
-    pending: tuple[Block, int] | None = (block, end)
-    while pending is not None:
-        blk, e = pending
-        pending = None
-        with parser.block_ends.accessor(e) as acc:
-            if acc.created:
-                acc.value = blk
-                blk.end = e
-                continue
-            if acc.value is blk:
-                continue
-            nxt_blk, nxt_end, _ = parser._split_collision(blk, e, acc)
-            pending = (nxt_blk, nxt_end)
-
-

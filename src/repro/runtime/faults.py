@@ -35,7 +35,7 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
            (a transport downgrade, not a degradation-ladder rung:
            the parse stays fully sharded)
 ``wave``   the parser raises at the top of a noreturn-wave iteration
-           (``ParallelParser._noreturn_waves``); fires in workers,
+           (``ParallelParser.noreturn_waves``); fires in workers,
            where waves run over shard-local functions
 ========== ============================================================
 

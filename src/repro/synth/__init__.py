@@ -32,7 +32,6 @@ from repro.synth.codegen import SynthesizedBinary, synthesize
 from repro.synth.hostile import (
     HOSTILE_PRESETS,
     hostile_binary,
-    hostile_corpus,
     hostile_params,
 )
 from repro.synth.corpus import (
@@ -67,6 +66,5 @@ __all__ = [
     "corpus_stats",
     "HOSTILE_PRESETS",
     "hostile_binary",
-    "hostile_corpus",
     "hostile_params",
 ]

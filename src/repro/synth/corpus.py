@@ -27,7 +27,6 @@ from repro.synth.codegen import SynthesizedBinary, synthesize
 from repro.synth.hostile import (  # noqa: F401
     HOSTILE_PRESETS,
     hostile_binary,
-    hostile_corpus,
 )
 from repro.synth.program import GenParams, generate_program
 

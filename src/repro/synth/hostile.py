@@ -94,14 +94,3 @@ def hostile_binary(preset: str, seed: int = 1337,
     params = hostile_params(preset, n_functions)
     name = f"hostile-{preset}-{seed}"
     return synthesize(generate_program(seed, params, name=name))
-
-
-def hostile_corpus(seed: int = 1337, n_per_preset: int = 1,
-                   presets: tuple[str, ...] | None = None
-                   ) -> list[SynthesizedBinary]:
-    """One deterministic corpus slice across the hostile preset axes."""
-    out = []
-    for preset in presets if presets is not None else HOSTILE_PRESETS:
-        for i in range(n_per_preset):
-            out.append(hostile_binary(preset, seed=seed + i))
-    return out

@@ -63,7 +63,9 @@ class TestCli:
         assert out["workers"] == 4
         assert out["makespan_seconds"] > 0
         assert "makespan_cycles" not in out
-        assert out["procs"]["shards"] >= 1
+        assert out["procs"]["procs.shards"] >= 1
+        assert out["procs"]["degraded_to"] == "none"
+        assert out["procs"]["fault_events"] == 0
         for key in ("functions", "blocks", "edges", "splits",
                     "jump_tables", "tailcall_flips"):
             assert out[key] == serial[key], key

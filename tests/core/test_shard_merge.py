@@ -113,7 +113,7 @@ class TestBoundaryReconciliation:
         # Linear overrun (kind "end") and ordinary cross-claim control
         # flow both fire somewhere in the sweep.
         assert "end" in kinds
-        assert {"direct", "call"} & kinds
+        assert "edges" in kinds
 
     def test_merge_metrics_recorded(self):
         entries = sorted(_SB.binary.entry_addresses())
@@ -232,15 +232,16 @@ class TestFrontierReplay:
 
     @staticmethod
     def _undecodable_cond(frag):
-        """A ``cond`` record whose branch address lies outside the code."""
+        """An ``edges`` record whose branch address lies outside the
+        code."""
         return FrontierRecord(
-            kind="cond",
+            kind="edges",
             func_addr=frag.functions[0][0], block_start=frag.blocks[0][0],
             end_addr=None, target=None, last_addr=ADDRESS_CEILING - 8,
             etype=None, site=None)
 
     def test_undecodable_record_surfaces_from_finish(self):
-        """A cond/call record whose instruction does not decode is
+        """An edges record whose instruction does not decode is
         installed like any other fragment content and fails where it
         replays: ``finish()``."""
         deltas = self._mid_deltas()
@@ -261,7 +262,7 @@ class TestFrontierReplay:
         """A programming error inside replay must propagate out of
         ``finish()``, not be mistaken for a deferred record."""
         deltas = self._mid_deltas()
-        assert any(r.kind in ("cond", "call", "end")
+        assert any(r.kind in ("edges", "end")
                    for d in deltas for r in d.fragment.frontier)
         rt = SerialRuntime()
 
@@ -273,7 +274,7 @@ class TestFrontierReplay:
             def broken(addr):
                 raise AttributeError("injected replay bug")
 
-            monkeypatch.setattr(sm, "_insn_at", broken)
+            monkeypatch.setattr(sm.parser, "_insn_at", broken)
             with pytest.raises(AttributeError, match="injected"):
                 sm.finish()
 
