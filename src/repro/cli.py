@@ -108,9 +108,6 @@ def _add_runtime_args(p: argparse.ArgumentParser,
                    metavar="SECONDS",
                    help="procs only: per-shard deadline for one pool "
                         "attempt (0 disables the deadline)")
-    p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="procs only: pool re-dispatches per shard before "
-                        "inline re-execution")
     p.add_argument("--fault-plan", type=str, default=None, metavar="SPEC",
                    help="procs only: deterministic fault-injection plan, "
                         "e.g. 'exc@1x1,delay@0=2' "
@@ -149,8 +146,6 @@ def _make_rt(args, **kw):
             kw.setdefault("shard_deadline",
                           args.shard_deadline if args.shard_deadline > 0
                           else None)
-        if getattr(args, "max_retries", None) is not None:
-            kw.setdefault("max_retries", args.max_retries)
         if getattr(args, "fault_plan", None) is not None:
             from repro.runtime.faults import FaultPlan
             kw.setdefault("fault_plan",
@@ -474,7 +469,7 @@ def cmd_fuzz(args) -> int:
         presets=tuple(args.presets) if args.presets else None,
         minimize=args.minimize, n_functions=args.n_functions,
         workers=args.workers, procs_workers=args.procs_workers,
-        procs_inline=not args.procs_pool, include_shm=args.procs_pool,
+        procs_inline=not args.procs_pool,
         race_schedules=args.race_schedules, metrics=metrics)
     write_sidecar(report, FUZZ_REPORT_SCHEMA, args.json)
     if args.json:
@@ -667,8 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker count for the procs axes")
     fz.add_argument("--procs-pool", action="store_true",
                     help="run the procs axes on a real process pool "
-                         "(adds the shm-fallback axis; default is the "
-                         "in-process sharded pipeline)")
+                         "(default is the in-process sharded pipeline)")
     fz.add_argument("--race-schedules", type=int, default=2, metavar="N",
                     help="vtime schedules per case for the race-sweep "
                          "axis (default 2)")
@@ -705,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attempt budget per binary before quarantine "
                          "(default 3)")
     co.add_argument("--window", type=int, default=2,
-                    help="inflight-binary window; also sizes the "
-                         "shared pool admission gate (default 2)")
+                    help="inflight-binary window: attempts running at "
+                         "once, halved on every timeout (default 2)")
     co.add_argument("--binary-deadline", type=float, default=120.0,
                     metavar="SECONDS",
                     help="per-attempt deadline for one binary "

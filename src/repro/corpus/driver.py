@@ -21,9 +21,9 @@ of docs/ROBUSTNESS.md still runs *inside* each attempt; above it sits
 the corpus ladder:
 
 1. **shrink the inflight window** — any timeout halves the window
-   (floor 1): a wedged binary is evidence of pool pressure, so admit
-   less.  The shared :class:`~repro.runtime.procs.PoolAdmission` gate
-   is resized live;
+   (floor 1): a wedged binary is evidence of pool pressure, so launch
+   fewer attempts at once.  An abandoned attempt keeps running until
+   its own parse ends, outside the window;
 2. **drop to the serial backend** — a binary's *final* attempt after
    crash/timeout failures runs on the serial backend, sidestepping the
    pool entirely.  Divergence failures never take this rung: a procs
@@ -63,7 +63,7 @@ from repro.runtime.faults import (
     maybe_kill_coordinator,
 )
 from repro.runtime.metrics import NULL_METRICS
-from repro.runtime.procs import PoolAdmission, ProcsRuntime
+from repro.runtime.procs import ProcsRuntime
 from repro.runtime.serial import SerialRuntime
 from repro.runtime.shm import sweep_orphans
 from repro.schema import CORPUS_BACKENDS, canonical_bytes
@@ -136,6 +136,8 @@ class CorpusConfig:
             raise CorpusError("binary deadline must be positive")
         if self.backend not in CORPUS_BACKENDS:
             raise CorpusError(f"unknown backend {self.backend!r}")
+        if self.procs_workers < 1:
+            raise CorpusError("procs workers must be >= 1")
         if self.journal_batch < 1:
             raise CorpusError("journal batch must be >= 1")
         if not self.presets:
@@ -201,7 +203,6 @@ class CorpusDriver:
         self._inflight: dict[tuple[int, int], dict] = {}
         self._abandoned: set[tuple[int, int]] = set()
         self._bins: dict[int, dict] = {}
-        self._admission: PoolAdmission | None = None
         self._window = 0
         self._window_shrinks = 0
         self._outcomes = 0       # per-invocation ordinal (coordinator-kill)
@@ -248,8 +249,6 @@ class CorpusDriver:
             self.metrics.inc("corpus.fake_clock")
 
         self._window = self.config.window
-        if self.config.backend == "procs":
-            self._admission = PoolAdmission(self._window)
         pending = [i for i in range(self.config.count)
                    if i not in completed and i not in quarantined]
         self.metrics.inc("corpus.scheduled", len(pending))
@@ -404,8 +403,6 @@ class CorpusDriver:
             self._window = max(1, self._window // 2)
             self._window_shrinks += 1
             self.metrics.inc("corpus.window_shrinks")
-            if self._admission is not None:
-                self._admission.resize(self._window)
 
     def _quarantine(self, index: int, reason: str, error: str,
                     journal: Journal, quarantined: dict[int, dict]
@@ -513,9 +510,7 @@ class CorpusDriver:
                 self.config.procs_workers,
                 enable_metrics=False,
                 in_process=self.in_process,
-                parse_budget=self.config.binary_deadline,
-                fault_plan=self.fault_plan,
-                admission=self._admission)
+                fault_plan=self.fault_plan)
             cfg = parse_binary(binary, rt)
             degraded = rt.degradation["level"]
         stats = (len(cfg.functions()), len(cfg.blocks()),

@@ -8,9 +8,9 @@ package closes the generator → oracle → reducer loop:
   symbols, overlapping functions, over-approximating jump tables,
   data-in-text, out-of-band entries), each with ground truth;
 - :mod:`repro.fuzz.oracle` parses each binary on every backend axis
-  (serial / vtime / threads / procs, including fault-plan and
-  shm-fallback axes) plus the cfgsan and race sanity checks, and
-  compares result signatures byte-for-byte;
+  (serial / vtime / threads / procs, including a fault-plan axis)
+  plus the cfgsan and race sanity checks, and compares result
+  signatures byte-for-byte;
 - :mod:`repro.fuzz.reduce` delta-reduces any diverging binary to a
   minimal repro at the program-spec level (drop function, drop block,
   straighten branch, shrink jump table), deterministically;

@@ -30,8 +30,8 @@ def fuzz_run(runs: int, seed: int, *, presets: tuple[str, ...] | None = None,
              minimize: bool = False, n_functions: int | None = None,
              axes: list[OracleAxis] | None = None,
              workers: int = 4, procs_workers: int = 2,
-             procs_inline: bool = True, include_shm: bool = False,
-             race_schedules: int = 2, metrics: Any = None) -> dict:
+             procs_inline: bool = True, race_schedules: int = 2,
+             metrics: Any = None) -> dict:
     """Run a seeded differential-fuzzing campaign; return the report.
 
     ``axes`` overrides the whole axis battery (tests use this to inject
@@ -59,7 +59,7 @@ def fuzz_run(runs: int, seed: int, *, presets: tuple[str, ...] | None = None,
             metrics.inc(f"fuzz.preset.{preset}")
         case_axes = axes if axes is not None else default_axes(
             workers=workers, procs_workers=procs_workers,
-            procs_inline=procs_inline, include_shm=include_shm,
+            procs_inline=procs_inline,
             race_seed=derive_seed(seed, "fuzz-race", i),
             race_schedules=race_schedules)
         if not axis_names:

@@ -2,9 +2,9 @@
 
 An axis is one way of running the parser end to end — a backend
 (serial / vtime / threads / procs), a procs resilience configuration
-(fault plan, shm transport fallback), or a sanity analysis (cfgsan
-invariants, race-detection sweep, findings-sidecar byte determinism
-of the interprocedural checkers).  The oracle runs a binary through
+(a fault plan), or a sanity analysis (cfgsan invariants,
+race-detection sweep, findings-sidecar byte determinism of the
+interprocedural checkers).  The oracle runs a binary through
 every axis and compares :meth:`ParsedCFG.signature` digests
 byte-for-byte against the first (serial) axis; signature axes must
 match exactly, check axes must report zero findings.
@@ -149,16 +149,14 @@ def _checkers_check(workers: int, procs_workers: int, procs_inline: bool
 
 def default_axes(*, workers: int = 4, procs_workers: int = 2,
                  procs_inline: bool = True, include_faults: bool = True,
-                 include_shm: bool = False, race_seed: int = 0,
-                 race_schedules: int = 2, race_workers: int = 4,
+                 race_seed: int = 0, race_schedules: int = 2,
+                 race_workers: int = 4,
                  include_checkers: bool = True
                  ) -> list[OracleAxis]:
     """The standard axis battery.  The first axis is the reference.
 
     ``procs_inline`` keeps the sharded pipeline in-process (no pool) so
-    the oracle runs anywhere; ``include_shm`` adds the shm-transport
-    fallback axis, which only exists on the pool path, so it forces
-    ``in_process=False`` for that axis.
+    the oracle runs anywhere.
     """
     from repro.runtime import (
         ProcsRuntime,
@@ -184,13 +182,6 @@ def default_axes(*, workers: int = 4, procs_workers: int = 2,
             _parse_sig(lambda: ProcsRuntime(
                 procs_workers, in_process=procs_inline,
                 fault_plan=FaultPlan.from_spec("exc@0x1"),
-                shard_deadline=30.0))))
-    if include_shm:
-        axes.append(OracleAxis(
-            "procs-shm", "signature",
-            _parse_sig(lambda: ProcsRuntime(
-                procs_workers, in_process=False,
-                fault_plan=FaultPlan.from_spec("shm"),
                 shard_deadline=30.0))))
     axes.append(OracleAxis("cfgsan", "check", _cfgsan_check))
     axes.append(OracleAxis(

@@ -31,9 +31,8 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
 ``health`` the coordinator's pool health-check reports the pool dead
            (drives the respawn path without real worker carnage)
 ``shm``    publishing the image to shared memory fails on the
-           coordinator, forcing the legacy pickled-bytes transport
-           (a transport downgrade, not a degradation-ladder rung:
-           the parse stays fully sharded)
+           coordinator, so every shard runs inline (the ``inline``
+           rung, as when no pool can be created)
 ``wave``   the parser raises at the top of a noreturn-wave iteration
            (``ParallelParser.noreturn_waves``); fires in workers,
            where waves run over shard-local functions

@@ -19,26 +19,20 @@ Execution model
    each worker's decode working set local, mirroring the paper's
    Section 6.4 cache story.
 2. **Publish the image once** — the coordinator serializes the binary
-   image into a POSIX shared-memory segment
-   (:mod:`repro.runtime.shm`); task payloads carry only the segment's
-   name and payload length, and workers deserialize the binary over a
-   read-only memoryview of the mapping, so section payloads and the
-   decoder's code buffer alias the segment — the image crosses the
-   process boundary zero times per task instead of once per task.  The
-   segment is unlinked in a ``finally`` around the dispatch loop
-   (success, every fault rung, degradation, serial fallback).  If
-   shared memory is unavailable — or the deterministic ``shm`` fault
-   site fires — the parse downgrades to the legacy pickled-bytes
-   transport (recorded as a fault event; the parse stays fully
-   sharded).
+   image into one POSIX shared-memory segment
+   (:mod:`repro.runtime.shm`); task payloads carry only its name and
+   payload length, and workers deserialize the binary over a read-only
+   view of the mapping, so section payloads and the decoder's code
+   buffer alias the segment.  The segment is unlinked in a ``finally``
+   around the dispatch loop, whatever the outcome.  Without shared
+   memory (or when the ``shm`` fault site fires) the shards run inline,
+   as they do when no pool can be created.
 3. **Fragment parse (parallel)** — shard tasks are dispatched to a
    long-lived worker pool shared by every :class:`ProcsRuntime` in the
-   process (pool creation dwarfs a dispatch round, so the pool is only
-   rebuilt when its size changes, and is sized to the cores actually
-   available).  Each worker rebuilds the binary from
-   the shipped transport — cached per parse token, so only the first
-   task to reach a worker pays the rebuild — then runs the ordinary
-   parallel parser in
+   process (rebuilt only when its size changes, and sized to the cores
+   actually available).  Each worker rebuilds the binary over the
+   segment once per parse (cached per parse token), then runs the
+   ordinary parallel parser in
    *fragment mode*: expansion proceeds normally inside the shard's
    claim, while every step that would touch a foreign address — direct
    or conditional branches out of the region, calls to foreign callees,
@@ -75,17 +69,19 @@ Fault tolerance
 ---------------
 The fan-out assumes nothing about worker health.  Every shard attempt
 is dispatched as its own ``AsyncResult`` and collected under a
-configurable per-shard deadline (``shard_deadline``) and overall parse
-budget (``parse_budget``); every collected delta is integrity-checked
-against the digest the worker stamped on its sealed payload.  A failed
-attempt — worker exception, kill, hang past the deadline, corrupt or
-truncated delta — walks a bounded ladder:
+configurable per-shard deadline (``shard_deadline``); every collected
+delta is integrity-checked against the digest the worker stamped on
+its sealed payload.  A failed attempt — worker exception, kill, hang
+past the deadline, corrupt or truncated delta — walks a bounded
+ladder:
 
-1. **re-dispatch** the shard to the pool (up to ``max_retries`` times),
-   respawning the shared pool first when a health-check finds dead
-   workers (at most :data:`MAX_POOL_RESPAWNS` times per parse);
+1. **re-dispatch** the shard to the pool (up to :data:`MAX_RETRIES`
+   times), respawning the shared pool first when a health-check finds
+   dead workers (at most :data:`MAX_POOL_RESPAWNS` times per parse);
 2. **inline re-execution** of just that shard in the coordinator
-   process (the ``shard_inline`` degradation step);
+   process (the ``shard_inline`` degradation step; a parse with no
+   pool or no image segment runs every shard inline, the ``inline``
+   step);
 3. if even that fails, the whole parse degrades to a plain **serial
    parse** on the coordinator — the ladder's last rung always yields
    the same fixed point.  The one error that never degrades is a
@@ -145,15 +141,12 @@ from repro.runtime.faults import (
 from repro.runtime.serial import SerialRuntime
 from repro.schema import DEGRADATION_LEVELS
 
-#: Worker-side cache of binaries rebuilt from task transports, keyed by
-#: the coordinator's payload token (one token per parse).  Values are
-#: ``(binary, shm_handle_or_None)`` — a binary built over a
-#: shared-memory view must keep its mapping handle alive, and eviction
-#: releases the handle via :func:`repro.runtime.shm.release_view`.
-#: LRU-ordered: a hit moves the token to the back, and when the cache
-#: is full only the *least recently used* entry is evicted — never the
-#: whole cache, which would drop the binary currently being parsed
-#: mid-run and force every later task of the parse to rebuild it.
+#: Worker-side cache of binaries rebuilt over published image segments,
+#: keyed by the coordinator's payload token (one per parse).  Values are
+#: ``(binary, handle)``: a binary built over a shared-memory view keeps
+#: its mapping handle alive until eviction releases it.  LRU-ordered, so
+#: a full cache evicts only the least recently used entry — never the
+#: binary of a parse still in flight.
 _WORKER_BINARIES: "OrderedDict[int, tuple]" = OrderedDict()
 
 #: Maximum binaries kept alive per worker process.
@@ -179,72 +172,12 @@ ADDRESS_CEILING = 1 << 63
 #: — it exists to bound hangs, not to race healthy workers.
 DEFAULT_SHARD_DEADLINE = 60.0
 
-#: Default bound on per-shard pool re-dispatches after the first attempt.
-DEFAULT_MAX_RETRIES = 2
+#: Bound on per-shard pool re-dispatches after the first attempt (and
+#: on inline retries after the first inline attempt).
+MAX_RETRIES = 2
 
 #: Bound on shared-pool respawns within one parse.
 MAX_POOL_RESPAWNS = 2
-
-
-class PoolAdmission:
-    """A resizable counting gate over concurrent shard fan-outs.
-
-    Multi-binary drivers (the corpus driver in :mod:`repro.corpus`)
-    run many parses concurrently against the one shared worker pool; an
-    unbounded fan-out of fan-outs turns a single wedged binary into
-    pool-wide head-of-line blocking.  Every :class:`ProcsRuntime`
-    handed the same ``admission`` object must win a slot before its
-    fan-out touches the pool (or the inline path — the gate bounds
-    coordinator load too) and releases it when the fan-out completes on
-    any ladder rung.
-
-    ``resize`` lets a supervisor shrink the window mid-run (the corpus
-    ladder's first rung): in-flight fan-outs are never preempted, but
-    no new one is admitted until the active count drops below the new
-    limit.  Waits are observable via ``procs.admission.*`` metrics on
-    the waiting runtime.
-    """
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise RuntimeConfigError("admission limit must be >= 1")
-        self._cond = threading.Condition()
-        self._limit = limit
-        self._active = 0
-
-    @property
-    def limit(self) -> int:
-        with self._cond:
-            return self._limit
-
-    @property
-    def active(self) -> int:
-        with self._cond:
-            return self._active
-
-    def resize(self, limit: int) -> None:
-        if limit < 1:
-            raise RuntimeConfigError("admission limit must be >= 1")
-        with self._cond:
-            self._limit = limit
-            self._cond.notify_all()
-
-    def acquire(self) -> int:
-        """Block until a slot is free; returns nanoseconds waited."""
-        t0 = None
-        with self._cond:
-            while self._active >= self._limit:
-                if t0 is None:
-                    t0 = time.perf_counter_ns()
-                self._cond.wait()
-            self._active += 1
-        return 0 if t0 is None else time.perf_counter_ns() - t0
-
-    def release(self) -> None:
-        with self._cond:
-            if self._active > 0:
-                self._active -= 1
-            self._cond.notify_all()
 
 
 @dataclass(frozen=True)
@@ -253,9 +186,9 @@ class ShardTask:
     plus the shard's ownership claim ``[owned_lo, owned_hi)``.
 
     Deliberately plain data (ints only) so payloads pickle cheaply; the
-    binary travels alongside as a transport descriptor (a shared-memory
-    segment name, or raw image bytes on the fallback path) and is
-    rebuilt at most once per worker per parse (cached by payload token).
+    binary travels alongside as the published segment's
+    ``(name, size)`` and is rebuilt at most once per worker per parse
+    (cached by payload token).
     """
 
     shard_id: int
@@ -361,17 +294,11 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     return delta
 
 
-def _worker_binary(token: int, transport: tuple):
-    """The worker's cached binary for ``token``, rebuilding on a miss.
-
-    ``transport`` is ``("shm", name, size)`` — attach the coordinator's
-    shared-memory segment and deserialize zero-copy over a read-only
-    view — or ``("bytes", image_bytes)``, the legacy pickled-payload
-    fallback.  LRU discipline: a hit refreshes the token's recency; a
-    miss evicts only the least-recently-used entry once the cache is
-    full, so the binary of an in-flight parse is never dropped by a
-    newer parse's arrival.  Evicting a shared-memory-backed binary
-    releases its mapping handle.
+def _worker_binary(token: int, segment: tuple[str, int]):
+    """The worker's cached binary for ``token``.  A hit refreshes its
+    recency; a miss attaches the published image ``segment``
+    (``(name, size)``) and deserializes zero-copy over a read-only view,
+    evicting the least-recently-used entry first if the cache is full.
     """
     entry = _WORKER_BINARIES.get(token)
     if entry is not None:
@@ -382,14 +309,13 @@ def _worker_binary(token: int, transport: tuple):
 
     while len(_WORKER_BINARIES) >= _WORKER_BINARY_CAP:
         _tok, (_binary, handle) = _WORKER_BINARIES.popitem(last=False)
-        if handle is not None:
-            release_view(handle)
-    if transport[0] == "shm":
-        view, handle = attach_view(transport[1], transport[2])
+        release_view(handle)
+    view, handle = attach_view(*segment)
+    try:
         binary = load_image(view)
-    else:
-        binary = load_image(transport[1])
-        handle = None
+    except Exception:
+        release_view(handle)
+        raise
     _WORKER_BINARIES[token] = (binary, handle)
     return binary
 
@@ -397,23 +323,18 @@ def _worker_binary(token: int, transport: tuple):
 def _parse_shard(payload: tuple) -> ShardDelta:
     """Pool task: run one shard in this worker process.
 
-    The payload carries the image transport alongside the task — the
-    name of the published shared-memory segment, or the pickled image
-    bytes when shared memory was unavailable — so a long-lived pool
-    needs no per-binary initializer; the rebuilt binary is cached per
-    payload token, so only the first task of a parse to reach each
-    worker pays the rebuild.
-
+    The payload carries the image segment's ``(name, size)`` alongside
+    the task, so a long-lived pool needs no per-binary initializer.
     Failures are returned as data (not raised) so one bad shard cannot
     poison the pool; the coordinator feeds them to the retry ladder.
     The payload's fault plan drives the deterministic injection sites
     (entry faults before the parse, delta faults on the sealed payload).
     """
-    token, transport, options, enable_metrics, task, attempt, plan = \
+    token, segment, options, enable_metrics, task, attempt, plan = \
         payload
     try:
         inject_worker_entry(plan, task.shard_id, attempt)
-        binary = _worker_binary(token, transport)
+        binary = _worker_binary(token, segment)
         delta = _run_shard(binary, options, task, enable_metrics,
                            attempt, plan)
         return corrupt_delta(plan, delta, task.shard_id, attempt)
@@ -473,52 +394,33 @@ class ProcsRuntime(SerialRuntime):
 
     - ``shard_deadline`` — seconds one pool attempt of one shard may
       take before it counts as hung (None disables the deadline);
-    - ``parse_budget`` — overall wall-clock budget for the pool fan-out;
-      once exhausted, remaining shards run inline immediately;
-    - ``max_retries`` — pool re-dispatches per shard after the first
-      attempt, before the shard is re-executed inline;
     - ``fault_plan`` — deterministic fault injection
       (:class:`~repro.runtime.faults.FaultPlan`); defaults to the plan
-      named by ``REPRO_FAULT_PLAN`` if set;
-    - ``admission`` — optional shared :class:`PoolAdmission` gate: the
-      fan-out must win a slot before dispatching (multi-binary drivers
-      bound their in-flight window with one gate across runtimes).
+      named by ``REPRO_FAULT_PLAN`` if set.
     """
 
     def __init__(self, n_workers: int, cost_model=None,
                  enable_metrics: bool = True,
                  in_process: bool = False,
                  shard_deadline: float | None = DEFAULT_SHARD_DEADLINE,
-                 parse_budget: float | None = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 fault_plan: FaultPlan | None = None,
-                 admission: PoolAdmission | None = None):
+                 fault_plan: FaultPlan | None = None):
         if n_workers < 1:
             raise RuntimeConfigError("need at least one worker")
         if shard_deadline is not None and shard_deadline <= 0:
             raise RuntimeConfigError("shard_deadline must be positive")
-        if parse_budget is not None and parse_budget <= 0:
-            raise RuntimeConfigError("parse_budget must be positive")
-        if max_retries < 0:
-            raise RuntimeConfigError("max_retries must be >= 0")
         super().__init__(cost_model=cost_model,
                          enable_metrics=enable_metrics)
         self.num_workers = n_workers
         #: run shards inline in the coordinator process (test/debug
-        #: escape hatch; also the automatic fallback when no pool can
-        #: be created, e.g. in sandboxes without semaphore support).
+        #: escape hatch; also the automatic fallback when no pool or no
+        #: image segment can be created, e.g. in sandboxes without
+        #: semaphore or shared-memory support).
         self.in_process = in_process
         self.shard_deadline = shard_deadline
-        self.parse_budget = parse_budget
-        self.max_retries = max_retries
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
-        #: optional shared :class:`PoolAdmission` gate bounding how many
-        #: fan-outs (across runtimes) may be in flight at once.
-        self.admission = admission
         self._t0: float | None = None
         self._elapsed: float | None = None
-        self._budget_t0: float | None = None
         self._pool_creations = 0
         self._health_checks = 0
         #: the live StreamingMerge while a fan-out is collecting, so the
@@ -603,7 +505,6 @@ class ProcsRuntime(SerialRuntime):
 
         opts = options or ParseOptions()
         self._t0 = time.perf_counter()
-        self._budget_t0 = time.monotonic()
         self.fault_events = []
         self.shard_errors = []
         self.degradation = {"level": "none", "steps": []}
@@ -704,22 +605,6 @@ class ProcsRuntime(SerialRuntime):
 
     def _map_shards(self, binary, opts, tasks: list[ShardTask]
                     ) -> list[ShardDelta]:
-        if self.admission is None:
-            return self._map_shards_gated(binary, opts, tasks)
-        waited_ns = self.admission.acquire()
-        m = self.metrics
-        if m.enabled:
-            m.inc("procs.admission.acquires")
-            if waited_ns:
-                m.inc("procs.admission.waits")
-                m.observe("procs.admission.wait_wall_ns", waited_ns)
-        try:
-            return self._map_shards_gated(binary, opts, tasks)
-        finally:
-            self.admission.release()
-
-    def _map_shards_gated(self, binary, opts, tasks: list[ShardTask]
-                          ) -> list[ShardDelta]:
         if self.in_process or len(tasks) <= 1:
             return self._map_inline(binary, opts, tasks)
         try:
@@ -735,63 +620,59 @@ class ProcsRuntime(SerialRuntime):
             pool = self._create_pool(ctx, procs)
         except Exception as exc:
             # No usable pool (sandboxed semaphores, missing start
-            # method, injected pool fault): degrade to in-process
-            # shards — same code path including the structural merge,
-            # no parallelism, observable via the fallback counter.
+            # method, injected pool fault).
             shutdown_pool()
-            self.metrics.inc("procs.pool_fallback")
             self.shard_errors.append(PoolBrokenError(
                 f"pool creation failed: {type(exc).__name__}: {exc}",
                 None, self._pool_creations))
-            self._record_fault("pool_create_failed", None,
-                               self._pool_creations, "inline")
-            self._degrade("inline",
-                          f"no worker pool: {type(exc).__name__}: {exc}")
-            return self._map_inline(binary, opts, tasks)
-        token = next(_PAYLOAD_TOKENS)
-        segment, transport = self._publish_image(binary)
+            return self._fall_back_inline(
+                binary, opts, tasks, "pool_create_failed",
+                self._pool_creations,
+                f"no worker pool: {type(exc).__name__}: {exc}")
         try:
-            return self._dispatch(ctx, procs, pool, token, transport,
-                                  opts, binary, tasks)
+            segment = self._publish_image(binary)
+        except Exception as exc:
+            # No shared memory (no /dev/shm, sandboxed shm_open,
+            # injected shm fault): the workers cannot see the image.
+            return self._fall_back_inline(
+                binary, opts, tasks, "shm_unavailable", 1,
+                f"no image segment: {type(exc).__name__}: {exc}")
+        try:
+            return self._dispatch(ctx, procs, pool, next(_PAYLOAD_TOKENS),
+                                  (segment.name, segment.size), opts,
+                                  binary, tasks)
         finally:
             # The one unlink point: runs on success, on every ladder
             # rung and on the exception that triggers the serial
             # fallback, so no parse outcome can leak the segment.
-            if segment is not None:
-                segment.unlink()
+            segment.unlink()
+
+    def _fall_back_inline(self, binary, opts, tasks: list[ShardTask],
+                          kind: str, attempt: int, reason: str
+                          ) -> list[ShardDelta]:
+        """The pool path cannot start: run every shard in-process (the
+        structural merge still runs; only the parallelism is lost)."""
+        self.metrics.inc("procs.pool_fallback")
+        self._record_fault(kind, None, attempt, "inline")
+        self._degrade("inline", reason)
+        return self._map_inline(binary, opts, tasks)
 
     def _publish_image(self, binary):
-        """Publish the image for the fan-out: ``(segment, transport)``.
-
-        The happy path creates one shared-memory segment and returns a
-        ``("shm", name, size)`` transport; the caller owns the segment
-        and must unlink it when the fan-out is over.  When shared
-        memory is unavailable (or the ``shm`` fault site fires) the
-        transport downgrades to ``("bytes", image_bytes)`` — per-task
-        pickled payloads, sharded parse otherwise unchanged — and the
-        downgrade is recorded as a fault event.
-        """
+        """Publish the image once for the fan-out and return the
+        segment, which the caller unlinks when the fan-out is over.
+        Raises when shared memory is unavailable or the ``shm`` fault
+        site fires."""
         from repro.runtime.shm import ImageSegment
 
-        m = self.metrics
-        payload = binary.image.to_bytes()
-        fallback: Exception | None = None
         if self.fault_plan is not None and self.fault_plan.fires(
                 "shm", None, 1):
-            fallback = InjectedFaultError("shm", None, 1)
-        else:
-            try:
-                segment = ImageSegment.create(payload)
-            except Exception as exc:
-                fallback = exc
-        if fallback is not None:
-            m.inc("procs.shm.fallback")
-            self._record_fault("shm_unavailable", None, 1, "pickle")
-            return None, ("bytes", payload)
+            raise InjectedFaultError("shm", None, 1)
+        segment = ImageSegment.create(binary.image.to_bytes())
+        m = self.metrics
         if m.enabled:
             m.inc("procs.shm.segments")
             m.inc("procs.shm.bytes", segment.size)
-        return segment, ("shm", segment.name, segment.size)
+        return segment
 
     def _create_pool(self, ctx, procs: int):
         """One pool creation attempt (initial or respawn), counted so
@@ -816,24 +697,8 @@ class ProcsRuntime(SerialRuntime):
             return True
         return bool(workers) and all(p.is_alive() for p in workers)
 
-    def _remaining_budget(self) -> float | None:
-        if self.parse_budget is None or self._budget_t0 is None:
-            return None
-        return self.parse_budget - (time.monotonic() - self._budget_t0)
-
-    def _wait_timeout(self) -> float | None:
-        """Timeout for one AsyncResult wait: the shard deadline capped
-        by whatever remains of the overall parse budget."""
-        budget = self._remaining_budget()
-        if budget is None:
-            return self.shard_deadline
-        budget = max(budget, 0.0)
-        if self.shard_deadline is None:
-            return budget
-        return min(self.shard_deadline, budget)
-
     def _dispatch(self, ctx, procs: int, pool, token: int,
-                  transport: tuple, opts, binary,
+                  segment: tuple[str, int], opts, binary,
                   tasks: list[ShardTask]) -> list[ShardDelta]:
         """The fault-tolerant fan-out: per-task AsyncResults with
         deadlines, bounded retries, pool self-healing, inline rung.
@@ -851,23 +716,22 @@ class ProcsRuntime(SerialRuntime):
         pending = list(tasks)
         respawns = 0
 
-        while pending and pool is not None:
+        while pending:
             inflight = []
             for t in pending:
                 attempt[t.shard_id] += 1
                 if attempt[t.shard_id] > 1:
                     m.inc("procs.retry.dispatch")
-                payload = (token, transport, opts, m.enabled, t,
+                payload = (token, segment, opts, m.enabled, t,
                            attempt[t.shard_id], plan)
                 inflight.append(
                     (t, pool.apply_async(_parse_shard, (payload,))))
 
             retry: list[ShardTask] = []
             pool_broken = False
-            budget_out = False
             waiting = list(inflight)
             while waiting:
-                if pool_broken or budget_out:
+                if pool_broken:
                     retry.extend(t for t, _ar in waiting)
                     break
                 # Prefer a result that is already in: its merge work
@@ -878,19 +742,13 @@ class ProcsRuntime(SerialRuntime):
                 t, ar = waiting.pop(i)
                 a = attempt[t.shard_id]
                 try:
-                    delta = ar.get(timeout=self._wait_timeout())
+                    delta = ar.get(timeout=self.shard_deadline)
                 except multiprocessing.TimeoutError:
-                    remaining = self._remaining_budget()
-                    if remaining is not None and remaining <= 0:
-                        budget_out = True
-                        self._record_fault("parse_budget_exceeded",
-                                           t.shard_id, a, "inline")
-                    else:
-                        m.inc("procs.shard_timeout")
-                        self.shard_errors.append(ShardTimeoutError(
-                            t.shard_id, a, self.shard_deadline or 0.0))
-                        self._record_fault("shard_timeout", t.shard_id,
-                                           a, "retry")
+                    m.inc("procs.shard_timeout")
+                    self.shard_errors.append(ShardTimeoutError(
+                        t.shard_id, a, self.shard_deadline or 0.0))
+                    self._record_fault("shard_timeout", t.shard_id, a,
+                                       "retry")
                     retry.append(t)
                     continue
                 except Exception as exc:
@@ -921,7 +779,6 @@ class ProcsRuntime(SerialRuntime):
                     retry.append(t)
 
             if not retry:
-                pending = []
                 break
 
             # Something failed this round: check the pool before
@@ -938,10 +795,7 @@ class ProcsRuntime(SerialRuntime):
                 self._record_fault("pool_unhealthy", None,
                                    self._health_checks, "respawn")
 
-            if budget_out:
-                self._degrade("inline", "overall parse budget exhausted")
-                pool = None
-            elif pool_broken:
+            if pool_broken:
                 respawns += 1
                 shutdown_pool()
                 if respawns > MAX_POOL_RESPAWNS:
@@ -966,18 +820,15 @@ class ProcsRuntime(SerialRuntime):
                             f"{type(exc).__name__}: {exc}")
                         pool = None
 
+            # Shards past their retries, or left without a pool: the
+            # inline rung.
             pending = []
             for t in retry:
-                if pool is not None and attempt[t.shard_id] <= self.max_retries:
+                if pool is not None and attempt[t.shard_id] <= MAX_RETRIES:
                     pending.append(t)
                 else:
                     deltas[t.shard_id] = self._run_shard_final(
                         binary, opts, t, attempt[t.shard_id] + 1)
-
-        # Pool abandoned with shards still outstanding: inline rung.
-        for t in pending:
-            deltas[t.shard_id] = self._run_shard_final(
-                binary, opts, t, attempt[t.shard_id] + 1)
         return [deltas[t.shard_id] for t in tasks]
 
     def _run_shard_final(self, binary, opts, task: ShardTask,
@@ -986,25 +837,19 @@ class ProcsRuntime(SerialRuntime):
         pool retries and the whole-parse serial fallback.  A failure
         here raises :class:`ShardFailedError`, which ``sharded_parse``
         converts into the serial rung."""
-        m = self.metrics
-        m.inc("procs.retry.inline")
+        self.metrics.inc("procs.retry.inline")
         self._record_fault("shard_inline", task.shard_id, attempt_no,
                            "inline")
         self._degrade("shard_inline",
                       f"shard {task.shard_id} re-executed inline")
         try:
-            inject_inline_entry(self.fault_plan, task.shard_id,
-                                attempt_no)
-            delta = _run_shard(binary, opts, task, m.enabled,
-                               attempt_no, self.fault_plan)
+            delta, reason = self._inline_attempt(binary, opts, task,
+                                                 attempt_no)
         except Exception as exc:
             raise ShardFailedError(
                 task.shard_id, attempt_no,
                 f"inline re-execution failed: "
                 f"{type(exc).__name__}: {exc}") from exc
-        delta = corrupt_delta(self.fault_plan, delta, task.shard_id,
-                              attempt_no)
-        reason = self._collect(delta)
         if reason is not None:
             raise ShardFailedError(task.shard_id, attempt_no, reason)
         return delta
@@ -1013,38 +858,43 @@ class ProcsRuntime(SerialRuntime):
                     ) -> list[ShardDelta]:
         """Run every shard in the coordinator process.
 
-        The fast path (no fault plan, no failures) is one `_run_shard`
-        per task; faults — injected or real — get the same bounded
+        The fast path (no fault plan, no failures) is one attempt per
+        task; faults — injected or real — get the same bounded
         per-shard retry as the pool path, and a shard that exhausts its
         inline attempts raises :class:`ShardFailedError` so the parse
         degrades to the serial rung.
         """
         m = self.metrics
-        plan = self.fault_plan
         out: list[ShardDelta] = []
         for t in tasks:
-            delta = None
-            reason: str | None = None
-            for a in range(1, self.max_retries + 2):
+            for a in range(1, MAX_RETRIES + 2):
                 if a > 1:
                     m.inc("procs.retry.inline")
                 try:
-                    inject_inline_entry(plan, t.shard_id, a)
-                    d = _run_shard(binary, opts, t, m.enabled, a, plan)
-                    d = corrupt_delta(plan, d, t.shard_id, a)
-                    reason = self._collect(d)
+                    delta, reason = self._inline_attempt(binary, opts, t, a)
                 except Exception as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                 if reason is None:
-                    delta = d
+                    out.append(delta)
                     break
                 m.inc("procs.shard_failed")
                 self.shard_errors.append(
                     ShardFailedError(t.shard_id, a, reason))
                 self._record_fault("shard_failed", t.shard_id, a,
                                    "retry")
-            if delta is None:
-                raise ShardFailedError(t.shard_id, self.max_retries + 1,
-                                       reason or "unknown failure")
-            out.append(delta)
+            else:
+                raise ShardFailedError(t.shard_id, MAX_RETRIES + 1, reason)
         return out
+
+    def _inline_attempt(self, binary, opts, task: ShardTask, attempt: int
+                        ) -> tuple[ShardDelta, str | None]:
+        """One attempt of one shard in the coordinator process: entry
+        faults, the parse, delta faults, then verify-and-open.  Returns
+        the delta and why it is unusable (None: it is open); an
+        exception from the entry faults or the parse propagates."""
+        plan = self.fault_plan
+        inject_inline_entry(plan, task.shard_id, attempt)
+        delta = _run_shard(binary, opts, task, self.metrics.enabled,
+                           attempt, plan)
+        delta = corrupt_delta(plan, delta, task.shard_id, attempt)
+        return delta, self._collect(delta)

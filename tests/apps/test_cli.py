@@ -129,7 +129,6 @@ class TestCli:
             main(["bogus"])
 
     @pytest.mark.parametrize("argv", [
-        "parse tiny --backend procs --max-retries -1",
         "parse tiny --backend procs --fault-plan bogus@1",
         "parse nosuchfile.sbin",
         "parse tiny -j 0",
@@ -139,7 +138,8 @@ class TestCli:
         "check --races --fixture nope",
         "hpcstruct tiny --backend procs",
         "binfeat --backend procs",
-        "hpcstruct tiny --max-retries 2",
+        "hpcstruct tiny --shard-deadline 5",  # procs-only flag
+        "hpcstruct tiny --max-retries 2",  # no such flag
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, capsys, argv):
         assert exit_status(*argv.split()) == 2

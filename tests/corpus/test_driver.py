@@ -157,6 +157,23 @@ class TestLadder:
         assert failure["outcome"] == "timeout"
         assert failure["latency_s"] == round(0.3, 6)
 
+    def test_procs_fault_inside_an_attempt_takes_the_serial_rung(
+            self, tmp_path):
+        # Shard 0 sleeps 1 s on every procs attempt: the parse itself
+        # recovers, but only after the binary deadline, so the
+        # supervisor abandons each procs attempt as a timeout and the
+        # final attempt completes on the serial rung.
+        summary = _run(tmp_path, count=2, attempts=2, binary_deadline=0.3,
+                       plan=FaultPlan.from_spec("delay@0x99=1"))
+        assert (summary["completed"], summary["quarantined"]) == (2, 0)
+        report = _report(tmp_path)
+        assert validate_corpus_report(report) == []
+        assert report["degradation"]["window_shrinks"] == 2
+        assert report["degradation"]["serial_binaries"] == 2
+        for row in report["binaries"]:
+            assert (row["status"], row["backend"]) == ("ok", "serial")
+            assert [f["outcome"] for f in row["failures"]] == ["timeout"]
+
     def test_divergence_never_takes_the_serial_rung(self, tmp_path,
                                                     monkeypatch):
         # a procs parse that disagrees with the serial reference must
@@ -219,6 +236,7 @@ class TestConfig:
         (dict(journal_batch=0), "journal batch"),
         (dict(presets=()), "preset"),
         (dict(presets=("benign", "nope")), "unknown preset"),
+        (dict(procs_workers=0), "procs workers"),
     ])
     def test_validate_rejects(self, kw, msg):
         with pytest.raises(CorpusError, match=msg):

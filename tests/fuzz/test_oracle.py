@@ -53,9 +53,9 @@ class TestDefaultAxes:
         names = [a.name for a in default_axes(include_checkers=False)]
         assert "checkers" not in names
 
-    def test_shm_axis_only_on_request(self):
-        names = [a.name for a in default_axes(include_shm=True)]
-        assert "procs-shm" in names
+    def test_pool_runs_the_same_axes(self):
+        pool = [a.name for a in default_axes(procs_inline=False)]
+        assert pool == [a.name for a in default_axes()]
 
     def test_clean_binary_passes_every_axis(self, tiny):
         metrics = MetricsRegistry()

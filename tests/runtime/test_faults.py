@@ -14,6 +14,7 @@ ladder logic everywhere.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import contextmanager
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.runtime.procs import (
     ShardTask,
     shutdown_pool,
 )
+from repro.runtime.shm import ImageSegment, release_view
 from repro.runtime.tracefmt import run_report
 from repro.schema import validate_report
 from repro.synth import tiny_binary
@@ -271,16 +273,26 @@ class TestVerifyOnce:
         assert m.histogram("procs.delta.open_wall_ns").count == 2
 
 
+@contextmanager
+def _published(payload: bytes):
+    """A published image segment's ``(name, size)``, unlinked on exit."""
+    seg = ImageSegment.create(payload)
+    try:
+        yield seg.name, seg.size
+    finally:
+        seg.unlink()
+
+
 class TestParseShardErrorAsData:
     """`_parse_shard` returns failures as data, never raises."""
 
     def test_injected_exception_returned_as_error_delta(self, workload):
         sb, _ = workload
         task = ShardTask(0, tuple(sb.binary.entry_addresses()))
-        payload = (next(_tokens()),
-                   ("bytes", sb.binary.image.to_bytes()), _opts(),
-                   False, task, 1, FaultPlan.from_spec("exc@0"))
-        delta = _parse_shard(payload)
+        with _published(sb.binary.image.to_bytes()) as segment:
+            payload = (next(_tokens()), segment, _opts(), False, task, 1,
+                       FaultPlan.from_spec("exc@0"))
+            delta = _parse_shard(payload)
         assert delta.error is not None
         assert "InjectedFaultError" in delta.error
         assert (delta.shard_id, delta.attempt) == (0, 1)
@@ -288,9 +300,10 @@ class TestParseShardErrorAsData:
     def test_garbage_image_returned_as_error_delta(self, workload):
         sb, _ = workload
         task = ShardTask(0, tuple(sb.binary.entry_addresses()))
-        payload = (next(_tokens()), ("bytes", b"not an image"), _opts(),
-                   False, task, 1, None)
-        delta = _parse_shard(payload)
+        with _published(b"not an image") as segment:
+            payload = (next(_tokens()), segment, _opts(), False, task, 1,
+                       None)
+            delta = _parse_shard(payload)
         assert delta.error is not None and "ImageFormatError" in delta.error
 
 
@@ -298,55 +311,45 @@ class TestWorkerBinaryCache:
     """LRU eviction: one entry at a time, never the whole cache."""
 
     @pytest.fixture(autouse=True)
-    def clean_cache(self):
-        _WORKER_BINARIES.clear()
-        yield
-        _WORKER_BINARIES.clear()
-
-    def test_evicts_one_oldest_not_all(self, workload):
+    def segment(self, workload):
         sb, _ = workload
-        raw = ("bytes", sb.binary.image.to_bytes())
+        _WORKER_BINARIES.clear()
+        with _published(sb.binary.image.to_bytes()) as segment:
+            yield segment
+            for _binary, handle in _WORKER_BINARIES.values():
+                release_view(handle)
+            _WORKER_BINARIES.clear()
+
+    def test_evicts_one_oldest_not_all(self, segment):
         for token in range(1, 9):  # fill to the cap of 8
-            _worker_binary(token, raw)
+            _worker_binary(token, segment)
         assert len(_WORKER_BINARIES) == 8
-        _worker_binary(9, raw)  # one past the cap
+        _worker_binary(9, segment)  # one past the cap
         assert len(_WORKER_BINARIES) == 8  # still full, not cleared
         assert 1 not in _WORKER_BINARIES  # only the oldest went
         assert all(t in _WORKER_BINARIES for t in range(2, 10))
 
-    def test_hit_refreshes_recency(self, workload):
-        sb, _ = workload
-        raw = ("bytes", sb.binary.image.to_bytes())
+    def test_hit_refreshes_recency(self, segment):
         for token in range(1, 9):
-            _worker_binary(token, raw)
-        _worker_binary(1, raw)  # hit: token 1 becomes most recent
-        _worker_binary(10, raw)  # evicts token 2, not the just-used 1
+            _worker_binary(token, segment)
+        _worker_binary(1, segment)  # hit: token 1 becomes most recent
+        _worker_binary(10, segment)  # evicts token 2, not the just-used 1
         assert 1 in _WORKER_BINARIES and 2 not in _WORKER_BINARIES
 
-    def test_hit_returns_cached_object(self, workload):
-        sb, _ = workload
-        raw = ("bytes", sb.binary.image.to_bytes())
-        first = _worker_binary(42, raw)
-        assert _worker_binary(42, raw) is first
+    def test_hit_returns_cached_object(self, segment):
+        first = _worker_binary(42, segment)
+        assert _worker_binary(42, segment) is first
 
-    def test_shm_transport_attaches_and_releases(self, workload):
-        from repro.runtime.shm import ImageSegment, live_segments
-
+    def test_shm_transport_attaches_and_releases(self, workload, segment):
         sb, _ = workload
-        seg = ImageSegment.create(sb.binary.image.to_bytes())
-        try:
-            binary = _worker_binary(60, ("shm", seg.name, seg.size))
-            assert binary.image.name == sb.binary.image.name
-            _binary, handle = _WORKER_BINARIES[60]
-            assert handle is not None
-            # Eviction must release the mapping handle, not leak it.
-            raw = ("bytes", sb.binary.image.to_bytes())
-            for token in range(61, 61 + 8):
-                _worker_binary(token, raw)
-            assert 60 not in _WORKER_BINARIES
-        finally:
-            seg.unlink()
-        assert seg.name not in live_segments()
+        binary = _worker_binary(60, segment)
+        assert binary.image.name == sb.binary.image.name
+        _binary, handle = _WORKER_BINARIES[60]
+        assert handle is not None
+        # Eviction must release the mapping handle, not leak it.
+        for token in range(61, 61 + 8):
+            _worker_binary(token, segment)
+        assert 60 not in _WORKER_BINARIES
 
 
 class TestInlineLadder:
@@ -406,7 +409,7 @@ class TestInlineLadder:
         assert rt.degradation["level"] == "serial"
         assert rt.metrics.counter("procs.degraded_to.serial") == 1
         assert rt.fault_events[-1]["kind"] == "sharded_parse_failed"
-        # max_retries=2 -> three failed inline attempts before the rung.
+        # MAX_RETRIES=2 -> three failed inline attempts before the rung.
         assert rt.metrics.counter("procs.shard_failed") == 3
 
     def test_metrics_off_still_recovers(self, workload):
@@ -490,18 +493,9 @@ class TestPoolLadder:
         kinds = [e["kind"] for e in rt.fault_events]
         assert kinds == ["shard_failed", "pool_unhealthy", "pool_respawn"]
 
-    def test_parse_budget_exhaustion_goes_inline(self, workload):
-        sb, want = workload
-        rt = _parse_with(sb, want, "delay@*x99=0.4",
-                         shard_deadline=30.0, parse_budget=0.2)
-        assert rt.degradation["level"] == "inline"
-        assert any(e["kind"] == "parse_budget_exceeded"
-                   for e in rt.fault_events)
-
     def test_pool_exhausted_shard_runs_inline(self, workload):
         sb, want = workload
-        rt = _parse_with(sb, want, "exc@0x3", shard_deadline=30.0,
-                         max_retries=2)
+        rt = _parse_with(sb, want, "exc@0x3", shard_deadline=30.0)
         # Attempts 1-3 fail in the pool; the inline rung (attempt 4)
         # is past the plan's window and succeeds.
         assert rt.degradation["level"] == "shard_inline"
@@ -521,8 +515,7 @@ class TestPoolLadder:
 
 class TestConfigValidation:
     def test_bad_knobs_rejected(self):
-        for kw in ({"shard_deadline": 0}, {"shard_deadline": -1},
-                   {"parse_budget": 0}, {"max_retries": -1}):
+        for kw in ({"shard_deadline": 0}, {"shard_deadline": -1}):
             with pytest.raises(RuntimeConfigError):
                 ProcsRuntime(2, **kw)
 

@@ -7,7 +7,6 @@ from repro.errors import RuntimeConfigError
 from repro.runtime import ProcsRuntime, SerialRuntime
 from repro.runtime.procs import (
     ADDRESS_CEILING,
-    PoolAdmission,
     ShardDelta,
     ShardTask,
     shard_regions,
@@ -182,70 +181,3 @@ class TestShardTask:
         t = ShardTask(0, (10, 20, 30))
         assert (t.owned_lo, t.owned_hi) == (0, ADDRESS_CEILING)
 
-
-class TestPoolAdmission:
-    """The resizable gate multi-binary drivers share across runtimes."""
-
-    def test_rejects_zero_limit(self):
-        with pytest.raises(RuntimeConfigError):
-            PoolAdmission(0)
-        with pytest.raises(RuntimeConfigError):
-            PoolAdmission(2).resize(0)
-
-    def test_uncontended_acquire_does_not_wait(self):
-        gate = PoolAdmission(2)
-        assert gate.acquire() == 0
-        assert gate.acquire() == 0
-        assert gate.active == 2
-        gate.release()
-        gate.release()
-        assert gate.active == 0
-
-    def test_full_gate_blocks_until_release(self):
-        import threading
-
-        gate = PoolAdmission(1)
-        gate.acquire()
-        waited = []
-        entered = threading.Event()
-
-        def contender():
-            waited.append(gate.acquire())
-            entered.set()
-            gate.release()
-
-        t = threading.Thread(target=contender, daemon=True)
-        t.start()
-        assert not entered.wait(0.1)  # gate is full: the acquire parks
-        gate.release()
-        assert entered.wait(5.0)
-        t.join(5.0)
-        assert waited[0] > 0  # the wait was measured
-
-    def test_resize_admits_parked_waiters(self):
-        import threading
-
-        gate = PoolAdmission(1)
-        gate.acquire()
-        entered = threading.Event()
-
-        def contender():
-            gate.acquire()
-            entered.set()
-
-        t = threading.Thread(target=contender, daemon=True)
-        t.start()
-        assert not entered.wait(0.1)
-        gate.resize(2)  # the corpus ladder resizes live, no preemption
-        assert entered.wait(5.0)
-        t.join(5.0)
-        assert (gate.limit, gate.active) == (2, 2)
-
-    def test_runtime_reports_admission_metrics(self):
-        sb = tiny_binary(seed=5, n_functions=24)
-        gate = PoolAdmission(1)
-        rt = ProcsRuntime(2, in_process=True, admission=gate)
-        want = parse_binary(sb.binary, SerialRuntime()).signature()
-        assert parse_binary(sb.binary, rt).signature() == want
-        assert rt.metrics.counter("procs.admission.acquires") == 1
-        assert gate.active == 0  # released on the way out
