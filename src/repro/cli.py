@@ -699,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attempt budget per binary before quarantine "
                          "(default 3)")
     co.add_argument("--window", type=int, default=2,
-                    help="inflight-binary window: attempts running at "
-                         "once, halved on every timeout (default 2)")
+                    help="inflight-binary window: attempts supervised "
+                         "at once (default 2)")
     co.add_argument("--binary-deadline", type=float, default=120.0,
                     metavar="SECONDS",
                     help="per-attempt deadline for one binary "

@@ -11,8 +11,8 @@ built robustness-first, on three pillars:
   binary runs under a deadline and attempt budget; a crash, timeout or
   divergence quarantines *that binary* and the run continues.  The
   procs degradation ladder of docs/ROBUSTNESS.md still protects each
-  parse; a corpus-level ladder sits above it (shrink the inflight
-  window → drop the binary to the serial backend → quarantine).
+  parse; a corpus-level ladder sits above it (drop the binary to the
+  serial backend → quarantine).
 - **Resumable journaling** (:mod:`repro.corpus.journal`) — an
   append-only ``journal.jsonl`` records every outcome with result
   digests, fsync'd in batches; ``repro corpus --resume <dir>`` after a

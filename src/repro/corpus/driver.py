@@ -16,21 +16,19 @@ only post ``(key, outcome, payload)`` tuples to a queue.  A binary's
 attempt is bounded by ``binary_deadline`` — when it expires the
 attempt is *abandoned* (its key is remembered so a straggling result
 is discarded; the thread dies with the process) and the failure is
-handled exactly like a crash.  The per-parse procs degradation ladder
-of docs/ROBUSTNESS.md still runs *inside* each attempt; above it sits
-the corpus ladder:
+handled exactly like a crash.  An abandoned attempt keeps running
+until its own parse ends, outside the window: the window is a plain
+concurrency limit on supervised attempts.  The per-parse procs
+degradation ladder of docs/ROBUSTNESS.md still runs *inside* each
+attempt; above it sits the corpus ladder:
 
-1. **shrink the inflight window** — any timeout halves the window
-   (floor 1): a wedged binary is evidence of pool pressure, so launch
-   fewer attempts at once.  An abandoned attempt keeps running until
-   its own parse ends, outside the window;
-2. **drop to the serial backend** — a binary's *final* attempt after
+1. **drop to the serial backend** — a binary's *final* attempt after
    crash/timeout failures runs on the serial backend, sidestepping the
    pool entirely.  Divergence failures never take this rung: a procs
    result that disagrees with the serial reference would trivially
    "pass" when re-run serially, masking the very bug the verify
    exists to catch — divergent binaries retry on procs or quarantine;
-3. **quarantine** — the attempt budget is spent: triage bundle to
+2. **quarantine** — the attempt budget is spent: triage bundle to
    disk, journal record, run continues.
 
 Determinism
@@ -203,8 +201,6 @@ class CorpusDriver:
         self._inflight: dict[tuple[int, int], dict] = {}
         self._abandoned: set[tuple[int, int]] = set()
         self._bins: dict[int, dict] = {}
-        self._window = 0
-        self._window_shrinks = 0
         self._outcomes = 0       # per-invocation ordinal (coordinator-kill)
         self.analyzed = 0        # attempts run by *this* invocation
         self.orphans_reaped: list[str] = []
@@ -248,7 +244,6 @@ class CorpusDriver:
         if self.fake_clock:
             self.metrics.inc("corpus.fake_clock")
 
-        self._window = self.config.window
         pending = [i for i in range(self.config.count)
                    if i not in completed and i not in quarantined]
         self.metrics.inc("corpus.scheduled", len(pending))
@@ -270,7 +265,6 @@ class CorpusDriver:
             "analyzed_this_run": self.analyzed,
             "skipped_completed": skipped,
             "resumed": self.resume,
-            "final_window": self._window,
             "orphans_reaped": len(self.orphans_reaped),
         }
 
@@ -281,7 +275,7 @@ class CorpusDriver:
                    quarantined: dict[int, dict]) -> None:
         pending = list(reversed(pending))  # pop() from the low end
         while pending or self._inflight:
-            while pending and len(self._inflight) < self._window:
+            while pending and len(self._inflight) < self.config.window:
                 self._launch(pending.pop())
             try:
                 key, kind, payload = self._results.get(
@@ -381,8 +375,6 @@ class CorpusDriver:
             "latency_s": payload["latency_s"],
         })
         self.metrics.inc(f"corpus.failure.{kind}")
-        if kind == "timeout":
-            self._shrink_window()
         nxt = info["attempt"] + 1
         if nxt > self.config.attempts:
             self._quarantine(index, kind, payload["error"], journal,
@@ -397,12 +389,6 @@ class CorpusDriver:
             st["backend"] = "serial"
             self.metrics.inc("corpus.serial_rung")
         pending.append(index)  # retries are popped first
-
-    def _shrink_window(self) -> None:
-        if self._window > 1:
-            self._window = max(1, self._window // 2)
-            self._window_shrinks += 1
-            self.metrics.inc("corpus.window_shrinks")
 
     def _quarantine(self, index: int, reason: str, error: str,
                     journal: Journal, quarantined: dict[int, dict]

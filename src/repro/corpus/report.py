@@ -10,8 +10,6 @@ never from run wall-clock (two invocations can't share one clock):
 - per-binary latencies come from the journal's ``latency_s`` fields
   (deterministic under ``REPRO_CORPUS_FAKE_CLOCK``, see driver);
 - throughput is analysis-seconds-based, not run-wall-based;
-- window-shrink counts are recomputed from the recorded timeout
-  failures rather than read off the live ladder;
 - binaries are emitted in index order, floats rounded at the source,
   keys sorted by :func:`repro.schema.canonical_bytes`.
 
@@ -52,27 +50,18 @@ def _latency_section(latencies: list[float]) -> dict:
     }
 
 
-def _timeout_failures(rec: dict) -> int:
-    log = rec.get("failures") if rec.get("kind") == "completed" \
-        else rec.get("attempts")
-    return sum(1 for f in (log or []) if f.get("outcome") == "timeout")
-
-
 def build_report(header: dict, completed: dict[int, dict],
                  quarantined: dict[int, dict]) -> dict[str, Any]:
     """Assemble the report dict from replayed journal state."""
     count = header["count"]
-    window = header["window"]
     binaries: list[dict] = []
     latencies: list[float] = []
     reasons: dict[str, int] = {}
     q_entries: list[dict] = []
-    shrinks = 0
     serial_binaries = 0
     for index in range(count):
         rec = completed.get(index)
         if rec is not None:
-            shrinks += _timeout_failures(rec)
             if rec["backend"] == "serial":
                 serial_binaries += 1
             latencies.append(rec["latency_s"])
@@ -96,7 +85,6 @@ def build_report(header: dict, completed: dict[int, dict],
         rec = quarantined.get(index)
         if rec is None:
             raise KeyError(f"binary {index} has no journal outcome")
-        shrinks += _timeout_failures(rec)
         reasons[rec["reason"]] = reasons.get(rec["reason"], 0) + 1
         q_entries.append({
             "index": index,
@@ -137,7 +125,7 @@ def build_report(header: dict, completed: dict[int, dict],
             "verify": header["verify"],
             "backend": header["backend"],
             "procs_workers": header.get("procs_workers"),
-            "window": window,
+            "window": header["window"],
         },
         "binaries": binaries,
         "summary": {
@@ -151,12 +139,7 @@ def build_report(header: dict, completed: dict[int, dict],
             "binaries_per_second": (round(len(latencies) / total_s, 6)
                                     if total_s > 0 else 0.0),
         },
-        "degradation": {
-            "initial_window": window,
-            "final_window": max(1, window >> min(shrinks, 30)),
-            "window_shrinks": shrinks,
-            "serial_binaries": serial_binaries,
-        },
+        "degradation": {"serial_binaries": serial_binaries},
         "quarantine": {
             "count": len(q_entries),
             "reasons": dict(sorted(reasons.items())),

@@ -49,47 +49,20 @@ class CorpusError(ReproError):
     corrupt journal body, resume/config mismatch)."""
 
 
-class ShardError(ReproError):
-    """Base class for procs-backend shard execution failures.
+class ShardFailedError(ReproError):
+    """A procs-backend shard has no usable delta: the error that sends
+    a sharded parse down to the serial rung.
 
-    Every shard failure carries the shard id and the attempt number
-    (1-based) it occurred on, so the retry/degradation ladder and the
-    run report can attribute faults precisely.
+    Carries the shard id, the attempt number (1-based) it failed on and
+    the one-line reason, so the run report can attribute the fault.
     """
-
-    def __init__(self, message: str, shard_id: int | None = None,
-                 attempt: int = 0):
-        super().__init__(message)
-        self.shard_id = shard_id
-        self.attempt = attempt
-
-
-class ShardTimeoutError(ShardError):
-    """A shard task did not produce its delta within its deadline."""
-
-    def __init__(self, shard_id: int, attempt: int, deadline: float):
-        super().__init__(
-            f"shard {shard_id} attempt {attempt} exceeded its "
-            f"{deadline:g}s deadline", shard_id, attempt)
-        self.deadline = deadline
-
-
-class ShardFailedError(ShardError):
-    """A shard task returned an error or an invalid/corrupt delta."""
 
     def __init__(self, shard_id: int, attempt: int, reason: str):
         super().__init__(
-            f"shard {shard_id} attempt {attempt} failed: {reason}",
-            shard_id, attempt)
+            f"shard {shard_id} attempt {attempt} failed: {reason}")
+        self.shard_id = shard_id
+        self.attempt = attempt
         self.reason = reason
-
-
-class PoolBrokenError(ShardError):
-    """The worker pool died (or could not be created) beyond repair.
-
-    ``attempt`` counts pool creations: 1 is the initial creation,
-    each respawn increments it.
-    """
 
 
 class InjectedFaultError(ReproError):

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the procs backend.
 
 The fault-tolerance layer in :mod:`repro.runtime.procs` (per-shard
-deadlines, retry ladder, pool self-healing, serial fallback) is only
+deadlines, retry ladder, inline and serial fallbacks) is only
 trustworthy if every failure mode can be provoked *on demand and
 reproducibly*.  This module is the harness: a :class:`FaultPlan` names
 the faults to inject — keyed by injection **site**, **shard id** and
@@ -26,10 +26,8 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
            payload is flipped after the digest was stamped (detected
            by whoever collects the delta)
 ``truncate`` the returned delta's payload is dropped entirely
-``pool``   pool creation fails (``attempt`` counts creations: 1 is the
-           initial pool, each respawn increments)
-``health`` the coordinator's pool health-check reports the pool dead
-           (drives the respawn path without real worker carnage)
+``pool``   pool creation fails, so every shard runs inline (the
+           ``inline`` rung)
 ``shm``    publishing the image to shared memory fails on the
            coordinator, so every shard runs inline (the ``inline``
            rung, as when no pool can be created)
@@ -93,7 +91,7 @@ from repro.isa.columns import pack_instructions, unpack_instructions
 #: Every legal injection site, in ladder order.  The hyphenated tail
 #: entries are corpus-level sites consumed by :mod:`repro.corpus`.
 SITES = ("exc", "frag", "delay", "kill", "corrupt", "truncate",
-         "pool", "health", "shm", "wave",
+         "pool", "shm", "wave",
          "binary-crash", "binary-hang", "journal-torn",
          "coordinator-kill")
 
@@ -336,7 +334,9 @@ def delta_error(delta: Any) -> str | None:
     if delta is None:
         return "no delta returned"
     if delta.error is not None:
-        return f"worker exception:\n{delta.error}"
+        # The traceback's last line names the exception.
+        lines = delta.error.strip().splitlines() or [""]
+        return f"worker exception: {lines[-1]}"
     if delta.payload is None:
         return "truncated delta: payload missing"
     if delta.digest is None:

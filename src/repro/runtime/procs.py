@@ -72,12 +72,12 @@ is dispatched as its own ``AsyncResult`` and collected under a
 configurable per-shard deadline (``shard_deadline``); every collected
 delta is integrity-checked against the digest the worker stamped on
 its sealed payload.  A failed attempt — worker exception, kill, hang
-past the deadline, corrupt or truncated delta — walks a bounded
-ladder:
+past the deadline, a pool error handing the result over, corrupt or
+truncated delta — walks a bounded ladder:
 
-1. **re-dispatch** the shard to the pool (up to :data:`MAX_RETRIES`
-   times), respawning the shared pool first when a health-check finds
-   dead workers (at most :data:`MAX_POOL_RESPAWNS` times per parse);
+1. **re-dispatch** the shard to the same pool (up to
+   :data:`MAX_RETRIES` times; ``multiprocessing.Pool`` replaces a
+   worker that died mid-task on its own);
 2. **inline re-execution** of just that shard in the coordinator
    process (the ``shard_inline`` degradation step; a parse with no
    pool or no image segment runs every shard inline, the ``inline``
@@ -88,8 +88,9 @@ ladder:
    :class:`~repro.errors.SanityCheckError`: a sanitizer verdict is a
    result, not a fault, and reaches the caller.
 
-Every rung records a structured fault event (``rt.fault_events``, also
-exported in the run report) and a ``procs.*`` metric; the highest
+Every failed attempt and every rung records one structured fault event
+with a one-line ``reason`` (``rt.fault_events``, also exported in the
+run report) and a ``procs.*`` metric; the highest
 degradation step taken is summarized in ``rt.degradation``.  The
 deterministic fault-injection harness that proves all of this works
 lives in :mod:`repro.runtime.faults`; see ``docs/ROBUSTNESS.md``.
@@ -123,11 +124,9 @@ from typing import Any
 
 from repro.errors import (
     InjectedFaultError,
-    PoolBrokenError,
     RuntimeConfigError,
     SanityCheckError,
     ShardFailedError,
-    ShardTimeoutError,
 )
 from repro.runtime.faults import (
     FaultPlan,
@@ -160,7 +159,7 @@ _PAYLOAD_TOKENS = itertools.count(1)
 #: in this process.  Pool creation (fork + bootstrap) costs an order of
 #: magnitude more than dispatching a round of shard tasks, so the pool
 #: outlives individual parses and is only recreated when the requested
-#: size changes.  Any pool error discards it.
+#: size changes.  A failed creation discards it.
 _POOL: Any | None = None
 _POOL_SIZE: int | None = None
 
@@ -175,9 +174,6 @@ DEFAULT_SHARD_DEADLINE = 60.0
 #: Bound on per-shard pool re-dispatches after the first attempt (and
 #: on inline retries after the first inline attempt).
 MAX_RETRIES = 2
-
-#: Bound on shared-pool respawns within one parse.
-MAX_POOL_RESPAWNS = 2
 
 
 @dataclass(frozen=True)
@@ -421,22 +417,16 @@ class ProcsRuntime(SerialRuntime):
                            else FaultPlan.from_env())
         self._t0: float | None = None
         self._elapsed: float | None = None
-        self._pool_creations = 0
-        self._health_checks = 0
         #: the live StreamingMerge while a fan-out is collecting, so the
         #: dispatch loop can install fragments as deltas land.
         self._merge: Any | None = None
         #: deltas of the last sharded parse (observability/tests).
         self.shard_deltas: list[ShardDelta] | None = None
-        #: structured record of every fault observed by the last parse
-        #: (exported in the ``repro.run-report/1`` ``fault_events``
-        #: section; see docs/ROBUSTNESS.md for the event kinds).
+        #: structured record of every fault observed by the last parse,
+        #: one per failure (exported in the ``repro.run-report/1``
+        #: ``fault_events`` section; see docs/ROBUSTNESS.md for the
+        #: event kinds).
         self.fault_events: list[dict] = []
-        #: the typed errors behind those events
-        #: (:class:`~repro.errors.ShardTimeoutError` /
-        #: :class:`~repro.errors.ShardFailedError` /
-        #: :class:`~repro.errors.PoolBrokenError`), in occurrence order.
-        self.shard_errors: list[Exception] = []
         #: highest degradation step of the last parse plus the ordered
         #: step log ({"level": ..., "steps": [...]}).
         self.degradation: dict = {"level": "none", "steps": []}
@@ -461,9 +451,10 @@ class ProcsRuntime(SerialRuntime):
     # -- fault bookkeeping ---------------------------------------------------
 
     def _record_fault(self, kind: str, shard: int | None, attempt: int,
-                      action: str) -> None:
+                      action: str, reason: str) -> None:
         self.fault_events.append({"kind": kind, "shard": shard,
-                                  "attempt": attempt, "action": action})
+                                  "attempt": attempt, "action": action,
+                                  "reason": reason})
 
     def _degrade(self, level: str, reason: str) -> None:
         """Record one step down the ladder (monotone level, full log)."""
@@ -506,10 +497,7 @@ class ProcsRuntime(SerialRuntime):
         opts = options or ParseOptions()
         self._t0 = time.perf_counter()
         self.fault_events = []
-        self.shard_errors = []
         self.degradation = {"level": "none", "steps": []}
-        self._pool_creations = 0
-        self._health_checks = 0
         try:
             return self._sharded_parse_inner(binary, opts)
         except SanityCheckError:
@@ -520,12 +508,12 @@ class ProcsRuntime(SerialRuntime):
             # Last rung of the ladder: nothing recoverable remains in
             # the sharded pipeline, so produce the fixed point the only
             # way that cannot involve shards — a plain serial parse.
+            reason = _describe(exc)
             self._record_fault(
                 "sharded_parse_failed",
                 getattr(exc, "shard_id", None),
-                getattr(exc, "attempt", 0) or 0, "serial")
-            self._degrade("serial",
-                          f"{type(exc).__name__}: {exc}")
+                getattr(exc, "attempt", 0) or 0, "serial", reason)
+            self._degrade("serial", reason)
             return self._serial_fallback(binary, opts)
 
     def _sharded_parse_inner(self, binary, opts):
@@ -617,28 +605,27 @@ class ProcsRuntime(SerialRuntime):
             except AttributeError:  # pragma: no cover - non-Linux
                 cores = os.cpu_count() or 1
             procs = max(1, min(self.num_workers, len(tasks), cores))
-            pool = self._create_pool(ctx, procs)
+            if self.fault_plan is not None and self.fault_plan.fires(
+                    "pool", None, 1):
+                raise InjectedFaultError("pool", None, 1)
+            pool = _shared_pool(ctx, procs)
         except Exception as exc:
             # No usable pool (sandboxed semaphores, missing start
             # method, injected pool fault).
             shutdown_pool()
-            self.shard_errors.append(PoolBrokenError(
-                f"pool creation failed: {type(exc).__name__}: {exc}",
-                None, self._pool_creations))
             return self._fall_back_inline(
                 binary, opts, tasks, "pool_create_failed",
-                self._pool_creations,
-                f"no worker pool: {type(exc).__name__}: {exc}")
+                f"no worker pool: {_describe(exc)}")
         try:
             segment = self._publish_image(binary)
         except Exception as exc:
             # No shared memory (no /dev/shm, sandboxed shm_open,
             # injected shm fault): the workers cannot see the image.
             return self._fall_back_inline(
-                binary, opts, tasks, "shm_unavailable", 1,
-                f"no image segment: {type(exc).__name__}: {exc}")
+                binary, opts, tasks, "shm_unavailable",
+                f"no image segment: {_describe(exc)}")
         try:
-            return self._dispatch(ctx, procs, pool, next(_PAYLOAD_TOKENS),
+            return self._dispatch(pool, next(_PAYLOAD_TOKENS),
                                   (segment.name, segment.size), opts,
                                   binary, tasks)
         finally:
@@ -648,12 +635,11 @@ class ProcsRuntime(SerialRuntime):
             segment.unlink()
 
     def _fall_back_inline(self, binary, opts, tasks: list[ShardTask],
-                          kind: str, attempt: int, reason: str
-                          ) -> list[ShardDelta]:
+                          kind: str, reason: str) -> list[ShardDelta]:
         """The pool path cannot start: run every shard in-process (the
         structural merge still runs; only the parallelism is lost)."""
         self.metrics.inc("procs.pool_fallback")
-        self._record_fault(kind, None, attempt, "inline")
+        self._record_fault(kind, None, 1, "inline", reason)
         self._degrade("inline", reason)
         return self._map_inline(binary, opts, tasks)
 
@@ -674,161 +660,68 @@ class ProcsRuntime(SerialRuntime):
             m.inc("procs.shm.bytes", segment.size)
         return segment
 
-    def _create_pool(self, ctx, procs: int):
-        """One pool creation attempt (initial or respawn), counted so
-        the ``pool`` fault site can fail a specific creation."""
-        self._pool_creations += 1
-        if self.fault_plan is not None and self.fault_plan.fires(
-                "pool", None, self._pool_creations):
-            raise InjectedFaultError("pool", None, self._pool_creations)
-        return _shared_pool(ctx, procs)
+    def _dispatch(self, pool, token: int, segment: tuple[str, int], opts,
+                  binary, tasks: list[ShardTask]) -> list[ShardDelta]:
+        """The fault-tolerant fan-out: one ``AsyncResult`` per shard
+        attempt, collected under the shard deadline.  A timeout, an
+        error handing the result over (``pool_error``) and an unusable
+        delta are each one failed attempt: the shard is re-dispatched
+        to the same pool up to :data:`MAX_RETRIES` times, then takes
+        the inline rung.
 
-    def _pool_healthy(self, pool) -> bool:
-        """True if every pool worker process is alive.
-
-        The ``health`` fault site can force a negative verdict to
-        exercise the respawn path deterministically.
-        """
-        if self.fault_plan is not None and self.fault_plan.fires(
-                "health", None, self._health_checks):
-            return False
-        workers = getattr(pool, "_pool", None)
-        if workers is None:
-            return True
-        return bool(workers) and all(p.is_alive() for p in workers)
-
-    def _dispatch(self, ctx, procs: int, pool, token: int,
-                  segment: tuple[str, int], opts, binary,
-                  tasks: list[ShardTask]) -> list[ShardDelta]:
-        """The fault-tolerant fan-out: per-task AsyncResults with
-        deadlines, bounded retries, pool self-healing, inline rung.
-
-        Collection is *streaming*: each round prefers whichever shard
+        Collection is *streaming*: each pass prefers whichever shard
         has already finished, and a valid delta is installed into the
         live :class:`StreamingMerge` immediately, so rebuild/install
         work overlaps the still-running stragglers instead of waiting
         for the slowest shard.
         """
         m = self.metrics
-        plan = self.fault_plan
         deltas: dict[int, ShardDelta] = {}
         attempt = {t.shard_id: 0 for t in tasks}
-        pending = list(tasks)
-        respawns = 0
 
-        while pending:
-            inflight = []
-            for t in pending:
-                attempt[t.shard_id] += 1
-                if attempt[t.shard_id] > 1:
-                    m.inc("procs.retry.dispatch")
-                payload = (token, segment, opts, m.enabled, t,
-                           attempt[t.shard_id], plan)
-                inflight.append(
-                    (t, pool.apply_async(_parse_shard, (payload,))))
+        def submit(t: ShardTask):
+            attempt[t.shard_id] += 1
+            payload = (token, segment, opts, m.enabled, t,
+                       attempt[t.shard_id], self.fault_plan)
+            return t, pool.apply_async(_parse_shard, (payload,))
 
-            retry: list[ShardTask] = []
-            pool_broken = False
-            waiting = list(inflight)
-            while waiting:
-                if pool_broken:
-                    retry.extend(t for t, _ar in waiting)
-                    break
-                # Prefer a result that is already in: its merge work
-                # runs while the stragglers keep parsing.  With none
-                # ready, block on the oldest dispatch.
-                i = next((i for i, (_t, ar) in enumerate(waiting)
-                          if ar.ready()), 0)
-                t, ar = waiting.pop(i)
-                a = attempt[t.shard_id]
-                try:
-                    delta = ar.get(timeout=self.shard_deadline)
-                except multiprocessing.TimeoutError:
-                    m.inc("procs.shard_timeout")
-                    self.shard_errors.append(ShardTimeoutError(
-                        t.shard_id, a, self.shard_deadline or 0.0))
-                    self._record_fault("shard_timeout", t.shard_id, a,
-                                       "retry")
-                    retry.append(t)
-                    continue
-                except Exception as exc:
-                    # The pool machinery itself failed (broken result
-                    # queue, unpicklable state): everything uncollected
-                    # this round needs a fresh pool.
-                    pool_broken = True
-                    self.shard_errors.append(PoolBrokenError(
-                        f"pool error collecting shard {t.shard_id}: "
-                        f"{type(exc).__name__}: {exc}",
-                        t.shard_id, self._pool_creations))
-                    self._record_fault("pool_error", t.shard_id, a,
-                                       "respawn")
-                    retry.append(t)
-                    continue
+        waiting = [submit(t) for t in tasks]
+        while waiting:
+            # Prefer a result that is already in: its merge work runs
+            # while the stragglers keep parsing.  With none ready, block
+            # on the oldest dispatch.
+            i = next((i for i, (_t, ar) in enumerate(waiting)
+                      if ar.ready()), 0)
+            t, ar = waiting.pop(i)
+            a = attempt[t.shard_id]
+            try:
+                delta = ar.get(timeout=self.shard_deadline)
+            except multiprocessing.TimeoutError:
+                # A hung or killed worker; its result is abandoned.
+                m.inc("procs.shard_timeout")
+                kind = "shard_timeout"
+                reason = (f"no delta within the {self.shard_deadline:g}s"
+                          f" shard deadline")
+            except Exception as exc:
+                # The pool failed to hand the result over.
+                kind, reason = "pool_error", _describe(exc)
+            else:
                 reason = self._collect(delta)
                 if reason is None:
                     deltas[t.shard_id] = delta
                     if self._merge is not None:
                         self._merge.accept(delta.fragment, delta.insns,
                                            streamed=bool(waiting))
-                else:
-                    m.inc("procs.shard_failed")
-                    self.shard_errors.append(
-                        ShardFailedError(t.shard_id, a, reason))
-                    self._record_fault("shard_failed", t.shard_id, a,
-                                       "retry")
-                    retry.append(t)
-
-            if not retry:
-                break
-
-            # Something failed this round: check the pool before
-            # deciding how to retry.  Dead workers (a kill can take the
-            # result-queue reader down with it) mean the pool must be
-            # respawned — bounded, so a persistently dying pool cannot
-            # loop forever.
-            self._health_checks += 1
-            if not pool_broken and not self._pool_healthy(pool):
-                pool_broken = True
-                self.shard_errors.append(PoolBrokenError(
-                    "pool health-check found dead workers",
-                    None, self._pool_creations))
-                self._record_fault("pool_unhealthy", None,
-                                   self._health_checks, "respawn")
-
-            if pool_broken:
-                respawns += 1
-                shutdown_pool()
-                if respawns > MAX_POOL_RESPAWNS:
-                    self._record_fault("pool_broken", None,
-                                       self._pool_creations, "inline")
-                    self._degrade("inline",
-                                  "pool respawn budget exhausted")
-                    pool = None
-                else:
-                    m.inc("procs.pool_respawn")
-                    self._record_fault("pool_respawn", None, respawns,
-                                       "retry")
-                    try:
-                        pool = self._create_pool(ctx, procs)
-                    except Exception as exc:
-                        self._record_fault("pool_create_failed", None,
-                                           self._pool_creations,
-                                           "inline")
-                        self._degrade(
-                            "inline",
-                            f"pool respawn failed: "
-                            f"{type(exc).__name__}: {exc}")
-                        pool = None
-
-            # Shards past their retries, or left without a pool: the
-            # inline rung.
-            pending = []
-            for t in retry:
-                if pool is not None and attempt[t.shard_id] <= MAX_RETRIES:
-                    pending.append(t)
-                else:
-                    deltas[t.shard_id] = self._run_shard_final(
-                        binary, opts, t, attempt[t.shard_id] + 1)
+                    continue
+                m.inc("procs.shard_failed")
+                kind = "shard_failed"
+            self._record_fault(kind, t.shard_id, a, "retry", reason)
+            if a <= MAX_RETRIES:
+                m.inc("procs.retry.dispatch")
+                waiting.append(submit(t))
+            else:
+                deltas[t.shard_id] = self._run_shard_final(
+                    binary, opts, t, a + 1)
         return [deltas[t.shard_id] for t in tasks]
 
     def _run_shard_final(self, binary, opts, task: ShardTask,
@@ -839,7 +732,7 @@ class ProcsRuntime(SerialRuntime):
         converts into the serial rung."""
         self.metrics.inc("procs.retry.inline")
         self._record_fault("shard_inline", task.shard_id, attempt_no,
-                           "inline")
+                           "inline", f"{attempt_no - 1} pool attempts failed")
         self._degrade("shard_inline",
                       f"shard {task.shard_id} re-executed inline")
         try:
@@ -848,8 +741,7 @@ class ProcsRuntime(SerialRuntime):
         except Exception as exc:
             raise ShardFailedError(
                 task.shard_id, attempt_no,
-                f"inline re-execution failed: "
-                f"{type(exc).__name__}: {exc}") from exc
+                f"inline re-execution failed: {_describe(exc)}") from exc
         if reason is not None:
             raise ShardFailedError(task.shard_id, attempt_no, reason)
         return delta
@@ -873,15 +765,13 @@ class ProcsRuntime(SerialRuntime):
                 try:
                     delta, reason = self._inline_attempt(binary, opts, t, a)
                 except Exception as exc:
-                    reason = f"{type(exc).__name__}: {exc}"
+                    reason = _describe(exc)
                 if reason is None:
                     out.append(delta)
                     break
                 m.inc("procs.shard_failed")
-                self.shard_errors.append(
-                    ShardFailedError(t.shard_id, a, reason))
-                self._record_fault("shard_failed", t.shard_id, a,
-                                   "retry")
+                self._record_fault("shard_failed", t.shard_id, a, "retry",
+                                   reason)
             else:
                 raise ShardFailedError(t.shard_id, MAX_RETRIES + 1, reason)
         return out
@@ -898,3 +788,8 @@ class ProcsRuntime(SerialRuntime):
                            attempt, plan)
         delta = corrupt_delta(plan, delta, task.shard_id, attempt)
         return delta, self._collect(delta)
+
+
+def _describe(exc: BaseException) -> str:
+    """One line naming an exception: the reason a fault event carries."""
+    return f"{type(exc).__name__}: {exc}".splitlines()[0]

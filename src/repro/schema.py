@@ -266,7 +266,8 @@ SCHEMAS: dict[str, Obj] = {
         makespan=NUM0, metrics=Nullable(Doc(METRICS_SCHEMA)),
         trace=Nullable(_TRACE),
         fault_events=Opt(ListOf(Obj(kind=STR, shard=Nullable(INT),
-                                    attempt=INT0, action=STR))),
+                                    attempt=INT0, action=STR,
+                                    reason=STR))),
         degradation=Opt(Obj(level=OneOf(*DEGRADATION_LEVELS),
                             steps=ListOf(STR))),
         races=Opt(Nullable(Doc(RACES_SCHEMA)))),
@@ -304,8 +305,7 @@ SCHEMAS: dict[str, Obj] = {
         latency=Obj(count=INT0, mean_s=NUM0, p50_s=NUM0, p90_s=NUM0,
                     p99_s=NUM0, max_s=NUM0, total_s=NUM0),
         throughput=Obj(total_analysis_s=NUM0, binaries_per_second=NUM0),
-        degradation=Obj(initial_window=INT1, final_window=INT1,
-                        window_shrinks=INT0, serial_binaries=INT0),
+        degradation=Obj(serial_binaries=INT0),
         quarantine=Obj(
             count=INT0, reasons=MapOf(INT),
             entries=ListOf(Obj(index=INT, name=Opt(STR), preset=Opt(STR),

@@ -141,21 +141,33 @@ class TestLadder:
         assert [f["outcome"] for f in rows[1]["failures"]] == ["crash"]
         assert rows[0]["backend"] == "procs"
 
-    def test_timeout_shrinks_window_and_quarantines(self, tmp_path):
+    def test_timeout_quarantines_and_keeps_the_window_full(
+            self, tmp_path, monkeypatch):
+        # Binaries 0 and 1 wedge both window slots past the deadline;
+        # once they are abandoned, binaries 2 and 3 run side by side.
+        in_flight = []
+        launch = CorpusDriver._launch
+
+        def counted(self, index):
+            launch(self, index)
+            in_flight.append(len(self._inflight))
+
+        monkeypatch.setattr(CorpusDriver, "_launch", counted)
         summary = _run(
-            tmp_path, count=2, attempts=1, binary_deadline=0.3,
-            plan=FaultPlan.from_spec("binary-hang@1x99=30"))
-        assert summary["final_window"] == 1
+            tmp_path, attempts=1, binary_deadline=0.3,
+            plan=FaultPlan.from_spec("binary-hang@0=30,binary-hang@1=30"))
+        assert (summary["completed"], summary["quarantined"]) == (2, 2)
+        assert in_flight[:2] == [1, 2]
+        assert 2 in in_flight[2:]
         report = _report(tmp_path)
         assert validate_corpus_report(report) == []
-        assert report["degradation"]["window_shrinks"] == 1
-        assert report["degradation"]["final_window"] == 1
-        assert report["quarantine"]["reasons"] == {"timeout": 1}
+        assert report["quarantine"]["reasons"] == {"timeout": 2}
         rows = {r["index"]: r for r in report["binaries"]}
-        assert rows[0]["status"] == "ok"
-        failure = rows[1]["failures"][0]
-        assert failure["outcome"] == "timeout"
-        assert failure["latency_s"] == round(0.3, 6)
+        assert rows[2]["status"] == rows[3]["status"] == "ok"
+        for i in (0, 1):
+            failure = rows[i]["failures"][0]
+            assert failure["outcome"] == "timeout"
+            assert failure["latency_s"] == round(0.3, 6)
 
     def test_procs_fault_inside_an_attempt_takes_the_serial_rung(
             self, tmp_path):
@@ -168,8 +180,7 @@ class TestLadder:
         assert (summary["completed"], summary["quarantined"]) == (2, 0)
         report = _report(tmp_path)
         assert validate_corpus_report(report) == []
-        assert report["degradation"]["window_shrinks"] == 2
-        assert report["degradation"]["serial_binaries"] == 2
+        assert report["degradation"] == {"serial_binaries": 2}
         for row in report["binaries"]:
             assert (row["status"], row["backend"]) == ("ok", "serial")
             assert [f["outcome"] for f in row["failures"]] == ["timeout"]

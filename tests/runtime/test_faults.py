@@ -13,19 +13,14 @@ ladder logic everywhere.
 
 from __future__ import annotations
 
+import glob
 import multiprocessing
 from contextlib import contextmanager
 
 import pytest
 
 from repro.core import parse_binary
-from repro.errors import (
-    InjectedFaultError,
-    PoolBrokenError,
-    RuntimeConfigError,
-    ShardFailedError,
-    ShardTimeoutError,
-)
+from repro.errors import InjectedFaultError, RuntimeConfigError
 from repro.runtime import ProcsRuntime, SerialRuntime
 from repro.runtime.faults import (
     FaultPlan,
@@ -43,7 +38,7 @@ from repro.runtime.procs import (
     ShardTask,
     shutdown_pool,
 )
-from repro.runtime.shm import ImageSegment, release_view
+from repro.runtime.shm import SEGMENT_PREFIX, ImageSegment, release_view
 from repro.runtime.tracefmt import run_report
 from repro.schema import validate_report
 from repro.synth import tiny_binary
@@ -71,7 +66,13 @@ def workload():
 def _parse_with(sb, want, plan, **kw):
     rt = ProcsRuntime(2, fault_plan=FaultPlan.from_spec(plan), **kw)
     assert parse_binary(sb.binary, rt).signature() == want
+    for ev in rt.fault_events:  # one record per fault, one-line reason
+        assert ev["reason"] and "\n" not in ev["reason"], ev
     return rt
+
+
+def _kernel_segments() -> list[str]:
+    return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 class TestFaultPlanGrammar:
@@ -108,8 +109,10 @@ class TestFaultPlanGrammar:
                 FaultPlan.from_spec(bad)
 
     def test_unknown_site_rejected(self):
-        with pytest.raises(RuntimeConfigError, match="unknown fault site"):
-            FaultPlan.from_spec("explode@1")
+        for bad in ("explode@1", "health"):
+            with pytest.raises(RuntimeConfigError,
+                               match="unknown fault site"):
+                FaultPlan.from_spec(bad)
 
     def test_from_env(self):
         assert FaultPlan.from_env({}) is None
@@ -361,27 +364,26 @@ class TestInlineLadder:
         assert rt.degradation["level"] == "none"
         assert [e["kind"] for e in rt.fault_events] == ["shard_failed"]
         assert rt.metrics.counter("procs.retry.inline") == 1
-        assert isinstance(rt.shard_errors[0], ShardFailedError)
-        assert rt.shard_errors[0].shard_id == 0
+        assert rt.fault_events[0]["shard"] == 0
 
     def test_frag_site_fires_mid_parse(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "frag@1x1", in_process=True)
         assert rt.degradation["level"] == "none"
         assert rt.fault_events[0]["shard"] == 1
-        assert "InjectedFaultError" in str(rt.shard_errors[0])
+        assert "InjectedFaultError" in rt.fault_events[0]["reason"]
 
     def test_corrupt_delta_detected_and_retried(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "corrupt@1x1", in_process=True)
         assert rt.degradation["level"] == "none"
-        assert "digest mismatch" in str(rt.shard_errors[0])
+        assert "digest mismatch" in rt.fault_events[0]["reason"]
 
     def test_truncated_delta_detected_and_retried(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "truncate@0x1", in_process=True)
         assert rt.degradation["level"] == "none"
-        assert "truncated" in str(rt.shard_errors[0])
+        assert "truncated" in rt.fault_events[0]["reason"]
 
     def test_wave_site_fires_mid_round_and_retries(self, workload):
         """A worker dying inside its noreturn-wave iteration (after the
@@ -392,7 +394,7 @@ class TestInlineLadder:
         rt = _parse_with(sb, want, "wave@0x1", in_process=True)
         assert rt.degradation["level"] == "none"
         assert [e["kind"] for e in rt.fault_events] == ["shard_failed"]
-        assert "InjectedFaultError" in str(rt.shard_errors[0])
+        assert "InjectedFaultError" in rt.fault_events[0]["reason"]
         assert rt.metrics.counter("procs.retry.inline") == 1
 
     def test_wave_exhausted_degrades_to_serial(self, workload):
@@ -441,57 +443,89 @@ class TestInlineLadder:
 
 @needs_pool
 class TestPoolLadder:
-    """The real-pool matrix: timeout, kill, corrupt, pool-broken."""
+    """The real-pool matrix: timeout, kill, corrupt, pool error, no pool."""
 
     def test_worker_exception_redispatched(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "exc@1x1", shard_deadline=30.0)
         assert rt.degradation["level"] == "none"
         assert rt.metrics.counter("procs.retry.dispatch") == 1
-        assert rt.fault_events[0] == {"kind": "shard_failed", "shard": 1,
-                                      "attempt": 1, "action": "retry"}
+        assert rt.fault_events[0] == {
+            "kind": "shard_failed", "shard": 1, "attempt": 1,
+            "action": "retry",
+            "reason": "worker exception: repro.errors.InjectedFaultError: "
+                      "injected fault at site 'exc' (shard=1, attempt=1)"}
 
     def test_hang_past_deadline_times_out_and_recovers(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "delay@0x1=1.2", shard_deadline=0.4)
         assert rt.degradation["level"] in ("none", "shard_inline")
         assert rt.metrics.counter("procs.shard_timeout") >= 1
-        err = next(e for e in rt.shard_errors
-                   if isinstance(e, ShardTimeoutError))
-        assert (err.shard_id, err.deadline) == (0, 0.4)
+        ev = next(e for e in rt.fault_events if e["kind"] == "shard_timeout")
+        assert ev["shard"] == 0
+        assert "0.4s shard deadline" in ev["reason"]
 
     def test_worker_kill_recovers(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "kill@1x1", shard_deadline=1.0)
-        # The kill manifests as a lost result: deadline timeout, then a
-        # retry on the (self-healed or respawned) pool, or inline.
-        assert rt.metrics.counter("procs.shard_timeout") >= 1
-        assert any(e["kind"] == "shard_timeout" and e["shard"] == 1
-                   for e in rt.fault_events)
+        # A worker killed mid-task loses only its result: the pool
+        # replaces the process itself, so the deadline timeout is the
+        # one fault and one plain retry on the same pool recovers.
+        assert [(e["kind"], e["shard"], e["attempt"], e["action"])
+                for e in rt.fault_events] == [
+            ("shard_timeout", 1, 1, "retry")]
+        assert rt.metrics.counter("procs.retry.dispatch") == 1
+        assert rt.degradation["level"] == "none"
 
     def test_corrupt_delta_redispatched(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "corrupt@0x1", shard_deadline=30.0)
         assert rt.degradation["level"] == "none"
-        assert "digest mismatch" in str(rt.shard_errors[0])
+        assert "digest mismatch" in rt.fault_events[0]["reason"]
+
+    def test_pool_error_retries_on_the_same_pool(self, workload,
+                                                 monkeypatch):
+        """An error handing a result over is one failed attempt: the
+        shard is re-dispatched to the pool it failed on."""
+        from multiprocessing.pool import ApplyResult
+
+        from repro.runtime import procs
+
+        sb, want = workload
+        _parse_with(sb, want, "", shard_deadline=30.0)
+        pool = procs._POOL
+        before = _kernel_segments()
+        real_get = ApplyResult.get
+        raised = []
+
+        def get_once(self, timeout=None):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("result queue broke")
+            return real_get(self, timeout)
+
+        monkeypatch.setattr(ApplyResult, "get", get_once)
+        rt = _parse_with(sb, want, "", shard_deadline=30.0)
+        assert [(e["kind"], e["attempt"], e["action"], e["reason"])
+                for e in rt.fault_events] == [
+            ("pool_error", 1, "retry", "RuntimeError: result queue broke")]
+        assert rt.metrics.counter("procs.retry.dispatch") == 1
+        assert rt.degradation == {"level": "none", "steps": []}
+        assert procs._POOL is pool
+        assert _kernel_segments() == before
 
     def test_pool_creation_failure_degrades_inline(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "poolx99", shard_deadline=30.0)
         assert rt.degradation["level"] == "inline"
         assert rt.metrics.counter("procs.pool_fallback") == 1
-        assert isinstance(rt.shard_errors[0], PoolBrokenError)
+        assert rt.fault_events == [{
+            "kind": "pool_create_failed", "shard": None, "attempt": 1,
+            "action": "inline",
+            "reason": "no worker pool: InjectedFaultError: injected fault "
+                      "at site 'pool' (shard=None, attempt=1)"}]
         # Inline rung still runs the structural merge, not serial.
         assert rt.metrics.counter("procs.merge.blocks") > 0
-
-    def test_health_check_respawns_pool(self, workload):
-        sb, want = workload
-        rt = _parse_with(sb, want, "exc@1x1,healthx1",
-                         shard_deadline=30.0)
-        assert rt.degradation["level"] == "none"
-        assert rt.metrics.counter("procs.pool_respawn") == 1
-        kinds = [e["kind"] for e in rt.fault_events]
-        assert kinds == ["shard_failed", "pool_unhealthy", "pool_respawn"]
 
     def test_pool_exhausted_shard_runs_inline(self, workload):
         sb, want = workload
@@ -505,12 +539,12 @@ class TestPoolLadder:
 
     def test_report_validates_after_pool_faults(self, workload):
         sb, want = workload
-        rt = _parse_with(sb, want, "exc@1x1,healthx1",
+        rt = _parse_with(sb, want, "exc@1x1,corrupt@0x1",
                          shard_deadline=30.0)
         report = run_report(rt, workload="tiny")
         assert validate_report(report) == []
         assert report["degradation"]["level"] == "none"
-        assert len(report["fault_events"]) == 3
+        assert len(report["fault_events"]) == 2
 
 
 class TestConfigValidation:
@@ -526,11 +560,6 @@ class TestConfigValidation:
         assert rt.fault_plan is not None
         assert parse_binary(sb.binary, rt).signature() == want
         assert rt.fault_events
-
-    def test_timeout_error_fields(self):
-        err = ShardTimeoutError(3, 2, 1.5)
-        assert (err.shard_id, err.attempt, err.deadline) == (3, 2, 1.5)
-        assert "1.5s deadline" in str(err)
 
 
 class TestReportValidatorRejections:
