@@ -18,7 +18,7 @@ CFG used by the parsers lives in :mod:`repro.core.cfg`.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -153,9 +153,3 @@ class CodeSpace:
             _, kind, targets = self.cf_points[idx]
             return kind, targets
         return None
-
-    def has_cf_in(self, lo: int, hi: int) -> bool:
-        """True if some control-flow instruction ends in (lo, hi]."""
-        ends = self._ends()
-        idx = bisect.bisect_right(ends, lo)
-        return idx < len(ends) and ends[idx] <= hi

@@ -33,11 +33,9 @@ replay_frontier`) before its own wave and finalization.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import (
@@ -83,13 +81,9 @@ class ParseOptions:
     thread_local_cache: bool = True
     jt_options: JumpTableOptions = field(default_factory=JumpTableOptions)
     max_waves: int = 60
-    #: fault-injection probe bound to (shard, attempt) — set per shard
-    #: attempt by the procs backend, never by callers
-    #: (:class:`repro.runtime.faults.FaultProbe`; None = no injection).
-    fault_probe: Any = None
     #: record an operation trace and validate the structural invariants
     #: at quiesced points (finalize, shard merge) — see
-    #: :mod:`repro.sanity.cfgsan`.  Env ``REPRO_CFGSAN=1`` forces it on.
+    #: :mod:`repro.sanity.cfgsan`.
     sanitize: bool = False
 
 
@@ -182,8 +176,7 @@ class ParallelParser:
         #: ("OCFEC", block, callee, status), ("OFEI", addr, via),
         #: ("SPLIT", loser_start, old_end, new_end).
         self.op_trace: list[tuple] | None = (
-            [] if (self.opts.sanitize
-                   or os.environ.get("REPRO_CFGSAN") == "1") else None)
+            [] if self.opts.sanitize else None)
         self._tl = threading.local()
         self._group = None            # the active _quiesce task group
         #: round mode only: traversals discovered during the current round
@@ -220,11 +213,6 @@ class ParallelParser:
         rt = self.rt
         with rt.phase("cfg_init"):
             initial = self._init_functions()
-        if self.opts.fault_probe is not None:
-            # Named injection site "frag": a deterministic fault between
-            # init and traversal, proving mid-parse worker failures are
-            # contained by the retry ladder (runtime/faults.py).
-            self.opts.fault_probe.raise_if("frag")
         with rt.phase("cfg_traversal"):
             self._traverse(initial)
             self.noreturn_waves()
@@ -812,13 +800,7 @@ class ParallelParser:
         until nothing changes; then resolve cycles to NORETURN (not in
         fragment mode — the coordinator runs it on the merged parser)."""
         rt = self.rt
-        probe = self.opts.fault_probe
         for _ in range(self.opts.max_waves):
-            if probe is not None:
-                # Named injection site "wave": a deterministic fault at a
-                # wave-round boundary, proving that a worker dying mid-wave
-                # is contained by the retry ladder (runtime/faults.py).
-                probe.raise_if("wave")
             self.stats.n_waves += 1
             rt.metrics.inc("parser.noreturn_waves")
             funcs = [f for _, f in self.functions.sorted_items()]

@@ -31,12 +31,10 @@ executing it.  This module is the coordinator side:
    rule the fragments had to skip — then the ``finalize`` correction
    phase.
 
-Steps 1–2 run *incrementally*: :class:`StreamingMerge` installs each
-fragment the moment its delta lands, overlapping rebuild and install
-with the still-running fan-out (the coordinator would otherwise sit
-blocked on the slowest shard).  Steps 3–4 are the serial tail: the
-coordinator runtime is one thread, so each runs once, after the last
-fragment is in.
+Steps 1–2 run once per fragment, after the fan-out has collected
+every shard (:meth:`StreamingMerge.accept`, called in shard order).
+Steps 3–4 are the serial tail: the coordinator runtime is one thread,
+so each runs once, after the last fragment is in.
 
 Correctness rests on the battery-proven schedule independence of the
 invariant machinery: a fragment is a prefix of a valid global schedule
@@ -157,26 +155,24 @@ def export_fragment(parser: ParallelParser, shard_id: int) -> CFGFragment:
 
 
 class StreamingMerge:
-    """Incremental coordinator: fold fragments in as they arrive.
+    """Coordinator side of the merge: fold fragments in one at a time.
 
-    A batch merge would wait for every shard before touching the graph;
-    a streaming coordinator starts step 2 (rebuild + install) the moment
-    the first :class:`ShardDelta` lands, overlapping merge work with
-    the still-running fan-out.  The procs backend feeds
-    :meth:`accept` from its dispatch loop; :meth:`finish` runs the
-    parts that genuinely need *all* fragments — the frontier replay
-    (a record is a step into a foreign shard's claim), the wave fixed
-    point and finalization — once each, on the coordinator's one thread.
+    :meth:`accept` rebuilds and installs one fragment (steps 1–2); the
+    procs backend calls it once per shard, in shard order, after the
+    fan-out has collected every delta.  :meth:`finish` runs the parts
+    that need *all* fragments — the frontier replay (a record is a step
+    into a foreign shard's claim), the wave fixed point and
+    finalization — once each, on the coordinator's one thread.
 
     Per-fragment installation is order-independent: ownership claims
     make block starts, functions, jump tables and noreturn records
     shard-disjoint; map installs are insert-only; and cross-shard end
     collisions go through the invariant-4 cascade, whose outcome is
-    schedule-independent (battery-proven).  So installing fragments in
-    arrival order equals installing them in shard order.
+    schedule-independent (battery-proven).
 
     Must be used inside ``rt.run`` on the coordinator runtime.  One
-    fragment per shard: a second one for the same shard is skipped.
+    fragment per shard: a second one for the same shard violates the
+    ownership guard and raises :class:`RuntimeConfigError`.
     """
 
     def __init__(self, binary: LoadedBinary, rt: Runtime,
@@ -196,18 +192,12 @@ class StreamingMerge:
         self._frags: dict[int, CFGFragment] = {}
 
     def accept(self, fragment: CFGFragment,
-               insns: dict[int, Instruction] | None = None,
-               streamed: bool = False) -> bool:
+               insns: dict[int, Instruction] | None = None) -> None:
         """Install one shard's fragment into the merged graph.
 
         ``insns`` is the shard's decode cache (merged into ``warm``
-        before the rebuild resolves instructions from it);
-        ``streamed`` marks an install that overlapped the fan-out, for
-        the ``procs.overlap.*`` metrics.  Returns False (and installs
-        nothing) for a shard that already has a fragment installed.
+        before the rebuild resolves instructions from it).
         """
-        if fragment.shard_id in self._frags:
-            return False
         if insns:
             self.warm.update(insns)
         rt = self.rt
@@ -261,19 +251,13 @@ class StreamingMerge:
             end_splits = parser.stats.n_splits - splits_before
             parser.stats.n_splits += fragment.n_splits
             if m.enabled:
-                wall = time.perf_counter_ns() - t0  # sanity: allow(wall-clock) coordinator-side metric
                 m.inc("procs.merge.blocks", len(added))
                 m.inc("procs.merge.edges", len(fragment.edges[0]))
                 m.inc("procs.merge.functions", len(funcs))
                 m.inc("procs.merge.end_splits", end_splits)
-                m.observe("procs.phase.install_wall_ns", wall)
-                if streamed:
-                    m.inc("procs.overlap.fragments")
-                    m.observe("procs.overlap.install_wall_ns", wall)
-                else:
-                    m.inc("procs.overlap.batch_fragments")
+                m.observe("procs.phase.install_wall_ns",
+                          time.perf_counter_ns() - t0)  # sanity: allow(wall-clock) coordinator-side metric
         self._frags[fragment.shard_id] = fragment
-        return True
 
     def finish(self) -> ParsedCFG:
         """Complete the parse: frontier replay, waves, finalization.

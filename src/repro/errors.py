@@ -95,7 +95,3 @@ class SanityCheckError(ReproError):
             f"{len(findings)} sanity violation(s) at {where}: {lines}{more}")
         self.where = where
         self.findings = findings
-
-
-class ParseAbortError(ReproError):
-    """CFG construction was aborted (internal invariant violation)."""

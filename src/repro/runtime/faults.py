@@ -16,8 +16,6 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
 ========== ============================================================
 ``exc``    worker raises :class:`~repro.errors.InjectedFaultError`
            before parsing its shard (``_parse_shard`` in procs.py)
-``frag``   the parser raises mid-fragment-parse
-           (``ParallelParser.execute_fragment`` in parallel_parser.py)
 ``delay``  worker sleeps ``value`` seconds before parsing (trips the
            per-shard deadline when ``value`` exceeds it)
 ``kill``   worker process dies via ``os._exit`` (pool workers only;
@@ -31,9 +29,6 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
 ``shm``    publishing the image to shared memory fails on the
            coordinator, so every shard runs inline (the ``inline``
            rung, as when no pool can be created)
-``wave``   the parser raises at the top of a noreturn-wave iteration
-           (``ParallelParser.noreturn_waves``); fires in workers,
-           where waves run over shard-local functions
 ========== ============================================================
 
 Corpus-level sites (consumed by :mod:`repro.corpus`, where the
@@ -71,8 +66,7 @@ rung of the retry ladder; ``x99`` effectively never stops firing and
 pushes execution down to the serial rung.
 
 The plan also rides in worker payloads (it is a frozen, pickle-friendly
-dataclass) and — for CLI / CI use — can come from the environment via
-``REPRO_FAULT_PLAN``.
+dataclass) and can come from the environment via ``REPRO_FAULT_PLAN``.
 """
 
 from __future__ import annotations
@@ -90,8 +84,7 @@ from repro.isa.columns import pack_instructions, unpack_instructions
 
 #: Every legal injection site, in ladder order.  The hyphenated tail
 #: entries are corpus-level sites consumed by :mod:`repro.corpus`.
-SITES = ("exc", "frag", "delay", "kill", "corrupt", "truncate",
-         "pool", "shm", "wave",
+SITES = ("exc", "delay", "kill", "corrupt", "truncate", "pool", "shm",
          "binary-crash", "binary-hang", "journal-torn",
          "coordinator-kill")
 
@@ -188,21 +181,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.specs)
-
-
-@dataclass(frozen=True)
-class FaultProbe:
-    """A plan bound to one (shard, attempt) — the form that travels into
-    the parser so deep sites (``frag``) can consult it without the
-    parser knowing about shard scheduling."""
-
-    plan: FaultPlan
-    shard_id: int
-    attempt: int
-
-    def raise_if(self, site: str) -> None:
-        if self.plan.fires(site, self.shard_id, self.attempt):
-            raise InjectedFaultError(site, self.shard_id, self.attempt)
 
 
 # ------------------------------------------------------- injection hooks

@@ -50,18 +50,17 @@ Execution model
    bytes.  Whoever collects the delta — the dispatch loop, the
    in-process map, the inline rung — recomputes that hash once and only
    then unpickles (:func:`repro.runtime.faults.delta_error`).
-5. **Streaming structural merge (coordinator)** — the coordinator
-   folds each opened fragment into a
-   :class:`~repro.core.shard_merge.StreamingMerge` the moment its
-   delta lands — rebuild and install overlap the still-running
-   fan-out instead of waiting for the slowest shard.  Block starts,
-   functions and noreturn records are disjoint by ownership; block
-   *ends* are reconciled through the real invariant-4 split cascade
-   where shards disagree.  Once every shard is in, the serial tail
-   runs on the coordinator's one thread: the frontier records replay
-   once through the ordinary parser machinery, the wave fixed point
-   runs (including the cycle rule fragments must skip), and the
-   ordinary ``finalize`` correction phase completes.
+5. **Structural merge (coordinator)** — once every shard's delta is
+   in, the coordinator installs the opened fragments, in shard order,
+   into a :class:`~repro.core.shard_merge.StreamingMerge` (no overlap
+   with the fan-out: an install then would compete with the workers
+   for the same cores).  Block starts, functions and noreturn records
+   are disjoint by ownership; block *ends* are reconciled through the
+   real invariant-4 split cascade where shards disagree.  The serial
+   tail then runs on the coordinator's one thread: the frontier
+   records replay once through the ordinary parser machinery, the
+   wave fixed point runs (including the cycle rule fragments must
+   skip), and the ordinary ``finalize`` correction phase completes.
    Schedule independence of the invariant machinery (battery-proven)
    makes the result equal the serial fixed point byte-for-byte.
 
@@ -130,7 +129,6 @@ from repro.errors import (
 )
 from repro.runtime.faults import (
     FaultPlan,
-    FaultProbe,
     corrupt_delta,
     delta_error,
     inject_inline_entry,
@@ -262,8 +260,7 @@ def shard_regions(entries: list[int], n_shards: int
 
 
 def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
-               attempt: int = 1,
-               plan: FaultPlan | None = None) -> ShardDelta:
+               attempt: int = 1) -> ShardDelta:
     """Parse one shard fragment on a private serial runtime; used by
     both the pool workers and the in-process fallback.
 
@@ -273,10 +270,8 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     from repro.core.parallel_parser import ParallelParser
     from repro.core.shard_merge import export_fragment
 
-    probe = (FaultProbe(plan, task.shard_id, attempt)
-             if plan is not None and plan else None)
     # The decode cache is part of the delta, so force it on.
-    opts = replace(options, thread_local_cache=True, fault_probe=probe)
+    opts = replace(options, thread_local_cache=True)
     rt = SerialRuntime(enable_metrics=enable_metrics)
     parser = ParallelParser(binary, rt, opts,
                             seed_entries=list(task.seeds),
@@ -331,8 +326,7 @@ def _parse_shard(payload: tuple) -> ShardDelta:
     try:
         inject_worker_entry(plan, task.shard_id, attempt)
         binary = _worker_binary(token, segment)
-        delta = _run_shard(binary, options, task, enable_metrics,
-                           attempt, plan)
+        delta = _run_shard(binary, options, task, enable_metrics, attempt)
         return corrupt_delta(plan, delta, task.shard_id, attempt)
     except Exception:
         import traceback
@@ -417,9 +411,6 @@ class ProcsRuntime(SerialRuntime):
                            else FaultPlan.from_env())
         self._t0: float | None = None
         self._elapsed: float | None = None
-        #: the live StreamingMerge while a fan-out is collecting, so the
-        #: dispatch loop can install fragments as deltas land.
-        self._merge: Any | None = None
         #: deltas of the last sharded parse (observability/tests).
         self.shard_deltas: list[ShardDelta] | None = None
         #: structured record of every fault observed by the last parse,
@@ -525,8 +516,7 @@ class ProcsRuntime(SerialRuntime):
                   else ADDRESS_CEILING)
             tasks.append(ShardTask(i, seeds, lo, hi))
         # The whole pipeline — fan-out included — runs inside this
-        # runtime's single run() so the streaming merge can install
-        # fragments while the dispatch loop is still collecting.
+        # runtime's single run(), so makespan covers it end to end.
         return self.run(
             lambda: self._fan_out_and_merge(binary, opts, tasks))
 
@@ -535,47 +525,38 @@ class ProcsRuntime(SerialRuntime):
 
         m = self.metrics
         merge = StreamingMerge(binary, self, opts)
-        self._merge = merge
-        try:
-            t_pool = time.perf_counter_ns()
-            deltas = self._map_shards(binary, opts, tasks)
-            if m.enabled:
-                m.observe("procs.phase.fanout_wall_ns",
-                          time.perf_counter_ns() - t_pool)
-            self.shard_deltas = deltas
+        t_pool = time.perf_counter_ns()
+        deltas = self._map_shards(binary, opts, tasks)
+        if m.enabled:
+            m.observe("procs.phase.fanout_wall_ns",
+                      time.perf_counter_ns() - t_pool)
+        self.shard_deltas = deltas
 
-            # One delta per shard, in shard order, each verified and
-            # opened by whoever collected it.
-            shard_insns_total = 0
-            for d in deltas:
-                if d.fragment is None:
-                    raise ShardFailedError(
-                        d.shard_id, d.attempt,
-                        d.error or "delta reached the merge unopened")
-                shard_insns_total += len(d.insns)
-                if m.enabled:
-                    m.inc("procs.shard_functions",
-                          len(d.fragment.functions))
-                    m.inc("procs.shard_insns_decoded", len(d.insns))
-                    if d.metrics is not None:
-                        m.merge_snapshot(d.metrics, prefix="workers.")
-                # Shards the dispatch loop already streamed in are
-                # skipped by accept(); inline-rung and in-process deltas
-                # install here, batch style.
-                merge.accept(d.fragment, d.insns)
+        # Every shard is in: install one delta per shard, in shard
+        # order, each verified and opened by whoever collected it.
+        shard_insns_total = 0
+        for d in deltas:
+            if d.fragment is None:
+                raise ShardFailedError(
+                    d.shard_id, d.attempt,
+                    d.error or "delta reached the merge unopened")
+            shard_insns_total += len(d.insns)
             if m.enabled:
-                m.inc("procs.shards", len(tasks))
-                m.inc("procs.merged_cache_insns", len(merge.warm))
-                # Cross-shard redundancy: instructions decoded by more
-                # than one worker (ownership keeps this low; it is not
-                # zero, since linear overrun and frontier-adjacent code
-                # decode twice).
-                m.inc("procs.duplicate_insns",
-                      shard_insns_total - len(merge.warm))
-
-            return merge.finish()
-        finally:
-            self._merge = None
+                m.inc("procs.shard_functions", len(d.fragment.functions))
+                m.inc("procs.shard_insns_decoded", len(d.insns))
+                if d.metrics is not None:
+                    m.merge_snapshot(d.metrics, prefix="workers.")
+            merge.accept(d.fragment, d.insns)
+        if m.enabled:
+            m.inc("procs.shards", len(tasks))
+            m.inc("procs.merged_cache_insns", len(merge.warm))
+            # Cross-shard redundancy: instructions decoded by more than
+            # one worker (ownership keeps this low; it is not zero,
+            # since linear overrun and frontier-adjacent code decode
+            # twice).
+            m.inc("procs.duplicate_insns",
+                  shard_insns_total - len(merge.warm))
+        return merge.finish()
 
     def _serial_fallback(self, binary, opts):
         """The ladder's last rung: a plain serial parse on this runtime."""
@@ -669,11 +650,8 @@ class ProcsRuntime(SerialRuntime):
         to the same pool up to :data:`MAX_RETRIES` times, then takes
         the inline rung.
 
-        Collection is *streaming*: each pass prefers whichever shard
-        has already finished, and a valid delta is installed into the
-        live :class:`StreamingMerge` immediately, so rebuild/install
-        work overlaps the still-running stragglers instead of waiting
-        for the slowest shard.
+        Shards are collected in dispatch order, so fault events come
+        out in that order too; the merge starts once every delta is in.
         """
         m = self.metrics
         deltas: dict[int, ShardDelta] = {}
@@ -687,12 +665,7 @@ class ProcsRuntime(SerialRuntime):
 
         waiting = [submit(t) for t in tasks]
         while waiting:
-            # Prefer a result that is already in: its merge work runs
-            # while the stragglers keep parsing.  With none ready, block
-            # on the oldest dispatch.
-            i = next((i for i, (_t, ar) in enumerate(waiting)
-                      if ar.ready()), 0)
-            t, ar = waiting.pop(i)
+            t, ar = waiting.pop(0)
             a = attempt[t.shard_id]
             try:
                 delta = ar.get(timeout=self.shard_deadline)
@@ -709,9 +682,6 @@ class ProcsRuntime(SerialRuntime):
                 reason = self._collect(delta)
                 if reason is None:
                     deltas[t.shard_id] = delta
-                    if self._merge is not None:
-                        self._merge.accept(delta.fragment, delta.insns,
-                                           streamed=bool(waiting))
                     continue
                 m.inc("procs.shard_failed")
                 kind = "shard_failed"
@@ -784,8 +754,7 @@ class ProcsRuntime(SerialRuntime):
         exception from the entry faults or the parse propagates."""
         plan = self.fault_plan
         inject_inline_entry(plan, task.shard_id, attempt)
-        delta = _run_shard(binary, opts, task, self.metrics.enabled,
-                           attempt, plan)
+        delta = _run_shard(binary, opts, task, self.metrics.enabled, attempt)
         delta = corrupt_delta(plan, delta, task.shard_id, attempt)
         return delta, self._collect(delta)
 

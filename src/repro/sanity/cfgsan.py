@@ -24,7 +24,7 @@ block's end.
 ``run_cfgsan`` bundles both, records ``sanity.cfgsan.*`` metrics and
 raises :class:`~repro.errors.SanityCheckError` on violations.  It is
 hooked into ``finalize`` and ``shard_merge`` behind
-``ParseOptions.sanitize`` (or env ``REPRO_CFGSAN=1``).
+``ParseOptions.sanitize`` (``repro check --cfgsan`` sets it).
 """
 
 from __future__ import annotations

@@ -94,16 +94,6 @@ class Assembler:
             return len(item.raw)
         return instruction_length(item.opcode)
 
-    def address_of(self, name: str) -> int:
-        """Resolved address of a label (available after layout)."""
-        addr = self.base
-        target_idx = self._labels.get(name)
-        if target_idx is None:
-            raise SynthesisError(f"undefined label {name!r}")
-        for item in self._items[:target_idx]:
-            addr += self._item_length(item)
-        return addr
-
     def assemble(self) -> tuple[bytes, dict[str, int]]:
         """Emit machine code; returns (code, label addresses)."""
         # Pass 1: lay out addresses.

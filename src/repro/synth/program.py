@@ -94,16 +94,6 @@ class FunctionSpec:
     cu: str = "src_0.c"
     decl_line: int = 1
 
-    @property
-    def is_known_noreturn(self) -> bool:
-        return self.name in KNOWN_NORETURN_NAMES
-
-    @property
-    def approx_size(self) -> int:
-        """Rough size metric used for load-balance sorting in tests."""
-        return sum(s.filler + (s.switch.n_cases * 2 if s.switch else 0)
-                   for s in self.segments) + 4
-
 
 @dataclass
 class ProgramSpec:

@@ -39,8 +39,7 @@ def _parse(binary) -> ParallelParser:
     return parser
 
 
-def test_calls_per_decoded_instruction_stay_in_budget(monkeypatch):
-    monkeypatch.delenv("REPRO_CFGSAN", raising=False)   # records an op trace
+def test_calls_per_decoded_instruction_stay_in_budget():
     binary = tensorflow_like(seed=104, scale=0.1).binary
     _parse(binary)                   # fill lru caches and lazy imports
     profile = cProfile.Profile()

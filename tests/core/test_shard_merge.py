@@ -215,20 +215,19 @@ class TestFrontierReplay:
         assert rt.metrics.histogram(
             "procs.phase.install_wall_ns").count == len(rt.shard_deltas)
 
-    def test_second_fragment_for_a_shard_is_skipped(self):
+    def test_second_fragment_for_a_shard_is_rejected(self):
+        """One fragment per shard: a second one for the same shard
+        fails loudly in the ownership guard instead of merging."""
         deltas = self._mid_deltas()
         rt = SerialRuntime(enable_metrics=True)
 
         def run():
             sm = StreamingMerge(_SB.binary, rt, ParseOptions())
-            assert sm.accept(deltas[0].fragment, deltas[0].insns)
-            blocks = rt.metrics.counter("procs.merge.blocks")
-            assert not sm.accept(deltas[0].fragment, deltas[0].insns)
-            assert rt.metrics.counter("procs.merge.blocks") == blocks
-            assert sm.accept(deltas[1].fragment, deltas[1].insns)
-            return sm.finish()
+            sm.accept(deltas[0].fragment, deltas[0].insns)
+            with pytest.raises(RuntimeConfigError, match="ownership"):
+                sm.accept(deltas[0].fragment, deltas[0].insns)
 
-        assert rt.run(run).signature() == _SERIAL_SIG
+        rt.run(run)
 
     @staticmethod
     def _undecodable_cond(frag):
@@ -252,7 +251,7 @@ class TestFrontierReplay:
         def run():
             sm = StreamingMerge(_SB.binary, rt, ParseOptions())
             for d in deltas:
-                assert sm.accept(d.fragment, d.insns)
+                sm.accept(d.fragment, d.insns)
             with pytest.raises(InvalidInstructionError):
                 sm.finish()
 

@@ -20,11 +20,10 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import parse_binary
-from repro.errors import InjectedFaultError, RuntimeConfigError
+from repro.errors import RuntimeConfigError
 from repro.runtime import ProcsRuntime, SerialRuntime
 from repro.runtime.faults import (
     FaultPlan,
-    FaultProbe,
     FaultSpec,
     corrupt_delta,
     delta_digest,
@@ -109,7 +108,7 @@ class TestFaultPlanGrammar:
                 FaultPlan.from_spec(bad)
 
     def test_unknown_site_rejected(self):
-        for bad in ("explode@1", "health"):
+        for bad in ("explode@1", "health", "frag@1", "wave@0x1"):
             with pytest.raises(RuntimeConfigError,
                                match="unknown fault site"):
                 FaultPlan.from_spec(bad)
@@ -122,13 +121,6 @@ class TestFaultPlanGrammar:
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan.from_spec("")
         assert FaultPlan.from_spec("exc")
-
-    def test_probe_raises_only_its_site(self):
-        probe = FaultProbe(FaultPlan.from_spec("frag@1"), 1, 1)
-        probe.raise_if("exc")  # different site: no-op
-        with pytest.raises(InjectedFaultError) as ei:
-            probe.raise_if("frag")
-        assert (ei.value.site, ei.value.shard_id) == ("frag", 1)
 
 
 class TestDeltaIntegrity:
@@ -366,13 +358,6 @@ class TestInlineLadder:
         assert rt.metrics.counter("procs.retry.inline") == 1
         assert rt.fault_events[0]["shard"] == 0
 
-    def test_frag_site_fires_mid_parse(self, workload):
-        sb, want = workload
-        rt = _parse_with(sb, want, "frag@1x1", in_process=True)
-        assert rt.degradation["level"] == "none"
-        assert rt.fault_events[0]["shard"] == 1
-        assert "InjectedFaultError" in rt.fault_events[0]["reason"]
-
     def test_corrupt_delta_detected_and_retried(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "corrupt@1x1", in_process=True)
@@ -384,26 +369,6 @@ class TestInlineLadder:
         rt = _parse_with(sb, want, "truncate@0x1", in_process=True)
         assert rt.degradation["level"] == "none"
         assert "truncated" in rt.fault_events[0]["reason"]
-
-    def test_wave_site_fires_mid_round_and_retries(self, workload):
-        """A worker dying inside its noreturn-wave iteration (after the
-        shard's graph work, before export) must ride the same retry
-        ladder as any mid-parse fault — and the retried shard plus the
-        coordinator's own (sharded) wave still land on serial."""
-        sb, want = workload
-        rt = _parse_with(sb, want, "wave@0x1", in_process=True)
-        assert rt.degradation["level"] == "none"
-        assert [e["kind"] for e in rt.fault_events] == ["shard_failed"]
-        assert "InjectedFaultError" in rt.fault_events[0]["reason"]
-        assert rt.metrics.counter("procs.retry.inline") == 1
-
-    def test_wave_exhausted_degrades_to_serial(self, workload):
-        """Wave faults on every attempt push down the full ladder; the
-        serial rung runs without a worker probe and completes."""
-        sb, want = workload
-        rt = _parse_with(sb, want, "wavex99", in_process=True)
-        assert rt.degradation["level"] == "serial"
-        assert rt.fault_events[-1]["kind"] == "sharded_parse_failed"
 
     def test_exhausted_retries_degrade_to_serial(self, workload):
         sb, want = workload

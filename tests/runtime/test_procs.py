@@ -14,6 +14,7 @@ from repro.runtime.procs import (
 from repro.runtime.tracefmt import run_report
 from repro.schema import validate_report
 from repro.synth import hpcstruct_binaries, tiny_binary
+from tests.runtime.test_faults import needs_pool
 
 
 class TestShardRegions:
@@ -164,6 +165,41 @@ class TestProcsRuntime:
                     assert rt.metrics.histogram(
                         f"procs.phase.{phase}_wall_ns") is not None, \
                         (sb.name, workers, phase)
+
+    @needs_pool
+    def test_pool_collects_every_shard_before_installing(self, monkeypatch):
+        """On the real pool the coordinator installs nothing until the
+        fan-out has returned: one accept per shard, all after
+        ``_map_shards``.  The five coordinator phases therefore do not
+        overlap, and their sum fits inside the makespan."""
+        from repro.core.shard_merge import StreamingMerge
+
+        sb = tiny_binary(seed=5, n_functions=24)
+        want = parse_binary(sb.binary, SerialRuntime()).signature()
+        events = []
+        real_map, real_accept = ProcsRuntime._map_shards, StreamingMerge.accept
+
+        def map_shards(self, *args):
+            try:
+                return real_map(self, *args)
+            finally:
+                events.append("fanout returned")
+
+        def accept(self, *args, **kwargs):
+            events.append("accept")
+            return real_accept(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcsRuntime, "_map_shards", map_shards)
+        monkeypatch.setattr(StreamingMerge, "accept", accept)
+        rt = ProcsRuntime(2, shard_deadline=30.0)
+        assert parse_binary(sb.binary, rt).signature() == want
+        assert events == ["fanout returned", "accept", "accept"]
+        assert rt.degradation["level"] == "none"
+        phases_ns = sum(
+            rt.metrics.histogram(f"procs.phase.{phase}_wall_ns").total
+            for phase in ("fanout", "install", "frontier", "wave",
+                          "finalize"))
+        assert phases_ns <= rt.makespan * 1e9
 
     def test_run_report_backend_and_unit(self):
         rt = ProcsRuntime(2, in_process=True)

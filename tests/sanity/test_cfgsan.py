@@ -44,11 +44,6 @@ class TestCleanParses:
         assert parser.op_trace is None
         assert rt.metrics.counter("sanity.cfgsan.checks") == 0
 
-    def test_env_var_enables_the_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CFGSAN", "1")
-        rt, parser, _ = _parsed(sanitize=False)
-        assert parser.op_trace
-
     def test_sanitized_signature_matches_unsanitized(self):
         sb = tiny_binary()
         sigs = []

@@ -139,10 +139,10 @@ def test_procs_matches_serial(name, reference_signatures):
 #: still reproduce the serial signature byte-for-byte.
 _FAULT_PLANS = {
     "worker-exc": "exc@0x1",
-    "frag-exc": "frag@1x1",
+    "second-shard-exc": "exc@1x1",
     "corrupt-delta": "corrupt@0x1",
     "truncated-delta": "truncate@1x1",
-    "wave-exc": "wave@0x1",
+    "all-shards-exc-twice": "exc@*x2",
     "exhausted-to-serial": "excx99",
 }
 
