@@ -19,6 +19,7 @@ pin down.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.isa.instructions import ControlFlowKind, Instruction, has_teardown
@@ -120,6 +121,19 @@ class Block:
         return f"Block({self.start:#x}, {e})"
 
 
+def release_blocks(blocks: Iterable[Block]) -> None:
+    """Empty each block's edge lists.
+
+    Every edge sits in its source's ``out_edges`` and its target's
+    ``in_edges``, so a graph is a web of ``Block`` <-> ``Edge`` cycles
+    that only the cyclic collector could free.  Emptying the lists of
+    every block a graph holds lets reference counting free it instead.
+    """
+    for b in blocks:
+        b.out_edges = []
+        b.in_edges = []
+
+
 class Function:
     """A function: an entry block plus (after finalization) its blocks."""
 
@@ -190,6 +204,17 @@ class ParsedCFG:
         self.jump_tables = sorted(jump_tables, key=lambda j: j.block_start)
         self.stats = stats
         self._func_by_addr = {f.addr: f for f in self._functions}
+
+    def release(self) -> None:
+        """Drop every edge, so reference counting frees this graph.
+
+        Call it once what is needed from the CFG (a signature, a digest,
+        findings) has been taken: afterwards the blocks have no edges.
+        A parse runs with the cyclic collector paused (see
+        :mod:`repro.runtime.serial`), so an unreleased graph that is
+        dropped waits for the next full collection.
+        """
+        release_blocks(self._blocks)
 
     # -- queries ---------------------------------------------------------------
 

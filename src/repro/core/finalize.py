@@ -35,6 +35,7 @@ from repro.core.cfg import (
     Function,
     JumpTableInfo,
     ParsedCFG,
+    release_blocks,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -151,6 +152,8 @@ def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
             if e in e.src.out_edges:
                 e.src.out_edges.remove(e)
         parser.blocks_by_start.remove(s)
+        # Out of the graph now, but still in a cycle with its own edges.
+        release_blocks((b,))
 
 
 # --------------------------------------------------------------- steps 2+3

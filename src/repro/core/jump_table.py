@@ -172,6 +172,7 @@ def _collect_slice(block: Block, target: Reg,
         return collected
 
     rev = walk(block, len(block.insns) - 1, {target}, 0)
+    del walk  # it refers to itself: leave no cycle for the collector
     rev.reverse()
     return rev
 

@@ -406,6 +406,9 @@ class ParallelParser:
                 spawn_range(0, len(initial))
 
         self._quiesce(start)
+        # spawn_range refers to itself and to this parser: break that
+        # cycle so a dropped parser is freed by reference counting.
+        del spawn_range
 
     def _traverse_task(self, func: Function, seeds: list[Block]) -> None:
         """ControlFlowTraversal(f) — Listing 3."""

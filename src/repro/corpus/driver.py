@@ -501,7 +501,9 @@ class CorpusDriver:
             degraded = rt.degradation["level"]
         stats = (len(cfg.functions()), len(cfg.blocks()),
                  len(cfg.edges()), degraded)
-        return signature_digest(cfg.signature()), stats
+        digest = signature_digest(cfg.signature())
+        cfg.release()
+        return digest, stats
 
 
 def run_corpus(run_dir, config: CorpusConfig | None = None, *,

@@ -83,7 +83,10 @@ def _parse_sig(rt_factory: Callable[[], Any],
                options: ParseOptions | None = None
                ) -> Callable[[LoadedBinary], tuple]:
     def run(binary: LoadedBinary) -> tuple:
-        return parse_binary(binary, rt_factory(), options).signature()
+        cfg = parse_binary(binary, rt_factory(), options)
+        sig = cfg.signature()
+        cfg.release()
+        return sig
     return run
 
 
@@ -91,10 +94,12 @@ def _cfgsan_check(binary: LoadedBinary) -> list[dict]:
     from repro.runtime.serial import SerialRuntime
 
     try:
-        parse_binary(binary, SerialRuntime(), ParseOptions(sanitize=True))
+        cfg = parse_binary(binary, SerialRuntime(),
+                           ParseOptions(sanitize=True))
     except SanityCheckError as e:
         return [{"check": "cfgsan", "where": e.where, "finding": str(f)}
                 for f in e.findings]
+    cfg.release()
     return []
 
 
@@ -129,7 +134,9 @@ def _checkers_check(workers: int, procs_workers: int, procs_inline: bool
                            binary=getattr(binary, "name", None))
         doc = findings_document("checkers", list(ALL_CHECKS),
                                 res.findings)
-        return canonical_bytes(doc)
+        out = canonical_bytes(doc)
+        cfg.release()
+        return out
 
     def run(binary: LoadedBinary) -> list[dict]:
         ref = one(binary, SerialRuntime)

@@ -248,6 +248,9 @@ class Runtime(abc.ABC):
 
         run_range(0, len(seq))
         group.wait()
+        # run_range refers to itself: break that cycle so the items and
+        # ``fn`` (often a closure over a whole parser) die with this call.
+        del run_range
 
     @abc.abstractmethod
     def run(self, fn: Callable[..., Any], *args: Any) -> Any:

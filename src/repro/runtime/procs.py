@@ -267,6 +267,7 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     Returns the delta sealed: one payload, stamped with its attempt
     number and digest, so whoever collects it can detect corruption.
     """
+    from repro.core.cfg import release_blocks
     from repro.core.parallel_parser import ParallelParser
     from repro.core.shard_merge import export_fragment
 
@@ -282,6 +283,8 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     seal_delta(
         delta, frag, parser.local_decode_cache(),
         metrics=rt.metrics.snapshot() if enable_metrics else None)
+    # Only the sealed bytes leave: let reference counting free the graph.
+    release_blocks(b for _, b in parser.blocks_by_start.items_snapshot())
     return delta
 
 

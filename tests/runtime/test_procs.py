@@ -13,8 +13,35 @@ from repro.runtime.procs import (
 )
 from repro.runtime.tracefmt import run_report
 from repro.schema import validate_report
-from repro.synth import hpcstruct_binaries, tiny_binary
+from repro.synth import hpcstruct_binaries, tensorflow_like, tiny_binary
 from tests.runtime.test_faults import needs_pool
+
+
+def _heap_probe(hold: float) -> tuple[int, int, bool]:
+    """Pool task: this worker's pid, tracked-object count and collector
+    state.  Holding the worker a moment lets each probe of a batch land
+    on its own worker."""
+    import gc
+    import os
+    import time
+
+    time.sleep(hold)
+    return os.getpid(), len(gc.get_objects()), gc.isenabled()
+
+
+def _worker_heaps(pool) -> dict[int, int]:
+    """``len(gc.get_objects())`` of every worker of ``pool``; each
+    worker's collector must be on between its tasks."""
+    want = {p.pid for p in pool._pool}
+    heaps: dict[int, int] = {}
+    for _ in range(20):
+        for pid, n, collecting in pool.map(
+                _heap_probe, [0.2] * len(want), chunksize=1):
+            assert collecting, f"worker {pid} left its collector paused"
+            heaps.setdefault(pid, n)
+        if set(heaps) == want:
+            return heaps
+    raise AssertionError(f"probes reached {sorted(heaps)} of {sorted(want)}")
 
 
 class TestShardRegions:
@@ -200,6 +227,29 @@ class TestProcsRuntime:
             for phase in ("fanout", "install", "frontier", "wave",
                           "finalize"))
         assert phases_ns <= rt.makespan * 1e9
+
+    @needs_pool
+    def test_pool_workers_free_each_shard(self):
+        """Pool workers parse shard after shard, with the collector
+        paused during each: the heap of every worker stays flat.
+
+        Every parse publishes a fresh image token, so the first
+        ``_WORKER_BINARY_CAP`` parses grow each worker's image cache
+        (≈ 3.8 k objects per TF-like 0.3 image); the count is compared
+        once that cache is full, over 10 more parses."""
+        from repro.runtime import procs
+
+        binary = tensorflow_like(seed=104, scale=0.3).binary
+        counts = []
+        for _ in range(procs._WORKER_BINARY_CAP + 10):
+            rt = ProcsRuntime(2, shard_deadline=30.0)
+            parse_binary(binary, rt).release()
+            assert rt.degradation["level"] == "none"
+            counts.append(_worker_heaps(procs._POOL))
+        first, last = counts[procs._WORKER_BINARY_CAP - 1], counts[-1]
+        assert sorted(last) == sorted(first)  # the same workers
+        for pid, n in last.items():
+            assert n <= first[pid] * 1.05, (pid, first[pid], n)
 
     def test_run_report_backend_and_unit(self):
         rt = ProcsRuntime(2, in_process=True)

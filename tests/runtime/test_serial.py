@@ -1,9 +1,12 @@
 """Tests for the single-worker serial runtime."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.errors import RuntimeConfigError
-from repro.runtime import SerialRuntime
+from repro.runtime import SerialRuntime, ThreadRuntime, VirtualTimeRuntime
 from repro.runtime.cost import CostModel
 
 
@@ -125,3 +128,77 @@ def test_single_use():
 def test_run_returns_result():
     rt = SerialRuntime()
     assert rt.run(lambda: 42) == 42
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector around its body and leaves
+    ``gc.isenabled()`` as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            yield
+        finally:
+            if not was:
+                gc.disable()
+
+    def test_paused_inside_run_and_resumed_after(self):
+        assert SerialRuntime().run(gc.isenabled) is False
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        SerialRuntime().run(lambda: None)
+        assert not gc.isenabled()
+
+    def test_resumed_when_the_callback_raises(self):
+        def boom():
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            SerialRuntime().run(boom)
+        assert gc.isenabled()
+
+    def test_overlapping_runs_on_two_threads(self):
+        both_inside = threading.Barrier(2, timeout=10)
+        first_done = threading.Event()
+        seen = []
+
+        def first():
+            SerialRuntime().run(both_inside.wait)
+            first_done.set()
+
+        def second():
+            def body():
+                both_inside.wait()
+                seen.append(first_done.wait(timeout=10))
+                seen.append(gc.isenabled())
+
+            SerialRuntime().run(body)
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        # The first exit did not resume the collector under the second.
+        assert seen == [True, False]
+        assert gc.isenabled()
+
+    def test_nested_run_does_not_resume_early(self):
+        def outer():
+            SerialRuntime().run(lambda: None)
+            return gc.isenabled()
+
+        assert SerialRuntime().run(outer) is False
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("make_rt", [lambda: VirtualTimeRuntime(2),
+                                         lambda: ThreadRuntime(2)],
+                             ids=["vtime", "threads"])
+    def test_other_runtimes_leave_the_collector_on(self, make_rt):
+        assert make_rt().run(gc.isenabled) is True
+        assert gc.isenabled()
