@@ -89,24 +89,16 @@ class SymbolTable:
     """Serial symbol container with the four lookup keys.
 
     This is the serialized form stored in ``.symtab``/``.dynsym``; the
-    parallel build path is :class:`IndexedSymbols`.
+    parallel build path is :class:`IndexedSymbols`.  Symbols are kept in
+    one list, in insertion order, and each lookup scans it: nothing is
+    demangled until a name lookup asks for it.
     """
 
     def __init__(self, symbols: list[Symbol] | None = None):
-        self._symbols: list[Symbol] = []
-        self._by_offset: dict[int, list[Symbol]] = {}
-        self._by_mangled: dict[str, list[Symbol]] = {}
-        self._by_pretty: dict[str, list[Symbol]] = {}
-        self._by_typed: dict[str, list[Symbol]] = {}
-        for s in symbols or []:
-            self.add(s)
+        self._symbols: list[Symbol] = list(symbols or [])
 
     def add(self, sym: Symbol) -> None:
         self._symbols.append(sym)
-        self._by_offset.setdefault(sym.offset, []).append(sym)
-        self._by_mangled.setdefault(sym.name, []).append(sym)
-        self._by_pretty.setdefault(sym.pretty_name, []).append(sym)
-        self._by_typed.setdefault(sym.typed_name, []).append(sym)
 
     def __len__(self) -> int:
         return len(self._symbols)
@@ -115,16 +107,16 @@ class SymbolTable:
         return iter(self._symbols)
 
     def by_offset(self, offset: int) -> list[Symbol]:
-        return list(self._by_offset.get(offset, []))
+        return [s for s in self._symbols if s.offset == offset]
 
     def by_mangled_name(self, name: str) -> list[Symbol]:
-        return list(self._by_mangled.get(name, []))
+        return [s for s in self._symbols if s.name == name]
 
     def by_pretty_name(self, name: str) -> list[Symbol]:
-        return list(self._by_pretty.get(name, []))
+        return [s for s in self._symbols if s.pretty_name == name]
 
     def by_typed_name(self, name: str) -> list[Symbol]:
-        return list(self._by_typed.get(name, []))
+        return [s for s in self._symbols if s.typed_name == name]
 
     def functions(self) -> list[Symbol]:
         """Function symbols in address order."""

@@ -13,7 +13,7 @@ and match the jump-target expression against the bounded-table idiom
   entries.  A bound obscured through memory is unrecoverable, and then:
 
   - in **union mode** (the paper's fix) the analysis scans entries while
-    they look like text addresses, up to ``max_scan`` — the deliberate
+    they look like text addresses, up to :data:`MAX_SCAN` — the deliberate
     over-approximation that finalization trims with the "compilers do
     not emit overlapping jump tables" observation;
   - in **strict mode** (pre-fix Dyninst, kept for the ablation) it gives
@@ -42,11 +42,16 @@ from repro.isa.registers import Reg
 from repro.runtime.api import Runtime
 
 
+#: Over-approximation cap: union mode scans at most this many entries.
+MAX_SCAN = 64
+
+#: Backward-slice depth across predecessors.
+MAX_PRED_DEPTH = 4
+
+
 @dataclass(frozen=True)
 class JumpTableOptions:
     union_mode: bool = True  #: scan on unknown bound instead of failing
-    max_scan: int = 64       #: over-approximation cap
-    max_pred_depth: int = 4  #: backward-slice depth across predecessors
 
 
 def analyze_jump_table(
@@ -66,7 +71,7 @@ def analyze_jump_table(
     target_reg = Reg(ijmp.operands[0])
 
     # 1. Backward slice of the target register.
-    slice_insns = _collect_slice(block, target_reg, options)
+    slice_insns = _collect_slice(block, target_reg)
     rt.charge(rt.cost.jump_table_per_insn * max(1, len(slice_insns)))
 
     # 2. Lift to a symbolic expression of the jump target.
@@ -100,14 +105,14 @@ def analyze_jump_table(
 
     # 3. Recover the index bound from the dominating CMP/JA guard.
     idx_reg = _index_register(slice_insns)
-    bound = _find_bound(block, idx_reg, options) if idx_reg is not None \
+    bound = _find_bound(block, idx_reg) if idx_reg is not None \
         else None
 
     if bound is not None:
         info.bounded = True
         n = bound + 1
     elif options.union_mode:
-        n = options.max_scan  # scan until entries stop looking like code
+        n = MAX_SCAN  # scan until entries stop looking like code
     else:
         return info  # strict mode: give up (pre-fix Dyninst behaviour)
 
@@ -139,8 +144,7 @@ def _intra_preds(block: Block) -> list[Block]:
 _SLICE_STOPS = frozenset({Reg.FLAGS, Reg.SP, Reg.FP})
 
 
-def _collect_slice(block: Block, target: Reg,
-                   options: JumpTableOptions) -> list[Instruction]:
+def _collect_slice(block: Block, target: Reg) -> list[Instruction]:
     """Collect the backward slice of ``target``, in execution order.
 
     Scans the block backwards, then single predecessor chains (first
@@ -161,7 +165,7 @@ def _collect_slice(block: Block, target: Reg,
                 remaining |= insn.regs_read() - _SLICE_STOPS
             if not remaining:
                 return collected
-        if depth < options.max_pred_depth and remaining:
+        if depth < MAX_PRED_DEPTH and remaining:
             for pred in sorted(_intra_preds(b), key=lambda x: x.start):
                 if pred is b or pred.end is None:
                     continue
@@ -187,8 +191,7 @@ def _index_register(slice_insns: list[Instruction]) -> Reg | None:
 
 # ------------------------------------------------------------- bound recovery
 
-def _find_bound(load_block: Block, idx_reg: Reg,
-                options: JumpTableOptions) -> int | None:
+def _find_bound(load_block: Block, idx_reg: Reg) -> int | None:
     """Recover the index bound from a dominating CMP/JA guard.
 
     Looks in the block containing the table load and then through intra
@@ -219,7 +222,7 @@ def _find_bound(load_block: Block, idx_reg: Reg,
         return found
     seen: set[int] = set()
     frontier = [load_block]
-    for _ in range(options.max_pred_depth):
+    for _ in range(MAX_PRED_DEPTH):
         nxt: list[Block] = []
         for b in frontier:
             for pred in sorted(_intra_preds(b), key=lambda x: x.start):

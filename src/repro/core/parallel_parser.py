@@ -65,6 +65,9 @@ from repro.runtime.conchash import SharedMap
 _DIRECT_KINDS = frozenset((ControlFlowKind.DIRECT_JUMP,
                            ControlFlowKind.COND_JUMP, ControlFlowKind.CALL))
 
+#: Bound on the noreturn waves of one parse (:meth:`noreturn_waves`).
+MAX_WAVES = 60
+
 
 @dataclass
 class ParseOptions:
@@ -80,7 +83,6 @@ class ParseOptions:
     #: thread-local decode cache (Section 6.3).
     thread_local_cache: bool = True
     jt_options: JumpTableOptions = field(default_factory=JumpTableOptions)
-    max_waves: int = 60
     #: record an operation trace and validate the structural invariants
     #: at quiesced points (finalize, shard merge) — see
     #: :mod:`repro.sanity.cfgsan`.
@@ -803,7 +805,7 @@ class ParallelParser:
         until nothing changes; then resolve cycles to NORETURN (not in
         fragment mode — the coordinator runs it on the merged parser)."""
         rt = self.rt
-        for _ in range(self.opts.max_waves):
+        for _ in range(MAX_WAVES):
             self.stats.n_waves += 1
             rt.metrics.inc("parser.noreturn_waves")
             funcs = [f for _, f in self.functions.sorted_items()]

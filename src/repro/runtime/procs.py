@@ -30,9 +30,9 @@ Execution model
 3. **Fragment parse (parallel)** — shard tasks are dispatched to a
    long-lived worker pool shared by every :class:`ProcsRuntime` in the
    process (rebuilt only when its size changes, and sized to the cores
-   actually available).  Each worker rebuilds the binary over the
-   segment once per parse (cached per parse token), then runs the
-   ordinary parallel parser in
+   actually available).  Each worker keeps the binary of its previous
+   task and rebuilds it over the segment only when a task names another
+   segment, then runs the ordinary parallel parser in
    *fragment mode*: expansion proceeds normally inside the shard's
    claim, while every step that would touch a foreign address — direct
    or conditional branches out of the region, calls to foreign callees,
@@ -112,12 +112,10 @@ metrics (catalog: ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -138,20 +136,11 @@ from repro.runtime.faults import (
 from repro.runtime.serial import SerialRuntime
 from repro.schema import DEGRADATION_LEVELS
 
-#: Worker-side cache of binaries rebuilt over published image segments,
-#: keyed by the coordinator's payload token (one per parse).  Values are
-#: ``(binary, handle)``: a binary built over a shared-memory view keeps
-#: its mapping handle alive until eviction releases it.  LRU-ordered, so
-#: a full cache evicts only the least recently used entry — never the
-#: binary of a parse still in flight.
-_WORKER_BINARIES: "OrderedDict[int, tuple]" = OrderedDict()
-
-#: Maximum binaries kept alive per worker process.
-_WORKER_BINARY_CAP = 8
-
-#: Coordinator-side token source: a fresh token per sharded parse keys
-#: the worker caches so a reused pool never mixes up binaries.
-_PAYLOAD_TOKENS = itertools.count(1)
+#: Worker-side binary of the previous task: ``(segment name, binary,
+#: handle)``, or None.  Segment names are unique per published image, so
+#: a task naming the same segment reuses the binary; any other task
+#: replaces it.  The handle keeps the binary's mapping alive.
+_WORKER_IMAGE: tuple | None = None
 
 #: The cached worker pool shared by all :class:`ProcsRuntime` instances
 #: in this process.  Pool creation (fork + bootstrap) costs an order of
@@ -181,8 +170,8 @@ class ShardTask:
 
     Deliberately plain data (ints only) so payloads pickle cheaply; the
     binary travels alongside as the published segment's
-    ``(name, size)`` and is rebuilt at most once per worker per parse
-    (cached by payload token).
+    ``(name, size)``, and a worker rebuilds it only when the segment
+    differs from its previous task's.
     """
 
     shard_id: int
@@ -288,21 +277,24 @@ def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
     return delta
 
 
-def _worker_binary(token: int, segment: tuple[str, int]):
-    """The worker's cached binary for ``token``.  A hit refreshes its
-    recency; a miss attaches the published image ``segment``
-    (``(name, size)``) and deserializes zero-copy over a read-only view,
-    evicting the least-recently-used entry first if the cache is full.
+def _worker_binary(segment: tuple[str, int]):
+    """The binary over the published image ``segment`` (``(name,
+    size)``).  The previous task's binary is reused when it was built
+    over the same segment; otherwise it is dropped and its mapping
+    released, and the segment is attached and deserialized zero-copy
+    over a read-only view.
     """
-    entry = _WORKER_BINARIES.get(token)
-    if entry is not None:
-        _WORKER_BINARIES.move_to_end(token)
-        return entry[0]
+    global _WORKER_IMAGE
     from repro.binary.loader import load_image
     from repro.runtime.shm import attach_view, release_view
 
-    while len(_WORKER_BINARIES) >= _WORKER_BINARY_CAP:
-        _tok, (_binary, handle) = _WORKER_BINARIES.popitem(last=False)
+    if _WORKER_IMAGE is not None:
+        name, binary, handle = _WORKER_IMAGE
+        if name == segment[0]:
+            return binary
+        # Drop the binary first: its sections alias the mapping, which
+        # closes cleanly only once nothing exports a buffer over it.
+        _WORKER_IMAGE = binary = None
         release_view(handle)
     view, handle = attach_view(*segment)
     try:
@@ -310,7 +302,7 @@ def _worker_binary(token: int, segment: tuple[str, int]):
     except Exception:
         release_view(handle)
         raise
-    _WORKER_BINARIES[token] = (binary, handle)
+    _WORKER_IMAGE = (segment[0], binary, handle)
     return binary
 
 
@@ -324,11 +316,10 @@ def _parse_shard(payload: tuple) -> ShardDelta:
     The payload's fault plan drives the deterministic injection sites
     (entry faults before the parse, delta faults on the sealed payload).
     """
-    token, segment, options, enable_metrics, task, attempt, plan = \
-        payload
+    segment, options, enable_metrics, task, attempt, plan = payload
     try:
         inject_worker_entry(plan, task.shard_id, attempt)
-        binary = _worker_binary(token, segment)
+        binary = _worker_binary(segment)
         delta = _run_shard(binary, options, task, enable_metrics, attempt)
         return corrupt_delta(plan, delta, task.shard_id, attempt)
     except Exception:
@@ -392,8 +383,7 @@ class ProcsRuntime(SerialRuntime):
       named by ``REPRO_FAULT_PLAN`` if set.
     """
 
-    def __init__(self, n_workers: int, cost_model=None,
-                 enable_metrics: bool = True,
+    def __init__(self, n_workers: int, enable_metrics: bool = True,
                  in_process: bool = False,
                  shard_deadline: float | None = DEFAULT_SHARD_DEADLINE,
                  fault_plan: FaultPlan | None = None):
@@ -401,8 +391,7 @@ class ProcsRuntime(SerialRuntime):
             raise RuntimeConfigError("need at least one worker")
         if shard_deadline is not None and shard_deadline <= 0:
             raise RuntimeConfigError("shard_deadline must be positive")
-        super().__init__(cost_model=cost_model,
-                         enable_metrics=enable_metrics)
+        super().__init__(enable_metrics=enable_metrics)
         self.num_workers = n_workers
         #: run shards inline in the coordinator process (test/debug
         #: escape hatch; also the automatic fallback when no pool or no
@@ -609,9 +598,8 @@ class ProcsRuntime(SerialRuntime):
                 binary, opts, tasks, "shm_unavailable",
                 f"no image segment: {_describe(exc)}")
         try:
-            return self._dispatch(pool, next(_PAYLOAD_TOKENS),
-                                  (segment.name, segment.size), opts,
-                                  binary, tasks)
+            return self._dispatch(pool, (segment.name, segment.size),
+                                  opts, binary, tasks)
         finally:
             # The one unlink point: runs on success, on every ladder
             # rung and on the exception that triggers the serial
@@ -644,8 +632,8 @@ class ProcsRuntime(SerialRuntime):
             m.inc("procs.shm.bytes", segment.size)
         return segment
 
-    def _dispatch(self, pool, token: int, segment: tuple[str, int], opts,
-                  binary, tasks: list[ShardTask]) -> list[ShardDelta]:
+    def _dispatch(self, pool, segment: tuple[str, int], opts, binary,
+                  tasks: list[ShardTask]) -> list[ShardDelta]:
         """The fault-tolerant fan-out: one ``AsyncResult`` per shard
         attempt, collected under the shard deadline.  A timeout, an
         error handing the result over (``pool_error``) and an unusable
@@ -662,8 +650,8 @@ class ProcsRuntime(SerialRuntime):
 
         def submit(t: ShardTask):
             attempt[t.shard_id] += 1
-            payload = (token, segment, opts, m.enabled, t,
-                       attempt[t.shard_id], self.fault_plan)
+            payload = (segment, opts, m.enabled, t, attempt[t.shard_id],
+                       self.fault_plan)
             return t, pool.apply_async(_parse_shard, (payload,))
 
         waiting = [submit(t) for t in tasks]

@@ -30,9 +30,10 @@ Lifecycle guarantees (tested in ``tests/runtime/test_shm.py``):
   Python < 3.13 has no ``track=False``, and a tracked worker-side
   attach would double-unlink the coordinator's segment at worker exit
   (bpo-38119).  :func:`release_view` closes the worker's mapping when
-  the procs worker cache evicts a binary; a mapping that still has
-  exported buffers (sections alias it) survives in a graveyard list
-  rather than raising, and dies with the worker process.
+  the procs worker replaces its binary with a new segment's; a mapping
+  that still has exported buffers (sections of a binary an exception
+  still holds alias it) survives in a graveyard list rather than
+  raising, and dies with the worker process.
 - **Unlink is decoupled from attachment.**  POSIX keeps the segment
   alive until the last mapping closes, so the coordinator can unlink as
   soon as every shard result has been collected or abandoned — a
@@ -64,9 +65,10 @@ _LIVE: dict[str, "ImageSegment"] = {}
 #: distinguishable across coordinators sharing one machine.
 _COUNTER = itertools.count(1)
 
-#: Worker-side mappings whose close raised ``BufferError`` (a cached
-#: binary's sections still alias them).  Holding the handle keeps the
-#: mapping valid; it is reclaimed when the worker process exits.
+#: Worker-side mappings whose close raised ``BufferError`` (sections of
+#: a binary an exception still holds alias them).  Holding the handle
+#: keeps the mapping valid; it is reclaimed when the worker process
+#: exits.
 _GRAVEYARD: list[object] = []
 
 

@@ -1,5 +1,8 @@
 """Tests for symbol tables and name demangling."""
 
+import pytest
+
+import repro.binary.symtab as symtab_mod
 from repro.binary import (
     IndexedSymbols,
     Symbol,
@@ -8,8 +11,15 @@ from repro.binary import (
     SymbolTable,
     demangle_pretty,
     demangle_typed,
+    load_image,
 )
 from repro.runtime import SerialRuntime, ThreadRuntime, VirtualTimeRuntime
+from repro.synth import (
+    HOSTILE_PRESETS,
+    hostile_binary,
+    llnl2_like,
+    tensorflow_like,
+)
 
 
 class TestDemangle:
@@ -78,6 +88,69 @@ class TestSymbolTable:
         t = SymbolTable(self.syms())
         assert len(t) == 5
         assert {s.name for s in t} == {s.name for s in self.syms()}
+
+
+class _ReferenceSymbolTable:
+    """The dict-building table the list scans must agree with: one map
+    per key, filled in insertion order."""
+
+    def __init__(self, symbols):
+        self.maps = {"offset": {}, "mangled": {}, "pretty": {}, "typed": {}}
+        for s in symbols:
+            for key, value in (("offset", s.offset), ("mangled", s.name),
+                               ("pretty", s.pretty_name),
+                               ("typed", s.typed_name)):
+                self.maps[key].setdefault(value, []).append(s)
+
+    def lookup(self, key, value):
+        return list(self.maps[key].get(value, []))
+
+
+def _oracle_binary(name):
+    if name == "tf-0.3":
+        return tensorflow_like(seed=104, scale=0.3).binary
+    if name.startswith("llnl2-0.3"):
+        binary = llnl2_like(scale=0.3).binary
+        return binary.stripped() if name.endswith("stripped") else binary
+    return hostile_binary(name).binary
+
+
+class TestLookupOracle:
+    """The list scans return what the four maps returned, in order."""
+
+    @pytest.mark.parametrize(
+        "name", ["tf-0.3", "llnl2-0.3", "llnl2-0.3-stripped",
+                 *HOSTILE_PRESETS])
+    def test_lookups_match_reference(self, name):
+        binary = _oracle_binary(name)
+        misses = {"offset": -1, "mangled": "_Z4nonev", "pretty": "none",
+                  "typed": "none(void)"}
+        for table in (binary.symtab, binary.dynsym):
+            ref = _ReferenceSymbolTable(table)
+            lookups = {"offset": table.by_offset,
+                       "mangled": table.by_mangled_name,
+                       "pretty": table.by_pretty_name,
+                       "typed": table.by_typed_name}
+            for key, lookup in lookups.items():
+                assert lookup(misses[key]) == []
+                for value in [*ref.maps[key], misses[key]]:
+                    assert lookup(value) == ref.lookup(key, value), \
+                        (name, key, value)
+
+    def test_load_demangles_nothing(self, monkeypatch):
+        """Reading ``.symtab`` and ``.dynsym`` builds no name keys."""
+        raw = tensorflow_like(seed=104, scale=0.3).binary.image.to_bytes()
+        calls = []
+        real = symtab_mod._split_mangled
+
+        def counting(mangled):
+            calls.append(mangled)
+            return real(mangled)
+
+        monkeypatch.setattr(symtab_mod, "_split_mangled", counting)
+        binary = load_image(raw)
+        assert len(binary.symtab) > 0 and len(binary.dynsym) > 0
+        assert calls == []
 
 
 class TestIndexedSymbols:

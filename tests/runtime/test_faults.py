@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import parse_binary
 from repro.errors import RuntimeConfigError
-from repro.runtime import ProcsRuntime, SerialRuntime
+from repro.runtime import ProcsRuntime, SerialRuntime, procs, shm
 from repro.runtime.faults import (
     FaultPlan,
     FaultSpec,
@@ -30,7 +30,6 @@ from repro.runtime.faults import (
     delta_error,
 )
 from repro.runtime.procs import (
-    _WORKER_BINARIES,
     _parse_shard,
     _run_shard,
     _worker_binary,
@@ -285,7 +284,7 @@ class TestParseShardErrorAsData:
         sb, _ = workload
         task = ShardTask(0, tuple(sb.binary.entry_addresses()))
         with _published(sb.binary.image.to_bytes()) as segment:
-            payload = (next(_tokens()), segment, _opts(), False, task, 1,
+            payload = (segment, _opts(), False, task, 1,
                        FaultPlan.from_spec("exc@0"))
             delta = _parse_shard(payload)
         assert delta.error is not None
@@ -296,55 +295,48 @@ class TestParseShardErrorAsData:
         sb, _ = workload
         task = ShardTask(0, tuple(sb.binary.entry_addresses()))
         with _published(b"not an image") as segment:
-            payload = (next(_tokens()), segment, _opts(), False, task, 1,
-                       None)
+            payload = (segment, _opts(), False, task, 1, None)
             delta = _parse_shard(payload)
         assert delta.error is not None and "ImageFormatError" in delta.error
 
 
 class TestWorkerBinaryCache:
-    """LRU eviction: one entry at a time, never the whole cache."""
+    """One slot: the previous task's binary, replaced by a new segment."""
 
     @pytest.fixture(autouse=True)
     def segment(self, workload):
         sb, _ = workload
-        _WORKER_BINARIES.clear()
         with _published(sb.binary.image.to_bytes()) as segment:
             yield segment
-            for _binary, handle in _WORKER_BINARIES.values():
-                release_view(handle)
-            _WORKER_BINARIES.clear()
-
-    def test_evicts_one_oldest_not_all(self, segment):
-        for token in range(1, 9):  # fill to the cap of 8
-            _worker_binary(token, segment)
-        assert len(_WORKER_BINARIES) == 8
-        _worker_binary(9, segment)  # one past the cap
-        assert len(_WORKER_BINARIES) == 8  # still full, not cleared
-        assert 1 not in _WORKER_BINARIES  # only the oldest went
-        assert all(t in _WORKER_BINARIES for t in range(2, 10))
-
-    def test_hit_refreshes_recency(self, segment):
-        for token in range(1, 9):
-            _worker_binary(token, segment)
-        _worker_binary(1, segment)  # hit: token 1 becomes most recent
-        _worker_binary(10, segment)  # evicts token 2, not the just-used 1
-        assert 1 in _WORKER_BINARIES and 2 not in _WORKER_BINARIES
+            _drop_worker_image()
 
     def test_hit_returns_cached_object(self, segment):
-        first = _worker_binary(42, segment)
-        assert _worker_binary(42, segment) is first
+        first = _worker_binary(segment)
+        assert _worker_binary(segment) is first
 
     def test_shm_transport_attaches_and_releases(self, workload, segment):
         sb, _ = workload
-        binary = _worker_binary(60, segment)
+        binary = _worker_binary(segment)
         assert binary.image.name == sb.binary.image.name
-        _binary, handle = _WORKER_BINARIES[60]
-        assert handle is not None
-        # Eviction must release the mapping handle, not leak it.
-        for token in range(61, 61 + 8):
-            _worker_binary(token, segment)
-        assert 60 not in _WORKER_BINARIES
+        shm_obj = procs._WORKER_IMAGE[2][0]
+        graveyard = list(shm._GRAVEYARD)
+        del binary
+        # A new segment replaces the slot: the previous binary is dropped
+        # first, so its mapping closes instead of parking in the graveyard.
+        with _published(sb.binary.image.to_bytes()) as other:
+            _worker_binary(other)
+            assert procs._WORKER_IMAGE[0] == other[0]
+            assert shm_obj.buf is None  # closed
+            assert shm._GRAVEYARD == graveyard
+
+
+def _drop_worker_image() -> None:
+    """Empty the worker slot the way a new segment does: binary first,
+    then its mapping."""
+    if procs._WORKER_IMAGE is not None:
+        handle = procs._WORKER_IMAGE[2]
+        procs._WORKER_IMAGE = None
+        release_view(handle)
 
 
 class TestInlineLadder:
@@ -559,11 +551,6 @@ class TestReportValidatorRejections:
 def _opts():
     from repro.core.parallel_parser import ParseOptions
     return ParseOptions()
-
-
-def _tokens():
-    from repro.runtime.procs import _PAYLOAD_TOKENS
-    return _PAYLOAD_TOKENS
 
 
 @pytest.fixture(scope="module", autouse=True)

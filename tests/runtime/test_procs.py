@@ -1,5 +1,7 @@
 """Unit tests for the process-pool backend (sharding, merge, fallback)."""
 
+import os
+
 import pytest
 
 from repro.core import parse_binary
@@ -15,6 +17,9 @@ from repro.runtime.tracefmt import run_report
 from repro.schema import validate_report
 from repro.synth import hpcstruct_binaries, tensorflow_like, tiny_binary
 from tests.runtime.test_faults import needs_pool
+
+needs_proc_maps = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="no /proc/<pid>/maps")
 
 
 def _heap_probe(hold: float) -> tuple[int, int, bool]:
@@ -233,23 +238,43 @@ class TestProcsRuntime:
         """Pool workers parse shard after shard, with the collector
         paused during each: the heap of every worker stays flat.
 
-        Every parse publishes a fresh image token, so the first
-        ``_WORKER_BINARY_CAP`` parses grow each worker's image cache
-        (≈ 3.8 k objects per TF-like 0.3 image); the count is compared
-        once that cache is full, over 10 more parses."""
+        A worker keeps only its previous task's image, replaced by the
+        next parse's, so parse 1 and parse 11 leave the same heap."""
         from repro.runtime import procs
 
         binary = tensorflow_like(seed=104, scale=0.3).binary
         counts = []
-        for _ in range(procs._WORKER_BINARY_CAP + 10):
+        for _ in range(11):
             rt = ProcsRuntime(2, shard_deadline=30.0)
             parse_binary(binary, rt).release()
             assert rt.degradation["level"] == "none"
             counts.append(_worker_heaps(procs._POOL))
-        first, last = counts[procs._WORKER_BINARY_CAP - 1], counts[-1]
+        first, last = counts[0], counts[-1]
         assert sorted(last) == sorted(first)  # the same workers
         for pid, n in last.items():
             assert n <= first[pid] * 1.05, (pid, first[pid], n)
+
+    @needs_proc_maps
+    @needs_pool
+    def test_pool_workers_map_one_image(self):
+        """Each worker keeps one image: a task naming a new segment
+        releases the previous task's mapping before attaching."""
+        from repro.runtime import procs
+        from repro.runtime.shm import SEGMENT_PREFIX
+
+        binary = tensorflow_like(seed=104, scale=0.3).binary
+        for _ in range(3):
+            rt = ProcsRuntime(2, shard_deadline=30.0)
+            parse_binary(binary, rt).release()
+            assert rt.degradation["level"] == "none"
+        mapped = {}
+        for worker in procs._POOL._pool:
+            with open(f"/proc/{worker.pid}/maps") as f:
+                mapped[worker.pid] = {
+                    line.split(SEGMENT_PREFIX, 1)[1].split()[0]
+                    for line in f if SEGMENT_PREFIX in line}
+        assert all(len(names) <= 1 for names in mapped.values()), mapped
+        assert any(mapped.values()), mapped  # some worker served a task
 
     def test_run_report_backend_and_unit(self):
         rt = ProcsRuntime(2, in_process=True)

@@ -20,7 +20,7 @@ import pytest
 import repro.binary.format as fmt
 from repro.apps.checker import DiffCategory, check_binary
 from repro.core import parse_binary
-from repro.core.jump_table import JumpTableOptions
+from repro.core.jump_table import MAX_SCAN, JumpTableOptions
 from repro.core.parallel_parser import ParseOptions
 from repro.errors import SynthesisError
 from repro.runtime import SerialRuntime, VirtualTimeRuntime
@@ -127,10 +127,9 @@ class TestJumpTableOverApprox:
         """The pinned union-mode contract: every obscured table scans
         unbounded (over-approximating into the neighbor table), is
         trimmed at finalization to its exact ground-truth size, and the
-        scan never exceeds the ``max_scan`` cap."""
+        scan never exceeds the ``MAX_SCAN`` cap."""
         sb, cfg = built["jt-overapprox"]
         gt = sb.ground_truth
-        max_scan = JumpTableOptions().max_scan
         resolved = {j.table_addr: j for j in cfg.jump_tables
                     if j.table_addr is not None}
         assert set(resolved) == set(gt.jump_tables)
@@ -138,7 +137,7 @@ class TestJumpTableOverApprox:
             jt = resolved[addr]
             assert not jt.bounded, f"table@{addr:#x} should be unbounded"
             assert jt.n_entries == want, f"table@{addr:#x} not trimmed"
-            assert jt.n_entries + jt.trimmed <= max_scan
+            assert jt.n_entries + jt.trimmed <= MAX_SCAN
         assert cfg.stats.n_jt_overapprox == len(gt.jump_tables)
         assert cfg.stats.n_edges_trimmed > 0
 
