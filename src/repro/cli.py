@@ -143,9 +143,9 @@ def _make_rt(args, **kw):
     kw.setdefault("enable_metrics", not getattr(args, "no_metrics", False))
     if args.runtime == "procs":
         if getattr(args, "shard_deadline", None) is not None:
-            kw.setdefault("shard_deadline",
-                          args.shard_deadline if args.shard_deadline > 0
-                          else None)
+            # 0 disables the deadline; a negative one is the
+            # runtime's config error.
+            kw.setdefault("shard_deadline", args.shard_deadline or None)
         if getattr(args, "fault_plan", None) is not None:
             from repro.runtime.faults import FaultPlan
             kw.setdefault("fault_plan",
@@ -656,9 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "spec-level repro")
     fz.add_argument("--n-functions", type=int, default=None,
                     help="override the per-case function count")
-    fz.add_argument("--workers", "-j", type=int, default=4,
+    fz.add_argument("--workers", "-j", type=positive_int, default=4,
                     help="worker count for the vtime/threads axes")
-    fz.add_argument("--procs-workers", type=int, default=2,
+    fz.add_argument("--procs-workers", type=positive_int, default=2,
                     help="worker count for the procs axes")
     fz.add_argument("--procs-pool", action="store_true",
                     help="run the procs axes on a real process pool "

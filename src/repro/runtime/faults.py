@@ -14,12 +14,12 @@ Injection sites (grammar: ``site[@shard][xattempts][=value]``, entries
 joined by commas; full format in ``docs/ROBUSTNESS.md``):
 
 ========== ============================================================
-``exc``    worker raises :class:`~repro.errors.InjectedFaultError`
-           before parsing its shard (``_parse_shard`` in procs.py)
+``exc``    the attempt raises :class:`~repro.errors.InjectedFaultError`
+           before parsing its shard (``_attempt_shard`` in procs.py)
 ``delay``  worker sleeps ``value`` seconds before parsing (trips the
            per-shard deadline when ``value`` exceeds it)
 ``kill``   worker process dies via ``os._exit`` (pool workers only;
-           inline execution treats it as ``exc``)
+           an inline attempt raises, as for ``exc``)
 ``corrupt`` one byte of the returned :class:`ShardDelta`'s sealed
            payload is flipped after the digest was stamped (detected
            by whoever collects the delta)
@@ -185,36 +185,26 @@ class FaultPlan:
 
 # ------------------------------------------------------- injection hooks
 
-def inject_worker_entry(plan: FaultPlan | None, shard_id: int,
-                        attempt: int) -> None:
-    """Worker-side entry faults: kill, delay, exc (in that order)."""
+def inject_entry(plan: FaultPlan | None, shard_id: int, attempt: int,
+                 in_worker: bool) -> None:
+    """Shard entry faults: kill, delay, exc (in that order).
+
+    ``kill`` is a hard death only in a pool worker; in the coordinator
+    it must not take the process down, so it raises like ``exc`` — the
+    ladder still sees a failed attempt.
+    """
     if not plan:
         return
     if plan.fires("kill", shard_id, attempt):
-        # A hard worker death: no exception, no cleanup, no delta.
-        os._exit(86)
+        if in_worker:
+            # A hard worker death: no exception, no cleanup, no delta.
+            os._exit(86)
+        raise InjectedFaultError("kill", shard_id, attempt)
     spec = plan.fires("delay", shard_id, attempt)
     if spec is not None:
         time.sleep(spec.value)
     if plan.fires("exc", shard_id, attempt):
         raise InjectedFaultError("exc", shard_id, attempt)
-
-
-def inject_inline_entry(plan: FaultPlan | None, shard_id: int,
-                        attempt: int) -> None:
-    """Coordinator-side entry faults for inline shard execution.
-
-    ``kill`` must not take the coordinator down, so it degrades to an
-    exception here — the ladder still sees a failed attempt.
-    """
-    if not plan:
-        return
-    spec = plan.fires("delay", shard_id, attempt)
-    if spec is not None:
-        time.sleep(spec.value)
-    for site in ("kill", "exc"):
-        if plan.fires(site, shard_id, attempt):
-            raise InjectedFaultError(site, shard_id, attempt)
 
 
 def inject_binary_entry(plan: FaultPlan | None, index: int,
@@ -255,7 +245,7 @@ def corrupt_delta(plan: FaultPlan | None, delta: Any, shard_id: int,
                   attempt: int) -> Any:
     """Delta faults, applied to the sealed payload *after* the digest
     was stamped so the collector's integrity check is what catches
-    them — on the pool, in-process and inline rungs alike."""
+    them — on pool and inline attempts alike."""
     if not plan:
         return delta
     if plan.fires("truncate", shard_id, attempt):

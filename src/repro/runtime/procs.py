@@ -47,9 +47,9 @@ Execution model
    columns; function, jump-table and noreturn records), its decode
    cache as instruction columns (:mod:`repro.isa.columns`) and its
    metrics snapshot, pickled once and stamped with one sha256 over the
-   bytes.  Whoever collects the delta — the dispatch loop, the
-   in-process map, the inline rung — recomputes that hash once and only
-   then unpickles (:func:`repro.runtime.faults.delta_error`).
+   bytes.  The dispatch loop collects every delta, from the pool or
+   inline, and recomputes that hash once; only then does it unpickle
+   (:func:`repro.runtime.faults.delta_error`).
 5. **Structural merge (coordinator)** — once every shard's delta is
    in, the coordinator installs the opened fragments, in shard order,
    into a :class:`~repro.core.shard_merge.StreamingMerge` (no overlap
@@ -66,30 +66,32 @@ Execution model
 
 Fault tolerance
 ---------------
-The fan-out assumes nothing about worker health.  Every shard attempt
-is dispatched as its own ``AsyncResult`` and collected under a
-configurable per-shard deadline (``shard_deadline``); every collected
-delta is integrity-checked against the digest the worker stamped on
-its sealed payload.  A failed attempt — worker exception, kill, hang
-past the deadline, a pool error handing the result over, corrupt or
-truncated delta — walks a bounded ladder:
+The fan-out assumes nothing about worker health.  Every attempt of
+every shard is made and collected by one loop (``_dispatch``), with or
+without a pool: a pool attempt is its own ``AsyncResult``, collected
+under a configurable per-shard deadline (``shard_deadline``); an inline
+attempt runs in place in the coordinator.  Every collected delta is
+integrity-checked against the digest its producer stamped on the sealed
+payload.  A failed attempt — worker exception, kill, hang past the
+deadline, a pool error handing the result over, corrupt or truncated
+delta — walks one bounded ladder:
 
-1. **re-dispatch** the shard to the same pool (up to
-   :data:`MAX_RETRIES` times; ``multiprocessing.Pool`` replaces a
-   worker that died mid-task on its own);
-2. **inline re-execution** of just that shard in the coordinator
-   process (the ``shard_inline`` degradation step; a parse with no
-   pool or no image segment runs every shard inline, the ``inline``
-   step);
-3. if even that fails, the whole parse degrades to a plain **serial
-   parse** on the coordinator — the ladder's last rung always yields
-   the same fixed point.  The one error that never degrades is a
-   :class:`~repro.errors.SanityCheckError`: a sanitizer verdict is a
-   result, not a fault, and reaches the caller.
+1. **retry**: a shard gets :data:`MAX_RETRIES` + 1 attempts, on the
+   pool when there is one (``multiprocessing.Pool`` replaces a worker
+   that died mid-task on its own), else inline — a parse with no pool
+   or no image segment runs every shard inline (the ``inline`` step);
+2. on a pool, one more **inline attempt** of just that shard in the
+   coordinator (the ``shard_inline`` step);
+3. if the shard's last attempt fails, the whole parse degrades to a
+   plain **serial parse** on the coordinator — the ladder's last rung
+   always yields the same fixed point.  The one error that never
+   degrades is a :class:`~repro.errors.SanityCheckError`: a sanitizer
+   verdict is a result, not a fault, and reaches the caller.
 
 Every failed attempt and every rung records one structured fault event
 with a one-line ``reason`` (``rt.fault_events``, also exported in the
-run report) and a ``procs.*`` metric; the highest
+run report; a shard's failed last attempt is recorded once, as the
+serial rung's event) and a ``procs.*`` metric; the highest
 degradation step taken is summarized in ``rt.degradation``.  The
 deterministic fault-injection harness that proves all of this works
 lives in :mod:`repro.runtime.faults`; see ``docs/ROBUSTNESS.md``.
@@ -129,8 +131,7 @@ from repro.runtime.faults import (
     FaultPlan,
     corrupt_delta,
     delta_error,
-    inject_inline_entry,
-    inject_worker_entry,
+    inject_entry,
     seal_delta,
 )
 from repro.runtime.serial import SerialRuntime
@@ -158,8 +159,8 @@ ADDRESS_CEILING = 1 << 63
 #: — it exists to bound hangs, not to race healthy workers.
 DEFAULT_SHARD_DEADLINE = 60.0
 
-#: Bound on per-shard pool re-dispatches after the first attempt (and
-#: on inline retries after the first inline attempt).
+#: Retries per shard after its first attempt, on the pool when there is
+#: one, else inline; a pool's shard then gets one more, inline attempt.
 MAX_RETRIES = 2
 
 
@@ -250,8 +251,8 @@ def shard_regions(entries: list[int], n_shards: int
 
 def _run_shard(binary, options, task: ShardTask, enable_metrics: bool,
                attempt: int = 1) -> ShardDelta:
-    """Parse one shard fragment on a private serial runtime; used by
-    both the pool workers and the in-process fallback.
+    """Parse one shard fragment on a private serial runtime; every
+    attempt, on the pool or inline, runs it.
 
     Returns the delta sealed: one payload, stamped with its attempt
     number and digest, so whoever collects it can detect corruption.
@@ -306,20 +307,21 @@ def _worker_binary(segment: tuple[str, int]):
     return binary
 
 
-def _parse_shard(payload: tuple) -> ShardDelta:
-    """Pool task: run one shard in this worker process.
+def _attempt_shard(binary, options, enable_metrics: bool, task: ShardTask,
+                   attempt: int, plan: FaultPlan | None,
+                   in_worker: bool) -> ShardDelta:
+    """One attempt of one shard, in a pool worker or in place in the
+    coordinator: entry faults, the parse, then delta faults on the
+    sealed payload.  In a worker ``binary`` is the image segment's
+    ``(name, size)``, resolved through :func:`_worker_binary`.
 
-    The payload carries the image segment's ``(name, size)`` alongside
-    the task, so a long-lived pool needs no per-binary initializer.
-    Failures are returned as data (not raised) so one bad shard cannot
-    poison the pool; the coordinator feeds them to the retry ladder.
-    The payload's fault plan drives the deterministic injection sites
-    (entry faults before the parse, delta faults on the sealed payload).
+    A failure is returned as an error delta, never raised — a raise
+    would poison the pool — and its collector feeds it to the ladder.
     """
-    segment, options, enable_metrics, task, attempt, plan = payload
     try:
-        inject_worker_entry(plan, task.shard_id, attempt)
-        binary = _worker_binary(segment)
+        inject_entry(plan, task.shard_id, attempt, in_worker)
+        if in_worker:
+            binary = _worker_binary(binary)
         delta = _run_shard(binary, options, task, enable_metrics, attempt)
         return corrupt_delta(plan, delta, task.shard_id, attempt)
     except Exception:
@@ -327,6 +329,12 @@ def _parse_shard(payload: tuple) -> ShardDelta:
 
         return ShardDelta(shard_id=task.shard_id, attempt=attempt,
                           error=traceback.format_exc())
+
+
+def _parse_shard(payload: tuple) -> ShardDelta:
+    """Pool task: ``(segment, options, enable_metrics, task, attempt,
+    plan)``, so a long-lived pool needs no per-binary initializer."""
+    return _attempt_shard(*payload, in_worker=True)
 
 
 #: Serializes creation/teardown of the shared pool: multi-binary
@@ -567,7 +575,8 @@ class ProcsRuntime(SerialRuntime):
     def _map_shards(self, binary, opts, tasks: list[ShardTask]
                     ) -> list[ShardDelta]:
         if self.in_process or len(tasks) <= 1:
-            return self._map_inline(binary, opts, tasks)
+            return self._dispatch(None, None, opts, binary, tasks)
+        kind, what = "pool_create_failed", "no worker pool"
         try:
             ctx = multiprocessing.get_context()
             # More worker processes than hardware threads cannot run in
@@ -582,21 +591,21 @@ class ProcsRuntime(SerialRuntime):
                     "pool", None, 1):
                 raise InjectedFaultError("pool", None, 1)
             pool = _shared_pool(ctx, procs)
-        except Exception as exc:
-            # No usable pool (sandboxed semaphores, missing start
-            # method, injected pool fault).
-            shutdown_pool()
-            return self._fall_back_inline(
-                binary, opts, tasks, "pool_create_failed",
-                f"no worker pool: {_describe(exc)}")
-        try:
+            kind, what = "shm_unavailable", "no image segment"
             segment = self._publish_image(binary)
         except Exception as exc:
-            # No shared memory (no /dev/shm, sandboxed shm_open,
-            # injected shm fault): the workers cannot see the image.
-            return self._fall_back_inline(
-                binary, opts, tasks, "shm_unavailable",
-                f"no image segment: {_describe(exc)}")
+            # No usable pool (sandboxed semaphores, missing start
+            # method, injected pool fault) or no shared memory (no
+            # /dev/shm, sandboxed shm_open, injected shm fault): every
+            # shard runs inline.  The structural merge still runs; only
+            # the parallelism is lost.
+            if kind == "pool_create_failed":
+                shutdown_pool()
+            reason = f"{what}: {_describe(exc)}"
+            self.metrics.inc("procs.pool_fallback")
+            self._record_fault(kind, None, 1, "inline", reason)
+            self._degrade("inline", reason)
+            return self._dispatch(None, None, opts, binary, tasks)
         try:
             return self._dispatch(pool, (segment.name, segment.size),
                                   opts, binary, tasks)
@@ -605,15 +614,6 @@ class ProcsRuntime(SerialRuntime):
             # rung and on the exception that triggers the serial
             # fallback, so no parse outcome can leak the segment.
             segment.unlink()
-
-    def _fall_back_inline(self, binary, opts, tasks: list[ShardTask],
-                          kind: str, reason: str) -> list[ShardDelta]:
-        """The pool path cannot start: run every shard in-process (the
-        structural merge still runs; only the parallelism is lost)."""
-        self.metrics.inc("procs.pool_fallback")
-        self._record_fault(kind, None, 1, "inline", reason)
-        self._degrade("inline", reason)
-        return self._map_inline(binary, opts, tasks)
 
     def _publish_image(self, binary):
         """Publish the image once for the fan-out and return the
@@ -632,34 +632,48 @@ class ProcsRuntime(SerialRuntime):
             m.inc("procs.shm.bytes", segment.size)
         return segment
 
-    def _dispatch(self, pool, segment: tuple[str, int], opts, binary,
-                  tasks: list[ShardTask]) -> list[ShardDelta]:
-        """The fault-tolerant fan-out: one ``AsyncResult`` per shard
-        attempt, collected under the shard deadline.  A timeout, an
-        error handing the result over (``pool_error``) and an unusable
-        delta are each one failed attempt: the shard is re-dispatched
-        to the same pool up to :data:`MAX_RETRIES` times, then takes
-        the inline rung.
+    def _dispatch(self, pool, segment: tuple[str, int] | None, opts,
+                  binary, tasks: list[ShardTask]) -> list[ShardDelta]:
+        """The fault-tolerant fan-out: every attempt of every shard.
 
-        Shards are collected in dispatch order, so fault events come
+        ``submit`` makes each attempt: on ``pool`` one ``AsyncResult``,
+        collected under the shard deadline; inline (``pool`` None, or a
+        shard whose pool attempts are spent) the delta itself, made in
+        place.  A timeout, an error handing the result over
+        (``pool_error``) and an unusable delta are each one failed
+        attempt.  A shard gets :data:`MAX_RETRIES` + 1 attempts on the
+        pool and then one inline (the ``shard_inline`` rung), or
+        :data:`MAX_RETRIES` + 1 inline attempts without a pool; a
+        failed last attempt raises :class:`ShardFailedError`, which
+        ``sharded_parse`` records as the serial rung.
+
+        Shards are collected in submission order, so fault events come
         out in that order too; the merge starts once every delta is in.
         """
         m = self.metrics
+        plan = self.fault_plan
         deltas: dict[int, ShardDelta] = {}
         attempt = {t.shard_id: 0 for t in tasks}
+        # Attempts 1..pooled run on the pool, the rest inline.
+        pooled, last = ((MAX_RETRIES + 1, MAX_RETRIES + 2)
+                        if pool is not None
+                        else (0, MAX_RETRIES + 1))
 
         def submit(t: ShardTask):
-            attempt[t.shard_id] += 1
-            payload = (segment, opts, m.enabled, t, attempt[t.shard_id],
-                       self.fault_plan)
-            return t, pool.apply_async(_parse_shard, (payload,))
+            a = attempt[t.shard_id] = attempt[t.shard_id] + 1
+            if a <= pooled:
+                payload = (segment, opts, m.enabled, t, a, plan)
+                return t, pool.apply_async(_parse_shard, (payload,))
+            return t, _attempt_shard(binary, opts, m.enabled, t, a, plan,
+                                     in_worker=False)
 
         waiting = [submit(t) for t in tasks]
         while waiting:
             t, ar = waiting.pop(0)
             a = attempt[t.shard_id]
             try:
-                delta = ar.get(timeout=self.shard_deadline)
+                delta = (ar if isinstance(ar, ShardDelta)
+                         else ar.get(timeout=self.shard_deadline))
             except multiprocessing.TimeoutError:
                 # A hung or killed worker; its result is abandoned.
                 m.inc("procs.shard_timeout")
@@ -676,78 +690,20 @@ class ProcsRuntime(SerialRuntime):
                     continue
                 m.inc("procs.shard_failed")
                 kind = "shard_failed"
+            if a == last:
+                raise ShardFailedError(t.shard_id, a, reason)
             self._record_fault(kind, t.shard_id, a, "retry", reason)
-            if a <= MAX_RETRIES:
+            if a < pooled:
                 m.inc("procs.retry.dispatch")
-                waiting.append(submit(t))
             else:
-                deltas[t.shard_id] = self._run_shard_final(
-                    binary, opts, t, a + 1)
+                m.inc("procs.retry.inline")
+            if a == pooled:
+                self._record_fault("shard_inline", t.shard_id, a + 1,
+                                   "inline", f"{a} pool attempts failed")
+                self._degrade("shard_inline",
+                              f"shard {t.shard_id} re-executed inline")
+            waiting.append(submit(t))
         return [deltas[t.shard_id] for t in tasks]
-
-    def _run_shard_final(self, binary, opts, task: ShardTask,
-                         attempt_no: int) -> ShardDelta:
-        """Inline re-execution of one shard — the ladder rung between
-        pool retries and the whole-parse serial fallback.  A failure
-        here raises :class:`ShardFailedError`, which ``sharded_parse``
-        converts into the serial rung."""
-        self.metrics.inc("procs.retry.inline")
-        self._record_fault("shard_inline", task.shard_id, attempt_no,
-                           "inline", f"{attempt_no - 1} pool attempts failed")
-        self._degrade("shard_inline",
-                      f"shard {task.shard_id} re-executed inline")
-        try:
-            delta, reason = self._inline_attempt(binary, opts, task,
-                                                 attempt_no)
-        except Exception as exc:
-            raise ShardFailedError(
-                task.shard_id, attempt_no,
-                f"inline re-execution failed: {_describe(exc)}") from exc
-        if reason is not None:
-            raise ShardFailedError(task.shard_id, attempt_no, reason)
-        return delta
-
-    def _map_inline(self, binary, opts, tasks: list[ShardTask]
-                    ) -> list[ShardDelta]:
-        """Run every shard in the coordinator process.
-
-        The fast path (no fault plan, no failures) is one attempt per
-        task; faults — injected or real — get the same bounded
-        per-shard retry as the pool path, and a shard that exhausts its
-        inline attempts raises :class:`ShardFailedError` so the parse
-        degrades to the serial rung.
-        """
-        m = self.metrics
-        out: list[ShardDelta] = []
-        for t in tasks:
-            for a in range(1, MAX_RETRIES + 2):
-                if a > 1:
-                    m.inc("procs.retry.inline")
-                try:
-                    delta, reason = self._inline_attempt(binary, opts, t, a)
-                except Exception as exc:
-                    reason = _describe(exc)
-                if reason is None:
-                    out.append(delta)
-                    break
-                m.inc("procs.shard_failed")
-                self._record_fault("shard_failed", t.shard_id, a, "retry",
-                                   reason)
-            else:
-                raise ShardFailedError(t.shard_id, MAX_RETRIES + 1, reason)
-        return out
-
-    def _inline_attempt(self, binary, opts, task: ShardTask, attempt: int
-                        ) -> tuple[ShardDelta, str | None]:
-        """One attempt of one shard in the coordinator process: entry
-        faults, the parse, delta faults, then verify-and-open.  Returns
-        the delta and why it is unusable (None: it is open); an
-        exception from the entry faults or the parse propagates."""
-        plan = self.fault_plan
-        inject_inline_entry(plan, task.shard_id, attempt)
-        delta = _run_shard(binary, opts, task, self.metrics.enabled, attempt)
-        delta = corrupt_delta(plan, delta, task.shard_id, attempt)
-        return delta, self._collect(delta)
 
 
 def _describe(exc: BaseException) -> str:

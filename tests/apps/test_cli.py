@@ -132,8 +132,11 @@ class TestCli:
         "parse tiny --backend procs --fault-plan bogus@1",
         "parse nosuchfile.sbin",
         "parse tiny -j 0",
+        "parse tiny --backend procs --shard-deadline -3",
         "sweep tiny --workers-list 1,,2",
         "fuzz --runs 0",
+        "fuzz --runs 1 --workers 0",
+        "fuzz --runs 1 --procs-workers 0",
         "analyze --corpus 2 --preset bogus",
         "check --races --fixture nope",
         "hpcstruct tiny --backend procs",

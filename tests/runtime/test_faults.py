@@ -371,6 +371,20 @@ class TestInlineLadder:
         # MAX_RETRIES=2 -> three failed inline attempts before the rung.
         assert rt.metrics.counter("procs.shard_failed") == 3
 
+    def test_exhausted_shard_records_no_retry_that_never_ran(self,
+                                                             workload):
+        """The last failed attempt is recorded once, as the serial
+        rung: no event names a retry that did not follow."""
+        sb, want = workload
+        rt = _parse_with(sb, want, "exc@0x99", in_process=True)
+        assert [(e["kind"], e["shard"], e["attempt"], e["action"])
+                for e in rt.fault_events] == [
+            ("shard_failed", 0, 1, "retry"),
+            ("shard_failed", 0, 2, "retry"),
+            ("sharded_parse_failed", 0, 3, "serial")]
+        assert rt.metrics.counter("procs.shard_failed") == 3
+        assert rt.metrics.counter("procs.retry.inline") == 2
+
     def test_metrics_off_still_recovers(self, workload):
         sb, want = workload
         rt = ProcsRuntime(2, in_process=True, enable_metrics=False,
@@ -502,6 +516,22 @@ class TestPoolLadder:
         assert validate_report(report) == []
         assert report["degradation"]["level"] == "none"
         assert len(report["fault_events"]) == 2
+
+
+@needs_pool
+@pytest.mark.parametrize("plan", ["exc@*x2", "exc@1x1",
+                                  "corrupt@1x1,truncate@0x2"])
+def test_same_plan_same_events_inline_and_pool(workload, plan):
+    """In-process and pool attempts run through one ladder: a plan
+    every shard survives within MAX_RETRIES + 1 attempts yields the
+    same fault events, reasons included, and the same degradation."""
+    sb, want = workload
+    inline = _parse_with(sb, want, plan, in_process=True)
+    pool = _parse_with(sb, want, plan, shard_deadline=30.0)
+    assert inline.fault_events
+    assert inline.fault_events == pool.fault_events
+    assert inline.degradation == pool.degradation
+    assert pool.metrics.counter("procs.pool_fallback") == 0
 
 
 class TestConfigValidation:
