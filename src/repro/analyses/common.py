@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.cfg import Block, EdgeType, Function
-
-#: Edge types traversed inside a function (same set finalization uses for
-#: boundary assignment).
-INTRA_EDGES = (EdgeType.DIRECT, EdgeType.COND_TAKEN,
-               EdgeType.COND_FALLTHROUGH, EdgeType.FALLTHROUGH,
-               EdgeType.CALL_FT, EdgeType.INDIRECT)
+from repro.core.cfg import INTRA_EDGES, Block, Function
 
 
 def function_blocks(func: Function) -> list[Block]:

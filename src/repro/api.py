@@ -17,8 +17,8 @@ parallel library::
 This module provides the same shape in Python::
 
     co = CodeObject(binary, rt)
-    co.parse()                          # parallel CFG construction
-    co.parallel_analyze(analyses=...)   # sorted dynamic parallel loop
+    co.parse(analyses=...)              # CFG, then sorted dynamic loop
+    results = co.analysis()             # one FunctionAnalysis per function
 
 with :class:`LoopAnalyzer`, :class:`LivenessAnalyzer` and
 :class:`StackAnalysis` wrapping the read-only per-function analyses.
@@ -88,7 +88,7 @@ class StackAnalysis:
         return self.result.height_in.get(block_start)
 
 
-#: Analyzer registry used by :meth:`CodeObject.parallel_analyze`.
+#: Analyzers :meth:`CodeObject.parse` can run, by name (``analyses=``).
 DEFAULT_ANALYZERS: dict[str, Callable[[Function, Runtime | None], Any]] = {
     "loops": LoopAnalyzer,
     "liveness": LivenessAnalyzer,

@@ -597,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--cfgsan", action="store_true",
                     help="parse the corpus with the CFG/op-trace "
                          "sanitizer enabled; violations fail the run")
-    cp.add_argument("--race-schedules", type=int, default=6, metavar="N",
+    cp.add_argument("--race-schedules", type=positive_int, default=6,
+                    metavar="N",
                     help="races only: schedules per workload (default 6)")
     cp.add_argument("--seed", type=int, default=0,
                     help="races only: base schedule seed (default 0)")
@@ -663,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--procs-pool", action="store_true",
                     help="run the procs axes on a real process pool "
                          "(default is the in-process sharded pipeline)")
-    fz.add_argument("--race-schedules", type=int, default=2, metavar="N",
+    fz.add_argument("--race-schedules", type=positive_int, default=2,
+                    metavar="N",
                     help="vtime schedules per case for the race-sweep "
                          "axis (default 2)")
     fz.add_argument("--json", metavar="PATH",
@@ -749,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--app", choices=["hpcstruct", "parse"],
                     default="hpcstruct",
                     help="pipeline to trace (default: hpcstruct)")
-    tp.add_argument("--width", type=int, default=96,
+    tp.add_argument("--width", type=positive_int, default=96,
                     help="timeline width in columns")
     tp.add_argument("--json", metavar="PATH",
                     help="also export the versioned run-report JSON")

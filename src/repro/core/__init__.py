@@ -9,7 +9,7 @@ Two layers:
   property-tested;
 - an **execution layer** (:mod:`cfg`, :mod:`parallel_parser`,
   :mod:`serial_parser`, :mod:`noreturn`, :mod:`jump_table`,
-  :mod:`tailcall`, :mod:`finalize`) implementing Section 5's parallel
+  :mod:`finalize`) implementing Section 5's parallel
   algorithm with the five invariants on real data structures, plus the
   legacy order-sensitive serial parser used for the Section 4.2
   assessment.

@@ -27,16 +27,20 @@ unchanged as the last phase over coordinator-stitched fragments.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.cfg import (
+    INTRA_EDGES,
     Block,
     EdgeType,
     Function,
     JumpTableInfo,
     ParsedCFG,
+    ReturnStatus,
     release_blocks,
 )
+from repro.isa.instructions import ControlFlowKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.parallel_parser import ParallelParser
@@ -158,28 +162,41 @@ def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
 
 # --------------------------------------------------------------- steps 2+3
 
-_INTRA = (EdgeType.DIRECT, EdgeType.COND_TAKEN, EdgeType.COND_FALLTHROUGH,
-          EdgeType.FALLTHROUGH, EdgeType.CALL_FT, EdgeType.INDIRECT)
-
-
-def _function_closure(rt, func: Function) -> set[int]:
-    """Block starts reachable from the entry via intra-procedural edges."""
-    seen: set[int] = set()
+def _function_closure(rt, func: Function) -> dict[int, Block]:
+    """The blocks reachable from the entry via intra-procedural edges,
+    keyed by start: the one closure walk of the noreturn waves (Section
+    5.3) and of finalization."""
+    seen: dict[int, Block] = {}
     stack = [func.entry]
     while stack:
         b = stack.pop()
         if b.start in seen:
             continue
-        seen.add(b.start)
+        seen[b.start] = b
         rt.charge(rt.cost.closure_per_block)
         for e in b.out_edges:
-            if e.etype in _INTRA and e.dst.start not in seen:
+            if e.etype in INTRA_EDGES and e.dst.start not in seen:
                 stack.append(e.dst)
     return seen
 
 
+def return_summary(blocks: Iterable[Block]) -> tuple[bool, frozenset[int]]:
+    """``(has_ret, tail_targets)`` over a function's closure: whether a
+    return instruction is reachable, and the starts its tail calls reach.
+    A function returns if it has a return or a tail-callee returns."""
+    has_ret = False
+    tails: set[int] = set()
+    for b in blocks:
+        if b.last_kind is ControlFlowKind.RETURN:
+            has_ret = True
+        for e in b.out_edges:
+            if e.etype is EdgeType.TAILCALL:
+                tails.add(e.dst.start)
+    return has_ret, frozenset(tails)
+
+
 def _refresh_closures(rt, functions: dict[int, Function],
-                      closures: dict[int, set[int]],
+                      closures: dict[int, dict[int, Block]],
                       dirty: set[int]) -> None:
     """One correction round's closure pass: one task per function.
 
@@ -202,7 +219,7 @@ def _refresh_closures(rt, functions: dict[int, Function],
 
 def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                         functions: dict[int, Function]
-                        ) -> dict[int, set[int]] | None:
+                        ) -> dict[int, dict[int, Block]] | None:
     """Iterative application of the three correction rules.
 
     Returns the closures of the converged round (every function, fresh)
@@ -217,7 +234,7 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
     symtab_entries.update(s.offset
                           for s in parser.binary.dynsym.functions())
 
-    closures: dict[int, set[int]] = {}
+    closures: dict[int, dict[int, Block]] = {}
     dirty: set[int] = set()
     for _round in range(8):
         # The O_IEC fixed point of Section 5.4: each round recomputes
@@ -300,7 +317,8 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
 
 def _assign_boundaries(parser: "ParallelParser",
                        functions: dict[int, Function],
-                       closures: dict[int, set[int]] | None = None) -> None:
+                       closures: dict[int, dict[int, Block]] | None = None
+                       ) -> None:
     """Step 3 — with ``closures`` (the converged round's memo from
     :func:`_correct_tail_calls`) the reachability walk is skipped: no
     edge mutated between that round's compute pass and here, so the
@@ -352,26 +370,18 @@ def _finalize_statuses(parser: "ParallelParser",
     result is identical regardless of whether a given entry was discovered
     during traversal or during correction.
     """
-    from repro.core.cfg import ReturnStatus
-    from repro.isa.instructions import ControlFlowKind
-
-    def summary(func: Function) -> tuple[bool, set[int]]:
-        has_ret = any(b.last_kind is ControlFlowKind.RETURN
-                      for b in func.blocks)
-        tails = {e.dst.start for b in func.blocks for e in b.out_edges
-                 if e.etype is EdgeType.TAILCALL}
-        return has_ret, tails
-
+    summaries = {addr: return_summary(func.blocks)
+                 for addr, func in functions.items()
+                 if func.status is ReturnStatus.UNSET}
     changed = True
     while changed:
         changed = False
-        for func in functions.values():
+        for addr, func in functions.items():
             if func.status is not ReturnStatus.UNSET:
                 continue
-            has_ret, tails = summary(func)
-            statuses = [functions[t].status for t in tails
-                        if t in functions]
-            if has_ret or ReturnStatus.RETURN in statuses:
+            has_ret, tails = summaries[addr]
+            if has_ret or any(functions[t].status is ReturnStatus.RETURN
+                              for t in tails if t in functions):
                 func.status = ReturnStatus.RETURN
                 changed = True
     for func in functions.values():

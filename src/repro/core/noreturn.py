@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.cfg import EdgeType, Function, ReturnStatus
+from repro.core.cfg import Function, ReturnStatus
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
 from repro.synth.program import KNOWN_NORETURN_NAMES
@@ -190,8 +190,9 @@ class NoReturnState:
     ) -> list[DeferredCallSite]:
         """One round of the fixed point run at a wave boundary.
 
-        ``closure_summary(f)`` returns ``(has_ret, tail_targets)`` over
-        f's intra-procedural closure.  Only RETURN statuses are derived
+        ``closure_summary(f)`` is the
+        :func:`~repro.core.finalize.return_summary` of f's
+        intra-procedural closure.  Only RETURN statuses are derived
         here: a function returns if a return instruction is reachable or
         a tail-callee returns (a tail call transfers the callee's return
         to *our* caller).  NORETURN is never concluded mid-wave — a
@@ -249,39 +250,3 @@ def _known_noreturn(name: str) -> bool:
 
     return (name in KNOWN_NORETURN_NAMES
             or demangle_pretty(name) in KNOWN_NORETURN_NAMES)
-
-
-def closure_summary_fn(on_visit: Callable[[Any], None] | None = None
-                       ) -> Callable[[Function], tuple[bool, frozenset[int]]]:
-    """Build the per-function closure summary used by the wave fixed point.
-
-    Walks intra-procedural edges from the entry block; returns whether a
-    return instruction is reachable, and the set of tail-call targets at
-    the closure's frontier (shared blocks parsed by another function's
-    task still contribute this way).
-    """
-    from repro.core.cfg import EdgeType
-    from repro.isa.instructions import ControlFlowKind
-
-    def summarize(f: Function) -> tuple[bool, frozenset[int]]:
-        seen: set[int] = set()
-        stack = [f.entry]
-        has_ret = False
-        tails: set[int] = set()
-        while stack:
-            b = stack.pop()
-            if b.start in seen:
-                continue
-            seen.add(b.start)
-            if on_visit is not None:
-                on_visit(b)
-            if b.last_kind is ControlFlowKind.RETURN:
-                has_ret = True
-            for e in b.out_edges:
-                if e.etype.intraprocedural:
-                    stack.append(e.dst)
-                elif e.etype is EdgeType.TAILCALL:
-                    tails.add(e.dst.start)
-        return has_ret, frozenset(tails)
-
-    return summarize

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import (
+    INTRA_EDGES,
     Block,
     Edge,
     EdgeType,
@@ -48,14 +49,9 @@ from repro.core.cfg import (
     ParsedCFG,
     ReturnStatus,
 )
-from repro.core.finalize import finalize
+from repro.core.finalize import _function_closure, finalize, return_summary
 from repro.core.jump_table import JumpTableOptions, analyze_jump_table
-from repro.core.noreturn import (
-    DeferredCallSite,
-    NoReturnState,
-    closure_summary_fn,
-)
-from repro.core.tailcall import conditional_branch_is_tail_call, is_tail_call
+from repro.core.noreturn import DeferredCallSite, NoReturnState
 from repro.isa.instructions import ControlFlowKind, Instruction, has_teardown
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
@@ -644,14 +640,17 @@ class ParallelParser:
                     self._spawn_resume(site)
                 return
             for e in b.out_edges:
-                if e.etype.intraprocedural and e.dst.start not in ctx.scanned:
+                if e.etype in INTRA_EDGES and e.dst.start not in ctx.scanned:
                     stack.append(e.dst)
 
+    # Parse-time tail-call heuristic (Section 2.1), in Dyninst's order: a
+    # branch to a known entry is a tail call; else one to a block this
+    # function reached is not; else one after frame teardown is.  A
+    # conditional branch is one only toward a known entry (.cold parts).
     def _direct_branch(self, ctx: _TaskCtx, block: Block,
                        target: int) -> None:
-        if is_tail_call(target, block,
-                        is_known_entry=lambda t: t in self.functions,
-                        reached_in_function=lambda t: t in ctx.reached):
+        if target in self.functions or (target not in ctx.reached
+                                        and block.has_teardown):
             self._tail_call_edge(ctx, block, target, EdgeType.TAILCALL)
         else:
             self._add_intra_target(ctx, block, target, EdgeType.DIRECT)
@@ -659,8 +658,7 @@ class ParallelParser:
     def _cond_branch(self, ctx: _TaskCtx, block: Block,
                      last: Instruction) -> None:
         target = last.direct_target
-        if conditional_branch_is_tail_call(
-                target, is_known_entry=lambda t: t in self.functions):
+        if target in self.functions:
             self._tail_call_edge(ctx, block, target, EdgeType.TAILCALL)
         else:
             self._add_intra_target(ctx, block, target, EdgeType.COND_TAKEN)
@@ -810,25 +808,21 @@ class ParallelParser:
             rt.metrics.inc("parser.noreturn_waves")
             funcs = [f for _, f in self.functions.sorted_items()]
             memo: dict[int, tuple[bool, frozenset[int]]] = {}
-            base_summary = closure_summary_fn(
-                on_visit=lambda b: rt.charge(rt.cost.closure_per_block))
 
             # Closure walks are the expensive part of a wave; do them in
             # parallel, then run the (cheap) status fixed point serially.
+            # Only UNSET functions are summarized, and statuses never
+            # return to UNSET, so the memo covers every lookup.
             def precompute(f: Function) -> None:
-                memo[f.addr] = base_summary(f)
+                memo[f.addr] = return_summary(
+                    _function_closure(rt, f).values())
 
             rt.parallel_for(
                 [f for f in funcs
                  if self.noreturn.status_of(f.addr) is ReturnStatus.UNSET],
                 precompute)
-
-            def summary(f: Function) -> tuple[bool, frozenset[int]]:
-                if f.addr not in memo:
-                    memo[f.addr] = base_summary(f)
-                return memo[f.addr]
-
-            released = self.noreturn.resolve_wave(funcs, summary)
+            released = self.noreturn.resolve_wave(
+                funcs, lambda f: memo[f.addr])
             if not released:
                 if self.owned_range is None:
                     # Fragment mode skips the cycle rule: concluding

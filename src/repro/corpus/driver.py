@@ -68,7 +68,7 @@ from repro.schema import CORPUS_BACKENDS, canonical_bytes
 from repro.seeds import derive_seed
 from repro.synth.codegen import synthesize
 from repro.synth.hostile import HOSTILE_PRESETS, hostile_params
-from repro.synth.program import GenParams, generate_program
+from repro.synth.program import MIN_FUNCTIONS, GenParams, generate_program
 
 #: Deterministic-latency switch for the chaos tests (see module doc).
 FAKE_CLOCK_ENV = "REPRO_CORPUS_FAKE_CLOCK"
@@ -138,6 +138,9 @@ class CorpusConfig:
             raise CorpusError("procs workers must be >= 1")
         if self.journal_batch < 1:
             raise CorpusError("journal batch must be >= 1")
+        if self.n_functions is not None and \
+                self.n_functions < MIN_FUNCTIONS:
+            raise CorpusError(f"n_functions must be >= {MIN_FUNCTIONS}")
         if not self.presets:
             raise CorpusError("need at least one preset")
         for p in self.presets:

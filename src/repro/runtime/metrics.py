@@ -20,8 +20,8 @@ Design constraints:
   cycles on ``vtime``/``serial``, wall nanoseconds on ``threads``.
   The registry's ``time_unit`` names the unit in exports.  Series that
   are *always* wall-clock regardless of the unit say so in their name
-  (the procs backend's ``*_wall_ns`` histograms: fan-out, per-fragment
-  merge installs, overlapped-install time and frontier replay).
+  (the procs backend's ``*_wall_ns`` histograms: fan-out, delta open,
+  install, frontier replay, noreturn wave and finalize).
 - **Cheap opt-out.**  Construct a runtime with ``enable_metrics=False``
   and ``rt.metrics`` is the shared :data:`NULL_METRICS` no-op, so
   instrumented call sites cost one attribute read and a predictable

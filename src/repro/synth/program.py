@@ -32,6 +32,9 @@ KNOWN_NORETURN_NAMES = frozenset({
 #: Name of the conditionally non-returning function (Section 8.1's `error`).
 ERROR_FUNC_NAME = "error_report"
 
+#: Fewest functions a program can have: the fixed cast alone needs 8.
+MIN_FUNCTIONS = 8
+
 
 class SegKind(enum.Enum):
     """Body segment kinds composed sequentially into a function."""
@@ -166,8 +169,9 @@ def generate_program(seed: int, params: GenParams,
     rng = random.Random(seed)
     p = params
     n = p.n_functions
-    if n < 8:
-        raise SynthesisError("need at least 8 functions for the fixed cast")
+    if n < MIN_FUNCTIONS:
+        raise SynthesisError(
+            f"need at least {MIN_FUNCTIONS} functions for the fixed cast")
 
     spec = ProgramSpec(seed=seed, name=name,
                        n_shared_error_groups=p.n_shared_error_groups,

@@ -143,6 +143,10 @@ class TestCli:
         "binfeat --backend procs",
         "hpcstruct tiny --shard-deadline 5",  # procs-only flag
         "hpcstruct tiny --max-retries 2",  # no such flag
+        "corpus nodir --n-functions 3",
+        "check --races --race-schedules 0",
+        "fuzz --runs 1 --race-schedules 0",
+        "trace tiny --width 0",
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, capsys, argv):
         assert exit_status(*argv.split()) == 2

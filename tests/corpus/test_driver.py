@@ -248,6 +248,7 @@ class TestConfig:
         (dict(presets=()), "preset"),
         (dict(presets=("benign", "nope")), "unknown preset"),
         (dict(procs_workers=0), "procs workers"),
+        (dict(n_functions=3), "n_functions"),
     ])
     def test_validate_rejects(self, kw, msg):
         with pytest.raises(CorpusError, match=msg):
