@@ -37,7 +37,7 @@ from repro.analyses.loops import LoopForest, find_loops
 from repro.analyses.stack_height import StackHeightResult, stack_heights
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import Function, ParsedCFG
-from repro.core.parallel_parser import ParallelParser, ParseOptions
+from repro.core.parallel_parser import ParseOptions, parse
 from repro.errors import ReproError
 from repro.runtime.api import Runtime
 from repro.runtime.serial import SerialRuntime
@@ -138,8 +138,7 @@ class CodeObject:
         names = tuple(analyses)
 
         def run() -> ParsedCFG:
-            parser = ParallelParser(self.binary, self.rt, self.options)
-            cfg = parser.execute()
+            cfg = parse(self.binary, self.rt, self.options)
             if names:
                 self._analysis = self._run_analyzers(cfg, names)
             return cfg

@@ -27,7 +27,7 @@ from repro.analyses.liveness import liveness
 from repro.analyses.loops import find_loops
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import Function, ParsedCFG
-from repro.core.parallel_parser import ParallelParser, ParseOptions
+from repro.core.parallel_parser import ParseOptions, parse
 from repro.runtime.api import Runtime
 
 
@@ -134,8 +134,7 @@ class _BinFeat:
         t0 = rt.now()
         with rt.phase("cfg"):
             for binary in self.binaries:
-                parser = ParallelParser(binary, rt, self.parse_options)
-                cfgs.append(parser.execute())
+                cfgs.append(parse(binary, rt, self.parse_options))
         durations["cfg"] = rt.now() - t0
 
         # Work list: every function of every binary, largest first

@@ -27,7 +27,7 @@ from repro.binary.dwarf import FunctionDIE, InlinedCall
 from repro.binary.loader import LoadedBinary
 from repro.binary.symtab import IndexedSymbols
 from repro.core.cfg import ParseStats, ParsedCFG
-from repro.core.parallel_parser import ParallelParser, ParseOptions
+from repro.core.parallel_parser import ParseOptions, parse
 from repro.runtime.api import Runtime
 
 
@@ -134,8 +134,7 @@ class _Hpcstruct:
 
         # Phase 4: parallel CFG construction.
         with mark("cfg"):
-            parser = ParallelParser(self.binary, rt, self.parse_options)
-            cfg = parser.execute()
+            cfg = parse(self.binary, rt, self.parse_options)
 
         # Phase 5: serial skeleton build.
         functions = cfg.functions()

@@ -19,7 +19,7 @@ from repro.analyses.liveness import liveness
 from repro.analyses.loops import find_loops
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import Function
-from repro.core.parallel_parser import ParallelParser, ParseOptions
+from repro.core.parallel_parser import ParseOptions, parse
 from repro.runtime.api import Runtime
 
 
@@ -132,9 +132,7 @@ def build_index(binaries: list[LoadedBinary], rt: Runtime,
     def run() -> SimilarityIndex:
         fps: list[FunctionFingerprint] = []
         for binary in binaries:
-            parser = ParallelParser(binary, rt,
-                                    parse_options or ParseOptions())
-            cfg = parser.execute()
+            cfg = parse(binary, rt, parse_options)
 
             def fp_one(func: Function, name=binary.name) -> None:
                 fps.append(fingerprint_function(func, name, rt))

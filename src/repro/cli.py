@@ -75,12 +75,6 @@ _PRESETS = {
 }
 
 
-#: ``hpcstruct`` / ``binfeat`` run ``ParallelParser.execute`` inside
-#: ``rt.run`` and never ``sharded_parse``: a ``procs`` runtime would be
-#: a serial one under another name.
-_UNSHARDED_BACKENDS = tuple(b for b in BACKENDS if b != "procs")
-
-
 def _load_workload(spec: str, scale: float):
     """Resolve a preset name or image path to (LoadedBinary, synth|None)."""
     if spec in _PRESETS:
@@ -89,21 +83,17 @@ def _load_workload(spec: str, scale: float):
     return load_image(spec), None
 
 
-def _add_runtime_args(p: argparse.ArgumentParser,
-                      backends: tuple[str, ...] = BACKENDS) -> None:
-    """Runtime selection among ``backends``; the sharding flags only
-    for commands whose parse a ``procs`` runtime actually shards."""
+def _add_runtime_args(p: argparse.ArgumentParser) -> None:
+    """Runtime selection, plus the ``procs`` backend's sharding flags."""
     p.add_argument("--workers", "-j", type=int, default=8,
                    help="number of (simulated or real) workers")
     p.add_argument("--runtime", "--backend", dest="runtime",
-                   choices=list(backends),
+                   choices=list(BACKENDS),
                    default="vtime", help="execution backend")
     p.add_argument("--scale", type=float, default=0.1,
                    help="workload scale factor for presets")
     p.add_argument("--no-metrics", action="store_true",
                    help="opt out of structured metrics collection")
-    if "procs" not in backends:
-        return
     p.add_argument("--shard-deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="procs only: per-shard deadline for one pool "
@@ -306,6 +296,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.fixture and not args.races:
+        print("error: --fixture needs --races", file=sys.stderr)
+        return 2
     if args.races:
         return _check_races(args)
     if args.cfgsan:
@@ -411,6 +404,9 @@ def cmd_analyze(args) -> int:
     from repro.analyses.interproc import run_checkers
 
     checks = args.checks
+    if (args.corpus is None) == (args.workload is None):
+        print("error: give one workload or --corpus N", file=sys.stderr)
+        return 2
     if args.corpus is not None:
         from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
 
@@ -422,13 +418,10 @@ def cmd_analyze(args) -> int:
         subject = {"corpus": {"count": args.corpus, "seed": args.seed,
                               "presets": list(presets),
                               "n_functions": args.n_functions}}
-    elif args.workload:
+    else:
         binary, _ = _load_workload(args.workload, args.scale)
         binaries = [binary]
         subject = {"workload": args.workload, "scale": args.scale}
-    else:
-        print("error: give a workload or --corpus N", file=sys.stderr)
-        return 2
 
     findings: list[dict] = []
     stats = {"binaries": len(binaries), "functions": 0, "call_edges": 0,
@@ -579,24 +572,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     hp = sub.add_parser("hpcstruct", help="program structure recovery")
     hp.add_argument("workload", help="preset name or .sbin path")
-    _add_runtime_args(hp, _UNSHARDED_BACKENDS)
+    _add_runtime_args(hp)
     hp.set_defaults(fn=cmd_hpcstruct)
 
     bp = sub.add_parser("binfeat", help="forensic feature extraction")
-    bp.add_argument("--n-binaries", type=int, default=8)
-    _add_runtime_args(bp, _UNSHARDED_BACKENDS)
+    bp.add_argument("--n-binaries", type=positive_int, default=8)
+    _add_runtime_args(bp)
     bp.set_defaults(fn=cmd_binfeat)
 
     cp = sub.add_parser(
         "check", help="correctness vs ground truth / sanity analyses")
-    cp.add_argument("--n-binaries", type=int, default=10)
-    cp.add_argument("--races", action="store_true",
-                    help="sweep seeded vtime schedules under the "
-                         "happens-before race detector instead of the "
-                         "ground-truth checker")
-    cp.add_argument("--cfgsan", action="store_true",
-                    help="parse the corpus with the CFG/op-trace "
-                         "sanitizer enabled; violations fail the run")
+    cp.add_argument("--n-binaries", type=positive_int, default=10)
+    mode = cp.add_mutually_exclusive_group()
+    mode.add_argument("--races", action="store_true",
+                      help="sweep seeded vtime schedules under the "
+                           "happens-before race detector instead of "
+                           "the ground-truth checker")
+    mode.add_argument("--cfgsan", action="store_true",
+                      help="parse the corpus with the CFG/op-trace "
+                           "sanitizer enabled; violations fail the run")
     cp.add_argument("--race-schedules", type=positive_int, default=6,
                     metavar="N",
                     help="races only: schedules per workload (default 6)")
@@ -619,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("workload", nargs="?", default=None,
                     help="preset name or .sbin path (alternative to "
                          "--corpus)")
-    ap.add_argument("--corpus", type=int, default=None, metavar="N",
+    ap.add_argument("--corpus", type=positive_int, default=None, metavar="N",
                     help="analyze a seeded hostile corpus of N binaries "
                          "instead of one workload; binary i is a pure "
                          "function of (seed, i)")

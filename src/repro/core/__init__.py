@@ -30,6 +30,7 @@ from repro.core.jump_table import JumpTableOptions, analyze_jump_table
 from repro.core.parallel_parser import (
     ParallelParser,
     ParseOptions,
+    parse,
     parse_binary,
 )
 from repro.core.partial_order import precedes
@@ -52,6 +53,7 @@ __all__ = [
     "analyze_jump_table",
     "ParallelParser",
     "ParseOptions",
+    "parse",
     "parse_binary",
     "precedes",
     "LegacySerialParser",

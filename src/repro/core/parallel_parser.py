@@ -848,16 +848,18 @@ class ParallelParser:
         raise RuntimeError("noreturn wave fixed point did not converge")
 
 
-def parse_binary(binary: LoadedBinary, rt: Runtime,
-                 options: ParseOptions | None = None) -> ParsedCFG:
-    """Convenience: run the full parallel parse under ``rt.run``.
-
-    Backends that implement sharded construction (the ``procs``
-    process-pool backend) expose ``sharded_parse``; dispatching here
-    keeps every caller — CLI, apps, benchmarks — backend-agnostic.
-    """
+def parse(binary: LoadedBinary, rt: Runtime,
+          options: ParseOptions | None = None) -> ParsedCFG:
+    """Build ``binary``'s CFG inside ``rt.run``: the one parse call of
+    every application.  A backend with sharded construction (``procs``)
+    exposes ``sharded_parse``; every other runs the parser in place."""
     sharded = getattr(rt, "sharded_parse", None)
     if sharded is not None:
         return sharded(binary, options)
-    parser = ParallelParser(binary, rt, options)
-    return rt.run(parser.execute)
+    return ParallelParser(binary, rt, options).execute()
+
+
+def parse_binary(binary: LoadedBinary, rt: Runtime,
+                 options: ParseOptions | None = None) -> ParsedCFG:
+    """Run :func:`parse` as ``rt``'s one run: a parse and nothing else."""
+    return rt.run(parse, binary, rt, options)

@@ -14,6 +14,8 @@ consistent answer for every order.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.binary.loader import LoadedBinary
 from repro.core.cfg import ParsedCFG
 from repro.core.finalize import _assign_boundaries
@@ -31,9 +33,8 @@ class LegacySerialParser:
         not listed are analyzed afterwards in address order."""
         self.binary = binary
         self._order = order or []
-        opts = options or ParseOptions()
-        opts.sort_functions = False
-        opts.task_parallel = True  # serial runtime runs tasks FIFO
+        opts = replace(options or ParseOptions(), sort_functions=False,
+                       task_parallel=True)  # serial runtime: FIFO tasks
         self._rt = SerialRuntime()
         self._parser = ParallelParser(binary, self._rt, opts)
 

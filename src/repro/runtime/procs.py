@@ -103,12 +103,13 @@ happen on the coordinator, where the five invariants hold trivially
 work; what stays serial is boundary reconciliation plus the correction
 phase — the same split the paper's finalization phase makes.
 
-``makespan`` reports wall-clock seconds covering the shard fan-out and
-the merge, making this the backend for real-parallelism columns in the
-benchmark harness.  Worker metrics are merged into the coordinator
-registry under a ``workers.`` prefix; the fan-out, merge, frontier
-replay and every recovery action are observable via the ``procs.*``
-metrics (catalog: ``docs/OBSERVABILITY.md``).
+``makespan`` reports wall-clock seconds covering the whole ``run``
+(every fan-out and merge in it), making this the backend for
+real-parallelism columns in the benchmark harness.  Worker metrics are
+merged into the coordinator registry under a ``workers.`` prefix; the
+fan-out, merge, frontier replay and every recovery action are
+observable via the ``procs.*`` metrics (catalog:
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -379,8 +380,8 @@ class ProcsRuntime(SerialRuntime):
     locks and charges behave exactly like :class:`SerialRuntime`), so
     any algorithm written against the Runtime API runs correctly,
     merely without in-process parallelism.  Real parallelism comes from
-    :meth:`sharded_parse`, which ``parse_binary`` dispatches to
-    automatically for this backend.
+    :meth:`sharded_parse`, which :func:`repro.core.parallel_parser.parse`
+    dispatches to, so ``parse_binary`` and every application shard.
 
     Fault-tolerance knobs (see the module docstring for the ladder):
 
@@ -409,28 +410,30 @@ class ProcsRuntime(SerialRuntime):
         self.shard_deadline = shard_deadline
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
-        self._t0: float | None = None
         self._elapsed: float | None = None
         #: deltas of the last sharded parse (observability/tests).
         self.shard_deltas: list[ShardDelta] | None = None
-        #: structured record of every fault observed by the last parse,
-        #: one per failure (exported in the ``repro.run-report/1``
+        #: structured record of every fault observed by the last run's
+        #: parses, one per failure (exported in the run report's
         #: ``fault_events`` section; see docs/ROBUSTNESS.md for the
         #: event kinds).
         self.fault_events: list[dict] = []
-        #: highest degradation step of the last parse plus the ordered
+        #: highest degradation step of the last run plus the ordered
         #: step log ({"level": ..., "steps": [...]}).
         self.degradation: dict = {"level": "none", "steps": []}
 
     # -- Runtime API ---------------------------------------------------------
 
     def run(self, fn, *args):
-        if self._t0 is None:
-            self._t0 = time.perf_counter()
+        if self._ran:  # refused (single-use): the last run's record stands
+            return super().run(fn, *args)
+        self.fault_events = []
+        self.degradation = {"level": "none", "steps": []}
+        t0 = time.perf_counter()
         try:
             return super().run(fn, *args)
         finally:
-            self._elapsed = time.perf_counter() - self._t0
+            self._elapsed = time.perf_counter() - t0
 
     @property
     def makespan(self) -> float:
@@ -472,25 +475,22 @@ class ProcsRuntime(SerialRuntime):
     # -- sharded CFG construction ------------------------------------------------
 
     def sharded_parse(self, binary, options=None):
-        """Parse ``binary`` with the fragment/merge pipeline (module doc).
+        """Parse ``binary`` with the fragment/merge pipeline (module doc)
+        inside ``run``; :func:`repro.core.parallel_parser.parse` calls
+        this for a :class:`ProcsRuntime`.
 
-        ``parse_binary`` calls this automatically when handed a
-        :class:`ProcsRuntime`; the signature of the result is identical
-        to a serial parse of the same binary.  Never hangs and never
-        fails on a recoverable fault: shard attempts are bounded by
-        deadlines and retries, and an unrecoverable sharded pipeline
-        degrades to a plain serial parse (the fault and the degradation
-        step are recorded in ``fault_events`` / ``degradation`` and the
-        ``procs.*`` metrics).
+        The signature of the result is identical to a serial parse of
+        the same binary.  Never hangs and never fails on a recoverable
+        fault: shard attempts are bounded by deadlines and retries, and
+        an unrecoverable sharded pipeline degrades to a plain serial
+        parse (the fault and the degradation step are appended to
+        ``fault_events`` / ``degradation`` and the ``procs.*`` metrics).
         """
         from repro.core.parallel_parser import ParseOptions
 
         opts = options or ParseOptions()
-        self._t0 = time.perf_counter()
-        self.fault_events = []
-        self.degradation = {"level": "none", "steps": []}
         try:
-            return self._sharded_parse_inner(binary, opts)
+            return self._fan_out_and_merge(binary, opts)
         except SanityCheckError:
             # A sanitizer verdict is a result, not a fault: re-parsing
             # serially would only hide the violation it reports.
@@ -507,7 +507,9 @@ class ProcsRuntime(SerialRuntime):
             self._degrade("serial", reason)
             return self._serial_fallback(binary, opts)
 
-    def _sharded_parse_inner(self, binary, opts):
+    def _fan_out_and_merge(self, binary, opts):
+        from repro.core.shard_merge import StreamingMerge
+
         shards = shard_regions(binary.entry_addresses(), self.num_workers)
         tasks = []
         for i, seeds in enumerate(shards):
@@ -515,14 +517,6 @@ class ProcsRuntime(SerialRuntime):
             hi = (shards[i + 1][0] if i + 1 < len(shards)
                   else ADDRESS_CEILING)
             tasks.append(ShardTask(i, seeds, lo, hi))
-        # The whole pipeline — fan-out included — runs inside this
-        # runtime's single run(), so makespan covers it end to end.
-        return self.run(
-            lambda: self._fan_out_and_merge(binary, opts, tasks))
-
-    def _fan_out_and_merge(self, binary, opts, tasks: list[ShardTask]):
-        from repro.core.shard_merge import StreamingMerge
-
         m = self.metrics
         merge = StreamingMerge(binary, self, opts)
         t_pool = time.perf_counter_ns()
@@ -562,13 +556,11 @@ class ProcsRuntime(SerialRuntime):
         """The ladder's last rung: a plain serial parse on this runtime."""
         from repro.core.parallel_parser import ParallelParser
 
-        # The failed merge may have consumed this runtime's single run
-        # and left queued tasks behind; reset the scheduler state (the
-        # clock keeps accumulating — the fallback is part of the parse).
-        self._ran = False
+        # The failed merge may have left queued tasks behind; drop them
+        # (the clock keeps accumulating — the fallback is part of the
+        # parse).
         self._queue.clear()
-        parser = ParallelParser(binary, self, opts)
-        return self.run(parser.execute)
+        return ParallelParser(binary, self, opts).execute()
 
     # -- pool plumbing -------------------------------------------------------------
 

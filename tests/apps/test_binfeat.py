@@ -1,10 +1,17 @@
 """Tests for the BinFeat application."""
 
+import os
+
 import pytest
 
 from repro.apps.binfeat import binfeat
-from repro.runtime import SerialRuntime, VirtualTimeRuntime
+from repro.runtime import ProcsRuntime, SerialRuntime, VirtualTimeRuntime
+from repro.runtime.faults import FaultPlan
 from repro.synth import tiny_binary
+
+from tests.runtime.test_faults import needs_pool
+
+PROCS_WORKERS = int(os.environ.get("REPRO_PROCS_WORKERS", "2"))
 
 STAGES = ["cfg", "instruction_features", "control_flow_features",
           "data_flow_features", "reduce"]
@@ -70,3 +77,31 @@ class TestScaling:
         res = binfeat(corpus, SerialRuntime())
         assert res.makespan > 0
         assert len(res.feature_index) > 0
+
+
+class TestOnProcs:
+    """BinFeat parses every binary through the same call as
+    ``parse_binary``, so a procs runtime shards each parse."""
+
+    def test_on_procs_in_process_matches_serial(self, corpus, result):
+        rt = ProcsRuntime(2, in_process=True)
+        assert binfeat(corpus, rt).feature_index == result.feature_index
+        assert rt.metrics.counter("procs.shards") == 2 * len(corpus)
+
+    @needs_pool
+    def test_on_procs_pool_matches_serial(self, corpus, result):
+        rt = ProcsRuntime(PROCS_WORKERS, shard_deadline=30.0)
+        assert binfeat(corpus, rt).feature_index == result.feature_index
+        assert rt.metrics.counter("procs.shm.segments") == len(corpus)
+        assert rt.degradation["level"] == "none"
+
+    def test_one_run_keeps_the_faults_of_every_parse(self, corpus, result):
+        """One run, two sharded parses: the fault record is the run's,
+        so the second parse does not wipe the first one's events."""
+        rt = ProcsRuntime(2, in_process=True,
+                          fault_plan=FaultPlan.from_spec("exc@0x1"))
+        res = binfeat(corpus[:2], rt)
+        assert res.feature_index == binfeat(
+            corpus[:2], SerialRuntime()).feature_index
+        assert [(ev["kind"], ev["shard"], ev["attempt"])
+                for ev in rt.fault_events] == [("shard_failed", 0, 1)] * 2

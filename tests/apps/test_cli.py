@@ -77,6 +77,16 @@ class TestCli:
             "read", "dwarf_types", "line_map", "cfg", "skeleton",
             "queries", "output"}
 
+    def test_hpcstruct_on_procs(self, capsys):
+        rc, serial = run_cli(capsys, "hpcstruct", "tiny", "--backend",
+                             "serial")
+        assert rc == 0
+        rc, out = run_cli(capsys, "hpcstruct", "tiny", "--backend",
+                          "procs", "-j", "2")
+        assert rc == 0
+        assert out["workers"] == 2
+        assert out["functions"] == serial["functions"]
+
     def test_binfeat(self, capsys):
         rc, out = run_cli(capsys, "binfeat", "--n-binaries", "2",
                           "-j", "2", "--scale", "0.3")
@@ -139,14 +149,21 @@ class TestCli:
         "fuzz --runs 1 --procs-workers 0",
         "analyze --corpus 2 --preset bogus",
         "check --races --fixture nope",
-        "hpcstruct tiny --backend procs",
-        "binfeat --backend procs",
-        "hpcstruct tiny --shard-deadline 5",  # procs-only flag
         "hpcstruct tiny --max-retries 2",  # no such flag
         "corpus nodir --n-functions 3",
         "check --races --race-schedules 0",
         "fuzz --runs 1 --race-schedules 0",
         "trace tiny --width 0",
+        # A zero count would make the command vacuous.
+        "check --n-binaries 0",
+        "check --n-binaries 0 --cfgsan",
+        "check --n-binaries 0 --races",
+        "binfeat --n-binaries 0",
+        "analyze --corpus 0",
+        # A flag the chosen mode would silently ignore.
+        "check --races --cfgsan",
+        "check --fixture counter-racy",
+        "analyze tiny --corpus 1",
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, capsys, argv):
         assert exit_status(*argv.split()) == 2

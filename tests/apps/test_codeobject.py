@@ -10,7 +10,7 @@ from repro.api import (
     analyze_binary,
 )
 from repro.errors import ReproError
-from repro.runtime import SerialRuntime, VirtualTimeRuntime
+from repro.runtime import ProcsRuntime, SerialRuntime, VirtualTimeRuntime
 from repro.synth import tiny_binary
 
 
@@ -78,6 +78,14 @@ class TestCodeObject:
         assert isinstance(co.rt, SerialRuntime)
         co.parse()
         assert co.funcs()
+
+    def test_parse_shards_on_procs(self, tiny):
+        """``co.parse()`` goes through the same call as
+        ``parse_binary``: a procs runtime shards it."""
+        want = CodeObject(tiny.binary).parse().signature()
+        rt = ProcsRuntime(2, in_process=True)
+        assert CodeObject(tiny.binary, rt).parse().signature() == want
+        assert len(rt.shard_deltas) == 2
 
 
 class TestAnalyzers:

@@ -1,10 +1,16 @@
 """Tests for the hpcstruct application pipeline."""
 
+import os
+
 import pytest
 
 from repro.apps.hpcstruct import hpcstruct
-from repro.runtime import SerialRuntime, VirtualTimeRuntime
+from repro.runtime import ProcsRuntime, SerialRuntime, VirtualTimeRuntime
 from repro.synth import tiny_binary
+
+from tests.runtime.test_faults import needs_pool
+
+PROCS_WORKERS = int(os.environ.get("REPRO_PROCS_WORKERS", "2"))
 
 PHASES = ["read", "dwarf_types", "line_map", "cfg", "skeleton",
           "queries", "output"]
@@ -91,6 +97,27 @@ class TestScaling:
         res = hpcstruct(tiny.binary, SerialRuntime())
         assert res.makespan > 0
         assert len(res.structure) > 0
+
+
+class TestOnProcs:
+    """hpcstruct parses through the same call as ``parse_binary``, so a
+    procs runtime shards its CFG phase."""
+
+    def test_on_procs_in_process_matches_serial(self, tiny):
+        want = hpcstruct(tiny.binary, SerialRuntime()).structure
+        rt = ProcsRuntime(2, in_process=True)
+        assert hpcstruct(tiny.binary, rt).structure == want
+        assert rt.metrics.counter("procs.shards") >= 1
+        assert len(rt.shard_deltas) == 2
+
+    @needs_pool
+    def test_on_procs_pool_matches_serial(self, tiny):
+        want = hpcstruct(tiny.binary, SerialRuntime()).structure
+        rt = ProcsRuntime(PROCS_WORKERS, shard_deadline=30.0)
+        assert hpcstruct(tiny.binary, rt).structure == want
+        assert rt.metrics.counter("procs.shards") >= 2
+        assert rt.metrics.counter("procs.shm.segments") == 1  # pool image
+        assert rt.degradation["level"] == "none"
 
 
 def _count_loops(loops):

@@ -9,7 +9,7 @@ from repro.apps.similarity import (
     fingerprint_function,
 )
 from repro.core import parse_binary
-from repro.runtime import SerialRuntime, VirtualTimeRuntime
+from repro.runtime import ProcsRuntime, SerialRuntime, VirtualTimeRuntime
 from repro.synth import tiny_binary
 
 
@@ -63,6 +63,12 @@ class TestIndex:
             per_binary[fp.binary] = per_binary.get(fp.binary, 0) + 1
         assert set(per_binary) == {"libA.so", "libB.so", "libC.so"}
         assert per_binary["libA.so"] == per_binary["libB.so"]
+
+    def test_build_on_procs_shards_and_matches(self, index, corpus):
+        rt = ProcsRuntime(2, in_process=True)
+        built = build_index(corpus, rt).index
+        assert built.fingerprints == index.fingerprints
+        assert rt.metrics.counter("procs.shards") == 2 * len(corpus)
 
     def test_clone_detection(self, index):
         """A libA function's best cross-binary match is its libB clone."""

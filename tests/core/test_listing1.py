@@ -9,7 +9,7 @@ tail call to 0x400").
 
 import pytest
 
-from repro.core import EdgeType, parse_binary
+from repro.core import EdgeType, ParseOptions, parse_binary
 from repro.core.serial_parser import LegacySerialParser
 from repro.isa import Opcode, Reg
 from repro.runtime import SerialRuntime, VirtualTimeRuntime
@@ -81,6 +81,12 @@ class TestLegacyOrderDependence:
         sig_ba = LegacySerialParser(
             binary, order=[labels["B"], labels["A"]]).parse().signature()
         assert sig_ab != sig_ba  # the Section 4.2 inconsistency
+
+    def test_caller_options_left_unchanged(self, listing1):
+        binary, _ = listing1
+        opts = ParseOptions(task_parallel=False)
+        LegacySerialParser(binary, options=opts).parse()
+        assert opts == ParseOptions(task_parallel=False)
 
 
 class TestFinalizationRestoresConsistency:

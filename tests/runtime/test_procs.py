@@ -7,6 +7,7 @@ import pytest
 from repro.core import parse_binary
 from repro.errors import RuntimeConfigError
 from repro.runtime import ProcsRuntime, SerialRuntime
+from repro.runtime.faults import FaultPlan
 from repro.runtime.procs import (
     ADDRESS_CEILING,
     ShardDelta,
@@ -103,6 +104,21 @@ class TestProcsRuntime:
             rt.makespan
         parse_binary(tiny_binary().binary, rt)
         assert rt.makespan > 0
+
+    def test_second_parse_is_refused_and_records_no_fault(self):
+        """Single-use, like every runtime: a second run raises instead of
+        degrading, and the first run's record stands."""
+        sb = tiny_binary(seed=5, n_functions=24)
+        rt = ProcsRuntime(2, in_process=True,
+                          fault_plan=FaultPlan.from_spec("exc@0x1"))
+        parse_binary(sb.binary, rt)
+        events, makespan = list(rt.fault_events), rt.makespan
+        assert [ev["kind"] for ev in events] == ["shard_failed"]
+        with pytest.raises(RuntimeConfigError):
+            parse_binary(sb.binary, rt)
+        assert rt.fault_events == events
+        assert rt.degradation == {"level": "none", "steps": []}
+        assert rt.makespan == makespan
 
     def test_inline_parse_matches_serial(self):
         sb = tiny_binary(seed=5, n_functions=24)
