@@ -299,6 +299,10 @@ def cmd_check(args) -> int:
     if args.fixture and not args.races:
         print("error: --fixture needs --races", file=sys.stderr)
         return 2
+    if args.races and args.runtime != "vtime":
+        print("error: --races sweeps vtime schedules; it takes no other "
+              "--backend", file=sys.stderr)
+        return 2
     if args.races:
         return _check_races(args)
     if args.cfgsan:
@@ -766,6 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "runtime", None) not in (None, "procs"):
+        # Every other backend would silently ignore the procs-only flags.
+        for flag in ("fault_plan", "shard_deadline"):
+            if getattr(args, flag) is not None:
+                print(f"error: --{flag.replace('_', '-')} needs "
+                      f"--backend procs", file=sys.stderr)
+                return 2
     try:
         return args.fn(args)
     except (RuntimeConfigError, ImageFormatError, SynthesisError,

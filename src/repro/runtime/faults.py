@@ -1,7 +1,7 @@
 """Deterministic fault injection for the procs backend.
 
 The fault-tolerance layer in :mod:`repro.runtime.procs` (per-shard
-deadlines, retry ladder, inline and serial fallbacks) is only
+deadlines, retry ladder, serial fallback) is only
 trustworthy if every failure mode can be provoked *on demand and
 reproducibly*.  This module is the harness: a :class:`FaultPlan` names
 the faults to inject — keyed by injection **site**, **shard id** and
@@ -24,11 +24,10 @@ joined by commas; full format in ``docs/ROBUSTNESS.md``):
            payload is flipped after the digest was stamped (detected
            by whoever collects the delta)
 ``truncate`` the returned delta's payload is dropped entirely
-``pool``   pool creation fails, so every shard runs inline (the
-           ``inline`` rung)
+``pool``   pool creation fails, so the parse takes the serial rung
 ``shm``    publishing the image to shared memory fails on the
-           coordinator, so every shard runs inline (the ``inline``
-           rung, as when no pool can be created)
+           coordinator, so the parse takes the serial rung, as when
+           no pool can be created
 ========== ============================================================
 
 Corpus-level sites (consumed by :mod:`repro.corpus`, where the

@@ -25,8 +25,8 @@ Execution model
    view of the mapping, so section payloads and the decoder's code
    buffer alias the segment.  The segment is unlinked in a ``finally``
    around the dispatch loop, whatever the outcome.  Without shared
-   memory (or when the ``shm`` fault site fires) the shards run inline,
-   as they do when no pool can be created.
+   memory (or when the ``shm`` fault site fires) the parse goes to the
+   serial rung, as it does when no pool can be created.
 3. **Fragment parse (parallel)** — shard tasks are dispatched to a
    long-lived worker pool shared by every :class:`ProcsRuntime` in the
    process (rebuilt only when its size changes, and sized to the cores
@@ -74,25 +74,24 @@ attempt runs in place in the coordinator.  Every collected delta is
 integrity-checked against the digest its producer stamped on the sealed
 payload.  A failed attempt — worker exception, kill, hang past the
 deadline, a pool error handing the result over, corrupt or truncated
-delta — walks one bounded ladder:
+delta — walks one bounded ladder of two rungs:
 
-1. **retry**: a shard gets :data:`MAX_RETRIES` + 1 attempts, on the
-   pool when there is one (``multiprocessing.Pool`` replaces a worker
-   that died mid-task on its own), else inline — a parse with no pool
-   or no image segment runs every shard inline (the ``inline`` step);
-2. on a pool, one more **inline attempt** of just that shard in the
-   coordinator (the ``shard_inline`` step);
-3. if the shard's last attempt fails, the whole parse degrades to a
-   plain **serial parse** on the coordinator — the ladder's last rung
-   always yields the same fixed point.  The one error that never
-   degrades is a :class:`~repro.errors.SanityCheckError`: a sanitizer
-   verdict is a result, not a fault, and reaches the caller.
+1. **retry**: a shard gets :data:`MAX_RETRIES` + 1 attempts, all on
+   the pool when there is one (``multiprocessing.Pool`` replaces a
+   worker that died mid-task on its own), all inline when there is
+   none (``in_process``, or a single shard);
+2. **serial**: if a shard's last attempt fails, or no pool or no image
+   segment can be created, the whole parse is a plain serial parse on
+   the coordinator — it always yields the same fixed point.  The one
+   error that never degrades is a
+   :class:`~repro.errors.SanityCheckError`: a sanitizer verdict is a
+   result, not a fault, and reaches the caller.
 
-Every failed attempt and every rung records one structured fault event
-with a one-line ``reason`` (``rt.fault_events``, also exported in the
-run report; a shard's failed last attempt is recorded once, as the
-serial rung's event) and a ``procs.*`` metric; the highest
-degradation step taken is summarized in ``rt.degradation``.  The
+Every failed attempt and the serial rung record one structured fault
+event each, with a one-line ``reason`` (``rt.fault_events``, also
+exported in the run report; a shard's failed last attempt is recorded
+once, as the serial rung's event), and a ``procs.*`` metric; whether
+the parse degraded is summarized in ``rt.degradation``.  The
 deterministic fault-injection harness that proves all of this works
 lives in :mod:`repro.runtime.faults`; see ``docs/ROBUSTNESS.md``.
 
@@ -161,7 +160,7 @@ ADDRESS_CEILING = 1 << 63
 DEFAULT_SHARD_DEADLINE = 60.0
 
 #: Retries per shard after its first attempt, on the pool when there is
-#: one, else inline; a pool's shard then gets one more, inline attempt.
+#: one, else inline.
 MAX_RETRIES = 2
 
 
@@ -383,7 +382,8 @@ class ProcsRuntime(SerialRuntime):
     :meth:`sharded_parse`, which :func:`repro.core.parallel_parser.parse`
     dispatches to, so ``parse_binary`` and every application shard.
 
-    Fault-tolerance knobs (see the module docstring for the ladder):
+    Fault-tolerance knobs (see the module docstring for the ladder:
+    retry, then serial):
 
     - ``shard_deadline`` — seconds one pool attempt of one shard may
       take before it counts as hung (None disables the deadline);
@@ -403,9 +403,7 @@ class ProcsRuntime(SerialRuntime):
         super().__init__(enable_metrics=enable_metrics)
         self.num_workers = n_workers
         #: run shards inline in the coordinator process (test/debug
-        #: escape hatch; also the automatic fallback when no pool or no
-        #: image segment can be created, e.g. in sandboxes without
-        #: semaphore or shared-memory support).
+        #: escape hatch).
         self.in_process = in_process
         self.shard_deadline = shard_deadline
         self.fault_plan = (fault_plan if fault_plan is not None
@@ -418,8 +416,8 @@ class ProcsRuntime(SerialRuntime):
         #: ``fault_events`` section; see docs/ROBUSTNESS.md for the
         #: event kinds).
         self.fault_events: list[dict] = []
-        #: highest degradation step of the last run plus the ordered
-        #: step log ({"level": ..., "steps": [...]}).
+        #: degradation level of the last run plus the ordered step log
+        #: ({"level": ..., "steps": [...]}).
         self.degradation: dict = {"level": "none", "steps": []}
 
     # -- Runtime API ---------------------------------------------------------
@@ -450,12 +448,13 @@ class ProcsRuntime(SerialRuntime):
                                   "attempt": attempt, "action": action,
                                   "reason": reason})
 
-    def _degrade(self, level: str, reason: str) -> None:
-        """Record one step down the ladder (monotone level, full log)."""
+    def _degrade(self, kind: str, shard: int | None, attempt: int,
+                 reason: str) -> None:
+        """Record the fault that sends the parse to the serial rung,
+        and the step."""
+        self._record_fault(kind, shard, attempt, "serial", reason)
+        level = self.degradation["level"] = DEGRADATION_LEVELS[-1]
         self.degradation["steps"].append(f"{level}: {reason}")
-        if (DEGRADATION_LEVELS.index(level)
-                > DEGRADATION_LEVELS.index(self.degradation["level"])):
-            self.degradation["level"] = level
         self.metrics.inc(f"procs.degraded_to.{level}")
 
     def _collect(self, delta: ShardDelta | None) -> str | None:
@@ -499,12 +498,9 @@ class ProcsRuntime(SerialRuntime):
             # Last rung of the ladder: nothing recoverable remains in
             # the sharded pipeline, so produce the fixed point the only
             # way that cannot involve shards — a plain serial parse.
-            reason = _describe(exc)
-            self._record_fault(
-                "sharded_parse_failed",
-                getattr(exc, "shard_id", None),
-                getattr(exc, "attempt", 0) or 0, "serial", reason)
-            self._degrade("serial", reason)
+            self._degrade("sharded_parse_failed",
+                          getattr(exc, "shard_id", None),
+                          getattr(exc, "attempt", 0) or 0, _describe(exc))
             return self._serial_fallback(binary, opts)
 
     def _fan_out_and_merge(self, binary, opts):
@@ -521,6 +517,8 @@ class ProcsRuntime(SerialRuntime):
         merge = StreamingMerge(binary, self, opts)
         t_pool = time.perf_counter_ns()
         deltas = self._map_shards(binary, opts, tasks)
+        if deltas is None:
+            return self._serial_fallback(binary, opts)
         if m.enabled:
             m.observe("procs.phase.fanout_wall_ns",
                       time.perf_counter_ns() - t_pool)
@@ -565,7 +563,10 @@ class ProcsRuntime(SerialRuntime):
     # -- pool plumbing -------------------------------------------------------------
 
     def _map_shards(self, binary, opts, tasks: list[ShardTask]
-                    ) -> list[ShardDelta]:
+                    ) -> list[ShardDelta] | None:
+        """Every shard's delta, or None when no pool or no image
+        segment can be created: that fault is recorded here and the
+        parse goes to the serial rung."""
         if self.in_process or len(tasks) <= 1:
             return self._dispatch(None, None, opts, binary, tasks)
         kind, what = "pool_create_failed", "no worker pool"
@@ -588,16 +589,14 @@ class ProcsRuntime(SerialRuntime):
         except Exception as exc:
             # No usable pool (sandboxed semaphores, missing start
             # method, injected pool fault) or no shared memory (no
-            # /dev/shm, sandboxed shm_open, injected shm fault): every
-            # shard runs inline.  The structural merge still runs; only
-            # the parallelism is lost.
+            # /dev/shm, sandboxed shm_open, injected shm fault): the
+            # serial rung, which measured faster than running every
+            # shard inline (docs/ROBUSTNESS.md).
             if kind == "pool_create_failed":
                 shutdown_pool()
-            reason = f"{what}: {_describe(exc)}"
             self.metrics.inc("procs.pool_fallback")
-            self._record_fault(kind, None, 1, "inline", reason)
-            self._degrade("inline", reason)
-            return self._dispatch(None, None, opts, binary, tasks)
+            self._degrade(kind, None, 1, f"{what}: {_describe(exc)}")
+            return None
         try:
             return self._dispatch(pool, (segment.name, segment.size),
                                   opts, binary, tasks)
@@ -629,15 +628,13 @@ class ProcsRuntime(SerialRuntime):
         """The fault-tolerant fan-out: every attempt of every shard.
 
         ``submit`` makes each attempt: on ``pool`` one ``AsyncResult``,
-        collected under the shard deadline; inline (``pool`` None, or a
-        shard whose pool attempts are spent) the delta itself, made in
-        place.  A timeout, an error handing the result over
-        (``pool_error``) and an unusable delta are each one failed
-        attempt.  A shard gets :data:`MAX_RETRIES` + 1 attempts on the
-        pool and then one inline (the ``shard_inline`` rung), or
-        :data:`MAX_RETRIES` + 1 inline attempts without a pool; a
-        failed last attempt raises :class:`ShardFailedError`, which
-        ``sharded_parse`` records as the serial rung.
+        collected under the shard deadline; inline (``pool`` None) the
+        delta itself, made in place.  A timeout, an error handing the
+        result over (``pool_error``) and an unusable delta are each one
+        failed attempt.  A shard gets :data:`MAX_RETRIES` + 1 attempts,
+        in either mode; a failed last attempt raises
+        :class:`ShardFailedError`, which ``sharded_parse`` records as
+        the serial rung.
 
         Shards are collected in submission order, so fault events come
         out in that order too; the merge starts once every delta is in.
@@ -646,18 +643,16 @@ class ProcsRuntime(SerialRuntime):
         plan = self.fault_plan
         deltas: dict[int, ShardDelta] = {}
         attempt = {t.shard_id: 0 for t in tasks}
-        # Attempts 1..pooled run on the pool, the rest inline.
-        pooled, last = ((MAX_RETRIES + 1, MAX_RETRIES + 2)
-                        if pool is not None
-                        else (0, MAX_RETRIES + 1))
+        retried = ("procs.retry.inline" if pool is None
+                   else "procs.retry.dispatch")
 
         def submit(t: ShardTask):
             a = attempt[t.shard_id] = attempt[t.shard_id] + 1
-            if a <= pooled:
-                payload = (segment, opts, m.enabled, t, a, plan)
-                return t, pool.apply_async(_parse_shard, (payload,))
-            return t, _attempt_shard(binary, opts, m.enabled, t, a, plan,
-                                     in_worker=False)
+            if pool is None:
+                return t, _attempt_shard(binary, opts, m.enabled, t, a,
+                                         plan, in_worker=False)
+            payload = (segment, opts, m.enabled, t, a, plan)
+            return t, pool.apply_async(_parse_shard, (payload,))
 
         waiting = [submit(t) for t in tasks]
         while waiting:
@@ -682,18 +677,10 @@ class ProcsRuntime(SerialRuntime):
                     continue
                 m.inc("procs.shard_failed")
                 kind = "shard_failed"
-            if a == last:
+            if a > MAX_RETRIES:
                 raise ShardFailedError(t.shard_id, a, reason)
             self._record_fault(kind, t.shard_id, a, "retry", reason)
-            if a < pooled:
-                m.inc("procs.retry.dispatch")
-            else:
-                m.inc("procs.retry.inline")
-            if a == pooled:
-                self._record_fault("shard_inline", t.shard_id, a + 1,
-                                   "inline", f"{a} pool attempts failed")
-                self._degrade("shard_inline",
-                              f"shard {t.shard_id} re-executed inline")
+            m.inc(retried)
             waiting.append(submit(t))
         return [deltas[t.shard_id] for t in tasks]
 

@@ -43,8 +43,8 @@ Lifecycle guarantees (tested in ``tests/runtime/test_shm.py``):
 
 When shared memory is unavailable (no ``/dev/shm``, sandboxed
 ``shm_open``) — or when the deterministic ``shm`` fault site fires
-(:mod:`repro.runtime.faults`) — the procs backend runs every shard
-inline and records the fault; see ``docs/ROBUSTNESS.md``.
+(:mod:`repro.runtime.faults`) — the procs backend records the fault
+and parses serially; see ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations

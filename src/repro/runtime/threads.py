@@ -112,7 +112,6 @@ class ThreadRuntime(Runtime):
         self._error: BaseException | None = None
         self._busy = [0] * n_workers
         self._local = threading.local()
-        self._default_group = _ThreadGroup(self)
         self._elapsed: float | None = None
         self._ran = False
 
@@ -143,10 +142,6 @@ class ThreadRuntime(Runtime):
 
     def task_group(self) -> TaskGroup:
         return _ThreadGroup(self)
-
-    def spawn(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Spawn into the implicit default group (awaited by run())."""
-        self._default_group.spawn(fn, *args)
 
     # -- execution ----------------------------------------------------------------
 
@@ -207,7 +202,6 @@ class ThreadRuntime(Runtime):
         err: BaseException | None = None
         try:
             result = fn(*args)
-            self._default_group.wait()
         except BaseException as exc:
             err = exc
         with self._mon:

@@ -285,7 +285,6 @@ class VirtualTimeRuntime(Runtime):
         self._ran = False
         self._finished = False
         self._local = threading.local()
-        self._default_group = _VtGroup(self)
 
     # ------------------------------------------------------------------ public
 
@@ -334,10 +333,6 @@ class VirtualTimeRuntime(Runtime):
     def task_group(self) -> TaskGroup:
         return _VtGroup(self)
 
-    def spawn(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Spawn into the implicit default group (awaited by run())."""
-        self._default_group.spawn(fn, *args)
-
     def run(self, fn: Callable[..., Any], *args: Any) -> Any:
         if self._ran:
             raise RuntimeConfigError("runtime instances are single-use")
@@ -359,7 +354,6 @@ class VirtualTimeRuntime(Runtime):
         result = None
         try:
             result = fn(*args)
-            self._default_group.wait()
         except BaseException as exc:
             with self._mon:
                 self._fail(exc)

@@ -47,8 +47,8 @@ FINDINGS_SCHEMA = "repro.findings/1"
 BACKENDS = ("vtime", "threads", "serial", "procs")
 #: Backends a corpus run schedules binaries on.
 CORPUS_BACKENDS = ("procs", "serial")
-#: The procs degradation ladder, least to most degraded.
-DEGRADATION_LEVELS = ("none", "shard_inline", "inline", "serial")
+#: The procs degradation levels: none, or the ladder's serial rung.
+DEGRADATION_LEVELS = ("none", "serial")
 #: Race kinds the happens-before detector reports.
 RACE_KINDS = ("read-write", "write-read", "write-write")
 #: Known producers of findings documents.

@@ -164,6 +164,10 @@ class TestCli:
         "check --races --cfgsan",
         "check --fixture counter-racy",
         "analyze tiny --corpus 1",
+        "parse tiny --backend vtime --fault-plan excx99",
+        "parse tiny --backend serial --shard-deadline 5",
+        "hpcstruct tiny --fault-plan exc@0",
+        "check --races --backend procs",
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, capsys, argv):
         assert exit_status(*argv.split()) == 2

@@ -430,7 +430,7 @@ class TestPoolLadder:
     def test_hang_past_deadline_times_out_and_recovers(self, workload):
         sb, want = workload
         rt = _parse_with(sb, want, "delay@0x1=1.2", shard_deadline=0.4)
-        assert rt.degradation["level"] in ("none", "shard_inline")
+        assert rt.degradation["level"] == "none"
         assert rt.metrics.counter("procs.shard_timeout") >= 1
         ev = next(e for e in rt.fault_events if e["kind"] == "shard_timeout")
         assert ev["shard"] == 0
@@ -485,28 +485,37 @@ class TestPoolLadder:
         assert procs._POOL is pool
         assert _kernel_segments() == before
 
-    def test_pool_creation_failure_degrades_inline(self, workload):
+    def test_pool_creation_failure_degrades_serial(self, workload):
         sb, want = workload
+        before = _kernel_segments()
         rt = _parse_with(sb, want, "poolx99", shard_deadline=30.0)
-        assert rt.degradation["level"] == "inline"
+        assert rt.degradation["level"] == "serial"
         assert rt.metrics.counter("procs.pool_fallback") == 1
         assert rt.fault_events == [{
             "kind": "pool_create_failed", "shard": None, "attempt": 1,
-            "action": "inline",
+            "action": "serial",
             "reason": "no worker pool: InjectedFaultError: injected fault "
                       "at site 'pool' (shard=None, attempt=1)"}]
-        # Inline rung still runs the structural merge, not serial.
-        assert rt.metrics.counter("procs.merge.blocks") > 0
+        # The serial rung parses on the coordinator: no shard, no merge.
+        assert rt.metrics.counter("procs.merge.blocks") == 0
+        assert _kernel_segments() == before
 
-    def test_pool_exhausted_shard_runs_inline(self, workload):
+    def test_pool_exhausted_shard_degrades_serial(self, workload):
         sb, want = workload
+        before = _kernel_segments()
         rt = _parse_with(sb, want, "exc@0x3", shard_deadline=30.0)
-        # Attempts 1-3 fail in the pool; the inline rung (attempt 4)
-        # is past the plan's window and succeeds.
-        assert rt.degradation["level"] == "shard_inline"
+        # Attempts 1-3 fail in the pool; the third is recorded as the
+        # serial rung's event.
+        assert rt.degradation["level"] == "serial"
+        assert [(e["kind"], e["shard"], e["attempt"], e["action"])
+                for e in rt.fault_events] == [
+            ("shard_failed", 0, 1, "retry"),
+            ("shard_failed", 0, 2, "retry"),
+            ("sharded_parse_failed", 0, 3, "serial")]
         assert rt.metrics.counter("procs.retry.dispatch") == 2
-        assert rt.metrics.counter("procs.retry.inline") == 1
-        assert rt.metrics.counter("procs.degraded_to.shard_inline") == 1
+        assert rt.metrics.counter("procs.retry.inline") == 0
+        assert rt.metrics.counter("procs.degraded_to.serial") == 1
+        assert _kernel_segments() == before
 
     def test_report_validates_after_pool_faults(self, workload):
         sb, want = workload
@@ -520,11 +529,12 @@ class TestPoolLadder:
 
 @needs_pool
 @pytest.mark.parametrize("plan", ["exc@*x2", "exc@1x1",
-                                  "corrupt@1x1,truncate@0x2"])
+                                  "corrupt@1x1,truncate@0x2",
+                                  "exc@0x99", "exc@*x3"])
 def test_same_plan_same_events_inline_and_pool(workload, plan):
     """In-process and pool attempts run through one ladder: a plan
-    every shard survives within MAX_RETRIES + 1 attempts yields the
-    same fault events, reasons included, and the same degradation."""
+    yields the same fault events, reasons included, and the same
+    degradation."""
     sb, want = workload
     inline = _parse_with(sb, want, plan, in_process=True)
     pool = _parse_with(sb, want, plan, shard_deadline=30.0)

@@ -180,7 +180,7 @@ class TestProcsRuntime:
         assert any("KaboomError" in step
                    for step in rt.degradation["steps"])
 
-    def test_pool_failure_falls_back_inline(self, monkeypatch):
+    def test_pool_failure_falls_back_serial(self, monkeypatch):
         import multiprocessing
 
         def no_context(*a, **kw):
@@ -192,10 +192,14 @@ class TestProcsRuntime:
         rt = ProcsRuntime(4)
         assert parse_binary(sb.binary, rt).signature() == want
         assert rt.metrics.counter("procs.pool_fallback") == 1
-        # The degraded path is still the structural fragment merge, not
-        # a serial re-parse: fragments were imported and stitched.
-        assert rt.metrics.counter("procs.merge.blocks") > 0
-        assert rt.metrics.counter("procs.shards") == 4
+        assert rt.degradation["level"] == "serial"
+        assert [(e["kind"], e["action"]) for e in rt.fault_events] == [
+            ("pool_create_failed", "serial")]
+        # The serial rung parses on the coordinator: no shard, no merge,
+        # no image segment.
+        assert rt.metrics.counter("procs.merge.blocks") == 0
+        assert rt.metrics.counter("procs.shards") == 0
+        assert rt.metrics.counter("procs.shm.segments") == 0
 
     def test_table1_binaries_on_the_pool_match_serial_and_time_every_phase(
             self):

@@ -163,9 +163,12 @@ class TestParseLifecycle:
         assert any(e["kind"] in ("pool_error", "shard_timeout")
                    for e in rt.fault_events)
 
-    def test_pool_broken_inline_rung_unlinks(self, workload):
+    def test_pool_broken_serial_rung_unlinks(self, workload):
         rt = self._run(workload, plan="pool")
-        assert rt.degradation["level"] in ("shard_inline", "inline")
+        assert rt.degradation["level"] == "serial"
+        assert [(e["kind"], e["action"]) for e in rt.fault_events] == [
+            ("pool_create_failed", "serial")]
+        assert rt.metrics.counter("procs.pool_fallback") == 1
 
     def test_serial_rung_unlinks(self, workload):
         rt = self._run(workload, plan="excx99")
@@ -175,7 +178,9 @@ class TestParseLifecycle:
         rt = self._run(workload, plan="shm")
         assert rt.metrics.counter("procs.shm.segments") == 0
         assert rt.metrics.counter("procs.pool_fallback") == 1
-        assert rt.degradation["level"] == "inline"
+        assert rt.degradation["level"] == "serial"
+        assert [(e["kind"], e["action"]) for e in rt.fault_events] == [
+            ("shm_unavailable", "serial")]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),

@@ -167,9 +167,8 @@ def test_procs_degraded_matches_serial(name, plan, reference_signatures):
 
 
 def test_procs_shm_fallback_matches_serial(reference_signatures):
-    """The ``shm`` fault site takes the ``inline`` rung, like a failed
-    pool creation: the shards still run and merge in the coordinator,
-    with the same signature, a recorded fault and no leaked
+    """The ``shm`` fault site takes the serial rung, like a failed pool
+    creation: the same signature, one recorded fault and no leaked
     segments."""
     if PROCS_INLINE:
         pytest.skip("image transport only exists on the pool path")
@@ -183,8 +182,8 @@ def test_procs_shm_fallback_matches_serial(reference_signatures):
     got = parse_binary(sb.binary, rt).signature()
     assert got == reference_signatures["cross-shard-splits"]
     assert [e["kind"] for e in rt.fault_events] == ["shm_unavailable"]
-    assert rt.fault_events[0]["action"] == "inline"
-    assert rt.degradation["level"] == "inline"
+    assert rt.fault_events[0]["action"] == "serial"
+    assert rt.degradation["level"] == "serial"
     assert rt.metrics.counter("procs.pool_fallback") == 1
     assert rt.metrics.counter("procs.shm.segments") == 0
     assert shm.live_segments() == []
