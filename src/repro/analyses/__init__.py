@@ -26,7 +26,12 @@ from repro.analyses.callgraph import (
     condensation_waves,
     tarjan_sccs,
 )
-from repro.analyses.checkers import ALL_CHECKS, make_checker, resolve_checks
+from repro.analyses.checkers import (
+    ALL_CHECKS,
+    TOP,
+    make_checker,
+    resolve_checks,
+)
 from repro.analyses.dataflow import DataflowProblem, solve_dataflow
 from repro.analyses.findings import (
     FINDINGS_SCHEMA,
@@ -38,7 +43,7 @@ from repro.analyses.interproc import AnalysisResult, run_checkers
 from repro.analyses.dominators import dominator_tree, immediate_dominators
 from repro.analyses.loops import Loop, LoopForest, find_loops
 from repro.analyses.liveness import LivenessResult, liveness
-from repro.analyses.stack_height import StackHeightResult, stack_heights, TOP
+from repro.analyses.stack_height import StackHeightResult, stack_heights
 from repro.analyses.slicing import backward_slice
 
 __all__ = [

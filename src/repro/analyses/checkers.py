@@ -54,7 +54,7 @@ from repro.core.cfg import JumpTableInfo
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import Reg, mask_of, regs_in
 
-#: Unknown / conflicting stack height (shared with stack_height.TOP).
+#: Unknown / conflicting stack height (also stack_height's).
 TOP = "top"
 
 _GP_MASK = (1 << 16) - 1                       # R0..R15

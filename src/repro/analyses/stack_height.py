@@ -7,59 +7,24 @@ This is the analysis behind tail-call heuristic (3): a branch taken at
 height 0 after a teardown is a tail call.  (The parser itself uses the
 cheaper block-local teardown flag, as Dyninst does; this analysis is the
 "DataflowAPI StackAnalysis" counterpart used by applications.)
+
+The transfer and meet are the ``stack-balance`` checker's
+(:class:`~repro.analyses.checkers.StackBalanceChecker`), run
+intra-procedurally: every callee is taken as balanced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analyses.checkers import StackBalanceChecker
 from repro.analyses.dataflow import (
     DataflowProblem,
     Direction,
     solve_dataflow,
 )
-from repro.core.cfg import Block, Function
-from repro.isa.instructions import Opcode
+from repro.core.cfg import Function
 from repro.runtime.api import Runtime
-
-#: Unknown / conflicting height.
-TOP = "top"
-
-
-def _meet(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a == b:
-        return a
-    return TOP
-
-
-def _transfer(block: Block, height):
-    if height is TOP:
-        # LEAVE re-anchors the height even from unknown state.
-        if any(i.opcode is Opcode.LEAVE for i in block.insns):
-            h = None
-            for insn in block.insns:
-                if insn.opcode is Opcode.LEAVE:
-                    h = 0
-                elif h is not None:
-                    d = insn.sp_delta()
-                    h = TOP if d is None else (h + d
-                                               if h is not TOP else TOP)
-            return h if h is not None else TOP
-        return TOP
-    h = height
-    for insn in block.insns:
-        if insn.opcode is Opcode.LEAVE:
-            h = 0  # frame restored to call-time height
-            continue
-        d = insn.sp_delta()
-        if d is None:
-            return TOP
-        h += d
-    return h
 
 
 @dataclass
@@ -79,12 +44,18 @@ class StackHeightResult:
 def stack_heights(func: Function,
                   rt: Runtime | None = None) -> StackHeightResult:
     """Solve stack heights over one function (entry height 0)."""
+    checker = StackBalanceChecker()
+
+    def balanced(_target: int) -> int:
+        return checker.unknown()
+
     problem = DataflowProblem(
         direction=Direction.FORWARD,
         boundary=0,
         init=None,          # unreached
-        meet=_meet,
-        transfer=lambda b, h: None if h is None else _transfer(b, h),
+        meet=checker.join,
+        transfer=lambda b, h: checker.apply(
+            checker.compile_block(b.insns), h, balanced),
         cost_per_transfer=(rt.cost.liveness_per_insn if rt else 0),
     )
     res = solve_dataflow(func, problem, rt)

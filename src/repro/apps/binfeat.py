@@ -131,11 +131,10 @@ class _BinFeat:
 
         # Stage 1: CFG construction, binary by binary (each parallel).
         cfgs: list[ParsedCFG] = []
-        t0 = rt.now()
-        with rt.phase("cfg"):
+        with rt.phase("cfg") as span:
             for binary in self.binaries:
                 cfgs.append(parse(binary, rt, self.parse_options))
-        durations["cfg"] = rt.now() - t0
+        durations["cfg"] = span.duration
 
         # Work list: every function of every binary, largest first
         # (Listing 7's sort for load balancing).
@@ -143,8 +142,7 @@ class _BinFeat:
         per_function: list[Counter] = []
 
         def stage(name: str, fn) -> None:
-            start = rt.now()
-            with rt.phase(name):
+            with rt.phase(name) as span:
                 # Per-function enumeration/setup is serial driver work
                 # (building the work queue, opening feature streams) —
                 # one of the Amdahl terms that keeps the paper's feature
@@ -153,7 +151,7 @@ class _BinFeat:
                 rt.parallel_for(work, fn,
                                 sort_key=lambda f: len(f.blocks),
                                 reverse=True)
-            durations[name] = rt.now() - start
+            durations[name] = span.duration
 
         def extract_if(func: Function) -> None:
             feats = self._instruction_features(func)
@@ -170,10 +168,9 @@ class _BinFeat:
         stage("data_flow_features", extract_df)
 
         # Final reduction: merge feature counters (tree-parallel).
-        t0 = rt.now()
-        with rt.phase("reduce"):
+        with rt.phase("reduce") as span:
             index = self._reduce(per_function)
-        durations["reduce"] = rt.now() - t0
+        durations["reduce"] = span.duration
 
         return BinFeatResult(
             stage_durations=durations,

@@ -103,13 +103,9 @@ class _Hpcstruct:
 
     def execute(self) -> HpcstructResult:
         rt = self.rt
-        phase_marks: dict[str, tuple[int, int]] = {}
-
-        def mark(name: str):
-            return _PhaseMark(rt, name, phase_marks)
 
         # Phase 1: read the binary from "disk".
-        with mark("read"):
+        with rt.phase("read") as read:
             rt.charge(rt.cost.io_per_kib
                       * max(1, self.binary.image.total_size // 1024))
 
@@ -117,7 +113,7 @@ class _Hpcstruct:
         # multi-keyed parallel symbol table of Listing 6).
         debug = self.binary.debug_info
         symbols = IndexedSymbols(rt)
-        with mark("dwarf_types"):
+        with rt.phase("dwarf_types") as dwarf_types:
             rt.parallel_for(
                 debug.cus,
                 lambda cu: rt.charge(rt.cost.dwarf_per_die * cu.die_count()),
@@ -126,19 +122,19 @@ class _Hpcstruct:
                             grain=8)
 
         # Phase 3: serial line map.
-        with mark("line_map"):
+        with rt.phase("line_map") as line_map:
             rt.charge(rt.cost.dwarf_per_line * debug.line_count())
             line_rows_by_file: dict[str, int] = {}
             for cu in debug.cus:
                 line_rows_by_file[cu.name] = len(cu.line_rows)
 
         # Phase 4: parallel CFG construction.
-        with mark("cfg"):
+        with rt.phase("cfg") as cfg_phase:
             cfg = parse(self.binary, rt, self.parse_options)
 
         # Phase 5: serial skeleton build.
         functions = cfg.functions()
-        with mark("skeleton"):
+        with rt.phase("skeleton") as skeleton:
             rt.charge(rt.cost.output_per_item * max(1, len(functions)))
             dies_by_entry = self._index_dies(debug.all_functions())
 
@@ -150,12 +146,12 @@ class _Hpcstruct:
                                        line_rows_by_file)
             structures.append(fs)
 
-        with mark("queries"):
+        with rt.phase("queries") as queries:
             rt.parallel_for(functions, analyze,
                             sort_key=lambda f: len(f.blocks), reverse=True)
 
         # Phase 7: parallel output serialization.
-        with mark("output"):
+        with rt.phase("output") as output:
             rt.parallel_for(
                 structures,
                 lambda fs: rt.charge(
@@ -164,7 +160,9 @@ class _Hpcstruct:
                 grain=8)
 
         structures.sort(key=lambda fs: (fs.entry, fs.name))
-        durations = {name: hi - lo for name, (lo, hi) in phase_marks.items()}
+        durations = {p.name: p.duration
+                     for p in (read, dwarf_types, line_map, cfg_phase,
+                               skeleton, queries, output)}
         return HpcstructResult(
             structure=structures,
             phase_durations=durations,
@@ -214,23 +212,3 @@ def _inline_structure(inl: InlinedCall) -> InlineStructure:
                            call_line=inl.call_line,
                            children=[_inline_structure(c)
                                      for c in inl.children])
-
-
-class _PhaseMark:
-    """Record a phase interval on the driver's clock (and the trace)."""
-
-    def __init__(self, rt: Runtime, name: str,
-                 marks: dict[str, tuple[int, int]]):
-        self._rt = rt
-        self._name = name
-        self._marks = marks
-        self._cm = rt.phase(name)
-
-    def __enter__(self):
-        self._start = self._rt.now()
-        self._cm.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        self._cm.__exit__(*exc)
-        self._marks[self._name] = (self._start, self._rt.now())

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.binary.loader import load_image
@@ -90,7 +91,7 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runtime", "--backend", dest="runtime",
                    choices=list(BACKENDS),
                    default="vtime", help="execution backend")
-    p.add_argument("--scale", type=float, default=0.1,
+    p.add_argument("--scale", type=scale_factor, default=0.1,
                    help="workload scale factor for presets")
     p.add_argument("--no-metrics", action="store_true",
                    help="opt out of structured metrics collection")
@@ -115,6 +116,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def scale_factor(text: str) -> float:
+    x = float(text)
+    if not 0 < x < math.inf:  # NaN fails both comparisons
+        raise ValueError(text)
+    return x
+
+
 def comma_separated_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
@@ -126,6 +134,17 @@ def check_names(text: str) -> tuple[str, ...]:
         return resolve_checks(text)
     except ValueError as e:  # its message lists the choices: keep it
         raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _stray(needs: str, *options: tuple[str, object]) -> bool:
+    """Print the usage error for the first ``(flag, value)`` the command
+    line gave (each such option defaults to None) — a flag that only
+    works with ``needs``; True if there was one."""
+    for flag, value in options:
+        if value is not None:
+            print(f"error: {flag} needs {needs}", file=sys.stderr)
+            return True
+    return False
 
 
 def _make_rt(args, **kw):
@@ -296,8 +315,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.fixture and not args.races:
-        print("error: --fixture needs --races", file=sys.stderr)
+    if not args.races and _stray(
+            "--races", ("--fixture", args.fixture),
+            ("--race-schedules", args.race_schedules), ("--seed", args.seed)):
         return 2
     if args.races and args.runtime != "vtime":
         print("error: --races sweeps vtime schedules; it takes no other "
@@ -344,12 +364,14 @@ def _check_races(args) -> int:
     """Happens-before race sweep: fixture or ground-truth corpus."""
     from repro.sanity.races import RaceDetector, run_race_sweep
 
+    schedules = args.race_schedules or 6
+    seed = args.seed or 0
     if args.fixture:
         from repro.sanity.fixtures import fixture_workload
 
         report = run_race_sweep(
             fixture_workload(args.fixture), n_workers=args.workers,
-            schedules=args.race_schedules, base_seed=args.seed,
+            schedules=schedules, base_seed=seed,
             workload_name=f"fixture:{args.fixture}")
         return _emit_race_report(args, report)
 
@@ -363,7 +385,7 @@ def _check_races(args) -> int:
 
         run_race_sweep(
             workload, n_workers=args.workers,
-            schedules=args.race_schedules, base_seed=args.seed,
+            schedules=schedules, base_seed=seed,
             detector=det,
             workload_name=f"coreutils_like_corpus({args.n_binaries})")
     report = det.report(
@@ -411,15 +433,20 @@ def cmd_analyze(args) -> int:
     if (args.corpus is None) == (args.workload is None):
         print("error: give one workload or --corpus N", file=sys.stderr)
         return 2
+    if args.workload is not None and _stray(
+            "--corpus", ("--seed", args.seed), ("--preset", args.presets),
+            ("--n-functions", args.n_functions)):
+        return 2
     if args.corpus is not None:
         from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
 
         presets = tuple(args.presets) if args.presets else HOSTILE_PRESETS
+        seed = args.seed or 0
         binaries = [
-            hostile_binary(presets[i % len(presets)], seed=args.seed + i,
+            hostile_binary(presets[i % len(presets)], seed=seed + i,
                            n_functions=args.n_functions).binary
             for i in range(args.corpus)]
-        subject = {"corpus": {"count": args.corpus, "seed": args.seed,
+        subject = {"corpus": {"count": args.corpus, "seed": seed,
                               "presets": list(presets),
                               "n_functions": args.n_functions}}
     else:
@@ -491,26 +518,23 @@ def cmd_fuzz(args) -> int:
 
 def cmd_corpus(args) -> int:
     """Crash-isolated, resumable corpus driver (docs/ROBUSTNESS.md)."""
+    from dataclasses import fields
     from pathlib import Path
 
-    from repro.corpus import CORPUS_PRESETS, CorpusConfig, run_corpus
+    from repro.corpus import CorpusConfig, run_corpus
     from repro.corpus.report import REPORT_NAME
     from repro.runtime.faults import FaultPlan
     from repro.runtime.metrics import MetricsRegistry
 
     plan = (FaultPlan.from_spec(args.fault_plan)
             if args.fault_plan else None)
-    config = None
-    if not args.resume:
-        config = CorpusConfig(
-            count=args.count, seed=args.seed,
-            presets=(tuple(args.presets) if args.presets
-                     else CORPUS_PRESETS),
-            n_functions=args.n_functions, attempts=args.attempts,
-            verify=not args.no_verify, window=args.window,
-            binary_deadline=args.binary_deadline,
-            backend=args.backend, procs_workers=args.procs_workers,
-            journal_batch=args.journal_batch)
+    # The config flags default to None: CorpusConfig holds the defaults.
+    # One given with --resume reaches CorpusDriver, which refuses it.
+    given = {f.name: getattr(args, f.name) for f in fields(CorpusConfig)
+             if getattr(args, f.name) is not None}
+    if "presets" in given:
+        given["presets"] = tuple(given["presets"])
+    config = CorpusConfig(**given) if given or not args.resume else None
     metrics = None if args.no_metrics else MetricsRegistry()
     summary = run_corpus(args.dir, config, resume=args.resume,
                          in_process=args.in_process, fault_plan=plan,
@@ -566,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", help="generate a synthetic binary")
     sp.add_argument("workload", help="preset name")
     sp.add_argument("--output", "-o", help="save image to this path")
-    sp.add_argument("--scale", type=float, default=0.1)
+    sp.add_argument("--scale", type=scale_factor, default=0.1)
     sp.set_defaults(fn=cmd_synth)
 
     pp = sub.add_parser("parse", help="parallel CFG construction")
@@ -595,10 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--cfgsan", action="store_true",
                       help="parse the corpus with the CFG/op-trace "
                            "sanitizer enabled; violations fail the run")
-    cp.add_argument("--race-schedules", type=positive_int, default=6,
+    cp.add_argument("--race-schedules", type=positive_int, default=None,
                     metavar="N",
                     help="races only: schedules per workload (default 6)")
-    cp.add_argument("--seed", type=int, default=0,
+    cp.add_argument("--seed", type=int, default=None,
                     help="races only: base schedule seed (default 0)")
     cp.add_argument("--fixture", metavar="NAME", choices=sorted(FIXTURES),
                     help="races only: sweep a repro.sanity.fixtures "
@@ -621,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="analyze a seeded hostile corpus of N binaries "
                          "instead of one workload; binary i is a pure "
                          "function of (seed, i)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="corpus master seed (default 0)")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="corpus only: master seed (default 0)")
     ap.add_argument("--preset", action="append", dest="presets",
                     metavar="NAME",
                     help="corpus only: hostile preset to round-robin "
@@ -683,9 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replay the directory's journal, skip "
                          "completed work and finish the run (the "
                          "config is restored from the journal header)")
-    co.add_argument("--count", type=int, default=50,
+    co.add_argument("--count", type=int,
                     help="number of corpus binaries (default 50)")
-    co.add_argument("--seed", type=int, default=0,
+    co.add_argument("--seed", type=int,
                     help="master seed; binary i is a pure function of "
                          "(seed, i) (default 0)")
     co.add_argument("--preset", action="append", dest="presets",
@@ -693,30 +717,30 @@ def build_parser() -> argparse.ArgumentParser:
                     help="preset to round-robin through (repeatable; "
                          "'benign' or any hostile preset; default: "
                          "benign + all hostile presets)")
-    co.add_argument("--n-functions", type=int, default=None,
+    co.add_argument("--n-functions", type=int,
                     help="override the per-binary function count")
-    co.add_argument("--attempts", type=int, default=3,
+    co.add_argument("--attempts", type=int,
                     help="attempt budget per binary before quarantine "
                          "(default 3)")
-    co.add_argument("--window", type=int, default=2,
+    co.add_argument("--window", type=int,
                     help="inflight-binary window: attempts supervised "
                          "at once (default 2)")
-    co.add_argument("--binary-deadline", type=float, default=120.0,
+    co.add_argument("--binary-deadline", type=float,
                     metavar="SECONDS",
                     help="per-attempt deadline for one binary "
                          "(default 120)")
     co.add_argument("--backend", choices=list(CORPUS_BACKENDS),
-                    default="procs",
                     help="analysis backend (default procs)")
-    co.add_argument("--procs-workers", type=int, default=2,
+    co.add_argument("--procs-workers", type=int,
                     help="worker count per procs parse (default 2)")
     co.add_argument("--in-process", action="store_true",
                     help="run procs shards in-process (no worker "
                          "pool; test/CI escape hatch)")
-    co.add_argument("--no-verify", action="store_true",
+    co.add_argument("--no-verify", action="store_false", dest="verify",
+                    default=None,
                     help="skip the serial reference parse per binary "
                          "(disables divergence detection)")
-    co.add_argument("--journal-batch", type=int, default=8,
+    co.add_argument("--journal-batch", type=int,
                     metavar="N",
                     help="journal records per fsync batch (default 8)")
     co.add_argument("--fault-plan", metavar="SPEC",
@@ -744,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("workload", help="preset name or .sbin path")
     tp.add_argument("--workers", "-j", type=int, default=8,
                     help="number of simulated workers")
-    tp.add_argument("--scale", type=float, default=0.1,
+    tp.add_argument("--scale", type=scale_factor, default=0.1,
                     help="workload scale factor for presets")
     tp.add_argument("--app", choices=["hpcstruct", "parse"],
                     default="hpcstruct",
@@ -762,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--workers-list", type=comma_separated_ints,
                     default="1,2,4,8,16",
                     help="comma-separated worker counts")
-    wp.add_argument("--scale", type=float, default=0.1)
+    wp.add_argument("--scale", type=scale_factor, default=0.1)
     wp.set_defaults(fn=cmd_sweep)
 
     return p
@@ -770,13 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "runtime", None) not in (None, "procs"):
-        # Every other backend would silently ignore the procs-only flags.
-        for flag in ("fault_plan", "shard_deadline"):
-            if getattr(args, flag) is not None:
-                print(f"error: --{flag.replace('_', '-')} needs "
-                      f"--backend procs", file=sys.stderr)
-                return 2
+    # Every other backend would silently ignore the procs-only flags.
+    if getattr(args, "runtime", None) not in (None, "procs") and _stray(
+            "--backend procs", ("--fault-plan", args.fault_plan),
+            ("--shard-deadline", args.shard_deadline)):
+        return 2
     try:
         return args.fn(args)
     except (RuntimeConfigError, ImageFormatError, SynthesisError,

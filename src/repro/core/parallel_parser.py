@@ -651,7 +651,7 @@ class ParallelParser:
                        target: int) -> None:
         if target in self.functions or (target not in ctx.reached
                                         and block.has_teardown):
-            self._tail_call_edge(ctx, block, target, EdgeType.TAILCALL)
+            self._tail_call_edge(ctx, block, target)
         else:
             self._add_intra_target(ctx, block, target, EdgeType.DIRECT)
 
@@ -659,19 +659,15 @@ class ParallelParser:
                      last: Instruction) -> None:
         target = last.direct_target
         if target in self.functions:
-            self._tail_call_edge(ctx, block, target, EdgeType.TAILCALL)
+            self._tail_call_edge(ctx, block, target)
         else:
             self._add_intra_target(ctx, block, target, EdgeType.COND_TAKEN)
         self._add_intra_target(ctx, block, last.end,
                                EdgeType.COND_FALLTHROUGH)
 
-    def _tail_call_edge(self, ctx: _TaskCtx, block: Block, target: int,
-                        etype: EdgeType) -> None:
-        func, created, seeds = self._make_function(
-            target, f"func_{target:x}", via="tailcall")
-        self._link(block, func.entry, etype)
-        if seeds:
-            self._spawn_traversal(func, seeds)
+    def _tail_call_edge(self, ctx: _TaskCtx, block: Block,
+                        target: int) -> None:
+        self._enter_callee(block, target, EdgeType.TAILCALL)
         # Eager tail propagation: this function returns if the tail-callee
         # does; register the dependency (or propagate immediately).
         status = self.noreturn.defer_tail(ctx.func.addr, target)
@@ -681,11 +677,7 @@ class ParallelParser:
 
     def _call(self, ctx: _TaskCtx, block: Block, last: Instruction) -> None:
         target = last.direct_target
-        func, created, seeds = self._make_function(
-            target, f"func_{target:x}", via="call")
-        self._link(block, func.entry, EdgeType.CALL)
-        if seeds:
-            self._spawn_traversal(func, seeds)
+        self._enter_callee(block, target, EdgeType.CALL)
         # Call fall-through: depends on the callee's return status.
         site = DeferredCallSite(caller_addr=ctx.func.addr, block=block,
                                 fallthrough=last.end, callee_addr=target)
@@ -698,22 +690,42 @@ class ParallelParser:
         # UNSET: deferred (eager notification or a wave releases it).
         # NORETURN: no fall-through edge, ever.
 
-    def _indirect_jump(self, ctx: _TaskCtx, block: Block) -> None:
+    def _enter_callee(self, block: Block, target: int,
+                      etype: EdgeType) -> None:
+        """A call or tail-call edge into ``target``'s function, created
+        if absent (invariant 5), whose traversal is spawned if new."""
+        func, _, seeds = self._make_function(
+            target, f"func_{target:x}", via=etype.value)
+        self._link(block, func.entry, etype)
+        if seeds:
+            self._spawn_traversal(func, seeds)
+
+    def _indirect_jump(self, ctx: _TaskCtx, block: Block,
+                       retry: bool = False) -> bool:
+        """O_IEC: analyze ``block``'s jump table and link one INDIRECT
+        edge per target not yet linked, in table order; True if one was.
+
+        On first sight the table is recorded and traced; on a retry
+        (:meth:`_retry_jump_tables`) only when a target is new.  A table
+        that is unresolved or unbounded stays pending for the retry.
+        """
         self.rt.metrics.inc("parser.jt_analyses")
         info = analyze_jump_table(self.rt, self.image, block,
                                   self.opts.jt_options)
-        with self.jump_tables.accessor(block.start) as acc:
-            acc.value = info
         seen = ctx.jt_targets_seen.setdefault(block.start, set())
-        for t in info.targets:
-            if t not in seen:
+        new = [t for t in dict.fromkeys(info.targets) if t not in seen]
+        if new or not retry:
+            with self.jump_tables.accessor(block.start) as acc:
+                acc.value = info
+            for t in new:
                 seen.add(t)
                 self._add_intra_target(ctx, block, t, EdgeType.INDIRECT)
-        if self.op_trace is not None:
-            self.op_trace.append(
-                ("OIEC", block.start, tuple(sorted(seen))))
+            if self.op_trace is not None:
+                self.op_trace.append(
+                    ("OIEC", block.start, tuple(sorted(seen))))
         if info.table_addr is None or not info.bounded:
             ctx.jt_pending.append(block)
+        return bool(new)
 
     def _retry_jump_tables(self, ctx: _TaskCtx) -> bool:
         """Fixed-point jump-table refinement: re-analyze after the function
@@ -721,27 +733,12 @@ class ParallelParser:
         if not ctx.jt_pending:
             return False
         self.rt.metrics.inc("parser.jt_retry_rounds")
+        pending, ctx.jt_pending = ctx.jt_pending, []
         progress = False
-        still_pending: list[Block] = []
-        for block in ctx.jt_pending:
-            self.rt.metrics.inc("parser.jt_analyses")
-            info = analyze_jump_table(self.rt, self.image, block,
-                                      self.opts.jt_options)
-            seen = ctx.jt_targets_seen.setdefault(block.start, set())
-            new = [t for t in info.targets if t not in seen]
-            if new:
-                progress = True
-                with self.jump_tables.accessor(block.start) as acc:
-                    acc.value = info
-                for t in new:
-                    seen.add(t)
-                    self._add_intra_target(ctx, block, t, EdgeType.INDIRECT)
-                if self.op_trace is not None:
-                    self.op_trace.append(
-                        ("OIEC", block.start, tuple(sorted(seen))))
-            if info.table_addr is None or not info.bounded:
-                still_pending.append(block)
-        ctx.jt_pending = still_pending if progress else []
+        for block in pending:
+            progress |= self._indirect_jump(ctx, block, retry=True)
+        if not progress:
+            ctx.jt_pending = []
         return progress
 
     # -- deferred call fall-throughs --------------------------------------------

@@ -46,7 +46,6 @@ battery (``tests/test_differential_backends.py``) pins exactly that.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -203,8 +202,8 @@ class StreamingMerge:
         rt = self.rt
         m = rt.metrics
         parser = self.parser
-        with rt.phase("cfg_merge"):
-            t0 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
+        with rt.phase("cfg_merge"), m.wall_timer(
+                "procs.phase.install_wall_ns"):
             added = _rebuild_fragment_graph(fragment, self.warm,
                                             self.blocks)
             parser.blocks_by_start.install_many(added)
@@ -255,8 +254,6 @@ class StreamingMerge:
                 m.inc("procs.merge.edges", len(fragment.edges[0]))
                 m.inc("procs.merge.functions", len(funcs))
                 m.inc("procs.merge.end_splits", end_splits)
-                m.observe("procs.phase.install_wall_ns",
-                          time.perf_counter_ns() - t0)  # sanity: allow(wall-clock) coordinator-side metric
         self._frags[fragment.shard_id] = fragment
 
     def finish(self) -> ParsedCFG:
@@ -270,15 +267,12 @@ class StreamingMerge:
         m = rt.metrics
         parser = self.parser
 
-        with rt.phase("cfg_frontier"):
-            t1 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
+        with rt.phase("cfg_frontier"), m.wall_timer(
+                "procs.phase.frontier_wall_ns"):
             n = parser.replay_frontier(
                 [(frag.frontier, frag.reached)
                  for _, frag in sorted(self._frags.items())])
-            if m.enabled:
-                m.inc("procs.frontier.records", n)
-                m.observe("procs.phase.frontier_wall_ns",
-                          time.perf_counter_ns() - t1)  # sanity: allow(wall-clock) coordinator-side metric
+            m.inc("procs.frontier.records", n)
 
         if parser.op_trace is not None:
             # Debug hook: the merged-and-replayed graph must satisfy the
@@ -288,20 +282,12 @@ class StreamingMerge:
             from repro.sanity.cfgsan import run_cfgsan
             run_cfgsan(parser, "shard-merge")
 
-        with rt.phase("cfg_wave"):
-            t2 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
+        with rt.phase("cfg_wave"), m.wall_timer("procs.phase.wave_wall_ns"):
             parser.noreturn_waves()
-            if m.enabled:
-                m.observe("procs.phase.wave_wall_ns",
-                          time.perf_counter_ns() - t2)  # sanity: allow(wall-clock) coordinator-side metric
 
-        with rt.phase("cfg_finalize"):
-            t3 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            cfg = finalize(parser)
-            if m.enabled:
-                m.observe("procs.phase.finalize_wall_ns",
-                          time.perf_counter_ns() - t3)  # sanity: allow(wall-clock) coordinator-side metric
-        return cfg
+        with rt.phase("cfg_finalize"), m.wall_timer(
+                "procs.phase.finalize_wall_ns"):
+            return finalize(parser)
 
 
 def _rebuild_fragment_graph(frag: CFGFragment,

@@ -79,9 +79,10 @@ class TraceInterval:
     tag: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PhaseSpan:
-    """Virtual-time span of a named application phase."""
+    """Virtual-time span of a named application phase
+    (:meth:`Runtime.phase` sets ``end`` when the phase exits)."""
 
     name: str
     start: int
@@ -267,15 +268,17 @@ class Runtime(abc.ABC):
     @contextmanager
     def phase(self, name: str):
         """Record a named phase span on the trace and a ``phase.<name>``
-        duration metric (no-ops when untraced / metrics disabled)."""
+        duration metric (no-ops when untraced / metrics disabled); yields
+        the :class:`PhaseSpan`, whose ``end`` is set on exit."""
         start = self.now()
+        span = PhaseSpan(name, start, start)
         try:
-            yield
+            yield span
         finally:
-            end = self.now()
+            span.end = self.now()
             if self.trace is not None:
-                self.trace.phases.append(PhaseSpan(name, start, end))
-            self.metrics.observe(f"phase.{name}", end - start)
+                self.trace.phases.append(span)
+            self.metrics.observe(f"phase.{name}", span.duration)
 
     # -- results ---------------------------------------------------------------
 

@@ -21,12 +21,13 @@ Design constraints:
   The registry's ``time_unit`` names the unit in exports.  Series that
   are *always* wall-clock regardless of the unit say so in their name
   (the procs backend's ``*_wall_ns`` histograms: fan-out, delta open,
-  install, frontier replay, noreturn wave and finalize).
+  install, frontier replay, noreturn wave and finalize) and are all
+  recorded by the one wall timer, :meth:`MetricsRegistry.wall_timer`.
 - **Cheap opt-out.**  Construct a runtime with ``enable_metrics=False``
   and ``rt.metrics`` is the shared :data:`NULL_METRICS` no-op, so
   instrumented call sites cost one attribute read and a predictable
   branch.  Sites that would do extra work to *compute* a metric value
-  (e.g. reading a clock twice) guard on ``rt.metrics.enabled``.
+  guard on ``rt.metrics.enabled``; the timers read no clock when off.
 - **Bind once, bump often.**  Per-event counters in hot loops go through
   :meth:`MetricsRegistry.bind` handles (:class:`Counter`): no name
   formatting, no dict update and — on a single-writer registry — no lock
@@ -40,6 +41,7 @@ complete against a real run.
 from __future__ import annotations
 
 import threading
+import time
 from collections.abc import Callable
 from contextlib import contextmanager
 
@@ -204,6 +206,15 @@ class MetricsRegistry:
         finally:
             self.observe(name, self._clock() - t0)
 
+    @contextmanager
+    def wall_timer(self, name: str):
+        """Observe the wall-clock nanoseconds of a ``with`` body that
+        completes (a body that raises records nothing), whatever
+        ``time_unit`` is — the ``*_wall_ns`` series."""
+        t0 = time.perf_counter_ns()
+        yield
+        self.observe(name, time.perf_counter_ns() - t0)
+
     # -- merging -------------------------------------------------------------
 
     def merge_snapshot(self, snap: dict, prefix: str = "") -> None:
@@ -290,6 +301,10 @@ class _NullMetrics(MetricsRegistry):
 
     @contextmanager
     def timer(self, name: str):
+        yield
+
+    @contextmanager
+    def wall_timer(self, name: str):
         yield
 
 

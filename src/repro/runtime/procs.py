@@ -372,6 +372,11 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
+class _NoPool(Exception):
+    """No worker pool or no image segment for the fan-out: the fault is
+    recorded and the parse goes to the serial rung."""
+
+
 class ProcsRuntime(SerialRuntime):
     """Process-pool backend: parallel shard parses + serial merge.
 
@@ -463,12 +468,9 @@ class ProcsRuntime(SerialRuntime):
         m = self.metrics
         size = len(delta.payload) if delta is not None and delta.payload \
             else 0
-        t0 = time.perf_counter_ns()
-        reason = delta_error(delta)
-        if m.enabled:
-            m.inc("procs.delta.bytes", size)
-            m.observe("procs.delta.open_wall_ns",
-                      time.perf_counter_ns() - t0)
+        with m.wall_timer("procs.delta.open_wall_ns"):
+            reason = delta_error(delta)
+        m.inc("procs.delta.bytes", size)
         return reason
 
     # -- sharded CFG construction ------------------------------------------------
@@ -494,6 +496,8 @@ class ProcsRuntime(SerialRuntime):
             # A sanitizer verdict is a result, not a fault: re-parsing
             # serially would only hide the violation it reports.
             raise
+        except _NoPool:
+            pass  # the fault and the step are recorded where it failed
         except Exception as exc:
             # Last rung of the ladder: nothing recoverable remains in
             # the sharded pipeline, so produce the fixed point the only
@@ -501,7 +505,7 @@ class ProcsRuntime(SerialRuntime):
             self._degrade("sharded_parse_failed",
                           getattr(exc, "shard_id", None),
                           getattr(exc, "attempt", 0) or 0, _describe(exc))
-            return self._serial_fallback(binary, opts)
+        return self._serial_fallback(binary, opts)
 
     def _fan_out_and_merge(self, binary, opts):
         from repro.core.shard_merge import StreamingMerge
@@ -515,13 +519,8 @@ class ProcsRuntime(SerialRuntime):
             tasks.append(ShardTask(i, seeds, lo, hi))
         m = self.metrics
         merge = StreamingMerge(binary, self, opts)
-        t_pool = time.perf_counter_ns()
-        deltas = self._map_shards(binary, opts, tasks)
-        if deltas is None:
-            return self._serial_fallback(binary, opts)
-        if m.enabled:
-            m.observe("procs.phase.fanout_wall_ns",
-                      time.perf_counter_ns() - t_pool)
+        with m.wall_timer("procs.phase.fanout_wall_ns"):
+            deltas = self._map_shards(binary, opts, tasks)
         self.shard_deltas = deltas
 
         # Every shard is in: install one delta per shard, in shard
@@ -563,10 +562,10 @@ class ProcsRuntime(SerialRuntime):
     # -- pool plumbing -------------------------------------------------------------
 
     def _map_shards(self, binary, opts, tasks: list[ShardTask]
-                    ) -> list[ShardDelta] | None:
-        """Every shard's delta, or None when no pool or no image
-        segment can be created: that fault is recorded here and the
-        parse goes to the serial rung."""
+                    ) -> list[ShardDelta]:
+        """Every shard's delta.  When no pool or no image segment can
+        be created, that fault is recorded here and :class:`_NoPool`
+        sends the parse to the serial rung."""
         if self.in_process or len(tasks) <= 1:
             return self._dispatch(None, None, opts, binary, tasks)
         kind, what = "pool_create_failed", "no worker pool"
@@ -596,7 +595,7 @@ class ProcsRuntime(SerialRuntime):
                 shutdown_pool()
             self.metrics.inc("procs.pool_fallback")
             self._degrade(kind, None, 1, f"{what}: {_describe(exc)}")
-            return None
+            raise _NoPool from exc
         try:
             return self._dispatch(pool, (segment.name, segment.size),
                                   opts, binary, tasks)

@@ -7,7 +7,9 @@ invariants of Section 5.2:
 1. one block per start address (the blocks map key is the identity);
 2. one block per end address (the ends map key is the identity, and no
    block is registered at two ends);
-3. edges are symmetric and connect blocks that exist in the maps;
+3. edges are symmetric, connect blocks that exist in the maps, and are
+   each created once (no block has two out-edges with the same target
+   and type);
 4. registered blocks partition the parsed bytes (no overlap) — losers
    of an end collision re-register at strictly smaller ends until this
    holds;
@@ -81,7 +83,8 @@ def check_parser_state(parser: Any) -> list[SanityFinding]:
                 "block-end",
                 f"ends[{end:#x}] registrant {b!r} not in blocks map", end))
 
-    # Invariant 3: edge symmetry over blocks that exist in the map.
+    # Invariant 3: edge symmetry over blocks that exist in the map, and
+    # each edge created once.
     for start, b in blocks.items():
         for e in b.out_edges:
             if e.src is not b:
@@ -105,6 +108,7 @@ def check_parser_state(parser: Any) -> list[SanityFinding]:
                 out.append(SanityFinding(
                     "edge-symmetry",
                     f"{e!r} missing from src out-edges", start))
+    out.extend(_check_duplicate_edges(blocks.values()))
 
     # Invariant 4: registered blocks do not overlap.
     out.extend(_check_overlap(
@@ -138,6 +142,21 @@ def _check_overlap(blocks: Any) -> list[SanityFinding]:
     return out
 
 
+def _check_duplicate_edges(blocks: Any) -> list[SanityFinding]:
+    out: list[SanityFinding] = []
+    for b in blocks:
+        seen: set[tuple] = set()
+        for e in b.out_edges:
+            key = (e.dst.start, e.etype)
+            if key in seen:
+                out.append(SanityFinding(
+                    "edge-duplicate",
+                    f"{b!r} has two {e.etype.value} edges to {e.dst!r}",
+                    b.start))
+            seen.add(key)
+    return out
+
+
 def check_cfg(cfg: Any) -> list[SanityFinding]:
     """Validate a finalized :class:`~repro.core.cfg.ParsedCFG`."""
     out: list[SanityFinding] = []
@@ -153,6 +172,7 @@ def check_cfg(cfg: Any) -> list[SanityFinding]:
             if e.dst is not b or e not in e.src.out_edges:
                 out.append(SanityFinding(
                     "edge-symmetry", f"broken in-edge {e!r}", b.start))
+    out.extend(_check_duplicate_edges(blocks))
     for f in cfg.functions():
         if f.entry.start != f.addr:
             out.append(SanityFinding(

@@ -20,8 +20,7 @@ only catch if the right schedule happens to run:
 
 A finding can be suppressed on its line with ``# sanity: allow(<rule>)``
 and a justification; suppressions are deliberate, reviewable
-exceptions (the procs merge timing its own coordinator-side phases,
-for example).
+exceptions (the racy lint fixtures, for example).
 """
 
 from __future__ import annotations

@@ -168,8 +168,30 @@ class TestCli:
         "parse tiny --backend serial --shard-deadline 5",
         "hpcstruct tiny --fault-plan exc@0",
         "check --races --backend procs",
+        "check --seed 3",
+        "check --race-schedules 2",
+        "analyze tiny --seed 1",
+        "analyze tiny --preset stripped",
+        "analyze tiny --n-functions 9",
+        "corpus {run} --resume --count 7 --seed 9",
+        "corpus {run} --resume --no-verify",
+        # --scale is a finite number above 0.
+        "parse tensorflow --scale nan --backend serial",
+        "binfeat --scale nan --n-binaries 1",
+        "synth llnl2 --scale -5",
+        "synth llnl2 --scale 0",
+        "trace tiny --scale inf",
     ])
-    def test_bad_input_is_one_error_line_and_exit_2(self, capsys, argv):
+    def test_bad_input_is_one_error_line_and_exit_2(self, capsys, tmp_path,
+                                                    argv):
+        if "{run}" in argv:
+            # A finished run for --resume to find.
+            run = str(tmp_path / "run")
+            assert exit_status("corpus", run, "--count", "1",
+                               "--n-functions", "8", "--backend", "serial",
+                               "--no-verify", "--no-metrics") == 0
+            capsys.readouterr()
+            argv = argv.replace("{run}", run)
         assert exit_status(*argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err

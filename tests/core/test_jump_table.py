@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import EdgeType, JumpTableOptions, ParseOptions, parse_binary
 from repro.isa import Cond, Opcode, Reg
-from repro.runtime import SerialRuntime, VirtualTimeRuntime
+from repro.runtime import SerialRuntime, VirtualTimeRuntime, make_runtime
 from repro.synth.asm import Assembler, L
 
 from tests.core.test_parallel_parser import make_binary
@@ -186,6 +186,60 @@ class TestTerminatorStopsScan:
         assert not jt.bounded
         assert jt.n_entries == 3
         assert jt.trimmed == 0
+
+
+def build_late_base_switch():
+    """A switch whose table base is defined on the path parsed second.
+
+    ``main`` branches to ``lea_blk`` (defines the base) and falls through
+    to a trampoline whose path reaches ``disp`` without defining it.  The
+    traversal pops the fall-through first, so ``disp``'s first analysis
+    is unresolved; ``lea_blk`` sits at a lower address than ``nolea``, so
+    the fixed-point retry slices through it and reads ``[c0, c1, c0]``.
+    """
+
+    def build(a):
+        a.label("main")
+        a.insn(Opcode.LOAD, Reg.R4, Reg.FP, 24)
+        a.cmp_ri(Reg.R4, 2)
+        a.jcc(Cond.A, L("lea_blk"))
+        a.jmp(L("nolea"))
+        a.label("lea_blk")
+        a.insn(Opcode.LEA, Reg.R5, RODATA)
+        a.jmp(L("disp"))
+        a.label("disp")
+        a.insn(Opcode.LOADIDX, Reg.R6, Reg.R5, Reg.R4)
+        a.insn(Opcode.IJMP, Reg.R6)
+        for c in ("c0", "c1"):
+            a.label(c)
+            a.nop()
+            a.ret()
+        a.label("nolea")
+        a.nop()
+        a.jmp(L("disp"))
+
+    binary, labels = make_binary(build, {"main": "main"},
+                                 rodata=b"\x00" * 32, rodata_base=RODATA)
+    binary.image.sections[".rodata"].data = table_bytes(
+        labels, ["c0", "c1", "c0"])
+    return binary, labels
+
+
+class TestRetriedTableLinksEachTargetOnce:
+    @pytest.mark.parametrize("backend,workers,kw", [
+        ("serial", 1, {}), ("vtime", 4, {}), ("threads", 4, {}),
+        ("procs", 2, {"in_process": True})])
+    def test_one_indirect_edge_per_distinct_target(self, backend, workers,
+                                                   kw):
+        binary, labels = build_late_base_switch()
+        cfg = parse_binary(binary, make_runtime(backend, workers, **kw))
+        [jt] = cfg.jump_tables
+        assert jt.targets == [labels["c0"], labels["c1"], labels["c0"]]
+        ind = sorted(e.dst.start for e in cfg.edges()
+                     if e.etype is EdgeType.INDIRECT)
+        assert ind == [labels["c0"], labels["c1"]]
+        serial = parse_binary(binary, SerialRuntime())
+        assert cfg.signature() == serial.signature()
 
 
 class TestSynthesizedTables:

@@ -4,6 +4,8 @@ import json
 import sys
 import threading
 
+import pytest
+
 from repro.core.parallel_parser import parse_binary
 from repro.runtime import (
     NULL_METRICS,
@@ -53,6 +55,25 @@ class TestPrimitives:
             t[0] = 42
         h = m.histogram("dur")
         assert h.count == 1 and h.total == 42
+
+    def test_wall_timer_observes_only_bodies_that_complete(self):
+        m = MetricsRegistry("cycles")
+        with m.wall_timer("w_ns"):
+            pass
+        with pytest.raises(KeyError):
+            with m.wall_timer("w_ns"):
+                raise KeyError
+        assert m.histogram("w_ns").count == 1
+
+    def test_null_wall_timer_reads_no_clock(self, monkeypatch):
+        import time
+
+        def no_clock():
+            raise AssertionError("clock read with metrics off")
+
+        monkeypatch.setattr(time, "perf_counter_ns", no_clock)
+        with NULL_METRICS.wall_timer("w_ns"):
+            pass
 
     def test_snapshot_shape_and_sorting(self):
         m = MetricsRegistry("cycles")

@@ -200,6 +200,8 @@ class TestProcsRuntime:
         assert rt.metrics.counter("procs.merge.blocks") == 0
         assert rt.metrics.counter("procs.shards") == 0
         assert rt.metrics.counter("procs.shm.segments") == 0
+        # Nor a fan-out: the wall timer records nothing for it.
+        assert rt.metrics.histogram("procs.phase.fanout_wall_ns") is None
 
     def test_table1_binaries_on_the_pool_match_serial_and_time_every_phase(
             self):

@@ -173,6 +173,24 @@ class TestStructuralNegatives:
         blk.out_edges.append(ghost)  # not mirrored into in_edges
         assert any(f.rule == "edge-symmetry" for f in check_cfg(cfg))
 
+    def test_duplicate_edge_is_caught(self):
+        _, parser, cfg = _parsed()
+        blk = next(b for b in cfg.blocks() if b.out_edges)
+        e = blk.out_edges[0]
+        twin = Edge(blk, e.dst, e.etype)
+        blk.out_edges.append(twin)
+        e.dst.in_edges.append(twin)
+        for findings in (check_parser_state(parser), check_cfg(cfg)):
+            assert [f.rule for f in findings] == ["edge-duplicate"]
+
+    def test_retried_jump_table_parses_clean(self):
+        from tests.core.test_jump_table import build_late_base_switch
+
+        binary, _ = build_late_base_switch()
+        rt = make_runtime("serial", 1)
+        parse_binary(binary, rt, ParseOptions(sanitize=True))
+        assert rt.metrics.counter("sanity.cfgsan.violations") == 0
+
     def test_run_cfgsan_raises_with_findings_and_metrics(self):
         rt, parser, _ = _parsed()
         start, blk = parser.blocks_by_start.sorted_items()[0]
