@@ -86,8 +86,9 @@ def _load_workload(spec: str, scale: float):
 
 def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     """Runtime selection, plus the ``procs`` backend's sharding flags."""
-    p.add_argument("--workers", "-j", type=int, default=8,
-                   help="number of (simulated or real) workers")
+    p.add_argument("--workers", "-j", type=int, default=None,
+                   help="number of (simulated or real) workers "
+                        "(default 8; not with --backend serial)")
     p.add_argument("--runtime", "--backend", dest="runtime",
                    choices=list(BACKENDS),
                    default="vtime", help="execution backend")
@@ -794,11 +795,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Every other backend would silently ignore the procs-only flags.
-    if getattr(args, "runtime", None) not in (None, "procs") and _stray(
+    runtime = getattr(args, "runtime", None)
+    # Every other backend would silently ignore the procs-only flags,
+    # and the one-worker serial backend a worker count.
+    if runtime not in (None, "procs") and _stray(
             "--backend procs", ("--fault-plan", args.fault_plan),
             ("--shard-deadline", args.shard_deadline)):
         return 2
+    if runtime == "serial" and _stray(
+            "a backend other than serial", ("--workers/-j", args.workers)):
+        return 2
+    if runtime is not None and args.workers is None:
+        args.workers = 8
     try:
         return args.fn(args)
     except (RuntimeConfigError, ImageFormatError, SynthesisError,

@@ -37,7 +37,6 @@ from repro.core.cfg import (
     Function,
     JumpTableInfo,
     ParsedCFG,
-    ReturnStatus,
     release_blocks,
 )
 from repro.isa.instructions import ControlFlowKind
@@ -63,7 +62,6 @@ def finalize(parser: "ParallelParser") -> ParsedCFG:
     closures = _correct_tail_calls(parser, blocks, functions)
     _assign_boundaries(parser, functions, closures)
     functions = _remove_dead_functions(parser, functions)
-    _finalize_statuses(parser, functions)
 
     live_blocks = [b for b in blocks.values() if b.end is not None]
     stats = parser.stats
@@ -226,7 +224,14 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
     so :func:`_assign_boundaries` can reuse them instead of recomputing —
     or None if the round cap was hit without convergence.  Rounds 2+
     re-walk only the closures of functions containing a flipped edge's
-    source block and of functions minted since the last round.
+    source block.
+
+    No function is created here.  Every CALL and TAILCALL edge came from
+    the parser's callee-entry step, which makes the target's function
+    first (invariant 5), and rule 1 flips only toward a symbol-table
+    entry (in ``F0``, so a function) or a block with an interprocedural
+    in-edge (so a function again).  cfgsan's ``interproc-target`` rule
+    checks this.
     """
     rt = parser.rt
 
@@ -280,7 +285,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                     # entry: an outlined block, not a function.
                     sole = (len(e.dst.in_edges) == 1
                             and target not in symtab_entries
-                            and target in functions
                             and functions[target].discovered_via
                             == "tailcall")
                     if inside or sole:
@@ -296,19 +300,7 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
             # mutated edges since this round's compute pass).
             return closures
 
-        # Flips change the function set: rule-1 flips may need a function
-        # at the target (it has no closure yet, so the next round walks
-        # it); rule-2/3 flips may orphan one (cleaned later).
-        for b in blocks.values():
-            for e in b.out_edges:
-                if e.etype is EdgeType.TAILCALL and \
-                        e.dst.start not in functions:
-                    func = Function(e.dst.start, f"func_{e.dst.start:x}",
-                                    e.dst, from_symtab=False,
-                                    discovered_via="tailcall")
-                    func.status = parser.noreturn.status_of(e.dst.start)
-                    functions[e.dst.start] = func
-
+        # Rule-2/3 flips may orphan a function (step 4 drops it).
         dirty = set()
         for s in flip_srcs:
             dirty.update(containing.get(s, ()))
@@ -360,30 +352,3 @@ def _remove_dead_functions(parser: "ParallelParser",
             parser.rt.metrics.inc("finalize.dead_functions_removed")
     return kept
 
-
-def _finalize_statuses(parser: "ParallelParser",
-                       functions: dict[int, Function]) -> None:
-    """Give finalization-created functions a schedule-independent status.
-
-    Functions minted during tail-call correction never went through the
-    wave fixed point; resolve them from their (now final) closure so the
-    result is identical regardless of whether a given entry was discovered
-    during traversal or during correction.
-    """
-    summaries = {addr: return_summary(func.blocks)
-                 for addr, func in functions.items()
-                 if func.status is ReturnStatus.UNSET}
-    changed = True
-    while changed:
-        changed = False
-        for addr, func in functions.items():
-            if func.status is not ReturnStatus.UNSET:
-                continue
-            has_ret, tails = summaries[addr]
-            if has_ret or any(functions[t].status is ReturnStatus.RETURN
-                              for t in tails if t in functions):
-                func.status = ReturnStatus.RETURN
-                changed = True
-    for func in functions.values():
-        if func.status is ReturnStatus.UNSET:
-            func.status = ReturnStatus.NORETURN

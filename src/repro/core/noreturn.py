@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.cfg import Function, ReturnStatus
+from repro.errors import RuntimeConfigError
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
 from repro.synth.program import KNOWN_NORETURN_NAMES
@@ -168,18 +169,17 @@ class NoReturnState:
     def seed_state(self, addr: int, status: ReturnStatus,
                    waiters: list[DeferredCallSite],
                    tail_waiters: list[int]) -> None:
-        """Install one exported record (coordinator merge phase)."""
+        """Install one exported record (coordinator merge phase).
+        Ownership keeps the shard tables disjoint, so the record is new."""
         rt = self._rt
         rt.charge(rt.cost.noreturn_update)
         with self._table.accessor(addr) as acc:
-            if acc.created:
-                acc.value = _StatusRec(status)
-            elif status is not ReturnStatus.UNSET:
-                # Defensive: shards should never disagree (ownership keeps
-                # the tables disjoint), but a resolved status always wins.
-                acc.value.status = status
-            acc.value.waiters.extend(waiters)
-            acc.value.tail_waiters.extend(tail_waiters)
+            if not acc.created:
+                raise RuntimeConfigError(
+                    f"shard ownership violated: noreturn record {addr:#x} "
+                    f"exported by two shards")
+            acc.value = _StatusRec(status, list(waiters),
+                                   list(tail_waiters))
 
     # -- wave-level fixed point ---------------------------------------------------
 

@@ -52,6 +52,7 @@ from repro.core.cfg import (
 from repro.core.finalize import _function_closure, finalize, return_summary
 from repro.core.jump_table import JumpTableOptions, analyze_jump_table
 from repro.core.noreturn import DeferredCallSite, NoReturnState
+from repro.errors import RuntimeConfigError
 from repro.isa.instructions import ControlFlowKind, Instruction, has_teardown
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
@@ -110,7 +111,8 @@ class FrontierRecord:
     through the same code path a live parse would have, in list order —
     discovery order.  Kinds:
 
-    - ``end``: a block end past the claim (``_register_end``);
+    - ``end``: a block end whose last byte is another shard's
+      (``_register_end``);
     - ``edges``: a direct jump, conditional jump or call with a foreign
       successor (``_create_edges``);
     - ``intra``: one intra-procedural edge into a foreign block
@@ -124,7 +126,8 @@ class FrontierRecord:
     block_start: int | None       #: source block at record time
     end_addr: int | None          #: the source block's registered end
     target: int | None            #: edge target (intra)
-    last_addr: int | None         #: CF instruction address (end/edges)
+    #: CF instruction address (end/edges); None for an end without one
+    last_addr: int | None
     etype: str | None             #: EdgeType value (intra)
     #: (caller_addr, block_start, fallthrough, callee_addr) for resume
     site: tuple[int, int, int, int] | None
@@ -193,7 +196,15 @@ class ParallelParser:
             return cache
 
     def execute(self) -> ParsedCFG:
-        """Run all three stages; must be called inside ``rt.run``."""
+        """Run all three stages; must be called inside ``rt.run``.
+
+        Finalization relies on every ``F0`` entry having its function,
+        so a parser seeded with a subset (a procs shard) cannot finalize.
+        """
+        if self.seed_entries is not None:
+            raise RuntimeConfigError(
+                "execute() needs the full F0: a parser built with "
+                "seed_entries runs execute_fragment()")
         self.execute_fragment()
         with self.rt.phase("cfg_finalize"):
             return finalize(self)
@@ -278,8 +289,10 @@ class ParallelParser:
                 ctx.reached.update(reached.get(rec.func_addr, ()))
                 ctx.reached.add(rec.func_addr)
             if rec.kind == "end":
+                last = (None if rec.last_addr is None
+                        else self._insn_at(rec.last_addr))
                 self._register_end(ctx, self._block_at(rec.block_start),
-                                   rec.end_addr, self._insn_at(rec.last_addr))
+                                   rec.end_addr, last)
             else:
                 src = self.block_ends.get(rec.end_addr)
                 if src is None:
@@ -439,15 +452,15 @@ class ParallelParser:
         block.has_teardown = has_teardown(insns)
         last = insns[-1] if ended_cf else None
         end = insns[-1].end
-        if last is not None and self._foreign(last.address):
-            # Linear overrun past the shard boundary: the control-flow
-            # instruction belongs to another shard, which may parse the
-            # same bytes in its own fragment.  Claim rule: only the CF
-            # instruction's owner registers this end (invariants 2–3), so
-            # edges are created exactly once; we keep the block with its
-            # end *unregistered* and defer the whole registration for
-            # coordinator replay, where it reconciles against the owner's
-            # blocks through the ordinary split cascade.
+        if self._foreign(end - 1):
+            # Linear overrun past the shard boundary: another shard may
+            # parse the same bytes in its own fragment.  Claim rule: only
+            # the owner of the end's last byte registers it (invariants
+            # 2–3), so shard end sets are disjoint and edges are created
+            # exactly once; we keep the block with its end *unregistered*
+            # and defer the whole registration for coordinator replay,
+            # where it meets the owner's blocks in the ordinary split
+            # cascade.
             block.end = end
             self._defer_frontier(ctx, "end", block=block, last=last)
             return
@@ -484,17 +497,6 @@ class ParallelParser:
                 # truncated instruction list ends without a CF instruction.
                 block, end = self._split_collision(block, end, acc)
                 last = None
-
-    def install_end(self, block: Block, end: int) -> None:
-        """Register an imported block end (procs structural merge),
-        cascading splits on collision.
-
-        ``_register_end`` minus edge creation: the owning shard already
-        created this end's edges, and losers in the cascade carry theirs
-        along exactly as invariant 4 moves them.  This is how the merge
-        reconciles shards that disagree about where a region's blocks end.
-        """
-        self._register_end(None, block, end, None)
 
     def _split_collision(self, blk: Block, e: int, acc
                          ) -> tuple[Block, int]:
@@ -750,10 +752,9 @@ class ParallelParser:
             self._round_discovered.append((func, seeds))
 
     def _spawn_resume(self, site: DeferredCallSite) -> None:
-        if self.opts.task_parallel:
-            self._group.spawn(self._resume_call_ft, site)
-        else:
-            self._resume_call_ft(site)
+        # Only eager notification releases a site mid-traversal, and it
+        # is off in round mode: there is always a task group here.
+        self._group.spawn(self._resume_call_ft, site)
 
     def _resume_call_ft(self, site: DeferredCallSite) -> None:
         """Create a released call fall-through edge and keep traversing.
@@ -761,7 +762,10 @@ class ParallelParser:
         The call block may have been split since the site was recorded;
         the current owner of the call's end address is looked up under the
         block-ends accessor, which also excludes concurrent splits while
-        the edge is attached (invariants 3/4).
+        the edge is attached (invariants 3/4).  That end was registered
+        before the site was deferred, and a split moves the registration
+        but never drops it; the caller's function exists because its own
+        traversal recorded the site.
         """
         if self._foreign(site.fallthrough):
             self._defer_frontier(None, "resume", site=site)
@@ -779,17 +783,10 @@ class ParallelParser:
         # ``repro fuzz``).
         call_end = site.fallthrough
         fb, created = self._ensure_block(site.fallthrough)
-        owner = None
         with self.block_ends.accessor(call_end, create=False) as acc:
-            if acc is not None:
-                owner = acc.value
-                self._link(owner, fb, EdgeType.CALL_FT)
-        if owner is None:
-            self._link(site.block, fb, EdgeType.CALL_FT)
+            self._link(acc.value, fb, EdgeType.CALL_FT)
         if created:
-            func = self.functions.get(site.caller_addr)
-            ctx = _TaskCtx(func=func if func is not None else
-                           Function(site.caller_addr, "?", fb, False))
+            ctx = _TaskCtx(func=self.functions.get(site.caller_addr))
             ctx.work.append(fb)
             self._drain(ctx)
 

@@ -12,13 +12,11 @@ executing it.  This module is the coordinator side:
    columns (instructions come from the merged decode cache, so no object
    graph crosses the process boundary).
 2. **Install** the union into a fresh :class:`ParallelParser`'s maps.
-   Shard ownership makes block starts, functions, jump tables and
-   noreturn records disjoint by construction; block *ends* are the one
-   place shards can disagree (linear overrun past a boundary), so an
-   imported end that collides with an installed one is re-registered
-   through the parser's real invariant-4 split cascade
-   (:meth:`ParallelParser.install_end`), which reconciles the fragments
-   to the serial block set; the rest are bulk-installed.
+   Shard ownership makes block starts, block ends, functions, jump
+   tables and noreturn records disjoint by construction (a shard
+   registers an end only if it owns the end's last byte, and defers the
+   rest as ``end`` records), so every table is bulk-installed, and an
+   entry two shards both exported raises :class:`RuntimeConfigError`.
 3. **Replay** the frontier records on the merged parser
    (:meth:`ParallelParser.replay_frontier`) — tail-call classification,
    function creation, noreturn deferral and jump-table analysis all run
@@ -164,10 +162,8 @@ class StreamingMerge:
     finalization — once each, on the coordinator's one thread.
 
     Per-fragment installation is order-independent: ownership claims
-    make block starts, functions, jump tables and noreturn records
-    shard-disjoint; map installs are insert-only; and cross-shard end
-    collisions go through the invariant-4 cascade, whose outcome is
-    schedule-independent (battery-proven).
+    make block starts, block ends, functions, jump tables and noreturn
+    records shard-disjoint, and map installs are insert-only.
 
     Must be used inside ``rt.run`` on the coordinator runtime.  One
     fragment per shard: a second one for the same shard violates the
@@ -230,30 +226,20 @@ class StreamingMerge:
                 parser.noreturn.seed_state(addr, ReturnStatus(status),
                                            sites, tails)
 
-            # Cross-shard block-end reconciliation.  Ends nobody has
-            # registered yet go in in bulk; where shards disagree (one
-            # shard's linear overrun straddles another's blocks) the end
-            # is re-registered through the real invariant-4 cascade,
-            # which splits exactly as concurrent registration would
-            # have.  A cascade only ever re-registers at smaller
-            # addresses, so installing the free ends first leaves it the
-            # state it would have met end by end.
-            block_ends = parser.block_ends
-            free, taken = [], []
-            for end_addr, bstart in zip(*fragment.ends):
-                (taken if end_addr in block_ends else free).append(
-                    (end_addr, self.blocks[bstart]))
-            block_ends.install_many(free)
-            splits_before = parser.stats.n_splits
-            for end_addr, blk in taken:
-                parser.install_end(blk, end_addr)
-            end_splits = parser.stats.n_splits - splits_before
+            # A shard registers an end only if it owns the end's last
+            # byte, so no two fragments export the same end.
+            ends = fragment.ends
+            if parser.block_ends.install_many(
+                    (end_addr, self.blocks[bstart])
+                    for end_addr, bstart in zip(*ends)) < len(ends[0]):
+                raise RuntimeConfigError(
+                    f"shard ownership violated: a block end exported by "
+                    f"shard {fragment.shard_id} and an earlier shard")
             parser.stats.n_splits += fragment.n_splits
             if m.enabled:
                 m.inc("procs.merge.blocks", len(added))
                 m.inc("procs.merge.edges", len(fragment.edges[0]))
                 m.inc("procs.merge.functions", len(funcs))
-                m.inc("procs.merge.end_splits", end_splits)
         self._frags[fragment.shard_id] = fragment
 
     def finish(self) -> ParsedCFG:

@@ -54,9 +54,10 @@ Execution model
    in, the coordinator installs the opened fragments, in shard order,
    into a :class:`~repro.core.shard_merge.StreamingMerge` (no overlap
    with the fan-out: an install then would compete with the workers
-   for the same cores).  Block starts, functions and noreturn records
-   are disjoint by ownership; block *ends* are reconciled through the
-   real invariant-4 split cascade where shards disagree.  The serial
+   for the same cores).  Block starts, block ends (a shard registers
+   an end only if it owns its last byte), functions, jump tables and
+   noreturn records are disjoint by ownership, so the merge only
+   installs; an entry two shards exported raises.  The serial
    tail then runs on the coordinator's one thread: the frontier
    records replay once through the ordinary parser machinery, the
    wave fixed point runs (including the cycle rule fragments must
@@ -96,11 +97,13 @@ deterministic fault-injection harness that proves all of this works
 lives in :mod:`repro.runtime.faults`; see ``docs/ROBUSTNESS.md``.
 
 Shared CFG state never crosses a process boundary mid-construction:
-cross-shard block splits, noreturn waves and tail-call correction all
-happen on the coordinator, where the five invariants hold trivially
-(single writer).  What parallelizes is the dominant decode + traversal
-work; what stays serial is boundary reconciliation plus the correction
-phase — the same split the paper's finalization phase makes.
+the frontier replay (with the cross-shard block splits it makes),
+noreturn waves and tail-call correction all happen on the coordinator,
+where the five invariants hold trivially (single writer).  What
+parallelizes is the dominant decode + traversal work; what stays serial
+is the fragment installs, the frontier replay, the wave and the
+correction phase — the same split the paper's finalization phase
+makes.
 
 ``makespan`` reports wall-clock seconds covering the whole ``run``
 (every fan-out and merge in it), making this the backend for

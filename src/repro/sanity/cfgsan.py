@@ -13,7 +13,12 @@ invariants of Section 5.2:
 4. registered blocks partition the parsed bytes (no overlap) — losers
    of an end collision re-register at strictly smaller ends until this
    holds;
-5. one function per entry address, anchored at an existing block.
+5. one function per entry address, anchored at an existing block, and
+   made before any edge into it: every CALL and TAILCALL edge targets a
+   function entry (``interproc-target``).
+
+``check_cfg`` checks the same on a finalized CFG, plus that the wave's
+cycle rule left no function UNSET (``status-unset``).
 
 ``check_op_trace`` validates a recorded operation trace (Section 4)
 for ordering legality: O_IEC target sets grow monotonically per block,
@@ -34,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.cfg import ReturnStatus
 from repro.errors import SanityCheckError
 
 
@@ -114,8 +120,11 @@ def check_parser_state(parser: Any) -> list[SanityFinding]:
     out.extend(_check_overlap(
         b for b in blocks.values() if b.end is not None))
 
-    # Invariant 5: one function per entry address, anchored at a block.
-    for addr, f in parser.functions.items_snapshot():
+    # Invariant 5: one function per entry address, anchored at a block,
+    # and one behind every interprocedural edge.
+    functions = dict(parser.functions.items_snapshot())
+    out.extend(_check_interproc_targets(blocks.values(), functions))
+    for addr, f in functions.items():
         if f.addr != addr:
             out.append(SanityFinding(
                 "function-entry", f"functions[{addr:#x}] holds {f!r}", addr))
@@ -139,6 +148,18 @@ def _check_overlap(blocks: Any) -> list[SanityFinding]:
             out.append(SanityFinding(
                 "block-overlap",
                 f"{prev!r} overlaps {nxt!r}", nxt.start))
+    return out
+
+
+def _check_interproc_targets(blocks: Any, entries: Any
+                             ) -> list[SanityFinding]:
+    out: list[SanityFinding] = []
+    for b in blocks:
+        for e in b.out_edges:
+            if e.etype.interprocedural and e.dst.start not in entries:
+                out.append(SanityFinding(
+                    "interproc-target",
+                    f"{e!r} targets no function entry", e.dst.start))
     return out
 
 
@@ -173,7 +194,13 @@ def check_cfg(cfg: Any) -> list[SanityFinding]:
                 out.append(SanityFinding(
                     "edge-symmetry", f"broken in-edge {e!r}", b.start))
     out.extend(_check_duplicate_edges(blocks))
-    for f in cfg.functions():
+    functions = cfg.functions()
+    out.extend(_check_interproc_targets(blocks,
+                                        {f.addr for f in functions}))
+    for f in functions:
+        if f.status is ReturnStatus.UNSET:
+            out.append(SanityFinding(
+                "status-unset", f"{f!r} left UNSET", f.addr))
         if f.entry.start != f.addr:
             out.append(SanityFinding(
                 "function-entry",

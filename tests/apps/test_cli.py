@@ -166,6 +166,7 @@ class TestCli:
         "analyze tiny --corpus 1",
         "parse tiny --backend vtime --fault-plan excx99",
         "parse tiny --backend serial --shard-deadline 5",
+        "parse tiny --backend serial -j 4",
         "hpcstruct tiny --fault-plan exc@0",
         "check --races --backend procs",
         "check --seed 3",

@@ -147,6 +147,7 @@ class TestParsedCFG:
         assert self.build().signature() == self.build().signature()
 
     def test_to_networkx(self):
+        pytest.importorskip("networkx")
         g = self.build().to_networkx()
         assert g.number_of_nodes() == 3
         assert g.number_of_edges() == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cfg import Block, Function, ReturnStatus
 from repro.core.noreturn import DeferredCallSite, NoReturnState
+from repro.errors import RuntimeConfigError
 from repro.runtime import SerialRuntime
 
 
@@ -155,3 +156,15 @@ class TestResolveCycles:
             return [f.status for f in funcs]
 
         assert run(body) == [ReturnStatus.RETURN, ReturnStatus.NORETURN]
+
+
+class TestSeedState:
+    def test_a_record_two_shards_exported_is_rejected(self):
+        """Ownership keeps shard tables disjoint: a second record for
+        one address is a bug upstream, not something to merge."""
+        def body(rt, nr):
+            nr.seed_state(0x100, ReturnStatus.UNSET, [], [])
+            nr.seed_state(0x100, ReturnStatus.RETURN, [], [])
+
+        with pytest.raises(RuntimeConfigError, match="ownership violated"):
+            run(body)

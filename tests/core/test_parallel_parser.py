@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import EdgeType, ParseOptions, ReturnStatus, parse_binary
 from repro.core.parallel_parser import ParallelParser
+from repro.errors import RuntimeConfigError
 from repro.isa import Cond, Opcode, Reg
 from repro.runtime import SerialRuntime, ThreadRuntime, VirtualTimeRuntime
 from repro.synth import GenParams, generate_program, synthesize, tiny_binary
@@ -309,6 +310,17 @@ class TestDecodeCache:
         before = rt.now()
         insns, _ended_cf = parser._linear_parse(real, cache)
         assert insns and rt.now() == before
+
+
+class TestSeedEntries:
+    def test_execute_needs_the_full_f0(self, tiny):
+        """Finalization relies on every F0 entry having its function, so
+        a shard-seeded parser runs ``execute_fragment`` only."""
+        rt = SerialRuntime()
+        parser = ParallelParser(tiny.binary, rt, seed_entries=[
+            tiny.binary.entry_addresses()[0]])
+        with pytest.raises(RuntimeConfigError, match="full F0"):
+            rt.run(parser.execute)
 
 
 class TestStats:

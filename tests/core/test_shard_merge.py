@@ -3,12 +3,13 @@
 The differential battery proves end-to-end equality through
 ``ProcsRuntime``; these tests drive the pieces directly so failures
 localize: fragment parses at a *chosen* ownership boundary, the
-cross-shard block-end reconciliation, frontier bookkeeping, the
+block-end claim rule, frontier bookkeeping, the
 ownership-violation guard and pickle-safety of the shipped records.
 """
 
 import pickle
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.core.shard_merge import (
     _rebuild_fragment_graph,
 )
 from repro.errors import InvalidInstructionError, RuntimeConfigError
+from repro.isa import Reg
 from repro.runtime import SerialRuntime
 from repro.runtime.faults import delta_error
 from repro.runtime.procs import (
@@ -29,6 +31,7 @@ from repro.runtime.procs import (
     _run_shard,
 )
 from repro.synth import tiny_binary
+from tests.core.test_parallel_parser import make_binary
 
 
 def _shard_deltas(sb, boundary, opts):
@@ -93,10 +96,10 @@ class TestBoundaryReconciliation:
     def test_mid_function_boundary_forces_overrun_and_reconverges(self):
         """A claim cut *inside* a function body makes shard 0's linear
         parse overrun its claim.  The overrunning shard must not
-        register the foreign block end itself (only the owner of the CF
-        instruction's address does — else the merge would double the
-        edge multiset); the deferred "end" record replays it, and the
-        merged CFG still equals serial."""
+        register the foreign block end itself (only the owner of the
+        end's last byte does — else the merge would double the edge
+        multiset); the deferred "end" record replays it, and the merged
+        CFG still equals serial."""
         entries = sorted(_SB.binary.entry_addresses())
         kinds = set()
         for k in range(1, len(entries) - 1):
@@ -114,6 +117,36 @@ class TestBoundaryReconciliation:
         # flow both fire somewhere in the sweep.
         assert "end" in kinds
         assert "edges" in kinds
+
+    def test_non_cf_end_is_registered_by_its_last_bytes_owner(self):
+        """A block that runs into undecodable bytes ends without a CF
+        instruction.  Cut at ``f2`` (inside ``f1``'s straight line),
+        ``f1``'s block and ``f2``'s both end at the same address; only
+        the owner of that end's last byte registers it, so the fragments'
+        end columns are disjoint and the merge installs without a split
+        cascade."""
+        def build(a):
+            a.label("f1")
+            a.mov_ri(Reg.R1, 1)
+            a.mov_ri(Reg.R2, 2)
+            a.label("f2")
+            a.mov_ri(Reg.R3, 3)
+            a.mov_ri(Reg.R4, 4)
+            a.raw(b"\xff" * 4)
+            a.label("main")
+            a.ret()
+
+        binary, labels = make_binary(
+            build, {"f1": "f1", "f2": "f2", "main": "main"})
+        sb = SimpleNamespace(binary=binary)
+        cfg, _, frags = _fragment_parse(sb, labels["f2"])
+        ends = [set(f.ends[0]) for f in frags]
+        assert not ends[0] & ends[1]
+        assert labels["main"] - 4 in ends[1]
+        assert any(r.kind == "end" and r.last_addr is None
+                   for r in frags[0].frontier)
+        serial = parse_binary(binary, SerialRuntime()).signature()
+        assert cfg.signature() == serial
 
     def test_merge_metrics_recorded(self):
         entries = sorted(_SB.binary.entry_addresses())
@@ -154,6 +187,26 @@ class TestFragmentTransport:
         _rebuild_fragment_graph(a, {}, blocks)
         with pytest.raises(RuntimeConfigError, match="ownership violated"):
             _rebuild_fragment_graph(b, {}, blocks)
+
+    def test_duplicate_block_end_rejected(self):
+        """Block ends are shard-disjoint too (the owner of an end's last
+        byte registers it): two fragments exporting one end is a bug."""
+        def frag(shard_id, start):
+            return CFGFragment(
+                shard_id=shard_id, owned=(0, 200),
+                blocks=(array("Q", [start]), array("q", [20]),
+                        b"\x00", b"\x00"),
+                ends=(array("Q", [20]), array("Q", [start])))
+
+        rt = SerialRuntime()
+
+        def run():
+            sm = StreamingMerge(_SB.binary, rt, ParseOptions())
+            sm.accept(frag(0, 16))
+            sm.accept(frag(1, 18))
+
+        with pytest.raises(RuntimeConfigError, match="ownership violated"):
+            rt.run(run)
 
 
 class TestFrontierReplay:

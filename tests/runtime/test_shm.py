@@ -141,10 +141,10 @@ class TestImageSegment:
 class TestParseLifecycle:
     """The coordinator unlinks its segment on every exit path."""
 
-    def _run(self, workload, plan=None, **kw):
+    def _run(self, workload, plan=None, shard_deadline=30.0):
         sb, want = workload
         fp = FaultPlan.from_spec(plan) if plan else None
-        rt = ProcsRuntime(2, fault_plan=fp, shard_deadline=30.0, **kw)
+        rt = ProcsRuntime(2, fault_plan=fp, shard_deadline=shard_deadline)
         assert parse_binary(sb.binary, rt).signature() == want
         return rt
 
@@ -158,7 +158,8 @@ class TestParseLifecycle:
         assert rt.degradation["level"] == "none"
 
     def test_killed_worker_unlinks(self, workload):
-        rt = self._run(workload, plan="kill@0x1")
+        # The killed shard is only noticed at its deadline: keep it short.
+        rt = self._run(workload, plan="kill@0x1", shard_deadline=1.0)
         # A killed worker surfaces as a pool-level fault on the ladder.
         assert any(e["kind"] in ("pool_error", "shard_timeout")
                    for e in rt.fault_events)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cfg import Edge, EdgeType
+from repro.core.cfg import Edge, EdgeType, ReturnStatus
 from repro.core.parallel_parser import ParallelParser, ParseOptions, \
     parse_binary
 from repro.errors import SanityCheckError
@@ -182,6 +182,22 @@ class TestStructuralNegatives:
         e.dst.in_edges.append(twin)
         for findings in (check_parser_state(parser), check_cfg(cfg)):
             assert [f.rule for f in findings] == ["edge-duplicate"]
+
+    def test_interproc_edge_to_a_non_entry_is_caught(self):
+        _, parser, cfg = _parsed()
+        entries = {addr for addr, _ in parser.functions.sorted_items()}
+        blk = cfg.blocks()[0]
+        inner = next(b for b in cfg.blocks() if b.start not in entries)
+        call = Edge(blk, inner, EdgeType.CALL)
+        blk.out_edges.append(call)
+        inner.in_edges.append(call)
+        for findings in (check_parser_state(parser), check_cfg(cfg)):
+            assert [f.rule for f in findings] == ["interproc-target"]
+
+    def test_unset_status_in_final_cfg_is_caught(self):
+        _, _, cfg = _parsed()
+        cfg.functions()[0].status = ReturnStatus.UNSET
+        assert [f.rule for f in check_cfg(cfg)] == ["status-unset"]
 
     def test_retried_jump_table_parses_clean(self):
         from tests.core.test_jump_table import build_late_base_switch

@@ -64,8 +64,8 @@ def _corpus() -> dict[str, object]:
         # functions dense with shared error blocks, tail calls and
         # switches, so any contiguous shard boundary lands inside a
         # branch/call cluster — shards overrun each other's claims and
-        # the structural merge must reconcile block ends via the
-        # invariant-4 cascade rather than trusting either fragment.
+        # the frontier replay must split the overrunning blocks through
+        # the invariant-4 cascade rather than trusting either fragment.
         "cross-shard-splits": tiny_binary(
             seed=47, n_functions=44, n_shared_error_groups=6,
             shared_group_size=8, pct_error_call=0.25,
