@@ -49,6 +49,7 @@ from repro.errors import (
     SynthesisError,
 )
 from repro.runtime import make_runtime
+from repro.runtime.tracefmt import WALL_CLOCK_BACKENDS
 from repro.schema import (
     BACKENDS,
     CORPUS_BACKENDS,
@@ -84,7 +85,8 @@ def _load_workload(spec: str, scale: float):
     return load_image(spec), None
 
 
-def _add_runtime_args(p: argparse.ArgumentParser) -> None:
+def _add_runtime_args(p: argparse.ArgumentParser, scale: bool = True
+                      ) -> None:
     """Runtime selection, plus the ``procs`` backend's sharding flags."""
     p.add_argument("--workers", "-j", type=int, default=None,
                    help="number of (simulated or real) workers "
@@ -92,8 +94,9 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runtime", "--backend", dest="runtime",
                    choices=list(BACKENDS),
                    default="vtime", help="execution backend")
-    p.add_argument("--scale", type=scale_factor, default=0.1,
-                   help="workload scale factor for presets")
+    if scale:
+        p.add_argument("--scale", type=scale_factor, default=0.1,
+                       help="workload scale factor for presets")
     p.add_argument("--no-metrics", action="store_true",
                    help="opt out of structured metrics collection")
     p.add_argument("--shard-deadline", type=float, default=None,
@@ -165,7 +168,7 @@ def _make_rt(args, **kw):
 
 def _makespan_field(args, rt) -> tuple[str, int | float]:
     """(key, value) for the makespan: wall-clock backends report seconds."""
-    if args.runtime in ("threads", "procs"):
+    if args.runtime in WALL_CLOCK_BACKENDS:
         return "makespan_seconds", rt.makespan
     return "makespan_cycles", rt.makespan
 
@@ -324,6 +327,14 @@ def cmd_check(args) -> int:
         print("error: --races sweeps vtime schedules; it takes no other "
               "--backend", file=sys.stderr)
         return 2
+    if args.fixture is not None and _stray(
+            "a corpus, not --fixture", ("--n-binaries", args.n_binaries)):
+        return 2
+    if args.cfgsan and _stray("--races or the ground-truth checker",
+                              ("--json", args.json)):
+        return 2
+    if args.n_binaries is None:
+        args.n_binaries = 10
     if args.races:
         return _check_races(args)
     if args.cfgsan:
@@ -438,6 +449,11 @@ def cmd_analyze(args) -> int:
             "--corpus", ("--seed", args.seed), ("--preset", args.presets),
             ("--n-functions", args.n_functions)):
         return 2
+    if args.corpus is not None and _stray("a workload",
+                                          ("--scale", args.scale)):
+        return 2
+    if args.scale is None:
+        args.scale = 0.1
     if args.corpus is not None:
         from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
 
@@ -611,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser(
         "check", help="correctness vs ground truth / sanity analyses")
-    cp.add_argument("--n-binaries", type=positive_int, default=10)
+    cp.add_argument("--n-binaries", type=positive_int, default=None,
+                    help="corpus size (default 10; not with --fixture)")
     mode = cp.add_mutually_exclusive_group()
     mode.add_argument("--races", action="store_true",
                       help="sweep seeded vtime schedules under the "
@@ -632,8 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--json", metavar="PATH",
                     help="with --races: write the repro.races/1 report "
                          "to this path; otherwise write the ground-"
-                         "truth repro.findings/1 sidecar")
-    _add_runtime_args(cp)
+                         "truth repro.findings/1 sidecar (not with "
+                         "--cfgsan)")
+    _add_runtime_args(cp, scale=False)
     cp.set_defaults(fn=cmd_check)
 
     ap = sub.add_parser(
@@ -662,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the repro.findings/1 sidecar to this "
                          "path (canonical bytes, backend-independent)")
     _add_runtime_args(ap)
-    ap.set_defaults(fn=cmd_analyze)
+    ap.set_defaults(fn=cmd_analyze, scale=None)
 
     fz = sub.add_parser(
         "fuzz", help="seeded differential-fuzzing campaign")

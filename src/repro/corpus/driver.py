@@ -46,7 +46,7 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from repro.core import parse_binary
@@ -64,7 +64,7 @@ from repro.runtime.metrics import NULL_METRICS
 from repro.runtime.procs import ProcsRuntime
 from repro.runtime.serial import SerialRuntime
 from repro.runtime.shm import sweep_orphans
-from repro.schema import CORPUS_BACKENDS, canonical_bytes
+from repro.schema import CORPUS_BACKENDS, canonical_bytes, is_int, is_num
 from repro.seeds import derive_seed
 from repro.synth.codegen import synthesize
 from repro.synth.hostile import HOSTILE_PRESETS, hostile_params
@@ -101,6 +101,22 @@ def corpus_program(index: int, seed: int,
     return generate_program(bin_seed, params, name=name)
 
 
+#: Config fields added after the journal format was first written.
+_LATER_FIELDS = ("n_functions", "procs_workers", "journal_batch")
+
+#: What each config field's annotation admits, and how a problem says
+#: so: a restored config comes from a journal header read from disk.
+_FIELD_TYPES = {
+    "int": (is_int, "an int"),
+    "int | None": (lambda v: v is None or is_int(v), "an int or null"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "float": (is_num, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (lambda v: isinstance(v, tuple) and all(
+        isinstance(p, str) for p in v), "a list of strings"),
+}
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """Everything that determines a corpus run's *results*.
@@ -108,7 +124,8 @@ class CorpusConfig:
     The full config is journaled in the header record and restored on
     resume — a resumed run may not silently analyze a different corpus.
     Runtime-environment knobs that cannot change results
-    (``in_process``, the fault plan) are deliberately not here.
+    (``in_process``, the fault plan) are deliberately not here.  A
+    config is validated where it is built, restored ones included.
     """
 
     count: int = 50
@@ -123,60 +140,50 @@ class CorpusConfig:
     procs_workers: int = 2
     journal_batch: int = 8
 
-    def validate(self) -> None:
-        if self.count < 1:
-            raise CorpusError("count must be >= 1")
-        if self.attempts < 1:
-            raise CorpusError("attempts must be >= 1")
-        if self.window < 1:
-            raise CorpusError("window must be >= 1")
-        if self.binary_deadline <= 0:
-            raise CorpusError("binary deadline must be positive")
-        if self.backend not in CORPUS_BACKENDS:
-            raise CorpusError(f"unknown backend {self.backend!r}")
-        if self.procs_workers < 1:
-            raise CorpusError("procs workers must be >= 1")
-        if self.journal_batch < 1:
-            raise CorpusError("journal batch must be >= 1")
-        if self.n_functions is not None and \
-                self.n_functions < MIN_FUNCTIONS:
-            raise CorpusError(f"n_functions must be >= {MIN_FUNCTIONS}")
-        if not self.presets:
-            raise CorpusError("need at least one preset")
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            admits, what = _FIELD_TYPES[f.type]
+            if not admits(v):
+                raise CorpusError(f"{f.name} must be {what} (got {v!r})")
+        for bad, problem in (
+                (self.count < 1, "count must be >= 1"),
+                (self.attempts < 1, "attempts must be >= 1"),
+                (self.window < 1, "window must be >= 1"),
+                (self.binary_deadline <= 0,
+                 "binary deadline must be positive"),
+                (self.backend not in CORPUS_BACKENDS,
+                 f"unknown backend {self.backend!r}"),
+                (self.procs_workers < 1, "procs workers must be >= 1"),
+                (self.journal_batch < 1, "journal batch must be >= 1"),
+                (self.n_functions is not None
+                 and self.n_functions < MIN_FUNCTIONS,
+                 f"n_functions must be >= {MIN_FUNCTIONS}"),
+                (not self.presets, "need at least one preset")):
+            if bad:
+                raise CorpusError(problem)
         for p in self.presets:
             if p != "benign" and p not in HOSTILE_PRESETS:
                 raise CorpusError(
                     f"unknown preset {p!r} (one of {CORPUS_PRESETS})")
 
     def header(self) -> dict:
-        return {
-            "count": self.count, "seed": self.seed,
-            "presets": list(self.presets),
-            "n_functions": self.n_functions, "attempts": self.attempts,
-            "verify": self.verify, "window": self.window,
-            "binary_deadline": self.binary_deadline,
-            "backend": self.backend,
-            "procs_workers": self.procs_workers,
-            "journal_batch": self.journal_batch,
-        }
+        return asdict(self)
 
     @classmethod
     def from_header(cls, header: dict) -> "CorpusConfig":
-        try:
-            return cls(
-                count=header["count"], seed=header["seed"],
-                presets=tuple(header["presets"]),
-                n_functions=header.get("n_functions"),
-                attempts=header["attempts"], verify=header["verify"],
-                window=header["window"],
-                binary_deadline=header["binary_deadline"],
-                backend=header["backend"],
-                procs_workers=header.get("procs_workers", 2),
-                journal_batch=header.get("journal_batch", 8),
-            )
-        except KeyError as exc:
-            raise CorpusError(
-                f"journal header is missing field {exc}") from None
+        """The config a journal header records; the fields older
+        journals lack keep their defaults."""
+        kw = {}
+        for f in fields(cls):
+            if f.name in header:
+                kw[f.name] = header[f.name]
+            elif f.name not in _LATER_FIELDS:
+                raise CorpusError(
+                    f"journal header is missing field {f.name!r}")
+        if isinstance(kw["presets"], list):
+            kw["presets"] = tuple(kw["presets"])
+        return cls(**kw)
 
 
 class CorpusDriver:
@@ -234,7 +241,6 @@ class CorpusDriver:
             })
             self.metrics.inc("corpus.resumes")
         else:
-            self.config.validate()
             self.run_dir.mkdir(parents=True, exist_ok=True)
             journal = Journal.create(
                 journal_path, self.config.header(),
@@ -343,23 +349,10 @@ class CorpusDriver:
     def _complete(self, info: dict, payload: dict, journal: Journal,
                   completed: dict[int, dict]) -> None:
         index = info["index"]
-        st = self._bins[index]
-        rec = {
-            "kind": "completed",
-            "index": index,
-            "name": self._name(index),
-            "preset": self._preset(index),
-            "attempt": info["attempt"],
-            "backend": info["backend"],
-            "digest": payload["digest"],
-            "serial_digest": payload["serial_digest"],
-            "latency_s": payload["latency_s"],
-            "functions": payload["functions"],
-            "blocks": payload["blocks"],
-            "edges": payload["edges"],
-            "degraded": payload["degraded"],
-            "failures": st["failures"],
-        }
+        rec = {"kind": "completed", "index": index,
+               "name": self._name(index), "preset": self._preset(index),
+               "attempt": info["attempt"], "backend": info["backend"],
+               **payload, "failures": self._bins[index]["failures"]}
         completed[index] = rec
         journal.append(rec)
         self.metrics.inc("corpus.completed")
@@ -370,13 +363,9 @@ class CorpusDriver:
               quarantined: dict[int, dict]) -> None:
         index = info["index"]
         st = self._bins[index]
-        st["failures"].append({
-            "attempt": info["attempt"],
-            "backend": info["backend"],
-            "outcome": kind,
-            "error": payload["error"],
-            "latency_s": payload["latency_s"],
-        })
+        st["failures"].append({"attempt": info["attempt"],
+                               "backend": info["backend"],
+                               "outcome": kind, **payload})
         self.metrics.inc(f"corpus.failure.{kind}")
         nxt = info["attempt"] + 1
         if nxt > self.config.attempts:
@@ -408,16 +397,10 @@ class CorpusDriver:
         rel = write_quarantine(self.run_dir, index, preset, reason,
                                error, st["failures"], spec=spec,
                                spec_error=spec_error)
-        rec = {
-            "kind": "quarantined",
-            "index": index,
-            "name": self._name(index),
-            "preset": preset,
-            "reason": reason,
-            "error": error,
-            "attempts": st["failures"],
-            "path": rel,
-        }
+        rec = {"kind": "quarantined", "index": index,
+               "name": self._name(index), "preset": preset,
+               "reason": reason, "error": error,
+               "attempts": st["failures"], "path": rel}
         quarantined[index] = rec
         journal.append(rec)
         self.metrics.inc("corpus.quarantined")

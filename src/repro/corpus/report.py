@@ -22,9 +22,21 @@ import math
 from typing import Any
 
 from repro.schema import CORPUS_REPORT_SCHEMA as REPORT_SCHEMA
+from repro.schema import SCHEMAS, Nullable, Opt
 
 #: Report filename inside a corpus run directory.
 REPORT_NAME = "corpus_report.json"
+
+_SCHEMA = SCHEMAS[REPORT_SCHEMA].fields
+
+#: What an ``ok`` row holds where older journals lack the field.
+_OK_ROW_DEFAULTS = {"serial_digest": None, "degraded": "none",
+                    "failures": []}
+
+#: The nullable columns of a row: a quarantined row holds them as null.
+_OK_ONLY_FIELDS = tuple(
+    k for k, v in _SCHEMA["binaries"].item.fields.items()
+    if isinstance(v.spec if isinstance(v, Opt) else v, Nullable))
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
@@ -65,68 +77,30 @@ def build_report(header: dict, completed: dict[int, dict],
             if rec["backend"] == "serial":
                 serial_binaries += 1
             latencies.append(rec["latency_s"])
-            binaries.append({
-                "index": index,
-                "name": rec["name"],
-                "preset": rec["preset"],
-                "status": "ok",
-                "backend": rec["backend"],
-                "attempt": rec["attempt"],
-                "digest": rec["digest"],
-                "serial_digest": rec.get("serial_digest"),
-                "latency_s": rec["latency_s"],
-                "functions": rec["functions"],
-                "blocks": rec["blocks"],
-                "edges": rec["edges"],
-                "degraded": rec.get("degraded", "none"),
-                "failures": rec.get("failures", []),
-            })
+            row = {**_OK_ROW_DEFAULTS, **rec, "status": "ok"}
+            del row["kind"]
+            binaries.append(row)
             continue
         rec = quarantined.get(index)
         if rec is None:
             raise KeyError(f"binary {index} has no journal outcome")
         reasons[rec["reason"]] = reasons.get(rec["reason"], 0) + 1
-        q_entries.append({
-            "index": index,
-            "name": rec["name"],
-            "preset": rec["preset"],
-            "reason": rec["reason"],
-            "attempts": len(rec.get("attempts", [])),
-            "path": rec["path"],
-        })
-        binaries.append({
-            "index": index,
-            "name": rec["name"],
-            "preset": rec["preset"],
-            "status": "quarantined",
-            "backend": None,
-            "attempt": len(rec.get("attempts", [])),
-            "digest": None,
-            "serial_digest": None,
-            "latency_s": None,
-            "functions": None,
-            "blocks": None,
-            "edges": None,
-            "degraded": None,
-            "failures": rec.get("attempts", []),
-            "reason": rec["reason"],
-            "error": rec.get("error", ""),
-        })
+        attempts = rec.get("attempts", [])
+        named = {k: rec[k] for k in ("index", "name", "preset", "reason")}
+        q_entries.append({**named, "attempts": len(attempts),
+                          "path": rec["path"]})
+        binaries.append({**dict.fromkeys(_OK_ONLY_FIELDS), **named,
+                         "status": "quarantined", "attempt": len(attempts),
+                         "failures": attempts,
+                         "error": rec.get("error", "")})
+    # The report restates the config fields its schema names.
+    corpus = {k: header[k] for k in _SCHEMA["corpus"].fields}
+    corpus["presets"] = list(corpus["presets"])
     lat = _latency_section(latencies)
     total_s = lat["total_s"]
     return {
         "schema": REPORT_SCHEMA,
-        "corpus": {
-            "seed": header["seed"],
-            "count": count,
-            "presets": list(header["presets"]),
-            "n_functions": header.get("n_functions"),
-            "attempts": header["attempts"],
-            "verify": header["verify"],
-            "backend": header["backend"],
-            "procs_workers": header.get("procs_workers"),
-            "window": header["window"],
-        },
+        "corpus": corpus,
         "binaries": binaries,
         "summary": {
             "count": count,

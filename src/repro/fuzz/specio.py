@@ -14,10 +14,10 @@ function, one per segment, enum values spelled out.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from repro.errors import SynthesisError
 from repro.schema import FUZZ_CASE_SCHEMA as CASE_SCHEMA
+from repro.schema import to_json
 from repro.synth.program import (
     Epilogue,
     FunctionSpec,
@@ -30,59 +30,10 @@ from repro.synth.program import (
 
 # ----------------------------------------------------------------- spec
 
-def _switch_to_json(sw: SwitchSpec | None) -> dict | None:
-    if sw is None:
-        return None
-    return {"n_cases": sw.n_cases, "obscured_bound": sw.obscured_bound,
-            "stack_spill": sw.stack_spill}
-
-
-def _segment_to_json(seg: Segment) -> dict:
-    return {
-        "kind": seg.kind.value,
-        "filler": seg.filler,
-        "callee": seg.callee,
-        "switch": _switch_to_json(seg.switch),
-        "loop_trips": seg.loop_trips,
-    }
-
-
-def _function_to_json(fn: FunctionSpec) -> dict:
-    return {
-        "index": fn.index,
-        "name": fn.name,
-        "segments": [_segment_to_json(s) for s in fn.segments],
-        "epilogue": fn.epilogue.value,
-        "has_frame": fn.has_frame,
-        "tail_target": fn.tail_target,
-        "noreturn_callee": fn.noreturn_callee,
-        "shared_error_group": fn.shared_error_group,
-        "cold_outline": fn.cold_outline,
-        "hidden": fn.hidden,
-        "eh_only": fn.eh_only,
-        "secondary_entry": fn.secondary_entry,
-        "listing1_shared_jmp": fn.listing1_shared_jmp,
-        "inline_depth": fn.inline_depth,
-        "cu": fn.cu,
-        "decl_line": fn.decl_line,
-    }
-
-
 def spec_to_json(spec: ProgramSpec) -> dict:
-    """JSON-ready dict capturing a spec exactly (codegen determinism
-    then pins the binary)."""
-    return {
-        "seed": spec.seed,
-        "name": spec.name,
-        "n_shared_error_groups": spec.n_shared_error_groups,
-        "type_dies_per_cu": spec.type_dies_per_cu,
-        "lines_per_function": spec.lines_per_function,
-        "strip_symtab": spec.strip_symtab,
-        "pct_junk_padding": spec.pct_junk_padding,
-        "junk_max_bytes": spec.junk_max_bytes,
-        "noreturn_indices": sorted(spec.noreturn_indices),
-        "functions": [_function_to_json(f) for f in spec.functions],
-    }
+    """JSON-ready dict capturing a spec exactly — every dataclass field,
+    enums as their values (codegen determinism then pins the binary)."""
+    return to_json(spec)
 
 
 def _segment_from_json(obj: dict) -> Segment:

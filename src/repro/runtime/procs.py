@@ -535,11 +535,8 @@ class ProcsRuntime(SerialRuntime):
                     d.shard_id, d.attempt,
                     d.error or "delta reached the merge unopened")
             shard_insns_total += len(d.insns)
-            if m.enabled:
-                m.inc("procs.shard_functions", len(d.fragment.functions))
-                m.inc("procs.shard_insns_decoded", len(d.insns))
-                if d.metrics is not None:
-                    m.merge_snapshot(d.metrics, prefix="workers.")
+            if m.enabled and d.metrics is not None:
+                m.merge_snapshot(d.metrics, prefix="workers.")
             merge.accept(d.fragment, d.insns)
         if m.enabled:
             m.inc("procs.shards", len(tasks))

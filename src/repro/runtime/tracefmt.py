@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.runtime.api import PhaseSpan, Trace, TraceInterval
-from repro.schema import RUN_REPORT_SCHEMA as REPORT_SCHEMA
+from repro.schema import RUN_REPORT_SCHEMA as REPORT_SCHEMA, to_json
 
 _GLYPHS = " .:-=+*#%@"
 
@@ -116,31 +116,14 @@ def render_metrics(snapshot: dict) -> str:
 
 def trace_to_json(trace: Trace) -> dict:
     """JSON-ready dict for a trace (schema in docs/OBSERVABILITY.md)."""
-    return {
-        "n_workers": trace.n_workers,
-        "intervals": [
-            {"worker": iv.worker, "start": iv.start, "end": iv.end,
-             "tag": iv.tag}
-            for iv in trace.intervals
-        ],
-        "phases": [
-            {"name": p.name, "start": p.start, "end": p.end}
-            for p in trace.phases
-        ],
-    }
+    return to_json(trace)
 
 
 def trace_from_json(obj: dict) -> Trace:
     """Rebuild a :class:`Trace` from its JSON form (export round-trip)."""
-    trace = Trace(obj["n_workers"])
-    trace.intervals = [
-        TraceInterval(iv["worker"], iv["start"], iv["end"], iv["tag"])
-        for iv in obj["intervals"]
-    ]
-    trace.phases = [
-        PhaseSpan(p["name"], p["start"], p["end"]) for p in obj["phases"]
-    ]
-    return trace
+    return Trace(obj["n_workers"],
+                 [TraceInterval(**iv) for iv in obj["intervals"]],
+                 [PhaseSpan(**p) for p in obj["phases"]])
 
 
 _BACKEND_NAMES = {
@@ -151,7 +134,7 @@ _BACKEND_NAMES = {
 }
 
 #: Backends whose ``makespan`` is wall-clock seconds (vs cycles).
-_WALL_CLOCK_BACKENDS = ("threads", "procs")
+WALL_CLOCK_BACKENDS = ("threads", "procs")
 
 
 def run_report(rt: Any, workload: str | None = None,
@@ -170,7 +153,7 @@ def run_report(rt: Any, workload: str | None = None,
         "backend": backend,
         "workload": workload,
         "n_workers": rt.num_workers,
-        "time_unit": ("seconds" if backend in _WALL_CLOCK_BACKENDS
+        "time_unit": ("seconds" if backend in WALL_CLOCK_BACKENDS
                       else "cycles"),
         "makespan": rt.makespan,
         "metrics": rt.metrics.snapshot() if rt.metrics.enabled else None,

@@ -16,8 +16,9 @@ and this module is the one executable statement of what each holds:
   (counts that must agree, orderings, references between fields), run
   only on a document whose shape already passed, so a hook may index
   without guarding;
-- :func:`validate`, and :func:`canonical_bytes` / :func:`write_sidecar`
-  for the one byte form every sidecar is written in.
+- :func:`validate`, :func:`to_json` for a record held as a dataclass,
+  and :func:`canonical_bytes` / :func:`write_sidecar` for the one byte
+  form every sidecar is written in.
 
 A leaf module: it imports nothing from ``repro``, so every producer
 takes its schema id and enumerations from here.  Unknown extra keys
@@ -29,7 +30,9 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterator
-from functools import partial
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from functools import cache, partial
 from typing import Any
 
 # ------------------------------------------------- ids and enumerations
@@ -478,6 +481,31 @@ validate_races = partial(validate, schema_id=RACES_SCHEMA)
 validate_fuzz_report = partial(validate, schema_id=FUZZ_REPORT_SCHEMA)
 validate_corpus_report = partial(validate, schema_id=CORPUS_REPORT_SCHEMA)
 validate_findings = partial(validate, schema_id=FINDINGS_SCHEMA)
+
+
+_JSON_SCALARS = (int, float, str, bool, type(None))
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def to_json(v: Any) -> Any:
+    """The JSON value of a dataclass record: its fields in definition
+    order, enums as values, sets sorted.  Unlike ``dataclasses.asdict``
+    it shares leaves, and it stores a scalar without a call: the fuzz
+    reducer clones a spec through it for every candidate."""
+    t = type(v)
+    if t is list or t is tuple:
+        return [x if type(x) in _JSON_SCALARS else to_json(x) for x in v]
+    names = _field_names(t)
+    if names is not None:
+        return {k: x if type(x := getattr(v, k)) in _JSON_SCALARS
+                else to_json(x) for k in names}
+    if isinstance(v, Enum):
+        return v.value
+    return sorted(v) if isinstance(v, (set, frozenset)) else v
 
 
 def canonical_bytes(doc: dict) -> bytes:

@@ -176,6 +176,10 @@ class TestCli:
         "analyze tiny --n-functions 9",
         "corpus {run} --resume --count 7 --seed 9",
         "corpus {run} --resume --no-verify",
+        "check --n-binaries 1 --scale 7 --backend serial",
+        "check --cfgsan --n-binaries 1 --backend serial --json out.json",
+        "check --races --fixture counter-safe --n-binaries 5",
+        "analyze --corpus 1 --scale 9",
         # --scale is a finite number above 0.
         "parse tensorflow --scale nan --backend serial",
         "binfeat --scale nan --n-binaries 1",

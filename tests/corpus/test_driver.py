@@ -237,26 +237,40 @@ class TestResume:
             _run(tmp_path, resume=True)
 
 
+#: Configs no builder may produce, each with what its error names.
+_INVALID = [
+    (dict(count=0), "count"),
+    (dict(attempts=0), "attempts"),
+    (dict(window=0), "window"),
+    (dict(binary_deadline=0.0), "deadline"),
+    (dict(backend="gpu"), "backend"),
+    (dict(journal_batch=0), "journal batch"),
+    (dict(presets=()), "preset"),
+    (dict(presets=("benign", "nope")), "unknown preset"),
+    (dict(procs_workers=0), "procs workers"),
+    (dict(n_functions=3), "n_functions"),
+    (dict(window="2"), "window must be an int"),
+    (dict(seed="x"), "seed must be an int"),
+    (dict(presets=None), "presets must be a list"),
+]
+
+
 class TestConfig:
-    @pytest.mark.parametrize("kw,msg", [
-        (dict(count=0), "count"),
-        (dict(attempts=0), "attempts"),
-        (dict(window=0), "window"),
-        (dict(binary_deadline=0.0), "deadline"),
-        (dict(backend="gpu"), "backend"),
-        (dict(journal_batch=0), "journal batch"),
-        (dict(presets=()), "preset"),
-        (dict(presets=("benign", "nope")), "unknown preset"),
-        (dict(procs_workers=0), "procs workers"),
-        (dict(n_functions=3), "n_functions"),
-    ])
+    @pytest.mark.parametrize("kw,msg", _INVALID)
     def test_validate_rejects(self, kw, msg):
         with pytest.raises(CorpusError, match=msg):
-            _config(**kw).validate()
+            _config(**kw)
 
     def test_header_round_trips(self):
         cfg = _config(presets=("benign", "jt-overapprox"))
         assert CorpusConfig.from_header(cfg.header()) == cfg
+
+    @pytest.mark.parametrize("kw,msg", _INVALID)
+    def test_from_header_validates(self, kw, msg):
+        """A journal header on disk is refused like a fresh config."""
+        header = json.loads(json.dumps({**_config().header(), **kw}))
+        with pytest.raises(CorpusError, match=msg):
+            CorpusConfig.from_header(header)
 
     def test_from_header_missing_field_is_fatal(self):
         header = _config().header()

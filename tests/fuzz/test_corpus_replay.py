@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import parse_binary
 from repro.fuzz.oracle import signature_digest
-from repro.fuzz.specio import CASE_SCHEMA, load_case
+from repro.fuzz.specio import CASE_SCHEMA, load_case, spec_to_json
 from repro.runtime import (
     ProcsRuntime,
     SerialRuntime,
@@ -62,6 +62,12 @@ class TestCorpusReplay:
         assert spec.functions
         digest = case["expect"]["signature_sha256"]
         assert len(digest) == 64 and int(digest, 16) >= 0
+
+    def test_stored_spec_is_what_the_encoder_writes(self, path):
+        """Pins the encoder's bytes: re-encoding the loaded spec gives
+        back the stored document, field for field."""
+        spec, case = load_case(path)
+        assert spec_to_json(spec) == case["spec"]
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS), ids=str)
     def test_replays_byte_for_byte(self, path, backend):

@@ -140,7 +140,7 @@ class TestProcsRuntime:
         assert [d.payload for d in deltas] == [None] * 3
         assert rt.metrics.counter("procs.shards") == 3
         # Every shard parsed at least its own seeds into functions.
-        assert (rt.metrics.counter("procs.shard_functions")
+        assert (rt.metrics.counter("procs.merge.functions")
                 >= n_entries)
 
     def test_worker_metrics_merged_under_prefix(self):
