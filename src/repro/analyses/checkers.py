@@ -5,13 +5,11 @@ Each checker is a small bottom-up interprocedural analysis driven by
 (what a caller needs to know about a callee) and raw findings; the
 scheduler keeps the findings of the round in which the summaries
 stopped changing.  A function reaches a checker as a :class:`FuncPlan`
-— compiled once per unit — and a block as the *effect*
+— compiled once per run — and a block as the *effect*
 :meth:`Checker.compile_block` distilled from its instructions, so a
-fixpoint visit costs O(1)–O(calls), not O(instructions).  Summaries form
-a join-semilattice with a commutative, associative, idempotent
-:meth:`Checker.join`, so the fixpoint — and therefore the findings —
-is independent of evaluation schedule: the property the differential
-battery pins byte-for-byte across backends.
+fixpoint visit costs O(1)–O(calls), not O(instructions).  A checker
+keeps no state between calls, so one instance serves every SCC of a
+run, on any thread.
 
 The synthetic ABI the checkers assume (documented in
 ``docs/ANALYSES.md``):
@@ -68,11 +66,11 @@ _FP_BIT = 1 << Reg.FP
 class FuncPlan:
     """One function compiled for the checkers (schedule-independent).
 
-    Everything that is constant per function is worked out once:
-    ``interproc.snapshot_function`` builds the structure straight from
-    the parsed graph (blocks are indices into address-sorted parallel
-    tuples, edges are index lists) with ``effects`` empty, and
-    ``analyze_unit`` adds the unit's checkers' (:meth:`with_effects`).
+    Everything that is constant per function is worked out once per
+    run: ``interproc.snapshot_function`` builds the structure straight
+    from the parsed graph (blocks are indices into address-sorted
+    parallel tuples, edges are index lists) with ``effects`` empty, and
+    ``run_checkers`` adds the run's checkers' (:meth:`with_effects`).
     """
 
     entry: int
@@ -136,10 +134,6 @@ class Checker:
 
     def unknown(self) -> Any:
         """Conservative summary for an unresolvable callee (ABI)."""
-        raise NotImplementedError
-
-    def join(self, a: Any, b: Any) -> Any:
-        """Order-independent summary join (commutative, associative)."""
         raise NotImplementedError
 
     def compile_block(self, insns: tuple[Instruction, ...]) -> Any:
@@ -216,9 +210,6 @@ class CalleeSavedChecker(Checker):
 
     def unknown(self) -> int:
         return 0  # ABI: unknown callees preserve callee-saved registers
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
 
     @staticmethod
     def _meet(a, b):
@@ -321,9 +312,6 @@ class UninitRegChecker(Checker):
 
     def unknown(self) -> int:
         return _R0_BIT  # ABI: an unknown callee defines its return value
-
-    def join(self, a: int, b: int) -> int:
-        return a & b
 
     def compile_block(self, insns):
         calls: list[tuple[int, int | None]] = []
@@ -444,9 +432,8 @@ class StackBalanceChecker(Checker):
         anchored, delta, calls = effect
         if anchored:
             h = 0
-        # Equality, not identity: callee summaries may have crossed a
-        # process boundary, so the TOP sentinel can be an unpickled
-        # copy of the module constant.
+        # Equality, not identity: a summary equal to TOP need not be
+        # the module constant itself.
         if h == TOP or delta == TOP:
             return TOP
         h += delta
@@ -496,9 +483,6 @@ class JumpTableBoundsChecker(Checker):
     def unknown(self):
         return None
 
-    def join(self, a, b):
-        return None
-
     def analyze(self, plan: FuncPlan, getsumm: SummaryLookup
                 ) -> tuple[None, list[dict]]:
         member = set(plan.starts)
@@ -544,12 +528,8 @@ ALL_CHECKS: tuple[str, ...] = tuple(sorted(_CHECKER_FACTORIES))
 
 def make_checker(name: str) -> Checker:
     """Instantiate a registered checker by name."""
-    try:
-        return _CHECKER_FACTORIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown check {name!r}; choose from "
-            f"{', '.join(ALL_CHECKS)}") from None
+    name, = resolve_checks((name,))  # ValueError names the choices
+    return _CHECKER_FACTORIES[name]()
 
 
 def resolve_checks(spec: str | list[str] | tuple[str, ...] | None
@@ -559,6 +539,9 @@ def resolve_checks(spec: str | list[str] | tuple[str, ...] | None
         return ALL_CHECKS
     names = ([s.strip() for s in spec.split(",") if s.strip()]
              if isinstance(spec, str) else list(spec))
+    if not names:
+        raise ValueError(f"no check selected; choose from "
+                         f"{', '.join(ALL_CHECKS)}")
     for n in names:
         if n not in _CHECKER_FACTORIES:
             raise ValueError(

@@ -7,21 +7,20 @@ The driver behind ``repro analyze``.  Given a parsed (read-only) CFG it
 2. walks the condensation bottom-up in *waves* — every callee SCC is
    finished before any of its callers starts — running the registered
    checkers (:mod:`repro.analyses.checkers`) over each SCC;
-3. inside an SCC, compiles each member once into a plan and iterates
-   the members' summaries to a fixpoint (finite join-semilattices;
-   cycles converge); the findings are those of the round that changed
-   no summary.
+3. inside an SCC, iterates the members' summaries to a fixpoint
+   (finite join-semilattices; cycles converge) over plans compiled
+   once per run; the findings are those of the round that changed no
+   summary.
 
 SCCs within one wave are mutually independent, so a runtime fans them
 out with ``rt.parallel_for`` — the paper's Listing 7: a dynamic
 parallel loop over the read-only CFG, nothing copied — and no runtime
-means a plain loop.  Either way each SCC is a self-contained
-:class:`SCCUnit` analyzed by the pure top-level function
-:func:`analyze_unit`, so the result is schedule-independent by
-construction and the findings sidecar is byte-identical across
-backends and worker counts (the differential battery pins this).
-``ProcsRuntime`` shards the *parse*; its checkers run here, on the
-coordinator, where the CFG is.
+means a plain loop.  Either way :func:`analyze_unit` analyzes each SCC
+against the run's one summary table, which holds only earlier waves
+and is written only between waves, in wave order: the findings
+sidecar is byte-identical across backends and worker counts by
+construction (the differential battery pins this).  ``ProcsRuntime``
+shards the *parse*; its checkers run here, where the CFG is.
 
 Work charged to the runtime uses the liveness cost model, so the vtime
 backend produces meaningful utilization traces for analysis runs too.
@@ -33,31 +32,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analyses.callgraph import build_call_graph, condensation_waves
-from repro.analyses.checkers import FuncPlan, make_checker, resolve_checks
+from repro.analyses.checkers import (Checker, FuncPlan, make_checker,
+                                     resolve_checks)
 from repro.analyses.common import INTRA_EDGES
 from repro.analyses.findings import finding, sort_findings
-from repro.core.cfg import (
-    EdgeType,
-    Function,
-    JumpTableInfo,
-    ParsedCFG,
-)
-
-
-@dataclass
-class SCCUnit:
-    """One SCC of the call graph, ready to analyze anywhere.
-
-    Self-contained and picklable: the members' effect-free plans, the
-    checks to run, and the summaries of every external callee the SCC
-    references.  Targets missing from ``external`` resolve to the
-    checker's conservative ``unknown()`` summary.
-    """
-
-    index: int
-    funcs: tuple[FuncPlan, ...]
-    checks: tuple[str, ...]
-    external: dict[str, dict[int, Any]]
+from repro.core.cfg import EdgeType, Function, JumpTableInfo, ParsedCFG
 
 
 def snapshot_function(func: Function, entry_set: set[int],
@@ -108,41 +87,37 @@ def snapshot_function(func: Function, entry_set: set[int],
         exits=tuple(exits), jump_tables=tuple(tables), effects={})
 
 
-def analyze_unit(unit: SCCUnit) -> dict:
-    """Analyze one SCC to summary fixpoint; pure and deterministic.
+def analyze_unit(plans: list[FuncPlan], checkers: list[Checker],
+                 summaries: dict[str, dict[int, Any]]) -> dict:
+    """Analyze one SCC to summary fixpoint; deterministic.
 
-    Both dispatch paths — inline and ``rt.parallel_for`` task — call
-    exactly this function, which is what makes the findings
-    independent of backend and schedule.  Returns
-    ``{"index", "summaries", "findings", "rounds", "capped"}``;
-    findings carry function attribution but not yet the binary name.
+    ``plans`` are the members' plans with the checkers' block effects;
+    ``summaries`` is the run's table, per check, of the SCCs of earlier
+    waves — read, never written.  A lookup resolves a member to its
+    current summary, an entry of an earlier wave to its final one,
+    anything else to the checker's ``unknown()``.  Returns
+    ``{"summaries", "findings", "rounds", "capped"}``; findings carry
+    function attribution but not yet the binary name.
 
-    Each member's plan gets its block effects for the unit's checkers
-    once (:meth:`FuncPlan.with_effects`), here, on whichever worker
-    got the unit; a round analyzes every member with every checker
-    against the current summaries.  Findings are those of the round
-    in which no summary changed: every ``analyze`` of that round saw
-    the final summaries, so it *is* the reporting pass.  Only a unit
-    that hits the round cap (``capped``) gets a separate one, against
-    the summaries the cap left.
+    A round analyzes every member with every checker against the
+    current summaries.  Findings are those of the round in which no
+    summary changed: every ``analyze`` of that round saw the final
+    summaries, so it *is* the reporting pass.  Only a unit that hits
+    the round cap (``capped``) gets a separate one, against the
+    summaries the cap left.
     """
-    checkers = [make_checker(n) for n in unit.checks]
-    plans = {p.entry: p.with_effects(checkers) for p in unit.funcs}
-    entries = sorted(plans)
+    members = {p.entry: p for p in plans}
+    entries = sorted(members)
     local: dict[str, dict[int, Any]] = {
         c.name: {e: c.bottom() for e in entries} for c in checkers}
 
     def lookup(checker, loc):
-        ext = unit.external.get(checker.name, {})
+        done = summaries[checker.name]
 
         def getsumm(target: int | None):
-            if target is None:
-                return checker.unknown()
             if target in loc:
                 return loc[target]
-            if target in ext:
-                return ext[target]
-            return checker.unknown()
+            return done[target] if target in done else checker.unknown()
         return getsumm
 
     def sweep(commit: bool) -> tuple[bool, list[dict]]:
@@ -154,12 +129,12 @@ def analyze_unit(unit: SCCUnit) -> dict:
             loc = local[c.name]
             getsumm = lookup(c, loc)
             for e in entries:
-                new, raw = c.analyze(plans[e], getsumm)
+                new, raw = c.analyze(members[e], getsumm)
                 if commit and new != loc[e]:
                     loc[e] = new
                     changed = True
                 for f in raw:
-                    findings.append({**f, "function": plans[e].name})
+                    findings.append({**f, "function": members[e].name})
         return changed, findings
 
     # Finite lattices converge; the cap is a deterministic safety valve.
@@ -171,8 +146,8 @@ def analyze_unit(unit: SCCUnit) -> dict:
         changed, findings = sweep(commit=True)
     if changed:
         _, findings = sweep(commit=False)
-    return {"index": unit.index, "summaries": local,
-            "findings": findings, "rounds": rounds, "capped": changed}
+    return {"summaries": local, "findings": findings, "rounds": rounds,
+            "capped": changed}
 
 
 @dataclass
@@ -184,8 +159,8 @@ class AnalysisResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-def _unit_cost(unit: SCCUnit) -> int:
-    return sum(len(body) for p in unit.funcs for body in p.insns)
+def _unit_cost(plans: list[FuncPlan]) -> int:
+    return sum(len(body) for p in plans for body in p.insns)
 
 
 def run_checkers(cfg: ParsedCFG, checks: Any = "all",
@@ -199,6 +174,7 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
     ``None`` runs inline — same :func:`analyze_unit`, same bytes.
     """
     names = resolve_checks(checks)
+    checkers = [make_checker(n) for n in names]
     graph = build_call_graph(cfg)
     sccs, waves = condensation_waves(graph)
     jt_by_block: dict[int, list[JumpTableInfo]] = {}
@@ -206,7 +182,7 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
         jt_by_block.setdefault(jt.block_start, []).append(jt)
     entry_set = set(graph.entries)
     plans = {f.addr: snapshot_function(f, entry_set, jt_by_block)
-             for f in cfg.functions()}
+             .with_effects(checkers) for f in cfg.functions()}
 
     summaries: dict[str, dict[int, Any]] = {n: {} for n in names}
     findings: list[dict] = []
@@ -220,55 +196,39 @@ def run_checkers(cfg: ParsedCFG, checks: Any = "all",
         "capped_units": 0,
     }
 
-    def build_wave(wave: list[int]) -> list[SCCUnit]:
-        out = []
-        for i in wave:
-            members = sccs[i]
-            need: set[int] = set()
-            for e in members:
-                need.update(graph.callees.get(e, ()))
-            need -= set(members)
-            external = {
-                n: {t: summaries[n][t] for t in sorted(need)
-                    if t in summaries[n]}
-                for n in names}
-            out.append(SCCUnit(index=i,
-                               funcs=tuple(plans[e] for e in members),
-                               checks=names, external=external))
-        return out
+    def absorb(res: dict) -> None:
+        stats["rounds"] += res["rounds"]
+        stats["capped_units"] += res["capped"]
+        for n in names:
+            summaries[n].update(res["summaries"][n])
+        for f in res["findings"]:
+            findings.append(finding(
+                f["rule"], f["detail"], binary=binary,
+                function=f.get("function"), address=f.get("address")))
 
-    def absorb(results: list[dict]) -> None:
-        for res in sorted(results, key=lambda r: r["index"]):
-            stats["rounds"] += res["rounds"]
-            stats["capped_units"] += res["capped"]
-            for n in names:
-                summaries[n].update(res["summaries"][n])
-            for f in res["findings"]:
-                findings.append(finding(
-                    f["rule"], f["detail"], binary=binary,
-                    function=f.get("function"),
-                    address=f.get("address")))
-
-    def drain(wave_units: list[SCCUnit]) -> list[dict]:
+    def drain(units: list[list[FuncPlan]]) -> list[dict]:
         if rt is None:
-            return [analyze_unit(u) for u in wave_units]
-        results: dict[int, dict] = {}
+            return [analyze_unit(u, checkers, summaries) for u in units]
+        results: list[dict] = [{}] * len(units)
         lock = rt.make_lock()
 
-        def work(u: SCCUnit) -> None:
-            rt.charge(rt.cost.liveness_per_insn * len(u.checks)
-                      * max(1, _unit_cost(u)))
-            res = analyze_unit(u)
+        def work(k: int) -> None:
+            rt.charge(rt.cost.liveness_per_insn * len(checkers)
+                      * max(1, _unit_cost(units[k])))
+            res = analyze_unit(units[k], checkers, summaries)
             with lock:
-                results[res["index"]] = res
-        rt.parallel_for(wave_units, work, sort_key=_unit_cost,
+                results[k] = res
+        rt.parallel_for(range(len(units)), work,
+                        sort_key=lambda k: _unit_cost(units[k]),
                         reverse=True)
-        return [results[u.index] for u in wave_units]
+        return results
 
     def run_waves() -> None:
+        # The table takes a wave's results after the wave, in wave
+        # order: no SCC reads a summary of its own wave.
         for wave in waves:
-            drained = drain(build_wave(wave))
-            absorb(drained)
+            for res in drain([[plans[e] for e in sccs[i]] for i in wave]):
+                absorb(res)
 
     def main() -> None:
         with rt.phase("interproc"):

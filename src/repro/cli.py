@@ -99,7 +99,7 @@ def _add_runtime_args(p: argparse.ArgumentParser, scale: bool = True
                        help="workload scale factor for presets")
     p.add_argument("--no-metrics", action="store_true",
                    help="opt out of structured metrics collection")
-    p.add_argument("--shard-deadline", type=float, default=None,
+    p.add_argument("--shard-deadline", type=deadline_seconds, default=None,
                    metavar="SECONDS",
                    help="procs only: per-shard deadline for one pool "
                         "attempt (0 disables the deadline)")
@@ -125,6 +125,11 @@ def scale_factor(text: str) -> float:
     if not 0 < x < math.inf:  # NaN fails both comparisons
         raise ValueError(text)
     return x
+
+
+def deadline_seconds(text: str) -> float:
+    """0 (no deadline), or finite and above 0 like a scale factor."""
+    return 0.0 if float(text) == 0 else scale_factor(text)
 
 
 def comma_separated_ints(text: str) -> list[int]:
@@ -156,8 +161,7 @@ def _make_rt(args, **kw):
     kw.setdefault("enable_metrics", not getattr(args, "no_metrics", False))
     if args.runtime == "procs":
         if getattr(args, "shard_deadline", None) is not None:
-            # 0 disables the deadline; a negative one is the
-            # runtime's config error.
+            # 0 disables the deadline.
             kw.setdefault("shard_deadline", args.shard_deadline or None)
         if getattr(args, "fault_plan", None) is not None:
             from repro.runtime.faults import FaultPlan
@@ -455,13 +459,14 @@ def cmd_analyze(args) -> int:
     if args.scale is None:
         args.scale = 0.1
     if args.corpus is not None:
-        from repro.synth.hostile import HOSTILE_PRESETS, hostile_binary
+        from repro.corpus import corpus_program
+        from repro.synth import synthesize
+        from repro.synth.hostile import HOSTILE_PRESETS
 
         presets = tuple(args.presets) if args.presets else HOSTILE_PRESETS
         seed = args.seed or 0
-        binaries = [
-            hostile_binary(presets[i % len(presets)], seed=seed + i,
-                           n_functions=args.n_functions).binary
+        binaries = [synthesize(corpus_program(
+            i, seed, presets, args.n_functions)).binary
             for i in range(args.corpus)]
         subject = {"corpus": {"count": args.corpus, "seed": seed,
                               "presets": list(presets),

@@ -117,6 +117,7 @@ observable via the ``procs.*`` metrics (catalog:
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
 import os
 import threading
@@ -406,8 +407,10 @@ class ProcsRuntime(SerialRuntime):
                  fault_plan: FaultPlan | None = None):
         if n_workers < 1:
             raise RuntimeConfigError("need at least one worker")
-        if shard_deadline is not None and shard_deadline <= 0:
-            raise RuntimeConfigError("shard_deadline must be positive")
+        if shard_deadline is not None and not 0 < shard_deadline < math.inf:
+            raise RuntimeConfigError(
+                f"shard_deadline must be a finite number of seconds above "
+                f"0 (got {shard_deadline!r})")
         super().__init__(enable_metrics=enable_metrics)
         self.num_workers = n_workers
         #: run shards inline in the coordinator process (test/debug
@@ -419,27 +422,30 @@ class ProcsRuntime(SerialRuntime):
         self._elapsed: float | None = None
         #: deltas of the last sharded parse (observability/tests).
         self.shard_deltas: list[ShardDelta] | None = None
-        #: structured record of every fault observed by the last run's
+        #: structured record of every fault observed by the run's
         #: parses, one per failure (exported in the run report's
         #: ``fault_events`` section; see docs/ROBUSTNESS.md for the
         #: event kinds).
         self.fault_events: list[dict] = []
-        #: degradation level of the last run plus the ordered step log
-        #: ({"level": ..., "steps": [...]}).
-        self.degradation: dict = {"level": "none", "steps": []}
 
     # -- Runtime API ---------------------------------------------------------
 
     def run(self, fn, *args):
         if self._ran:  # refused (single-use): the last run's record stands
             return super().run(fn, *args)
-        self.fault_events = []
-        self.degradation = {"level": "none", "steps": []}
         t0 = time.perf_counter()
         try:
             return super().run(fn, *args)
         finally:
             self._elapsed = time.perf_counter() - t0
+
+    @property
+    def degradation(self) -> dict:
+        """How far down the ladder the run went, from ``fault_events``."""
+        none, serial = DEGRADATION_LEVELS
+        steps = [f"{serial}: {ev['reason']}" for ev in self.fault_events
+                 if ev["action"] == serial]
+        return {"level": serial if steps else none, "steps": steps}
 
     @property
     def makespan(self) -> float:
@@ -458,11 +464,10 @@ class ProcsRuntime(SerialRuntime):
 
     def _degrade(self, kind: str, shard: int | None, attempt: int,
                  reason: str) -> None:
-        """Record the fault that sends the parse to the serial rung,
-        and the step."""
-        self._record_fault(kind, shard, attempt, "serial", reason)
-        level = self.degradation["level"] = DEGRADATION_LEVELS[-1]
-        self.degradation["steps"].append(f"{level}: {reason}")
+        """Record the fault that sends the parse to the serial rung;
+        :attr:`degradation` reads the step back from it."""
+        level = DEGRADATION_LEVELS[-1]
+        self._record_fault(kind, shard, attempt, level, reason)
         self.metrics.inc(f"procs.degraded_to.{level}")
 
     def _collect(self, delta: ShardDelta | None) -> str | None:

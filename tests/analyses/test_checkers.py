@@ -292,6 +292,13 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown check"):
             resolve_checks("callee-saved,bogus")
 
+    @pytest.mark.parametrize("spec", ["", ",", " , ", ()])
+    def test_resolve_checks_rejects_an_empty_selection(self, spec):
+        from repro.analyses.checkers import resolve_checks
+
+        with pytest.raises(ValueError, match="no check selected"):
+            resolve_checks(spec)
+
     def test_single_check_runs_alone(self):
         def build(a):
             a.label("dirty")

@@ -1,14 +1,15 @@
-"""Interprocedural scheduler: units, fixpoint, backends, metrics."""
+"""Interprocedural scheduler: plans, fixpoint, backends, metrics."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 from dataclasses import dataclass, fields
 
 import pytest
 
 from repro.analyses import checkers, interproc
-from repro.analyses.callgraph import build_call_graph
+from repro.analyses.callgraph import build_call_graph, condensation_waves
 from repro.analyses.checkers import (
     ALL_CHECKS,
     Checker,
@@ -18,7 +19,6 @@ from repro.analyses.checkers import (
 from repro.analyses.common import INTRA_EDGES
 from repro.analyses.findings import canonical_bytes, findings_document
 from repro.analyses.interproc import (
-    SCCUnit,
     analyze_unit,
     run_checkers,
     snapshot_function,
@@ -164,16 +164,28 @@ class TestUnits:
         assert plan.starts[plan.at_entry.index(True)] == func.addr
 
     def test_analyze_unit_is_pure(self, tiny_cfg):
-        func = next(iter(tiny_cfg.functions()))
-        fu = snapshot_function(func, {f.addr for f in
-                                      tiny_cfg.functions()}, {})
-        unit = SCCUnit(index=0, funcs=(fu,),
-                       checks=("stack-balance", "uninit-reg"),
-                       external={})
-        a = analyze_unit(unit)
-        b = analyze_unit(pickle.loads(pickle.dumps(unit)))
+        """Same inputs, same result, and the run's table is only read."""
+        checks = ("stack-balance", "uninit-reg")
+        table = run_checkers(tiny_cfg, checks).summaries
+        graph = build_call_graph(tiny_cfg)
+        sccs, _ = condensation_waves(graph)
+        singletons = [scc[0] for scc in sccs if len(scc) == 1]
+        entry = max(singletons, key=lambda e: len(graph.callees.get(e, ())))
+        assert graph.callees.get(entry)  # it reads callee summaries
+        func = next(f for f in tiny_cfg.functions() if f.addr == entry)
+        cs = [make_checker(n) for n in checks]
+        plan = snapshot_function(func, *_snapshot_args(tiny_cfg)) \
+            .with_effects(cs)
+        before = copy.deepcopy(table)
+        a = analyze_unit([plan], cs, table)
+        b = analyze_unit([plan], cs, table)
         assert a == b
         assert a["rounds"] >= 1
+        assert a["summaries"] == {n: {entry: table[n][entry]}
+                                  for n in checks}
+        assert table == before
+        assert [list(per) for per in table.values()] \
+            == [list(per) for per in before.values()]
 
 
 def _recursive_program(a):
@@ -227,14 +239,14 @@ def _recursive_program(a):
 
 @pytest.fixture
 def unit_log(monkeypatch):
-    """Every (unit, result) pair ``run_checkers`` hands to / gets from
-    ``analyze_unit`` while the fixture is live."""
+    """Every (member entries, result) pair of the ``analyze_unit``
+    calls ``run_checkers`` makes while the fixture is live."""
     log = []
     real = interproc.analyze_unit
 
-    def recording(unit):
-        result = real(unit)
-        log.append((unit, result))
+    def recording(plans, checkers, summaries):
+        result = real(plans, checkers, summaries)
+        log.append((tuple(p.entry for p in plans), result))
         return result
 
     monkeypatch.setattr(interproc, "analyze_unit", recording)
@@ -262,9 +274,6 @@ class _FlipChecker(Checker):
     def unknown(self):
         return 0
 
-    def join(self, a, b):
-        return a | b
-
     def analyze(self, plan, getsumm):
         if not any(insn.opcode is Opcode.CALL
                    and insn.direct_target == plan.entry
@@ -273,6 +282,31 @@ class _FlipChecker(Checker):
         seen = getsumm(plan.entry)
         return 1 - seen, [{"rule": self.name, "address": plan.entry,
                            "detail": f"looked up {seen}"}]
+
+
+class _ProbeChecker(Checker):
+    """Records every summary lookup.  A function's summary is its own
+    entry, so the answer to a lookup names whose summary was read."""
+
+    name = "probe"
+
+    def __init__(self):
+        self.lookups = []  # (caller entry, target, answer)
+
+    def bottom(self):
+        return None
+
+    def unknown(self):
+        return "unknown"
+
+    def analyze(self, plan, getsumm):
+        targets = [insn.direct_target for body in plan.insns
+                   for insn in body
+                   if insn.opcode in (Opcode.CALL, Opcode.ICALL)]
+        targets += [t for _, kind, _, t in plan.exits if kind == "tailcall"]
+        for t in targets:
+            self.lookups.append((plan.entry, t, getsumm(t)))
+        return plan.entry, []
 
 
 class TestFixpointRounds:
@@ -291,15 +325,18 @@ class TestFixpointRounds:
             self, recursive_cfg, unit_log):
         res = run_checkers(recursive_cfg, "all", binary="rec.bin")
         assert res.stats["capped_units"] == 0
+        funcs = {f.addr: f for f in recursive_cfg.functions()}
+        cs = [make_checker(n) for n in ALL_CHECKS]
         by_members = {}
-        for unit, result in unit_log:
-            by_members[tuple(f.name for f in unit.funcs)] = result
-            cs = [make_checker(n) for n in unit.checks]
-            plans = {p.entry: p.with_effects(cs) for p in unit.funcs}
+        for entries, result in unit_log:
+            by_members[tuple(funcs[e].name for e in entries)] = result
+            plans = {e: snapshot_function(funcs[e], set(funcs), {})
+                     .with_effects(cs) for e in entries}
             scratch = []
             for c in cs:
-                final = {**unit.external.get(c.name, {}),
-                         **result["summaries"][c.name]}
+                final = res.summaries[c.name]
+                assert result["summaries"][c.name] == {
+                    e: final[e] for e in entries}
                 for e in sorted(plans):
                     summary, raw = c.analyze(
                         plans[e], lambda t, c=c, final=final:
@@ -324,16 +361,65 @@ class TestFixpointRounds:
         """Its first round reads its own bottom summary, so that round
         must never be taken for the converged one."""
         run_checkers(recursive_cfg, "all")
-        (unit, result), = [(u, r) for u, r in unit_log
-                           if [f.name for f in u.funcs] == ["S"]]
-        entry = unit.funcs[0].entry
+        s = next(f for f in recursive_cfg.functions() if f.name == "S")
+        (_, result), = [(e, r) for e, r in unit_log if e == (s.addr,)]
         assert any(insn.opcode is Opcode.CALL
-                   and insn.direct_target == entry
-                   for body in unit.funcs[0].insns for insn in body)
+                   and insn.direct_target == s.addr
+                   for b in s.blocks for insn in b.insns)
         assert result["rounds"] >= 2 and not result["capped"]
         # bottom (all defined) would have hidden S's undefined R5.
-        assert result["summaries"]["uninit-reg"][entry] \
+        assert result["summaries"]["uninit-reg"][s.addr] \
             != make_checker("uninit-reg").bottom()
+
+    @pytest.mark.parametrize("backend", [None, "threads"])
+    def test_a_lookup_reads_a_member_an_earlier_wave_or_unknown(
+            self, recursive_cfg, monkeypatch, backend):
+        """The invariant the run's one summary table rests on: a lookup
+        names a member of the SCC (its current summary), a callee SCC
+        of an earlier wave (its final summary), or a non-entry (the
+        checker's ``unknown()``) — never a summary of its own wave."""
+        probe = _ProbeChecker()
+        monkeypatch.setitem(checkers._CHECKER_FACTORIES, "probe",
+                            lambda: probe)
+        from tests.core.test_parallel_parser import make_binary
+
+        def indirect(a):
+            a.label("U")
+            a.insn(Opcode.ICALL, Reg.R1)
+            a.call(L("V"))
+            a.ret()
+            a.label("V")
+            a.ret()
+
+        cfgs = [recursive_cfg, parse_binary(
+            make_binary(indirect, {"U": "U", "V": "V"})[0], SerialRuntime())]
+        cfgs.append(parse_binary(hostile_binary(
+            "hostile-all", seed=9, n_functions=40).binary, SerialRuntime()))
+        seen = set()
+        for cfg in cfgs:
+            probe.lookups.clear()
+            rt = None if backend is None else ThreadRuntime(4)
+            run_checkers(cfg, ("probe",), rt=rt)
+            graph = build_call_graph(cfg)
+            sccs, waves = condensation_waves(graph)
+            scc_of = {e: i for i, scc in enumerate(sccs) for e in scc}
+            wave_of = {i: w for w, wave in enumerate(waves) for i in wave}
+            assert probe.lookups
+            for caller, target, got in probe.lookups:
+                if target not in scc_of:
+                    kind = "unknown"
+                    assert got == "unknown", (caller, target)
+                elif scc_of[target] == scc_of[caller]:
+                    kind = "member"
+                    assert got in (None, target), (caller, target)
+                else:
+                    kind = "earlier wave"
+                    assert target in graph.callees[caller]
+                    assert wave_of[scc_of[target]] \
+                        < wave_of[scc_of[caller]], (caller, target)
+                    assert got == target, (caller, target)
+                seen.add(kind)
+        assert seen == {"unknown", "member", "earlier wave"}
 
     def test_procs_runtime_equals_inline(self, recursive_cfg):
         _assert_real_procs_runtime_equals_inline(recursive_cfg)
@@ -346,14 +432,17 @@ class TestFixpointRounds:
         res = run_checkers(recursive_cfg, ("flip",), rt=rt)
         assert res.stats["capped_units"] == 1
         assert rt.metrics.counter("analysis.capped_units") == 1
-        (unit, result), = [(u, r) for u, r in unit_log if r["capped"]]
-        assert [f.name for f in unit.funcs] == ["S"]
+        (entries, result), = [(e, r) for e, r in unit_log if r["capped"]]
+        s = next(f for f in recursive_cfg.functions() if f.name == "S")
+        assert entries == (s.addr,)
         assert result["rounds"] == 4 * 1 + 16
         # The fallback reporting pass reads the summaries the cap left
         # and does not move them: an even number of flips is back at 0.
-        assert result["summaries"]["flip"] == {unit.funcs[0].entry: 0}
+        assert result["summaries"]["flip"] == {s.addr: 0}
         assert [f["detail"] for f in result["findings"]] == ["looked up 0"]
-        assert analyze_unit(pickle.loads(pickle.dumps(unit))) == result
+        flip = [_FlipChecker()]
+        plan = snapshot_function(s, {s.addr}, {}).with_effects(flip)
+        assert analyze_unit([plan], flip, {"flip": {}}) == result
         again = run_checkers(recursive_cfg, ("flip",))
         assert again.findings == res.findings
         assert again.stats["capped_units"] == 1

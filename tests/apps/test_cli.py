@@ -186,6 +186,11 @@ class TestCli:
         "synth llnl2 --scale -5",
         "synth llnl2 --scale 0",
         "trace tiny --scale inf",
+        # An empty check list would analyze the binary for nothing.
+        "analyze tiny --checks ,",
+        # --shard-deadline is a finite number of seconds, 0 = none.
+        "parse tiny --backend procs -j 2 --shard-deadline inf",
+        "parse tiny --backend procs -j 2 --shard-deadline nan",
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, capsys, tmp_path,
                                                     argv):
@@ -262,8 +267,10 @@ class TestCliAnalyze:
 
     def test_analyze_corpus_is_backend_independent(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
+        # 12, not 10: nine of a hostile program's functions are fixed
+        # shapes, so ten leave one function that may hold a switch.
         args = ["analyze", "--corpus", "3", "--seed", "11",
-                "--n-functions", "10", "--preset", "jt-overapprox"]
+                "--n-functions", "12", "--preset", "jt-overapprox"]
         rc, _ = run_cli(capsys, *args, "--runtime", "serial",
                         "--json", str(a))
         assert rc == 0
@@ -273,6 +280,35 @@ class TestCliAnalyze:
         assert a.read_bytes() == b.read_bytes()
         assert out["findings"] > 0  # jt-overapprox is a true positive
         assert out["by_rule"].get("jt-bounds", 0) > 0
+
+    def test_analyze_corpus_seeds_share_no_binary(self, capsys,
+                                                   monkeypatch):
+        """Binary i of ``--corpus`` is ``corpus_program(i, seed, ...)``:
+        a seed split, so neighbouring seeds are unrelated corpora.  The
+        arithmetic ``seed + i`` made --seed 11 and --seed 12 share two
+        of three binaries."""
+        import hashlib
+
+        import repro.cli
+
+        analyzed = []
+        real = repro.cli.parse_binary
+
+        def recording(binary, rt, *args):
+            analyzed.append(hashlib.sha256(
+                binary.image.to_bytes()).hexdigest())
+            return real(binary, rt, *args)
+
+        monkeypatch.setattr(repro.cli, "parse_binary", recording)
+        corpora = []
+        for seed in ("11", "12"):
+            analyzed.clear()
+            rc, _ = run_cli(capsys, "analyze", "--corpus", "3", "--seed",
+                            seed, "--n-functions", "10", "--preset",
+                            "jt-overapprox", "--runtime", "serial")
+            assert rc == 0 and len(set(analyzed)) == 3
+            corpora.append(set(analyzed))
+        assert not corpora[0] & corpora[1]
 
     def test_analyze_check_subset(self, capsys):
         rc, out = run_cli(capsys, "analyze", "tiny", "--runtime", "serial",

@@ -1,5 +1,6 @@
 """Unit tests for the process-pool backend (sharding, merge, fallback)."""
 
+import math
 import os
 
 import pytest
@@ -97,6 +98,14 @@ class TestProcsRuntime:
     def test_rejects_zero_workers(self):
         with pytest.raises(RuntimeConfigError):
             ProcsRuntime(0)
+
+    @pytest.mark.parametrize("deadline", [0, -1, math.inf, math.nan])
+    def test_rejects_a_deadline_that_is_not_finite_and_positive(
+            self, deadline):
+        """``inf`` overflowed every pool attempt's timeout and ``nan``
+        timed each one out at once: both fell to serial, silently."""
+        with pytest.raises(RuntimeConfigError, match="shard_deadline"):
+            ProcsRuntime(2, shard_deadline=deadline)
 
     def test_makespan_requires_run(self):
         rt = ProcsRuntime(2)
