@@ -49,7 +49,6 @@ from repro.errors import (
     SynthesisError,
 )
 from repro.runtime import make_runtime
-from repro.runtime.tracefmt import WALL_CLOCK_BACKENDS
 from repro.schema import (
     BACKENDS,
     CORPUS_BACKENDS,
@@ -170,13 +169,6 @@ def _make_rt(args, **kw):
     return make_runtime(args.runtime, n, **kw)
 
 
-def _makespan_field(args, rt) -> tuple[str, int | float]:
-    """(key, value) for the makespan: wall-clock backends report seconds."""
-    if args.runtime in WALL_CLOCK_BACKENDS:
-        return "makespan_seconds", rt.makespan
-    return "makespan_cycles", rt.makespan
-
-
 def cmd_synth(args) -> int:
     binary, sb = _load_workload(args.workload, args.scale)
     img = binary.image
@@ -219,8 +211,7 @@ def cmd_parse(args) -> int:
         },
         "tailcall_flips": s.n_tailcall_flips,
     }
-    key, value = _makespan_field(args, rt)
-    out[key] = value
+    out[f"makespan_{rt.time_unit}"] = rt.makespan
     if args.runtime == "procs" and rt.metrics.enabled:
         # The coordinator's procs.* counters, under their catalog names
         # (docs/OBSERVABILITY.md; a counter never incremented is absent).
@@ -239,14 +230,15 @@ def cmd_hpcstruct(args) -> int:
     binary, _ = _load_workload(args.workload, args.scale)
     rt = _make_rt(args)
     res = hpcstruct(binary, rt)
+    unit = rt.time_unit
     out = {
         "binary": binary.name,
         "workers": rt.num_workers,
         "functions": len(res.structure),
-        "phases_cycles": res.phase_durations,
-        "dwarf_cycles": res.dwarf_time,
-        "cfg_cycles": res.cfg_time,
-        "makespan_cycles": res.makespan,
+        f"phases_{unit}": res.phase_durations,
+        f"dwarf_{unit}": res.dwarf_time,
+        f"cfg_{unit}": res.cfg_time,
+        f"makespan_{unit}": res.makespan,
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -264,9 +256,9 @@ def cmd_binfeat(args) -> int:
         "binaries": res.n_binaries,
         "workers": rt.num_workers,
         "functions": res.n_functions,
-        "stages_cycles": res.stage_durations,
+        f"stages_{rt.time_unit}": res.stage_durations,
         "distinct_features": len(res.feature_index),
-        "makespan_cycles": res.makespan,
+        f"makespan_{rt.time_unit}": res.makespan,
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -282,7 +274,7 @@ def cmd_sweep(args) -> int:
         parse_binary(binary, rt, ParseOptions())
         if base is None:
             base = rt.makespan
-        rows.append({"workers": n, "makespan_cycles": rt.makespan,
+        rows.append({"workers": n, f"makespan_{rt.time_unit}": rt.makespan,
                      "speedup": round(base / rt.makespan, 2)})
     print(json.dumps({"binary": binary.name, "sweep": rows}, indent=2))
     return 0
@@ -307,7 +299,7 @@ def cmd_trace(args) -> int:
 
         hpcstruct(binary, rt)
     print(f"{args.app} trace of {binary.name}: {rt.num_workers} workers, "
-          f"makespan {rt.makespan:,} cycles")
+          f"makespan {rt.makespan:,} {rt.time_unit}")
     print()
     print(render_trace(rt.trace, width=args.width))
     print()

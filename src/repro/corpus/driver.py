@@ -33,11 +33,15 @@ attempt; above it sits the corpus ladder:
 
 Determinism
 -----------
-With ``REPRO_CORPUS_FAKE_CLOCK=1`` recorded latencies become a pure
-function of ``(binary index, attempt)``, making the final report —
-already a pure function of the journal — byte-identical across
-kill/resume, which is what the chaos tests pin.  Production runs use
-real wall clock.
+Outcomes are journaled in binary-index order, not completion order: a
+finished binary's record waits until every lower index of the run has
+its outcome, so thread timing decides neither the journal's bytes nor
+which outcome a ``coordinator-kill`` counts.  With
+``REPRO_CORPUS_FAKE_CLOCK=1`` recorded latencies also become a pure
+function of ``(binary index, attempt)``, making the journal, the
+resumed summary and the final report — a pure function of the journal
+— byte-identical across kill/resume, which is what the chaos tests pin.
+Production runs use real wall clock.
 """
 
 from __future__ import annotations
@@ -211,6 +215,8 @@ class CorpusDriver:
         self._inflight: dict[tuple[int, int], dict] = {}
         self._abandoned: set[tuple[int, int]] = set()
         self._bins: dict[int, dict] = {}
+        self._unreleased: list[int] = []  # unjournaled indexes, next last
+        self._held: dict[int, tuple[dict, dict]] = {}  # outcomes waiting
         self._outcomes = 0       # per-invocation ordinal (coordinator-kill)
         self.analyzed = 0        # attempts run by *this* invocation
         self.orphans_reaped: list[str] = []
@@ -283,6 +289,7 @@ class CorpusDriver:
                    completed: dict[int, dict],
                    quarantined: dict[int, dict]) -> None:
         pending = list(reversed(pending))  # pop() from the low end
+        self._unreleased = list(pending)
         while pending or self._inflight:
             while pending and len(self._inflight) < self.config.window:
                 self._launch(pending.pop())
@@ -353,10 +360,8 @@ class CorpusDriver:
                "name": self._name(index), "preset": self._preset(index),
                "attempt": info["attempt"], "backend": info["backend"],
                **payload, "failures": self._bins[index]["failures"]}
-        completed[index] = rec
-        journal.append(rec)
         self.metrics.inc("corpus.completed")
-        self._outcome(journal)
+        self._release(rec, journal, completed)
 
     def _fail(self, info: dict, kind: str, payload: dict,
               pending: list[int], journal: Journal,
@@ -401,21 +406,27 @@ class CorpusDriver:
                "name": self._name(index), "preset": preset,
                "reason": reason, "error": error,
                "attempts": st["failures"], "path": rel}
-        quarantined[index] = rec
-        journal.append(rec)
         self.metrics.inc("corpus.quarantined")
         self.metrics.inc(f"corpus.quarantined.{reason}")
-        # A quarantine record is precious: flush immediately so resume
-        # never re-runs a known-bad binary's whole ladder.
-        self._outcome(journal)
-        journal.flush()
+        self._release(rec, journal, quarantined)
 
-    def _outcome(self, journal: Journal) -> None:
-        """Per-outcome bookkeeping, including the coordinator-kill site
-        (fires *before* the flush the batch boundary would do, so the
-        buffered records are genuinely lost — the state kill -9 leaves)."""
-        self._outcomes += 1
-        maybe_kill_coordinator(self.fault_plan, self._outcomes)
+    def _release(self, rec: dict, journal: Journal, table: dict) -> None:
+        """Hold the terminal outcome ``rec`` (bound for ``table``), then
+        journal every held outcome whose turn has come, in binary-index
+        order.  Each one passes the coordinator-kill site, which fires
+        before a quarantine's flush, so buffered records are genuinely
+        lost — the state kill -9 leaves."""
+        self._held[rec["index"]] = (rec, table)
+        while self._unreleased and self._unreleased[-1] in self._held:
+            rec, table = self._held.pop(self._unreleased.pop())
+            table[rec["index"]] = rec
+            journal.append(rec)
+            self._outcomes += 1
+            maybe_kill_coordinator(self.fault_plan, self._outcomes)
+            if rec["kind"] == "quarantined":
+                # A quarantine record is precious: flush immediately so
+                # resume never re-runs a known-bad binary's whole ladder.
+                journal.flush()
 
     # -- naming --------------------------------------------------------------
 

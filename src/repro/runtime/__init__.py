@@ -52,19 +52,13 @@ __all__ = [
 
 
 def make_runtime(kind: str, n_workers: int, **kwargs) -> Runtime:
-    """Factory: build a runtime backend by name.
-
-    ``kind`` is one of ``"vtime"``, ``"threads"``, ``"serial"``,
-    ``"procs"``.
-    """
-    if kind == "vtime":
-        return VirtualTimeRuntime(n_workers, **kwargs)
-    if kind == "threads":
-        return ThreadRuntime(n_workers, **kwargs)
-    if kind == "procs":
-        return ProcsRuntime(n_workers, **kwargs)
+    """Factory: build a runtime backend by its ``backend`` name, one of
+    ``"vtime"``, ``"threads"``, ``"serial"``, ``"procs"``."""
     if kind == "serial":
         if n_workers != 1:
             raise ValueError("serial runtime has exactly one worker")
         return SerialRuntime(**kwargs)
+    for cls in (VirtualTimeRuntime, ThreadRuntime, ProcsRuntime):
+        if cls.backend == kind:
+            return cls(n_workers, **kwargs)
     raise ValueError(f"unknown runtime kind: {kind!r}")

@@ -81,7 +81,7 @@ class TraceInterval:
 
 @dataclass(slots=True)
 class PhaseSpan:
-    """Virtual-time span of a named application phase
+    """Span of a named application phase on the runtime's clock
     (:meth:`Runtime.phase` sets ``end`` when the phase exits)."""
 
     name: str
@@ -127,25 +127,31 @@ class Trace:
 class Runtime(abc.ABC):
     """Execution backend: workers, tasks, locks, virtual or real time."""
 
+    #: Set by each backend class: its :func:`~repro.runtime.make_runtime`
+    #: name, and the unit of its one clock (:meth:`now`), which every
+    #: time it reports is in — phases, makespan, metrics, run report.
+    backend: str
+    time_unit: str
     # Subclasses set these in __init__.
     num_workers: int
     cost: Any  # CostModel
 
     #: Structured metrics registry (see :mod:`repro.runtime.metrics`).
-    #: Backends replace this with a live registry unless constructed with
-    #: ``enable_metrics=False``; recording is pure observation and never
-    #: perturbs virtual time.
+    #: Backends replace this with a live registry on their clock unless
+    #: constructed with ``enable_metrics=False``; recording is pure
+    #: observation and never perturbs virtual time.
     metrics: MetricsRegistry = NULL_METRICS
 
     # -- accounting -----------------------------------------------------------
 
     @abc.abstractmethod
     def charge(self, units: int) -> None:
-        """Account ``units`` cycles of work to the calling worker."""
+        """Account ``units`` cycles of work to the calling worker (a
+        no-op on a wall-clock runtime)."""
 
     @abc.abstractmethod
     def now(self) -> int:
-        """Current clock of the calling worker (cycles)."""
+        """The runtime's one clock (the calling worker's), in ``time_unit``."""
 
     @abc.abstractmethod
     def worker_id(self) -> int:
@@ -285,4 +291,4 @@ class Runtime(abc.ABC):
     @property
     @abc.abstractmethod
     def makespan(self) -> int:
-        """Completion time of the last ``run`` (cycles)."""
+        """The clock's reading when ``run`` ended, in :attr:`time_unit`."""

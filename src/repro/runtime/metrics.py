@@ -16,13 +16,13 @@ Design constraints:
   the final CFG, or the makespan — a vtime run with metrics on is
   bit-identical to one with metrics off (tested).
 - **Backend-relative time.**  Histogram values produced by timers and
-  park-time measurements come from the owning backend's clock: virtual
-  cycles on ``vtime``/``serial``, wall nanoseconds on ``threads``.
-  The registry's ``time_unit`` names the unit in exports.  Series that
-  are *always* wall-clock regardless of the unit say so in their name
-  (the procs backend's ``*_wall_ns`` histograms: fan-out, delta open,
-  install, frontier replay, noreturn wave and finalize) and are all
-  recorded by the one wall timer, :meth:`MetricsRegistry.wall_timer`.
+  park-time measurements come from the owning runtime's one clock:
+  virtual cycles on ``vtime``/``serial``, wall nanoseconds on
+  ``threads``/``procs``; the registry's ``time_unit`` names it.  Series
+  that are *always* wall-clock say so in their name (the procs
+  backend's ``*_wall_ns`` histograms: fan-out, delta open, install,
+  frontier replay, noreturn wave and finalize) and are all recorded by
+  the one wall timer, :meth:`MetricsRegistry.wall_timer`.
 - **Cheap opt-out.**  Construct a runtime with ``enable_metrics=False``
   and ``rt.metrics`` is the shared :data:`NULL_METRICS` no-op, so
   instrumented call sites cost one attribute read and a predictable

@@ -105,13 +105,14 @@ is the fragment installs, the frontier replay, the wave and the
 correction phase — the same split the paper's finalization phase
 makes.
 
-``makespan`` reports wall-clock seconds covering the whole ``run``
-(every fan-out and merge in it), making this the backend for
-real-parallelism columns in the benchmark harness.  Worker metrics are
-merged into the coordinator registry under a ``workers.`` prefix; the
-fan-out, merge, frontier replay and every recovery action are
-observable via the ``procs.*`` metrics (catalog:
-``docs/OBSERVABILITY.md``).
+The coordinator's one clock is the wall clock: ``now()``, its phases,
+task-queue delays, metric timings and ``makespan`` (the whole ``run``,
+every fan-out and merge in it) are wall ns, making this the backend
+for real-parallelism columns in the benchmark harness.  Shard workers
+count :class:`SerialRuntime` cycles, so only their counters merge into
+the coordinator registry, under a ``workers.`` prefix; the fan-out,
+merge, frontier replay and every recovery action are observable via
+the ``procs.*`` metrics (catalog: ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -384,8 +385,8 @@ class _NoPool(Exception):
 class ProcsRuntime(SerialRuntime):
     """Process-pool backend: parallel shard parses + serial merge.
 
-    The coordinator side is a single-worker serial scheduler (tasks,
-    locks and charges behave exactly like :class:`SerialRuntime`), so
+    The coordinator side is a single-worker serial scheduler on the wall
+    clock (tasks and locks behave exactly like :class:`SerialRuntime`), so
     any algorithm written against the Runtime API runs correctly,
     merely without in-process parallelism.  Real parallelism comes from
     :meth:`sharded_parse`, which :func:`repro.core.parallel_parser.parse`
@@ -400,6 +401,9 @@ class ProcsRuntime(SerialRuntime):
       (:class:`~repro.runtime.faults.FaultPlan`); defaults to the plan
       named by ``REPRO_FAULT_PLAN`` if set.
     """
+
+    backend = "procs"
+    time_unit = "ns"
 
     def __init__(self, n_workers: int, enable_metrics: bool = True,
                  in_process: bool = False,
@@ -419,7 +423,7 @@ class ProcsRuntime(SerialRuntime):
         self.shard_deadline = shard_deadline
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
-        self._elapsed: float | None = None
+        self._makespan: int | None = None
         #: deltas of the last sharded parse (observability/tests).
         self.shard_deltas: list[ShardDelta] | None = None
         #: structured record of every fault observed by the run's
@@ -430,14 +434,28 @@ class ProcsRuntime(SerialRuntime):
 
     # -- Runtime API ---------------------------------------------------------
 
+    @property
+    def _clock(self) -> int:
+        """The serial scheduler's one clock — its task stamps and queue
+        delays, ``now()`` and the registry's timers — read as wall ns
+        since it was last set (``run`` sets it to 0)."""
+        return time.perf_counter_ns() - self._t0
+
+    @_clock.setter
+    def _clock(self, value: int) -> None:
+        self._t0 = time.perf_counter_ns() - value
+
+    def charge(self, units: int) -> None:
+        pass
+
     def run(self, fn, *args):
         if self._ran:  # refused (single-use): the last run's record stands
             return super().run(fn, *args)
-        t0 = time.perf_counter()
+        self._clock = 0
         try:
             return super().run(fn, *args)
         finally:
-            self._elapsed = time.perf_counter() - t0
+            self._makespan = self._clock
 
     @property
     def degradation(self) -> dict:
@@ -448,11 +466,10 @@ class ProcsRuntime(SerialRuntime):
         return {"level": serial if steps else none, "steps": steps}
 
     @property
-    def makespan(self) -> float:
-        """Wall-clock seconds of the last run (incl. the shard fan-out)."""
-        if self._elapsed is None:
+    def makespan(self) -> int:
+        if self._makespan is None:
             raise RuntimeConfigError("makespan available only after run()")
-        return self._elapsed
+        return self._makespan
 
     # -- fault bookkeeping ---------------------------------------------------
 
@@ -541,7 +558,9 @@ class ProcsRuntime(SerialRuntime):
                     d.error or "delta reached the merge unopened")
             shard_insns_total += len(d.insns)
             if m.enabled and d.metrics is not None:
-                m.merge_snapshot(d.metrics, prefix="workers.")
+                # Worker timings are cycles: only the counters merge.
+                m.merge_snapshot({"counters": d.metrics["counters"]},
+                                 prefix="workers.")
             merge.accept(d.fragment, d.insns)
         if m.enabled:
             m.inc("procs.shards", len(tasks))
@@ -559,8 +578,7 @@ class ProcsRuntime(SerialRuntime):
         from repro.core.parallel_parser import ParallelParser
 
         # The failed merge may have left queued tasks behind; drop them
-        # (the clock keeps accumulating — the fallback is part of the
-        # parse).
+        # (the fallback is part of the parse, on the same clock).
         self._queue.clear()
         return ParallelParser(binary, self, opts).execute()
 

@@ -131,6 +131,9 @@ class _SerialGroup(TaskGroup):
 class SerialRuntime(Runtime):
     """One worker, one clock; see module docstring."""
 
+    backend = "serial"
+    time_unit = "cycles"
+
     def __init__(self, cost_model: CostModel | None = None,
                  enable_metrics: bool = True) -> None:
         self.num_workers = 1
@@ -141,7 +144,7 @@ class SerialRuntime(Runtime):
         # so runtime and registry form no cycle and a dropped runtime
         # (with everything it holds) is freed by reference counting.
         me = weakref.ref(self)
-        self.metrics = (MetricsRegistry("cycles", clock=lambda: me()._clock,
+        self.metrics = (MetricsRegistry(self.time_unit, lambda: me()._clock,
                                         single_writer=True)
                         if enable_metrics else NULL_METRICS)
         self._spawned = self.metrics.bind("rt.tasks_spawned")

@@ -10,8 +10,8 @@ purposes:
   provoke races);
 - wall-clock sanity for I/O-free workloads.
 
-``charge`` accounts work units per worker (no sleeping); ``makespan``
-reports elapsed wall-clock seconds of the ``run`` call.
+``now()`` is the wall clock (integer ns since ``run`` began), the unit of
+phases, ``makespan`` and metric timings; ``charge`` advances nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class _ThreadGroup(TaskGroup):
 
     def spawn(self, fn: Callable[..., Any], *args: Any) -> None:
         rt = self._rt
-        rt.charge(rt.cost.spawn)
         m = rt.metrics
         m.inc("rt.tasks_spawned")
         with rt._mon:
@@ -96,6 +95,9 @@ class _ThreadGroup(TaskGroup):
 class ThreadRuntime(Runtime):
     """A help-first thread pool behind the Runtime interface."""
 
+    backend = "threads"
+    time_unit = "ns"
+
     def __init__(self, n_workers: int, cost_model: CostModel | None = None,
                  enable_metrics: bool = True):
         if n_workers < 1:
@@ -103,25 +105,25 @@ class ThreadRuntime(Runtime):
         self.num_workers = n_workers
         self.cost = cost_model or DEFAULT_COSTS
         self.trace = None
-        self.metrics = (MetricsRegistry("ns", clock=time.perf_counter_ns)
+        self._t0 = time.perf_counter_ns()
+        self._makespan: int | None = None
+        self.metrics = (MetricsRegistry(self.time_unit, clock=self.now)
                         if enable_metrics else NULL_METRICS)
         self._mon = threading.Condition()
         self._queue: deque[
             tuple[_ThreadGroup, Callable[..., Any], tuple, int]] = deque()
         self._stop = False
         self._error: BaseException | None = None
-        self._busy = [0] * n_workers
         self._local = threading.local()
-        self._elapsed: float | None = None
         self._ran = False
 
     # -- accounting -----------------------------------------------------------
 
     def charge(self, units: int) -> None:
-        self._busy[self.worker_id()] += units
+        pass
 
     def now(self) -> int:
-        return self._busy[self.worker_id()]
+        return time.perf_counter_ns() - self._t0
 
     def worker_id(self) -> int:
         try:
@@ -153,7 +155,6 @@ class ThreadRuntime(Runtime):
         if m.enabled:
             m.inc("rt.tasks_executed")
             m.observe("rt.task_queue_delay", m.clock() - spawned_at)
-        self.charge(self.cost.task_pop)
         try:
             fn(*args)
         except BaseException as exc:
@@ -195,7 +196,7 @@ class ThreadRuntime(Runtime):
                              daemon=True, name=f"rt-worker-{i}")
             for i in range(1, self.num_workers)
         ]
-        t0 = time.perf_counter()
+        self._t0 = time.perf_counter_ns()
         for t in threads:
             t.start()
         result = None
@@ -211,18 +212,13 @@ class ThreadRuntime(Runtime):
             self._mon.notify_all()
         for t in threads:
             t.join()
-        self._elapsed = time.perf_counter() - t0
+        self._makespan = self.now()
         if self._error is not None:
             raise self._error
         return result
 
     @property
-    def makespan(self) -> float:
-        """Wall-clock seconds of the last run (real-time backend)."""
-        if self._elapsed is None:
+    def makespan(self) -> int:
+        if self._makespan is None:
             raise RuntimeConfigError("makespan available only after run()")
-        return self._elapsed
-
-    @property
-    def total_busy(self) -> int:
-        return sum(self._busy)
+        return self._makespan

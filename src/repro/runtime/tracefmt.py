@@ -126,35 +126,21 @@ def trace_from_json(obj: dict) -> Trace:
                  [PhaseSpan(**p) for p in obj["phases"]])
 
 
-_BACKEND_NAMES = {
-    "VirtualTimeRuntime": "vtime",
-    "ThreadRuntime": "threads",
-    "SerialRuntime": "serial",
-    "ProcsRuntime": "procs",
-}
-
-#: Backends whose ``makespan`` is wall-clock seconds (vs cycles).
-WALL_CLOCK_BACKENDS = ("threads", "procs")
-
-
 def run_report(rt: Any, workload: str | None = None,
                races: dict | None = None) -> dict:
     """Assemble the versioned run report for a finished runtime.
 
     Must be called after ``rt.run`` returned (``makespan`` is read).
-    ``time_unit`` describes the makespan and trace timestamps; the
-    metrics snapshot carries its own unit (identical except on the
-    wall-clock backends — threads and procs — where the makespan is
-    wall seconds but metric timings are in the registry's own unit).
+    The backend and ``time_unit`` are the runtime's own: the makespan,
+    the trace timestamps and the metric timings are all on its one
+    clock.
     """
-    backend = _BACKEND_NAMES.get(type(rt).__name__, type(rt).__name__)
     report = {
         "schema": REPORT_SCHEMA,
-        "backend": backend,
+        "backend": rt.backend,
         "workload": workload,
         "n_workers": rt.num_workers,
-        "time_unit": ("seconds" if backend in WALL_CLOCK_BACKENDS
-                      else "cycles"),
+        "time_unit": rt.time_unit,
         "makespan": rt.makespan,
         "metrics": rt.metrics.snapshot() if rt.metrics.enabled else None,
         "trace": trace_to_json(rt.trace) if rt.trace is not None else None,

@@ -243,6 +243,9 @@ class _VtGroup(TaskGroup):
 class VirtualTimeRuntime(Runtime):
     """See module docstring."""
 
+    backend = "vtime"
+    time_unit = "cycles"
+
     def __init__(
         self,
         n_workers: int,
@@ -257,7 +260,7 @@ class VirtualTimeRuntime(Runtime):
         self.num_workers = n_workers
         self.cost = cost_model or DEFAULT_COSTS
         self.trace = Trace(n_workers) if enable_trace else None
-        self.metrics = (MetricsRegistry("cycles", clock=self.now)
+        self.metrics = (MetricsRegistry(self.time_unit, clock=self.now)
                         if enable_metrics else NULL_METRICS)
         self._mon = threading.Lock()
         self._workers = [_Worker(i, self._mon) for i in range(n_workers)]

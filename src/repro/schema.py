@@ -335,6 +335,10 @@ def _agree(path: str, got: Any, source: str, want: Any) -> list[str]:
 
 
 def _check_run_report(doc: dict) -> Iterator[str]:
+    metrics = doc["metrics"]
+    if metrics is not None:  # one clock per runtime
+        yield from _agree("$.metrics.time_unit", metrics["time_unit"],
+                          "$.time_unit", doc["time_unit"])
     trace = doc["trace"]
     if trace is None:
         return

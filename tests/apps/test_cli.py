@@ -51,7 +51,7 @@ class TestCli:
 
     def test_parse_procs_backend(self, capsys, tmp_path):
         """The acceptance path: synth to disk, parse with --backend
-        procs, stats identical to serial plus wall-clock makespan."""
+        procs, stats identical to serial plus a wall-ns makespan."""
         path = str(tmp_path / "t.sbin")
         rc, _ = run_cli(capsys, "synth", "tiny", "--output", path)
         assert rc == 0
@@ -61,7 +61,7 @@ class TestCli:
                           "--workers", "4")
         assert rc == 0
         assert out["workers"] == 4
-        assert out["makespan_seconds"] > 0
+        assert out["makespan_ns"] > 0
         assert "makespan_cycles" not in out
         assert out["procs"]["procs.shards"] >= 1
         assert out["procs"]["degraded_to"] == "none"

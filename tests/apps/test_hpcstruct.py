@@ -32,6 +32,33 @@ class TestPipeline:
         assert list(result.phase_durations) == PHASES
         assert all(d >= 0 for d in result.phase_durations.values())
 
+    def test_dwarf_decode_runs_inside_its_phase(self, tiny, monkeypatch):
+        """A freshly loaded image decodes ``.debug`` on its first
+        ``debug_info`` access; that access is inside ``dwarf_types``,
+        so a wall clock charges the decode to the DWARF column."""
+        from repro.binary.dwarf import DebugInfo
+        from repro.binary.loader import load_image
+
+        events = []
+        decode = DebugInfo.from_bytes.__func__
+
+        def logged_decode(cls, raw):
+            events.append("decode")
+            return decode(cls, raw)
+
+        monkeypatch.setattr(DebugInfo, "from_bytes",
+                            classmethod(logged_decode))
+        rt = SerialRuntime()
+        phase = rt.phase
+
+        def logged_phase(name):
+            events.append(f"open {name}")
+            return phase(name)
+
+        rt.phase = logged_phase
+        hpcstruct(load_image(tiny.binary.image.to_bytes()), rt)
+        assert events[:3] == ["open read", "open dwarf_types", "decode"]
+
     def test_phase_sum_is_makespan(self, result):
         assert sum(result.phase_durations.values()) == result.makespan
 

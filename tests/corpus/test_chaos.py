@@ -125,6 +125,29 @@ class TestCoordinatorKill:
         assert glob.glob("/dev/shm/repro-img-*") == []
 
 
+class TestKillResumeIsDeterministic:
+    def test_two_kill_resumes_agree_byte_for_byte(self, tmp_path):
+        """Outcomes are journaled in binary-index order, so neither the
+        outcome the kill counts nor what the resume redoes depends on
+        thread timing: two kill+resume runs leave the same summary and
+        the same journal bytes."""
+        faults = "binary-crash@1x1,binary-crash@4x99"
+        runs = []
+        for name in ("a", "b"):
+            run_dir = tmp_path / name
+            proc = _cli(run_dir, fault=faults + ",coordinator-kill@3")
+            assert proc.returncode == _KILLED
+            proc = _cli(run_dir, resume=True, fault=faults)
+            assert proc.returncode == 1, proc.stderr  # binary 4
+            summary = _summary(proc)
+            del summary["dir"], summary["report"]  # the two run dirs
+            assert _outcome_indexes(run_dir) == list(range(6))
+            runs.append((summary,
+                         (run_dir / JOURNAL_NAME).read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["skipped_completed"] == 2  # batch 2, kill@3
+
+
 class TestTornJournal:
     def test_torn_flush_resume_is_byte_identical(self, tmp_path,
                                                  baseline):

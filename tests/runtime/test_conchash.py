@@ -428,17 +428,6 @@ class TestThreadRuntime:
         with pytest.raises((ZeroDivisionError, Exception)):
             rt.run(body)
 
-    def test_charge_accumulates(self):
-        rt = ThreadRuntime(2)
-
-        def body():
-            rt.charge(10)
-            rt.charge(5)
-            return rt.now()
-
-        assert rt.run(body) >= 15
-        assert rt.total_busy >= 15
-
     def test_worker_ids_in_range(self):
         rt = ThreadRuntime(4)
         ids = set()

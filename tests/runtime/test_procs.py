@@ -262,7 +262,7 @@ class TestProcsRuntime:
             rt.metrics.histogram(f"procs.phase.{phase}_wall_ns").total
             for phase in ("fanout", "install", "frontier", "wave",
                           "finalize"))
-        assert phases_ns <= rt.makespan * 1e9
+        assert phases_ns <= rt.makespan
 
     @needs_pool
     def test_pool_workers_free_each_shard(self):
@@ -313,8 +313,21 @@ class TestProcsRuntime:
         report = run_report(rt, workload="tiny")
         assert validate_report(report) == []
         assert report["backend"] == "procs"
-        assert report["time_unit"] == "seconds"
+        assert report["time_unit"] == "ns"
         assert report["makespan"] > 0
+
+    def test_coordinator_phases_enclose_their_wall_timers(self):
+        """One clock on the coordinator: each ``phase.cfg_*`` span opens
+        before and closes after the ``procs.phase.*_wall_ns`` timer of
+        the same body, so its total is never the smaller one."""
+        rt = ProcsRuntime(2, in_process=True)
+        parse_binary(tiny_binary(seed=5, n_functions=24).binary, rt)
+        for phase, timer in (("merge", "install"), ("frontier", "frontier"),
+                             ("wave", "wave"), ("finalize", "finalize")):
+            span = rt.metrics.histogram(f"phase.cfg_{phase}")
+            wall = rt.metrics.histogram(f"procs.phase.{timer}_wall_ns")
+            assert span.count == wall.count > 0, phase
+            assert span.total >= wall.total, phase
 
 
 class TestShardTask:

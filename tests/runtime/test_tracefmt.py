@@ -2,7 +2,10 @@
 
 import json
 
-from repro.runtime import SerialRuntime, VirtualTimeRuntime
+import pytest
+
+from repro.core import parse_binary
+from repro.runtime import SerialRuntime, VirtualTimeRuntime, make_runtime
 from repro.runtime.api import PhaseSpan, Trace, TraceInterval
 from repro.runtime.cost import CostModel
 from repro.runtime.tracefmt import (
@@ -14,6 +17,7 @@ from repro.runtime.tracefmt import (
     trace_to_json,
 )
 from repro.schema import RACES_SCHEMA, validate_races, validate_report
+from repro.synth import tiny_binary
 
 FREE = CostModel(spawn=0, task_pop=0, lock_handoff=0, map_op=0)
 
@@ -158,6 +162,28 @@ class TestJsonExport:
         # Full JSON round trip preserves validity.
         again = json.loads(json.dumps(report))
         assert validate_report(again) == []
+
+    @pytest.mark.parametrize("backend, unit", [
+        ("serial", "cycles"), ("vtime", "cycles"), ("threads", "ns"),
+        ("procs", "ns")])
+    def test_run_report_has_one_time_unit(self, backend, unit):
+        """The makespan and the metric timings are on the runtime's one
+        clock, and the report says so once."""
+        kw = {"in_process": True} if backend == "procs" else {}
+        rt = make_runtime(backend, 1 if backend == "serial" else 2, **kw)
+        parse_binary(tiny_binary().binary, rt)
+        report = run_report(rt)
+        assert validate_report(report) == []
+        assert report["backend"] == backend
+        assert report["time_unit"] == report["metrics"]["time_unit"] == unit
+        assert isinstance(report["makespan"], int)
+
+    def test_validator_flags_a_second_time_unit(self):
+        report = run_report(self._traced_run())
+        report["metrics"]["time_unit"] = "ns"
+        assert validate_report(report) == [
+            "$.metrics.time_unit must be $.time_unit = 'cycles' "
+            "(got 'ns')"]
 
     def test_run_report_without_trace_or_metrics(self):
         rt = SerialRuntime(enable_metrics=False)
