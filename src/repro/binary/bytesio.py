@@ -7,6 +7,13 @@ import struct
 from repro.errors import ImageFormatError
 
 
+def truncated(need: int, pos: int, have: int) -> ImageFormatError:
+    """The error for a read of ``need`` bytes at ``pos`` with only
+    ``have`` left: every reader of the image format raises this one."""
+    return ImageFormatError(
+        f"truncated stream: need {need} bytes at offset {pos}, have {have}")
+
+
 class ByteWriter:
     """Append-only little-endian binary writer."""
 
@@ -67,10 +74,7 @@ class ByteReader:
 
     def _take(self, n: int) -> bytes | memoryview:
         if self._pos + n > len(self._buf):
-            raise ImageFormatError(
-                f"truncated stream: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._buf) - self._pos}"
-            )
+            raise truncated(n, self._pos, len(self._buf) - self._pos)
         out = self._buf[self._pos:self._pos + n]
         self._pos += n
         return out

@@ -16,9 +16,11 @@ pretty name ``foo``.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
-from repro.binary.bytesio import ByteReader, ByteWriter
+from repro.binary.bytesio import ByteWriter, truncated
+from repro.errors import ImageFormatError
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
 
@@ -85,6 +87,16 @@ class Symbol:
         return demangle_typed(self.name)
 
 
+#: A symbol record: ``u32`` name length, the UTF-8 name, then the fixed
+#: tail ``offset u64, size u64, kind u8, binding u8`` (field widths in
+#: ``_TAIL_FIELDS``, in the order :meth:`SymbolTable.to_bytes` writes).
+_U32 = struct.Struct("<I")
+_TAIL = struct.Struct("<QQBB")
+_TAIL_FIELDS = (8, 8, 1, 1)
+_KINDS = {int(k): k for k in SymbolKind}
+_BINDINGS = {int(b): b for b in SymbolBinding}
+
+
 class SymbolTable:
     """Serial symbol container with the four lookup keys.
 
@@ -137,18 +149,46 @@ class SymbolTable:
         return w.getvalue()
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "SymbolTable":
-        r = ByteReader(raw)
-        n = r.u32()
-        out = cls()
-        for _ in range(n):
-            name = r.string()
-            offset = r.u64()
-            size = r.u64()
-            kind = SymbolKind(r.u8())
-            binding = SymbolBinding(r.u8())
-            out.add(Symbol(name, offset, size, kind, binding))
-        return out
+    def from_bytes(cls, raw: bytes | memoryview) -> "SymbolTable":
+        """Read :meth:`to_bytes`'s form with one ``unpack_from`` per
+        field group.  Truncated input raises the
+        :class:`~repro.errors.ImageFormatError` a field-by-field
+        :class:`~repro.binary.bytesio.ByteReader` would, for the same
+        field; a name that is not UTF-8, or a kind or binding byte
+        outside its enum, raises one too."""
+        end = len(raw)
+        if end < 4:
+            raise truncated(4, 0, end)
+        (count,) = _U32.unpack_from(raw, 0)
+        pos = 4
+        symbols: list[Symbol] = []
+        for _ in range(count):
+            if pos + 4 > end:
+                raise truncated(4, pos, end - pos)
+            (n,) = _U32.unpack_from(raw, pos)
+            pos += 4
+            if pos + n > end:
+                raise truncated(n, pos, end - pos)
+            try:
+                name = str(raw[pos:pos + n], "utf-8")
+            except UnicodeDecodeError as e:
+                raise ImageFormatError(
+                    f"symbol name at offset {pos}: {e}") from None
+            pos += n
+            if pos + _TAIL.size > end:
+                for width in _TAIL_FIELDS:
+                    if pos + width > end:
+                        raise truncated(width, pos, end - pos)
+                    pos += width
+            offset, size, kind, binding = _TAIL.unpack_from(raw, pos)
+            sym_kind, sym_binding = _KINDS.get(kind), _BINDINGS.get(binding)
+            if sym_kind is None or sym_binding is None:
+                raise ImageFormatError(
+                    f"symbol {name!r}: kind {kind} / binding {binding} "
+                    f"out of range at offset {pos + 16}")
+            pos += _TAIL.size
+            symbols.append(Symbol(name, offset, size, sym_kind, sym_binding))
+        return cls(symbols)
 
 
 class IndexedSymbols:

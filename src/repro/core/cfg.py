@@ -39,18 +39,20 @@ class EdgeType(enum.Enum):
 
     @property
     def interprocedural(self) -> bool:
-        return self in (EdgeType.CALL, EdgeType.TAILCALL)
+        return self in INTER_EDGES
 
     @property
     def intraprocedural(self) -> bool:
         return self in INTRA_EDGES
 
 
-#: Edge types that stay inside a function: all but CALL and TAILCALL.
-#: Hot loops test ``etype in INTRA_EDGES``: on a tuple that is several
-#: times cheaper than the property, and a frozenset would pay the
-#: Python-level ``Enum.__hash__`` on every test.
-INTRA_EDGES = tuple(t for t in EdgeType if not t.interprocedural)
+#: Edge types that cross a function boundary: CALL and TAILCALL.
+INTER_EDGES = (EdgeType.CALL, EdgeType.TAILCALL)
+#: Edge types that stay inside a function: all the others.
+#: Hot loops test ``etype in INTRA_EDGES`` / ``in INTER_EDGES``: on a
+#: tuple that is several times cheaper than the properties, and a
+#: frozenset would pay the Python-level ``Enum.__hash__`` on every test.
+INTRA_EDGES = tuple(t for t in EdgeType if t not in INTER_EDGES)
 
 
 class ReturnStatus(enum.Enum):

@@ -31,6 +31,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.cfg import (
+    INTER_EDGES,
     INTRA_EDGES,
     Block,
     EdgeType,
@@ -255,7 +256,7 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
 
         def entry_like(dst: Block) -> bool:
             return (dst.start in symtab_entries
-                    or any(ie.etype.interprocedural for ie in dst.in_edges))
+                    or any(ie.etype in INTER_EDGES for ie in dst.in_edges))
 
         flips = 0
         flip_srcs: list[int] = []
@@ -341,7 +342,7 @@ def _remove_dead_functions(parser: "ParallelParser",
     for addr, func in functions.items():
         for b in func.blocks:
             for e in b.out_edges:
-                if e.etype.interprocedural:
+                if e.etype in INTER_EDGES:
                     incoming.add(e.dst.start)
     kept: dict[int, Function] = {}
     for addr, func in sorted(functions.items()):

@@ -1,12 +1,12 @@
 """Columnar wire form of a decode cache.
 
 The procs backend ships every shard's decode cache home.  Pickled as a
-``dict`` of frozen :class:`Instruction` objects it is half a shard's
+``dict`` of immutable :class:`Instruction` tuples it is half a shard's
 delta and costs about as much to load as the instructions cost to
 decode.  The ISA's layout table already fixes each opcode's operand
 count and encoded length, so a cache travels as three flat columns —
 addresses, opcode bytes, operand words — and is rebuilt with one
-constructor call per entry.
+``tuple.__new__`` call per entry, as the decoder builds it.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ def unpack_instructions(columns: InstructionColumns
     """Rebuild the decode cache :func:`pack_instructions` flattened."""
     addrs, opcodes, words = columns
     operands = words.tolist()
+    new = tuple.__new__
     cache: dict[int, Instruction] = {}
     pos = 0
     for addr, byte in zip(addrs, opcodes):
         opcode, n, length = _SHAPE[byte]
-        cache[addr] = Instruction(addr, opcode,
-                                  tuple(operands[pos:pos + n]), length)
+        cache[addr] = new(Instruction, (addr, opcode,
+                                        tuple(operands[pos:pos + n]), length))
         pos += n
     return cache

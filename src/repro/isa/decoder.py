@@ -81,6 +81,7 @@ class Decoder:
         if cache is None:
             cache = {}
         cached = cache.get
+        new = tuple.__new__
         code, base, size = self._code, self._base, self._limit - self._base
         insns: list[Instruction] = []
         misses = 0
@@ -103,8 +104,8 @@ class Decoder:
                 for pos, bound, _name in checks:
                     if operands[pos] >= bound:
                         return insns, False, misses
-                insn = cache[addr] = Instruction(
-                    addr, opcode, operands, length)
+                insn = cache[addr] = new(
+                    Instruction, (addr, opcode, operands, length))
                 misses += 1
             insns.append(insn)
             if insn.opcode in _CF_KIND:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import _tuplegetter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from repro.isa.registers import Reg, mask_of, regs_in
 
@@ -155,19 +155,41 @@ def _reg_set(mask: int) -> frozenset[Reg]:
     return frozenset(regs_in(mask))
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(tuple):
     """A decoded machine instruction.
 
     ``operands`` is an opcode-specific tuple; accessor properties below give
     named access (``dst``, ``src``, ``target`` …).  Instances are immutable
     and hence safe to share between threads without synchronization.
+
+    It is a ``tuple`` of ``(address, opcode, operands, length)``, read
+    through the C field descriptors ``namedtuple`` uses, so the decode
+    loop builds one with a single ``tuple.__new__(Instruction, fields)``
+    call and no Python frame (a frozen dataclass's constructor costs
+    four ``object.__setattr__`` calls, about half of a cold decode).
+    The hash is ``hash((address, opcode, operands, length))``, setting
+    any attribute raises ``AttributeError``, and an instance compares
+    equal to the plain 4-tuple of its fields.
     """
 
-    address: int
-    opcode: Opcode
-    operands: tuple[int, ...]
-    length: int
+    __slots__ = ()
+
+    address = _tuplegetter(0, "Virtual address of the first byte (int).")
+    opcode = _tuplegetter(1, "The decoded :class:`Opcode`.")
+    operands = _tuplegetter(
+        2, "Opcode-specific operand values, in encoding order (ints).")
+    length = _tuplegetter(3, "Encoded length in bytes (int).")
+
+    def __new__(cls, address: int, opcode: Opcode,
+                operands: tuple[int, ...], length: int) -> Instruction:
+        return tuple.__new__(cls, (address, opcode, operands, length))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"Instruction(address={self[0]!r}, opcode={self[1]!r}, "
+                f"operands={self[2]!r}, length={self[3]!r})")
 
     # -- classification ----------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for symbol tables and name demangling."""
 
+import struct
+
 import pytest
 
 import repro.binary.symtab as symtab_mod
@@ -13,6 +15,9 @@ from repro.binary import (
     demangle_typed,
     load_image,
 )
+from repro.binary.bytesio import ByteReader
+from repro.binary.format import SYMTAB
+from repro.errors import ImageFormatError
 from repro.runtime import SerialRuntime, ThreadRuntime, VirtualTimeRuntime
 from repro.synth import (
     HOSTILE_PRESETS,
@@ -88,6 +93,78 @@ class TestSymbolTable:
         t = SymbolTable(self.syms())
         assert len(t) == 5
         assert {s.name for s in t} == {s.name for s in self.syms()}
+
+
+def _read_field_by_field(raw) -> list[Symbol]:
+    """The reference reader: every field through :class:`ByteReader`."""
+    r = ByteReader(raw)
+    out = []
+    for _ in range(r.u32()):
+        name = r.string()
+        offset = r.u64()
+        size = r.u64()
+        out.append(Symbol(name, offset, size, SymbolKind(r.u8()),
+                          SymbolBinding(r.u8())))
+    return out
+
+
+def _record_ends(raw) -> list[int]:
+    """Offset where each record of a serialized table ends."""
+    ends, pos = [], 4
+    for _ in range(struct.unpack_from("<I", raw)[0]):
+        pos += 4 + struct.unpack_from("<I", raw, pos)[0] + 18
+        ends.append(pos)
+    return ends
+
+
+class TestFromBytes:
+    """``from_bytes`` reads what the field-by-field reader reads, and
+    fails a truncated table with the same error for the same field."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        return bytes(tensorflow_like(seed=104, scale=0.3).binary.image
+                     .section(SYMTAB).data)
+
+    def test_matches_reference_reader(self, raw):
+        got = list(SymbolTable.from_bytes(raw))
+        assert got == _read_field_by_field(raw)
+        assert list(SymbolTable.from_bytes(memoryview(raw))) == got
+        assert len(got) > 100
+
+    def _same_error(self, cut):
+        with pytest.raises(ImageFormatError) as want:
+            _read_field_by_field(cut)
+        with pytest.raises(ImageFormatError) as got:
+            SymbolTable.from_bytes(cut)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("truncated stream")
+
+    def test_truncated_at_every_record_boundary(self, raw):
+        ends = _record_ends(raw)
+        assert ends[-1] == len(raw)
+        for end in [4, *ends[:-1]]:
+            self._same_error(raw[:end])
+            self._same_error(raw[:end - 1])  # inside the field before
+
+    @pytest.mark.parametrize("field, value", [(0, 7), (1, 9)])
+    def test_out_of_range_kind_or_binding_is_a_format_error(
+            self, raw, field, value):
+        bad = bytearray(raw)
+        bad[_record_ends(raw)[0] - 2 + field] = value
+        with pytest.raises(ImageFormatError, match="out of range"):
+            SymbolTable.from_bytes(bytes(bad))
+
+    def test_name_that_is_not_utf8_is_a_format_error(self, raw):
+        bad = bytearray(raw)
+        bad[8] = 0xFF                 # first byte of the first name
+        with pytest.raises(ImageFormatError, match="symbol name"):
+            SymbolTable.from_bytes(bytes(bad))
+
+    def test_truncated_inside_every_field(self, raw):
+        # Every cut through the count and the first two records.
+        for end in range(_record_ends(raw)[1]):
+            self._same_error(raw[:end])
 
 
 class _ReferenceSymbolTable:

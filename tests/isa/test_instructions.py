@@ -1,9 +1,14 @@
 """Unit tests for instruction classification and def/use sets."""
 
+import pickle
+
 import pytest
 
 from repro.isa import Cond, ControlFlowKind, Instruction, Opcode, Reg
-from repro.isa.encoding import instruction_length
+from repro.isa.columns import pack_instructions, unpack_instructions
+from repro.isa.decoder import Decoder
+from repro.isa.encoding import decode, instruction_length
+from repro.synth import tiny_binary
 
 
 def make(op, *operands, address=0x1000):
@@ -157,3 +162,59 @@ class TestRegisters:
             _ = make(Opcode.RET).imm
         with pytest.raises(AttributeError):
             _ = make(Opcode.JMP, 0x10).cond
+
+
+class TestInstructionContract:
+    """What sharing decoded instructions between threads and shipping
+    them between processes relies on: value hashing, pickling,
+    immutability, and one type from every place that builds one."""
+
+    SAMPLES = [
+        (0x1000, Opcode.NOP, ()),
+        (0x1001, Opcode.JCC, (int(Cond.A), 0x2000)),
+        (0x4000_0000_0000, Opcode.LOAD, (3, 4, 0xFFFF_FFF0)),
+        (0x2000, Opcode.ENTER, (0x40,)),
+    ]
+
+    def instructions(self):
+        return [make(op, *ops, address=addr)
+                for addr, op, ops in self.SAMPLES]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for i in self.instructions():
+            assert hash(i) == hash((i.address, i.opcode, i.operands,
+                                    i.length))
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_round_trips(self, protocol):
+        for i in self.instructions():
+            back = pickle.loads(pickle.dumps(i, protocol))
+            assert back == i and type(back) is Instruction
+            assert back.operands == i.operands
+
+    def test_attributes_cannot_be_set(self):
+        i = make(Opcode.ADD, 1, 2)
+        for name in ("address", "opcode", "operands", "length", "other"):
+            with pytest.raises(AttributeError):
+                setattr(i, name, 0)
+        assert (i.address, i.operands) == (0x1000, (1, 2))
+
+    def test_repr_names_the_fields(self):
+        assert repr(make(Opcode.PUSH, 3)) == (
+            "Instruction(address=4096, opcode=<Opcode.PUSH: 18>, "
+            "operands=(3,), length=2)")
+
+    def test_every_builder_yields_equal_instructions(self):
+        text = tiny_binary(seed=5, n_functions=12).binary.image.text
+        dec = Decoder(text.data, text.addr)
+        scanned, addr = {}, dec.base
+        while addr < dec.limit:
+            insns, _cf, _misses = dec.scan_run(addr, scanned)
+            addr = insns[-1].end if insns else addr + 1
+        assert len(scanned) > 100
+        shipped = unpack_instructions(pack_instructions(scanned))
+        for a, i in scanned.items():
+            decoded = decode(text.data, a - text.addr, a)
+            for built in (i, decoded, shipped[a]):
+                assert type(built) is Instruction
+                assert built == i and hash(built) == hash(i)

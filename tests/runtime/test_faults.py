@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
+import os
 from contextlib import contextmanager
 
 import pytest
@@ -70,7 +71,10 @@ def _parse_with(sb, want, plan, **kw):
 
 
 def _kernel_segments() -> list[str]:
-    return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    """This process's ``repro-img-<pid>-*`` names: only a coordinator
+    publishes a segment, and another repro process running alongside
+    must not fail a leak check."""
+    return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{os.getpid()}-*"))
 
 
 class TestFaultPlanGrammar:

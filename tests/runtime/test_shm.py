@@ -56,12 +56,19 @@ needs_pool = pytest.mark.skipif(not _pool_works(),
                                 reason="multiprocessing pool unavailable")
 
 
-def _kernel_segments() -> list[str]:
+def _kernel_segments(owner: int | None = None) -> list[str]:
     """``repro-img-*`` names the kernel still knows about (best effort:
-    only meaningful where shared memory is backed by a /dev/shm mount).
+    only meaningful where shared memory is backed by a /dev/shm mount);
+    with ``owner``, only those published by that pid.
+
+    Leak checks pass this process's pid: only a coordinator publishes
+    a segment, and the tests' coordinator is this process, so no leak
+    of ours is filtered out, while another repro process running on the
+    machine at the same time cannot fail the check.
     """
+    owned = "" if owner is None else f"{owner}-"
     return sorted(os.path.basename(p)
-                  for p in glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+                  for p in glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{owned}*"))
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +82,10 @@ def workload():
 def no_leaks():
     """Every test starts and ends with zero live segments."""
     sweep()
-    before = _kernel_segments()
+    before = _kernel_segments(os.getpid())
     yield
     assert live_segments() == []
-    assert _kernel_segments() == before
+    assert _kernel_segments(os.getpid()) == before
 
 
 class TestImageSegment:
