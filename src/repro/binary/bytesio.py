@@ -1,51 +1,74 @@
-"""Little-endian byte stream helpers used by all serializers."""
+"""The SBIN record layer: every section of the image format reads and
+writes its records through :class:`ByteReader` and :class:`ByteWriter`.
+
+A record is one :class:`struct.Struct`, defined once next to its section.
+A string is a ``u32`` length and UTF-8 bytes; a *named* record is a
+string followed by a record (a symbol is its name, then ``<QQBB``).  The
+reader makes one bounds check and one ``unpack_from`` per record, and
+every failure is an :class:`~repro.errors.ImageFormatError`: a truncated
+record names the first field that does not fit, as a field-by-field
+reader would, and a string that is not UTF-8 names its offset.
+"""
 
 from __future__ import annotations
 
 import struct
+from itertools import starmap
 
 from repro.errors import ImageFormatError
 
+#: Counts and string lengths.
+U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")  # blob lengths
+_NOTHING = struct.Struct("<")  # the empty tail of a bare string
+_unpack_u32 = U32.unpack_from
 
-def truncated(need: int, pos: int, have: int) -> ImageFormatError:
-    """The error for a read of ``need`` bytes at ``pos`` with only
-    ``have`` left: every reader of the image format raises this one."""
+
+def _truncated(need: int, pos: int, have: int) -> ImageFormatError:
     return ImageFormatError(
         f"truncated stream: need {need} bytes at offset {pos}, have {have}")
 
 
+def _cut(rec: struct.Struct, pos: int, end: int) -> ImageFormatError:
+    """The :func:`_truncated` error for the first field that ends past
+    ``end`` among back-to-back ``rec`` records from ``pos`` on (a record
+    format has one code per field)."""
+    pos += (end - pos) // rec.size * rec.size  # the whole records that fit
+    for code in rec.format[1:]:
+        width = struct.calcsize("<" + code)
+        if pos + width > end:
+            break
+        pos += width
+    return _truncated(width, pos, end - pos)
+
+
 class ByteWriter:
-    """Append-only little-endian binary writer."""
+    """Append-only writer of SBIN records.  A fixed record comes packed
+    by its :class:`struct.Struct`: ``w.record(_SYMBOL.pack(...))``."""
 
     __slots__ = ("_buf",)
 
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def u8(self, v: int) -> "ByteWriter":
-        self._buf += struct.pack("<B", v)
-        return self
-
-    def u16(self, v: int) -> "ByteWriter":
-        self._buf += struct.pack("<H", v)
-        return self
-
-    def u32(self, v: int) -> "ByteWriter":
-        self._buf += struct.pack("<I", v)
-        return self
-
-    def u64(self, v: int) -> "ByteWriter":
-        self._buf += struct.pack("<Q", v)
+    def record(self, packed: bytes) -> "ByteWriter":
+        self._buf += packed
         return self
 
     def string(self, s: str) -> "ByteWriter":
         raw = s.encode("utf-8")
-        self.u32(len(raw))
+        self._buf += U32.pack(len(raw))
         self._buf += raw
         return self
 
-    def blob(self, b: bytes) -> "ByteWriter":
-        self.u64(len(b))
+    def array(self, rec: struct.Struct, rows) -> "ByteWriter":
+        """A ``u32`` count, then one ``rec`` per row."""
+        self._buf += U32.pack(len(rows))
+        self._buf += b"".join(starmap(rec.pack, rows))
+        return self
+
+    def blob(self, b: bytes | memoryview) -> "ByteWriter":
+        self._buf += _U64.pack(len(b))
         self._buf += b
         return self
 
@@ -57,50 +80,79 @@ class ByteWriter:
 
 
 class ByteReader:
-    """Sequential little-endian binary reader with bounds checking.
+    """Reader of SBIN records in any bytes-like buffer, from offset
+    ``pos`` on.  Handed a :class:`memoryview`, every :meth:`blob` is a
+    zero-copy slice of it: the procs backend reads whole images out of
+    shared memory so, without a copy per worker."""
 
-    Accepts any bytes-like buffer.  Handed a :class:`memoryview`, every
-    ``_take`` (and therefore every ``blob``) is a zero-copy *slice* of
-    the underlying buffer — the procs backend reads whole binary images
-    out of shared memory this way, so section payloads alias the
-    segment instead of being copied per worker.
-    """
+    __slots__ = ("_buf", "pos", "_end")
 
-    __slots__ = ("_buf", "_pos")
-
-    def __init__(self, buf: bytes | bytearray | memoryview) -> None:
+    def __init__(self, buf: bytes | bytearray | memoryview,
+                 pos: int = 0) -> None:
         self._buf = buf
-        self._pos = 0
+        self.pos = pos
+        self._end = len(buf)
 
-    def _take(self, n: int) -> bytes | memoryview:
-        if self._pos + n > len(self._buf):
-            raise truncated(n, self._pos, len(self._buf) - self._pos)
-        out = self._buf[self._pos:self._pos + n]
-        self._pos += n
+    def record(self, rec: struct.Struct) -> tuple:
+        pos = self.pos
+        if pos + rec.size > self._end:
+            raise _cut(rec, pos, self._end)
+        self.pos = pos + rec.size
+        return rec.unpack_from(self._buf, pos)
+
+    def _named(self, rec: struct.Struct, count: int,
+               what: str) -> list[tuple]:
+        buf, pos, end, size = self._buf, self.pos, self._end, rec.size
+        out, unpack = [], rec.unpack_from
+        for _ in range(count):
+            if pos + 4 > end:
+                raise _truncated(4, pos, end - pos)
+            (n,) = _unpack_u32(buf, pos)
+            pos += 4
+            tail = pos + n
+            if tail + size > end:
+                raise _truncated(n, pos, end - pos) if tail > end \
+                    else _cut(rec, tail, end)
+            try:
+                s = str(buf[pos:tail], "utf-8")
+            except UnicodeDecodeError as e:
+                raise ImageFormatError(f"{what} at offset {pos} is not "
+                                       f"UTF-8: {e.reason}") from None
+            out.append((s,) + unpack(buf, tail))
+            pos = tail + size
+        self.pos = pos
         return out
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+    def named(self, rec: struct.Struct, what: str = "string") -> tuple:
+        """A string followed by ``rec``: ``(string, *fields)``."""
+        return self._named(rec, 1, what)[0]
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
+    def named_array(self, rec: struct.Struct,
+                    what: str = "string") -> list[tuple]:
+        """A ``u32`` count, then that many named records."""
+        return self._named(rec, self.record(U32)[0], what)
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+    def string(self, what: str = "string") -> str:
+        return self._named(_NOTHING, 1, what)[0][0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        # memoryview has no .decode(); the bytes() wrap copies only the
-        # (short) string payload, never a section-sized blob.
-        return bytes(self._take(n)).decode("utf-8")
+    def array(self, rec: struct.Struct) -> list[tuple]:
+        """A ``u32`` count, then that many ``rec`` records."""
+        (n,) = self.record(U32)
+        pos = self.pos
+        stop = pos + n * rec.size
+        if stop > self._end:
+            raise _cut(rec, pos, self._end)
+        self.pos = stop
+        return list(rec.iter_unpack(self._buf[pos:stop]))
 
     def blob(self) -> bytes | memoryview:
-        n = self.u64()
-        return self._take(n)
+        (n,) = self.record(_U64)
+        pos = self.pos
+        if pos + n > self._end:
+            raise _truncated(n, pos, self._end - pos)
+        self.pos = pos + n
+        return self._buf[pos:pos + n]
 
     @property
     def exhausted(self) -> bool:
-        return self._pos >= len(self._buf)
+        return self.pos >= self._end

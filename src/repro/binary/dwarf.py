@@ -15,11 +15,19 @@ parsing (Figure 2 phase 2 / Table 2 "DWARF" column).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
-from repro.binary.bytesio import ByteReader, ByteWriter
+from repro.binary.bytesio import U32, ByteReader, ByteWriter
 
 Range = tuple[int, int]
+
+# The fixed records of ``.debug``.  Strings sit between them: a CU is
+# its name then ``_CU``; a line row is ``_ADDR`` then its file and line.
+_CU = struct.Struct("<II")      # after the name: n_type_dies, functions
+_DECL = struct.Struct("<II")    # after the decl file: line, inlines
+_RANGE = struct.Struct("<QQ")   # one address range, in a counted array
+_ADDR = struct.Struct("<Q")
 
 
 @dataclass
@@ -106,83 +114,60 @@ class DebugInfo:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.u32(len(self.cus))
+        w = ByteWriter().record(U32.pack(len(self.cus)))
         for cu in self.cus:
-            w.string(cu.name)
-            w.u32(cu.n_type_dies)
-            w.u32(len(cu.functions))
+            w.string(cu.name).record(
+                _CU.pack(cu.n_type_dies, len(cu.functions)))
             for f in cu.functions:
                 _write_function(w, f)
-            w.u32(len(cu.line_rows))
+            w.record(U32.pack(len(cu.line_rows)))
             for row in cu.line_rows:
-                w.u64(row.addr)
-                w.string(row.file)
-                w.u32(row.line)
+                w.record(_ADDR.pack(row.addr)).string(row.file).record(
+                    U32.pack(row.line))
             # Type DIE payload: opaque filler so .debug size scales with
             # DIE count as it does in real template-heavy binaries.
             w.blob(b"\x00" * (cu.n_type_dies * 24))
         return w.getvalue()
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "DebugInfo":
+    def from_bytes(cls, raw: bytes | memoryview) -> "DebugInfo":
         r = ByteReader(raw)
-        n_cus = r.u32()
         cus = []
-        for _ in range(n_cus):
-            cu = CompilationUnit(name=r.string())
-            cu.n_type_dies = r.u32()
-            for _ in range(r.u32()):
-                cu.functions.append(_read_function(r))
-            for _ in range(r.u32()):
-                cu.line_rows.append(LineRow(r.u64(), r.string(), r.u32()))
+        for _ in range(r.record(U32)[0]):
+            name, n_type_dies, n_functions = r.named(_CU)
+            cu = CompilationUnit(name, n_type_dies=n_type_dies)
+            cu.functions = [_read_function(r) for _ in range(n_functions)]
+            cu.line_rows = [LineRow(r.record(_ADDR)[0], *r.named(U32))
+                            for _ in range(r.record(U32)[0])]
             r.blob()  # skip opaque type-DIE payload
             cus.append(cu)
         return cls(cus=cus)
 
 
-def _write_ranges(w: ByteWriter, ranges: list[Range]) -> None:
-    w.u32(len(ranges))
-    for lo, hi in ranges:
-        w.u64(lo)
-        w.u64(hi)
-
-
-def _read_ranges(r: ByteReader) -> list[Range]:
-    return [(r.u64(), r.u64()) for _ in range(r.u32())]
-
-
 def _write_inline(w: ByteWriter, inl: InlinedCall) -> None:
-    w.string(inl.callee)
-    w.string(inl.call_file)
-    w.u32(inl.call_line)
-    _write_ranges(w, inl.ranges)
-    w.u32(len(inl.children))
+    w.string(inl.callee).string(inl.call_file).record(
+        U32.pack(inl.call_line))
+    w.array(_RANGE, inl.ranges).record(U32.pack(len(inl.children)))
     for c in inl.children:
         _write_inline(w, c)
 
 
 def _read_inline(r: ByteReader) -> InlinedCall:
-    inl = InlinedCall(callee=r.string(), call_file=r.string(),
-                      call_line=r.u32(), ranges=_read_ranges(r))
-    for _ in range(r.u32()):
-        inl.children.append(_read_inline(r))
-    return inl
+    callee = r.string()
+    call_file, call_line = r.named(U32)
+    return InlinedCall(callee, call_file, call_line, r.array(_RANGE),
+                       [_read_inline(r) for _ in range(r.record(U32)[0])])
 
 
 def _write_function(w: ByteWriter, f: FunctionDIE) -> None:
-    w.string(f.name)
-    _write_ranges(w, f.ranges)
-    w.string(f.decl_file)
-    w.u32(f.decl_line)
-    w.u32(len(f.inlines))
+    w.string(f.name).array(_RANGE, f.ranges)
+    w.string(f.decl_file).record(_DECL.pack(f.decl_line, len(f.inlines)))
     for inl in f.inlines:
         _write_inline(w, inl)
 
 
 def _read_function(r: ByteReader) -> FunctionDIE:
-    f = FunctionDIE(name=r.string(), ranges=_read_ranges(r),
-                    decl_file=r.string(), decl_line=r.u32())
-    for _ in range(r.u32()):
-        f.inlines.append(_read_inline(r))
-    return f
+    name, ranges = r.string(), r.array(_RANGE)
+    decl_file, decl_line, n_inlines = r.named(_DECL)
+    return FunctionDIE(name, ranges, decl_file, decl_line,
+                       [_read_inline(r) for _ in range(n_inlines)])

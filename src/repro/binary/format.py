@@ -10,13 +10,16 @@ serialized symbols, ``.debug`` holds the DWARF-like debug information and
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 
-from repro.binary.bytesio import ByteReader, ByteWriter
+from repro.binary.bytesio import U32, ByteReader, ByteWriter
 from repro.errors import ImageFormatError, SectionNotFoundError
 
 _MAGIC = b"SBIN"
 _VERSION = 1
+_HEADER = struct.Struct("<H")  # after the magic: version, then the name
+_SECTION = struct.Struct("<QI")  # after a section's name: addr, flags
 
 # Well-known section names.
 TEXT = ".text"
@@ -160,41 +163,30 @@ class BinaryImage:
     # -- serialization ---------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w._buf += _MAGIC  # noqa: SLF001 - writer owned here
-        w.u16(_VERSION)
-        w.string(self.name)
-        w.u32(len(self.sections))
+        w = ByteWriter().record(_MAGIC).record(_HEADER.pack(_VERSION))
+        w.string(self.name).record(U32.pack(len(self.sections)))
         for s in self.sections.values():
-            w.string(s.name)
-            w.u64(s.addr)
-            w.u32(int(s.flags))
+            w.string(s.name).record(_SECTION.pack(s.addr, s.flags))
             w.blob(s.data)
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, raw: bytes | bytearray | memoryview
                    ) -> "BinaryImage":
-        """Deserialize an image from any bytes-like buffer.
-
+        """Deserialize an image in place from any bytes-like buffer.
         Handed a :class:`memoryview`, section payloads are zero-copy
-        slices of ``raw`` (see :class:`Section`); handed ``bytes``,
-        slicing copies as usual.
-        """
+        slices of ``raw`` (see :class:`Section`)."""
         if bytes(raw[:4]) != _MAGIC:
             raise ImageFormatError("bad magic: not an SBIN image")
-        r = ByteReader(raw[4:])
-        version = r.u16()
+        r = ByteReader(raw, len(_MAGIC))
+        (version,) = r.record(_HEADER)
         if version != _VERSION:
             raise ImageFormatError(f"unsupported SBIN version {version}")
-        img = cls(name=r.string())
-        n = r.u32()
-        for _ in range(n):
-            name = r.string()
-            addr = r.u64()
-            flags = SectionFlags(r.u32())
-            data = r.blob()
-            img.add_section(Section(name, addr, data, flags))
+        img = cls(name=r.string("image name"))
+        for _ in range(r.record(U32)[0]):
+            name, addr, flags = r.named(_SECTION, "section name")
+            img.add_section(Section(name, addr, r.blob(),
+                                    SectionFlags(flags)))
         if not r.exhausted:
             raise ImageFormatError(
                 "trailing bytes after the section table")

@@ -7,6 +7,7 @@ view CFG construction and the applications consume.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +17,8 @@ from repro.binary.dwarf import DebugInfo
 from repro.binary.format import BinaryImage
 from repro.binary.symtab import SymbolTable
 from repro.isa.decoder import Decoder
+
+_START = struct.Struct("<Q")  # one ``.eh_frame`` function start
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class LoadedBinary:
         """Function entry addresses recorded in unwind information."""
         if not self.image.has_section(fmt.EH_FRAME):
             return []
-        r = ByteReader(self.image.section(fmt.EH_FRAME).data)
-        return [r.u64() for _ in range(r.u32())]
+        rows = ByteReader(self.image.section(fmt.EH_FRAME).data).array(_START)
+        return [a for (a,) in rows]
 
     def entry_addresses(self) -> list[int]:
         """Candidate function entries from symtab + dynsym + eh_frame.
@@ -81,11 +84,8 @@ class LoadedBinary:
 
 def encode_eh_frame(starts: list[int]) -> bytes:
     """Serialize function start addresses for the ``.eh_frame`` section."""
-    w = ByteWriter()
-    w.u32(len(starts))
-    for a in sorted(starts):
-        w.u64(a)
-    return w.getvalue()
+    return ByteWriter().array(_START, [(a,) for a in sorted(starts)]
+                              ).getvalue()
 
 
 def load_image(source: str | bytes | bytearray | memoryview | BinaryImage

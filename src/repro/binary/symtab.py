@@ -19,7 +19,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from repro.binary.bytesio import ByteWriter, truncated
+from repro.binary.bytesio import U32, ByteReader, ByteWriter
 from repro.errors import ImageFormatError
 from repro.runtime.api import Runtime
 from repro.runtime.conchash import SharedMap
@@ -87,12 +87,8 @@ class Symbol:
         return demangle_typed(self.name)
 
 
-#: A symbol record: ``u32`` name length, the UTF-8 name, then the fixed
-#: tail ``offset u64, size u64, kind u8, binding u8`` (field widths in
-#: ``_TAIL_FIELDS``, in the order :meth:`SymbolTable.to_bytes` writes).
-_U32 = struct.Struct("<I")
-_TAIL = struct.Struct("<QQBB")
-_TAIL_FIELDS = (8, 8, 1, 1)
+#: A symbol record: its name, then ``offset, size, kind, binding``.
+_SYMBOL = struct.Struct("<QQBB")
 _KINDS = {int(k): k for k in SymbolKind}
 _BINDINGS = {int(b): b for b in SymbolBinding}
 
@@ -138,56 +134,28 @@ class SymbolTable:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.u32(len(self._symbols))
+        w = ByteWriter().record(U32.pack(len(self._symbols)))
         for s in self._symbols:
-            w.string(s.name)
-            w.u64(s.offset)
-            w.u64(s.size)
-            w.u8(int(s.kind))
-            w.u8(int(s.binding))
+            w.string(s.name).record(
+                _SYMBOL.pack(s.offset, s.size, s.kind, s.binding))
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, raw: bytes | memoryview) -> "SymbolTable":
-        """Read :meth:`to_bytes`'s form with one ``unpack_from`` per
-        field group.  Truncated input raises the
-        :class:`~repro.errors.ImageFormatError` a field-by-field
-        :class:`~repro.binary.bytesio.ByteReader` would, for the same
-        field; a name that is not UTF-8, or a kind or binding byte
-        outside its enum, raises one too."""
-        end = len(raw)
-        if end < 4:
-            raise truncated(4, 0, end)
-        (count,) = _U32.unpack_from(raw, 0)
-        pos = 4
+        """Read :meth:`to_bytes`'s form.  Truncated input, a name that
+        is not UTF-8, or a kind or binding byte outside its enum raises
+        :class:`~repro.errors.ImageFormatError`."""
+        r = ByteReader(raw)
         symbols: list[Symbol] = []
-        for _ in range(count):
-            if pos + 4 > end:
-                raise truncated(4, pos, end - pos)
-            (n,) = _U32.unpack_from(raw, pos)
-            pos += 4
-            if pos + n > end:
-                raise truncated(n, pos, end - pos)
+        for name, offset, size, kind, binding in r.named_array(
+                _SYMBOL, "symbol name"):
             try:
-                name = str(raw[pos:pos + n], "utf-8")
-            except UnicodeDecodeError as e:
-                raise ImageFormatError(
-                    f"symbol name at offset {pos}: {e}") from None
-            pos += n
-            if pos + _TAIL.size > end:
-                for width in _TAIL_FIELDS:
-                    if pos + width > end:
-                        raise truncated(width, pos, end - pos)
-                    pos += width
-            offset, size, kind, binding = _TAIL.unpack_from(raw, pos)
-            sym_kind, sym_binding = _KINDS.get(kind), _BINDINGS.get(binding)
-            if sym_kind is None or sym_binding is None:
+                symbols.append(Symbol(name, offset, size, _KINDS[kind],
+                                      _BINDINGS[binding]))
+            except KeyError:
                 raise ImageFormatError(
                     f"symbol {name!r}: kind {kind} / binding {binding} "
-                    f"out of range at offset {pos + 16}")
-            pos += _TAIL.size
-            symbols.append(Symbol(name, offset, size, sym_kind, sym_binding))
+                    "out of range") from None
         return cls(symbols)
 
 

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.binary import BinaryImage, Section
+from repro.binary import format as fmt
 from repro.cli import main
+from repro.synth import tiny_binary
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +209,48 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def save_non_utf8_tiny(path, where: str) -> str:
+    """Save the tiny image with 0xFF as the first byte of one string:
+    the ``.text`` section name or the first ``.debug`` file name."""
+    img = tiny_binary().binary.image
+    if where == "section-name":
+        raw = bytearray(img.to_bytes())
+        raw[raw.index(b"\x05\x00\x00\x00.text") + 4] = 0xFF
+        path.write_bytes(bytes(raw))
+        return str(path)
+    debug = bytearray(img.section(fmt.DEBUG).data)
+    debug[debug.index(b"src_0.c")] = 0xFF
+    broken = BinaryImage(img.name)
+    for s in img.sections.values():
+        broken.add_section(Section(
+            s.name, s.addr, bytes(debug) if s.name == fmt.DEBUG else s.data,
+            s.flags))
+    broken.save(str(path))
+    return str(path)
+
+
+class TestCliMalformedImages:
+    @pytest.mark.parametrize("command, where", [
+        ("parse", "section-name"),
+        ("hpcstruct", "section-name"),
+        ("hpcstruct", "debug-string"),
+    ])
+    def test_non_utf8_string_is_one_error_line_and_exit_2(
+            self, capsys, tmp_path, command, where):
+        path = save_non_utf8_tiny(tmp_path / "bad.sbin", where)
+        assert exit_status(command, path, "--backend", "serial") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "is not UTF-8" in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    def test_parse_never_decodes_debug(self, capsys, tmp_path):
+        """``.debug`` decodes at first use: a command that never reads
+        it succeeds on an image whose ``.debug`` is broken."""
+        path = save_non_utf8_tiny(tmp_path / "bad.sbin", "debug-string")
+        assert exit_status("parse", path, "--backend", "serial") == 0
 
 
 class TestCliFuzz:

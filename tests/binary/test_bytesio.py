@@ -1,22 +1,87 @@
-"""Tests for the byte-stream serialization helpers."""
+"""Tests for the SBIN record layer: it reads what the field-by-field
+reference reader reads, and fails where it fails, with its message."""
+
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.binary.bytesio import ByteReader, ByteWriter
+from repro.binary.bytesio import U32, ByteReader, ByteWriter
 from repro.errors import ImageFormatError
+from tests.binary.reference import FieldReader
+
+
+_SCALARS = {"u8": struct.Struct("<B"), "u16": struct.Struct("<H"),
+            "u32": U32, "u64": struct.Struct("<Q")}
+_TAIL = struct.Struct("<QQBB")   # a multi-field record
+_PAIR = struct.Struct("<QQ")     # an array's record
+
+
+def _write(fields) -> bytes:
+    w = ByteWriter()
+    for kind, value in fields:
+        if kind in _SCALARS:
+            w.record(_SCALARS[kind].pack(value))
+        elif kind == "tail":
+            w.record(_TAIL.pack(*value))
+        elif kind == "pairs":
+            w.array(_PAIR, value)
+        else:
+            getattr(w, kind)(value)
+    return w.getvalue()
+
+
+def _read(r: ByteReader, fields) -> list:
+    """Read ``fields`` back with the record reader."""
+    out = []
+    for kind, _ in fields:
+        if kind in _SCALARS:
+            out.append(r.record(_SCALARS[kind])[0])
+        elif kind == "tail":
+            out.append(r.record(_TAIL))
+        elif kind == "pairs":
+            out.append(r.array(_PAIR))
+        else:
+            out.append(getattr(r, kind)())
+    return out
+
+
+def _read_reference(ref: FieldReader, fields) -> list:
+    """Read ``fields`` back one field at a time."""
+    out = []
+    for kind, _ in fields:
+        if kind == "tail":
+            out.append((ref.u64(), ref.u64(), ref.u8(), ref.u8()))
+        elif kind == "pairs":
+            out.append([(ref.u64(), ref.u64()) for _ in range(ref.u32())])
+        else:
+            out.append(getattr(ref, kind)())
+    return out
+
+
+_U64S = st.integers(0, 2**64 - 1)
+_FIELDS = st.lists(st.one_of(
+    st.tuples(st.just("u8"), st.integers(0, 255)),
+    st.tuples(st.sampled_from(["u16", "u32", "u64"]), st.integers(0, 65535)),
+    st.tuples(st.just("tail"), st.tuples(_U64S, _U64S, st.integers(0, 255),
+                                          st.integers(0, 255))),
+    st.tuples(st.just("pairs"),
+              st.lists(st.tuples(_U64S, _U64S), max_size=4)),
+    st.tuples(st.just("string"), st.text(max_size=20)),
+    st.tuples(st.just("blob"), st.binary(max_size=20))), max_size=20)
 
 
 class TestRoundTrip:
     def test_scalar_fields(self):
-        w = ByteWriter()
-        w.u8(200).u16(60000).u32(4_000_000_000).u64(1 << 60)
-        r = ByteReader(w.getvalue())
-        assert r.u8() == 200
-        assert r.u16() == 60000
-        assert r.u32() == 4_000_000_000
-        assert r.u64() == 1 << 60
+        rec = struct.Struct("<BHIQ")
+        raw = ByteWriter().record(rec.pack(200, 60000, 4_000_000_000,
+                                           1 << 60)).getvalue()
+        r = ByteReader(raw)
+        assert r.record(rec) == (200, 60000, 4_000_000_000, 1 << 60)
         assert r.exhausted
+        ref = FieldReader(raw)
+        assert (ref.u8(), ref.u16(), ref.u32(), ref.u64()) == \
+            (200, 60000, 4_000_000_000, 1 << 60)
 
     def test_string_and_blob(self):
         w = ByteWriter()
@@ -32,34 +97,38 @@ class TestRoundTrip:
         assert r.string() == ""
         assert r.blob() == b""
 
-    @given(st.lists(st.tuples(
-        st.sampled_from(["u8", "u16", "u32", "u64", "string", "blob"]),
-        st.integers(0, 255), st.text(max_size=20),
-        st.binary(max_size=20)), max_size=20))
-    def test_arbitrary_sequences(self, fields):
-        w = ByteWriter()
-        expected = []
-        for kind, num, txt, blob in fields:
-            if kind == "string":
-                w.string(txt)
-                expected.append(txt)
-            elif kind == "blob":
-                w.blob(blob)
-                expected.append(blob)
-            else:
-                getattr(w, kind)(num)
-                expected.append(num)
-        r = ByteReader(w.getvalue())
-        for (kind, *_), want in zip(fields, expected):
-            assert getattr(r, kind)() == want
+    def test_named_record_and_array(self):
+        tail, pair = struct.Struct("<QB"), struct.Struct("<QQ")
+        raw = ByteWriter().string("sym").record(tail.pack(7, 1)).array(
+            pair, [(1, 2), (3, 4)]).getvalue()
+        r = ByteReader(raw)
+        assert r.named(tail) == ("sym", 7, 1)
+        assert r.array(pair) == [(1, 2), (3, 4)]
         assert r.exhausted
+        ref = FieldReader(raw)
+        assert (ref.string(), ref.u64(), ref.u8()) == ("sym", 7, 1)
+        assert [(ref.u64(), ref.u64()) for _ in range(ref.u32())] == \
+            [(1, 2), (3, 4)]
+
+    def test_reads_from_an_offset_in_place(self):
+        raw = b"HEAD" + ByteWriter().string("x").getvalue()
+        r = ByteReader(memoryview(raw), 4)
+        assert r.string() == "x" and r.exhausted
+
+    @given(_FIELDS)
+    def test_arbitrary_sequences(self, fields):
+        raw = _write(fields)
+        r, ref = ByteReader(raw), FieldReader(raw)
+        assert _read(r, fields) == [v for _, v in fields]
+        assert _read_reference(ref, fields) == [v for _, v in fields]
+        assert r.exhausted and ref.exhausted
 
 
 class TestErrors:
     def test_truncated_read_raises(self):
         r = ByteReader(b"\x01")
         with pytest.raises(ImageFormatError):
-            r.u32()
+            r.record(U32)
 
     def test_truncated_string_raises(self):
         w = ByteWriter()
@@ -71,5 +140,31 @@ class TestErrors:
     def test_len_tracks_writer(self):
         w = ByteWriter()
         assert len(w) == 0
-        w.u32(1)
+        w.record(U32.pack(1))
         assert len(w) == 4
+
+    def test_string_that_is_not_utf8_names_its_offset(self):
+        raw = bytearray(ByteWriter().record(U32.pack(0)).string("abc")
+                        .getvalue())
+        raw[8] = 0xFF
+        with pytest.raises(ImageFormatError,
+                           match="name at offset 8 is not UTF-8"):
+            ByteReader(bytes(raw), 4).string("name")
+
+    def test_huge_count_is_a_truncation(self):
+        raw = ByteWriter().record(U32.pack(1 << 31)).getvalue() + bytes(44)
+        with pytest.raises(ImageFormatError,
+                           match="need 8 bytes at offset 44, have 4"):
+            ByteReader(raw).array(_PAIR)
+
+    @given(_FIELDS, st.data())
+    def test_every_cut_fails_like_the_field_reader(self, fields, data):
+        raw = _write(fields)
+        if not raw:
+            return
+        cut = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        with pytest.raises(ImageFormatError) as want:
+            _read_reference(FieldReader(cut), fields)
+        with pytest.raises(ImageFormatError) as got:
+            _read(ByteReader(cut), fields)
+        assert str(got.value) == str(want.value)

@@ -1,11 +1,21 @@
 """Tests for the binary image container."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.binary import BinaryImage, Section, SectionFlags
+from repro.binary import (
+    BinaryImage,
+    DebugInfo,
+    Section,
+    SectionFlags,
+    SymbolTable,
+)
 from repro.binary import format as fmt
 from repro.errors import ImageFormatError, SectionNotFoundError
+from repro.synth import hostile_binary, tensorflow_like, tiny_binary
+from tests.binary.reference import FieldReader, read_debug, read_section_table
 
 
 def make_image():
@@ -109,3 +119,121 @@ class TestSerialization:
         back = BinaryImage.from_bytes(img.to_bytes())
         assert back.section(".blob").data == data
         assert back.section(".blob").addr == addr
+
+
+#: sha256 of ``image.to_bytes()``, recorded from the field-by-field
+#: writers the record layer replaced: the format must not move.
+_PINNED = {
+    "tiny":
+        "083050e133ff8f325837864c9cbf179b53c275f83916bc15fa9549fe9b4919fa",
+    "tf-0.3":
+        "6abe98f1785855087a8e6210067e90e3ac5dfb7144cec1b306977b5572d7735a",
+    "hostile-all":
+        "5ed123fe2c1158cb9fd3c5bb5e11f81bb5d8458cf73d1267034388fab664ea4b",
+    "stripped":
+        "2eba4df0218eae3deec34bd37986f09331891a8d470d41768130d167a9af988c",
+}
+
+
+def _pinned_image(name):
+    if name == "tiny":
+        return tiny_binary().binary.image
+    if name == "tf-0.3":
+        return tensorflow_like(seed=104, scale=0.3).binary.image
+    return hostile_binary(name).binary.image
+
+
+@pytest.fixture(scope="module")
+def tf_image():
+    return tensorflow_like(seed=104, scale=0.3).binary.image
+
+
+def _debug_tuples(info):
+    """``info`` in :func:`read_debug`'s nested-tuple form."""
+    def inline(i):
+        return (i.callee, i.call_file, i.call_line, i.ranges,
+                [inline(c) for c in i.children])
+    return [(cu.name, cu.n_type_dies,
+             [(f.name, f.ranges, f.decl_file, f.decl_line,
+               [inline(i) for i in f.inlines]) for f in cu.functions],
+             [(r.addr, r.file, r.line) for r in cu.line_rows])
+            for cu in info.cus]
+
+
+class TestFormatPins:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_image_bytes_are_pinned(self, name):
+        raw = _pinned_image(name).to_bytes()
+        assert hashlib.sha256(raw).hexdigest() == _PINNED[name]
+
+    @pytest.mark.parametrize("section, codec", [(fmt.DEBUG, DebugInfo),
+                                                (fmt.SYMTAB, SymbolTable)])
+    def test_decode_then_encode_gives_the_same_bytes(self, tf_image,
+                                                     section, codec):
+        raw = bytes(tf_image.section(section).data)
+        assert codec.from_bytes(raw).to_bytes() == raw
+
+    def test_decoders_read_what_the_reference_reads(self, tf_image):
+        raw = tf_image.to_bytes()
+        img = BinaryImage.from_bytes(raw)
+        assert read_section_table(raw) == (img.name, [
+            (s.name, s.addr, int(s.flags), bytes(s.data))
+            for s in img.sections.values()])
+        debug = bytes(img.section(fmt.DEBUG).data)
+        assert _debug_tuples(DebugInfo.from_bytes(debug)) == \
+            read_debug(debug)[0]
+
+
+def _same_truncation(reference, decode, cut):
+    with pytest.raises(ImageFormatError) as want:
+        reference(cut)
+    with pytest.raises(ImageFormatError) as got:
+        decode(cut)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("truncated stream")
+
+
+class TestTruncation:
+    """Every cut is an :class:`ImageFormatError` naming the field the
+    field-by-field reference reader stops at: never ``struct.error``,
+    ``IndexError`` or ``UnicodeDecodeError``."""
+
+    def test_cut_at_every_byte_of_the_header_and_section_table(
+            self, tf_image):
+        raw = tf_image.to_bytes()
+        r = FieldReader(raw)
+        r.u32(), r.u16(), r.string(), r.u32()
+        cuts = list(range(4, r.pos))
+        for _ in tf_image.sections:
+            start = r.pos
+            r.string(), r.u64(), r.u32()
+            n = r.u64()
+            cuts += range(start, r.pos + 1)
+            cuts.append(r.pos + n // 2)  # inside the payload
+            r.pos += n
+        assert r.exhausted
+        for end in cuts:
+            _same_truncation(read_section_table, BinaryImage.from_bytes,
+                             raw[:end])
+        for end in range(4):
+            with pytest.raises(ImageFormatError, match="bad magic"):
+                BinaryImage.from_bytes(raw[:end])
+
+    def test_cut_at_every_byte_of_the_first_debug_records(self, tf_image):
+        raw = bytes(tf_image.section(fmt.DEBUG).data)
+        _, _, spans = read_debug(raw)
+        assert set(spans) == {"cu", "function", "inline", "row"}
+        for start, end in spans.values():
+            for cut in range(start, end + 1):
+                _same_truncation(read_debug, DebugInfo.from_bytes,
+                                 raw[:cut])
+
+    def test_cut_at_every_cu_boundary(self, tf_image):
+        raw = bytes(tf_image.section(fmt.DEBUG).data)
+        _, ends, _ = read_debug(raw)
+        assert ends[-1] == len(raw) and len(ends) > 1
+        for end in [4, *ends[:-1]]:
+            with pytest.raises(ImageFormatError,
+                               match=f"^truncated stream: need 4 bytes "
+                                     f"at offset {end}, have 0$"):
+                DebugInfo.from_bytes(raw[:end])

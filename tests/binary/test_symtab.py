@@ -15,7 +15,6 @@ from repro.binary import (
     demangle_typed,
     load_image,
 )
-from repro.binary.bytesio import ByteReader
 from repro.binary.format import SYMTAB
 from repro.errors import ImageFormatError
 from repro.runtime import SerialRuntime, ThreadRuntime, VirtualTimeRuntime
@@ -25,6 +24,7 @@ from repro.synth import (
     llnl2_like,
     tensorflow_like,
 )
+from tests.binary.reference import FieldReader
 
 
 class TestDemangle:
@@ -96,8 +96,8 @@ class TestSymbolTable:
 
 
 def _read_field_by_field(raw) -> list[Symbol]:
-    """The reference reader: every field through :class:`ByteReader`."""
-    r = ByteReader(raw)
+    """The reference reader: every field through :class:`FieldReader`."""
+    r = FieldReader(raw)
     out = []
     for _ in range(r.u32()):
         name = r.string()
