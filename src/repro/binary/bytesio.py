@@ -7,7 +7,8 @@ string followed by a record (a symbol is its name, then ``<QQBB``).  The
 reader makes one bounds check and one ``unpack_from`` per record, and
 every failure is an :class:`~repro.errors.ImageFormatError`: a truncated
 record names the first field that does not fit, as a field-by-field
-reader would, and a string that is not UTF-8 names its offset.
+reader would, a string that is not UTF-8 names its offset, and bytes
+left after a section's last record fail the reader's :meth:`ByteReader.end`.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ class ByteReader:
         self.pos = pos + n
         return self._buf[pos:pos + n]
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= self._end
+    def end(self, what: str) -> None:
+        """The end check of a section's reader: every byte was read, or
+        ``ImageFormatError("trailing bytes after <what>")``."""
+        if self.pos != self._end:
+            raise ImageFormatError(f"trailing bytes after {what}")

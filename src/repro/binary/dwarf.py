@@ -134,13 +134,15 @@ class DebugInfo:
         r = ByteReader(raw)
         cus = []
         for _ in range(r.record(U32)[0]):
-            name, n_type_dies, n_functions = r.named(_CU)
+            name, n_type_dies, n_functions = r.named(_CU, ".debug CU name")
             cu = CompilationUnit(name, n_type_dies=n_type_dies)
             cu.functions = [_read_function(r) for _ in range(n_functions)]
-            cu.line_rows = [LineRow(r.record(_ADDR)[0], *r.named(U32))
+            cu.line_rows = [LineRow(r.record(_ADDR)[0],
+                                    *r.named(U32, ".debug line file"))
                             for _ in range(r.record(U32)[0])]
             r.blob()  # skip opaque type-DIE payload
             cus.append(cu)
+        r.end(".debug")
         return cls(cus=cus)
 
 
@@ -153,8 +155,8 @@ def _write_inline(w: ByteWriter, inl: InlinedCall) -> None:
 
 
 def _read_inline(r: ByteReader) -> InlinedCall:
-    callee = r.string()
-    call_file, call_line = r.named(U32)
+    callee = r.string(".debug inline callee")
+    call_file, call_line = r.named(U32, ".debug call file")
     return InlinedCall(callee, call_file, call_line, r.array(_RANGE),
                        [_read_inline(r) for _ in range(r.record(U32)[0])])
 
@@ -167,7 +169,7 @@ def _write_function(w: ByteWriter, f: FunctionDIE) -> None:
 
 
 def _read_function(r: ByteReader) -> FunctionDIE:
-    name, ranges = r.string(), r.array(_RANGE)
-    decl_file, decl_line, n_inlines = r.named(_DECL)
+    name, ranges = r.string(".debug function name"), r.array(_RANGE)
+    decl_file, decl_line, n_inlines = r.named(_DECL, ".debug decl file")
     return FunctionDIE(name, ranges, decl_file, decl_line,
                        [_read_inline(r) for _ in range(n_inlines)])

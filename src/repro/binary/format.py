@@ -187,9 +187,7 @@ class BinaryImage:
             name, addr, flags = r.named(_SECTION, "section name")
             img.add_section(Section(name, addr, r.blob(),
                                     SectionFlags(flags)))
-        if not r.exhausted:
-            raise ImageFormatError(
-                "trailing bytes after the section table")
+        r.end("the section table")
         return img
 
     def save(self, path: str) -> None:

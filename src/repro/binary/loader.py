@@ -46,7 +46,8 @@ class LoadedBinary:
     def dynsym(self) -> SymbolTable:
         if not self.image.has_section(fmt.DYNSYM):
             return SymbolTable()
-        return SymbolTable.from_bytes(self.image.section(fmt.DYNSYM).data)
+        return SymbolTable.from_bytes(self.image.section(fmt.DYNSYM).data,
+                                      fmt.DYNSYM)
 
     @cached_property
     def debug_info(self) -> DebugInfo:
@@ -59,7 +60,9 @@ class LoadedBinary:
         """Function entry addresses recorded in unwind information."""
         if not self.image.has_section(fmt.EH_FRAME):
             return []
-        rows = ByteReader(self.image.section(fmt.EH_FRAME).data).array(_START)
+        r = ByteReader(self.image.section(fmt.EH_FRAME).data)
+        rows = r.array(_START)
+        r.end(fmt.EH_FRAME)
         return [a for (a,) in rows]
 
     def entry_addresses(self) -> list[int]:

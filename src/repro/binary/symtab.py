@@ -141,9 +141,11 @@ class SymbolTable:
         return w.getvalue()
 
     @classmethod
-    def from_bytes(cls, raw: bytes | memoryview) -> "SymbolTable":
-        """Read :meth:`to_bytes`'s form.  Truncated input, a name that
-        is not UTF-8, or a kind or binding byte outside its enum raises
+    def from_bytes(cls, raw: bytes | memoryview,
+                   section: str = ".symtab") -> "SymbolTable":
+        """Read :meth:`to_bytes`'s form, the payload of ``section``.
+        Truncated input, trailing bytes, a name that is not UTF-8, or a
+        kind or binding byte outside its enum raises
         :class:`~repro.errors.ImageFormatError`."""
         r = ByteReader(raw)
         symbols: list[Symbol] = []
@@ -156,6 +158,7 @@ class SymbolTable:
                 raise ImageFormatError(
                     f"symbol {name!r}: kind {kind} / binding {binding} "
                     "out of range") from None
+        r.end(section)
         return cls(symbols)
 
 

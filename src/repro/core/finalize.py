@@ -59,10 +59,12 @@ def finalize(parser: "ParallelParser") -> ParsedCFG:
     functions = {addr: f for addr, f in parser.functions.sorted_items()}
     tables = [info for _, info in parser.jump_tables.sorted_items()]
 
-    _trim_overlapping_tables(parser, tables, blocks, functions)
-    closures = _correct_tail_calls(parser, blocks, functions)
+    memo: dict[int, dict[int, Block]] = {}
+    if _trim_overlapping_tables(parser, tables, blocks):
+        memo = _sweep_unreachable(parser, blocks, functions)
+    closures, inter_in = _correct_tail_calls(parser, blocks, functions, memo)
     _assign_boundaries(parser, functions, closures)
-    functions = _remove_dead_functions(parser, functions)
+    functions = _remove_dead_functions(parser, functions, inter_in)
 
     live_blocks = [b for b in blocks.values() if b.end is not None]
     stats = parser.stats
@@ -85,9 +87,9 @@ def finalize(parser: "ParallelParser") -> ParsedCFG:
 
 def _trim_overlapping_tables(parser: "ParallelParser",
                              tables: list[JumpTableInfo],
-                             blocks: dict[int, Block],
-                             functions: dict[int, Function]) -> None:
-    """Trim unbounded table scans at the next discovered table's base."""
+                             blocks: dict[int, Block]) -> bool:
+    """Trim unbounded table scans at the next discovered table's base;
+    True if an edge was removed."""
     rt = parser.rt
     starts = sorted(t.table_addr for t in tables if t.table_addr is not None)
     removed_any = []
@@ -97,10 +99,9 @@ def _trim_overlapping_tables(parser: "ParallelParser",
             return
         rt.charge(rt.cost.map_op)
         idx = bisect.bisect_right(starts, info.table_addr)
-        next_base = starts[idx] if idx < len(starts) else None
-        if next_base is None:
+        if idx == len(starts):
             return
-        allowed = max(0, (next_base - info.table_addr) // 8)
+        allowed = max(0, (starts[idx] - info.table_addr) // 8)
         if info.n_entries <= allowed:
             return
         keep = info.targets[:allowed]
@@ -124,25 +125,22 @@ def _trim_overlapping_tables(parser: "ParallelParser",
             removed_any.append(True)
 
     rt.parallel_for(tables, trim)
-    if removed_any:
-        _sweep_unreachable(parser, blocks, functions)
+    return bool(removed_any)
 
 
 def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
-                       functions: dict[int, Function]) -> None:
-    """O_ER cascade: drop blocks unreachable from any function entry."""
+                       functions: dict[int, Function]
+                       ) -> dict[int, dict[int, Block]]:
+    """O_ER cascade: drop blocks unreachable from any function entry.
+
+    Every interprocedural edge targets a function entry (cfgsan's
+    ``interproc-target`` rule), so the entries reach the union of the
+    functions' closures.  Dropping the rest changes no live block's
+    out-edges, so the closures are returned to seed correction's memo."""
     rt = parser.rt
-    reached: set[int] = set()
-    stack = [f.entry for f in functions.values()]
-    while stack:
-        b = stack.pop()
-        if b.start in reached:
-            continue
-        reached.add(b.start)
-        rt.charge(rt.cost.sweep_per_block)
-        for e in b.out_edges:
-            if e.dst.start not in reached:
-                stack.append(e.dst)
+    closures = {addr: _function_closure(f) for addr, f in functions.items()}
+    reached = set().union(*closures.values())
+    rt.charge(rt.cost.sweep_per_block * len(reached))
     dead = [s for s in blocks if s not in reached]
     if dead:
         rt.metrics.inc("finalize.blocks_swept", len(dead))
@@ -157,14 +155,16 @@ def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
         parser.blocks_by_start.remove(s)
         # Out of the graph now, but still in a cycle with its own edges.
         release_blocks((b,))
+    return closures
 
 
 # --------------------------------------------------------------- steps 2+3
 
-def _function_closure(rt, func: Function) -> dict[int, Block]:
+def _function_closure(func: Function) -> dict[int, Block]:
     """The blocks reachable from the entry via intra-procedural edges,
     keyed by start: the one closure walk of the noreturn waves (Section
-    5.3) and of finalization."""
+    5.3) and of finalization.  It charges nothing: each caller charges
+    ``closure_per_block`` per block once, inside the task that walks."""
     seen: dict[int, Block] = {}
     stack = [func.entry]
     while stack:
@@ -172,7 +172,6 @@ def _function_closure(rt, func: Function) -> dict[int, Block]:
         if b.start in seen:
             continue
         seen[b.start] = b
-        rt.charge(rt.cost.closure_per_block)
         for e in b.out_edges:
             if e.etype in INTRA_EDGES and e.dst.start not in seen:
                 stack.append(e.dst)
@@ -207,25 +206,29 @@ def _refresh_closures(rt, functions: dict[int, Function],
     """
     def compute(fa):
         addr, func = fa
-        memo = closures.get(addr)
-        if memo is None or addr in dirty:
-            closures[addr] = _function_closure(rt, func)
-        else:
-            rt.charge(rt.cost.closure_per_block * len(memo))
+        closure = closures.get(addr)
+        if closure is None or addr in dirty:
+            closure = closures[addr] = _function_closure(func)
+        rt.charge(rt.cost.closure_per_block * len(closure))
 
     rt.parallel_for(sorted(functions.items()), compute)
 
 
 def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
-                        functions: dict[int, Function]
-                        ) -> dict[int, dict[int, Block]] | None:
+                        functions: dict[int, Function],
+                        closures: dict[int, dict[int, Block]]
+                        ) -> tuple[dict[int, dict[int, Block]] | None,
+                                   dict[int, int]]:
     """Iterative application of the three correction rules.
 
-    Returns the closures of the converged round (every function, fresh)
-    so :func:`_assign_boundaries` can reuse them instead of recomputing —
-    or None if the round cap was hit without convergence.  Rounds 2+
-    re-walk only the closures of functions containing a flipped edge's
-    source block.
+    ``closures`` seeds the memo (the sweep's, or empty).  Returns the
+    converged round's closures (every function, fresh; None if the round
+    cap was hit) for :func:`_assign_boundaries`, and each block's
+    interprocedural in-degree.  Rounds 2+ re-walk only the closures of
+    functions containing a flipped edge's source block.  Correction adds
+    and removes no edge, so the rule candidates (DIRECT and TAILCALL
+    edges, in block then out-edge order) and the in-degree are collected
+    once; a flip moves one edge into or out of ``INTER_EDGES``.
 
     No function is created here.  Every CALL and TAILCALL edge came from
     the parser's callee-entry step, which makes the target's function
@@ -240,7 +243,16 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
     symtab_entries.update(s.offset
                           for s in parser.binary.dynsym.functions())
 
-    closures: dict[int, dict[int, Block]] = {}
+    DIRECT, TAILCALL = EdgeType.DIRECT, EdgeType.TAILCALL
+    candidates = []
+    inter_in: dict[int, int] = {}
+    for b in blocks.values():             # in start order
+        for e in b.out_edges:
+            if e.etype is DIRECT or e.etype is TAILCALL:
+                candidates.append(e)
+            if e.etype in INTER_EDGES:
+                inter_in[e.dst.start] = inter_in.get(e.dst.start, 0) + 1
+
     dirty: set[int] = set()
     for _round in range(8):
         # The O_IEC fixed point of Section 5.4: each round recomputes
@@ -254,58 +266,54 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
             for bstart in cl:
                 containing.setdefault(bstart, set()).add(faddr)
 
-        def entry_like(dst: Block) -> bool:
-            return (dst.start in symtab_entries
-                    or any(ie.etype in INTER_EDGES for ie in dst.in_edges))
-
         flips = 0
         flip_srcs: list[int] = []
-        for b in (blocks[s] for s in sorted(blocks)):
-            for e in list(b.out_edges):
-                if e.flipped:
-                    continue
-                if e.etype is EdgeType.DIRECT:
-                    # Rule 1: not a tail call, but the target has CALL-like
-                    # incoming edges (it is a function entry).
-                    if entry_like(e.dst):
-                        e.etype = EdgeType.TAILCALL
-                        e.flipped = True
-                        flips += 1
-                        flip_srcs.append(e.src.start)
-                elif e.etype is EdgeType.TAILCALL:
-                    target = e.dst.start
-                    src_funcs = containing.get(e.src.start, set())
-                    # Rule 2: marked tail call but the target lies inside
-                    # the current function's own boundary.
-                    inside = any(
-                        target in closures[fa] and target != fa
-                        for fa in src_funcs
-                        if fa != target
-                    )
-                    # Rule 3: sole incoming edge and not a symbol-table
-                    # entry: an outlined block, not a function.
-                    sole = (len(e.dst.in_edges) == 1
-                            and target not in symtab_entries
-                            and functions[target].discovered_via
-                            == "tailcall")
-                    if inside or sole:
-                        e.etype = EdgeType.DIRECT
-                        e.flipped = True
-                        flips += 1
-                        flip_srcs.append(e.src.start)
+        for e in candidates:
+            if e.flipped:
+                continue
+            target = e.dst.start
+            if e.etype is DIRECT:
+                # Rule 1: not a tail call, but the target has CALL-like
+                # incoming edges (it is a function entry).
+                if target in symtab_entries or inter_in.get(target):
+                    e.etype = TAILCALL
+                    inter_in[target] = inter_in.get(target, 0) + 1
+                    e.flipped = True
+                    flips += 1
+                    flip_srcs.append(e.src.start)
+                continue
+            src_funcs = containing.get(e.src.start, ())
+            # Rule 2: marked tail call but the target lies inside
+            # the current function's own boundary.
+            inside = any(
+                target in closures[fa] and target != fa
+                for fa in src_funcs
+                if fa != target
+            )
+            # Rule 3: sole incoming edge and not a symbol-table
+            # entry: an outlined block, not a function.
+            sole = (len(e.dst.in_edges) == 1
+                    and target not in symtab_entries
+                    and functions[target].discovered_via == "tailcall")
+            if inside or sole:
+                e.etype = DIRECT
+                inter_in[target] -= 1
+                e.flipped = True
+                flips += 1
+                flip_srcs.append(e.src.start)
         parser.stats.n_tailcall_flips += flips
         if flips:
             rt.metrics.inc("finalize.tailcall_flips", flips)
         if flips == 0:
             # Converged: every closure in the memo is fresh (nothing
             # mutated edges since this round's compute pass).
-            return closures
+            return closures, inter_in
 
         # Rule-2/3 flips may orphan a function (step 4 drops it).
         dirty = set()
         for s in flip_srcs:
             dirty.update(containing.get(s, ()))
-    return None
+    return None, inter_in
 
 
 def _assign_boundaries(parser: "ParallelParser",
@@ -313,21 +321,18 @@ def _assign_boundaries(parser: "ParallelParser",
                        closures: dict[int, dict[int, Block]] | None = None
                        ) -> None:
     """Step 3 — with ``closures`` (the converged round's memo from
-    :func:`_correct_tail_calls`) the reachability walk is skipped: no
-    edge mutated between that round's compute pass and here, so the
-    closure values are already exact (same total charge either way)."""
+    :func:`_correct_tail_calls`, exact: no edge mutated since) the
+    reachability walk is skipped; the charge is the walk's either way."""
     rt = parser.rt
-    by_start = parser.blocks_by_start
+    memo = closures or {}
 
     def assign(fa):
         addr, func = fa
-        if closures is not None and addr in closures:
-            closure = closures[addr]
-            rt.charge(rt.cost.closure_per_block * len(closure))
-        else:
-            closure = _function_closure(rt, func)
-        func.blocks = [by_start.get(s) for s in sorted(closure)
-                       if by_start.get(s) is not None]
+        closure = memo.get(addr)
+        if closure is None:
+            closure = _function_closure(func)
+        rt.charge(rt.cost.closure_per_block * len(closure))
+        func.blocks = [closure[s] for s in sorted(closure)]
 
     rt.parallel_for(sorted(functions.items()), assign)
 
@@ -335,21 +340,15 @@ def _assign_boundaries(parser: "ParallelParser",
 # --------------------------------------------------------------- step 4
 
 def _remove_dead_functions(parser: "ParallelParser",
-                           functions: dict[int, Function]
-                           ) -> dict[int, Function]:
-    """Drop discovered functions with no incoming inter-procedural edges."""
-    incoming: set[int] = set()
-    for addr, func in functions.items():
-        for b in func.blocks:
-            for e in b.out_edges:
-                if e.etype in INTER_EDGES:
-                    incoming.add(e.dst.start)
+                           functions: dict[int, Function],
+                           inter_in: dict[int, int]) -> dict[int, Function]:
+    """Drop discovered functions with no incoming inter-procedural edges
+    (``inter_in``: each block's interprocedural in-degree)."""
     kept: dict[int, Function] = {}
     for addr, func in sorted(functions.items()):
-        if func.from_symtab or addr in incoming:
+        if func.from_symtab or inter_in.get(addr):
             kept[addr] = func
         else:
             parser.stats.n_funcs_removed += 1
             parser.rt.metrics.inc("finalize.dead_functions_removed")
     return kept
-

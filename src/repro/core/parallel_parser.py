@@ -229,12 +229,10 @@ class ParallelParser:
     # ------------------------------------------------- shard frontier (procs)
 
     def _foreign(self, addr: int) -> bool:
-        """True if ``addr`` is owned by another shard (fragment mode)."""
-        owned = self.owned_range
-        if owned is not None:
-            lo, hi = owned
-            return not (lo <= addr < hi)
-        return False
+        """True if ``addr`` is owned by another shard.  Fragment mode
+        only: each caller first tests ``owned_range is not None``."""
+        lo, hi = self.owned_range
+        return not (lo <= addr < hi)
 
     def export_frontier(self) -> tuple[list[FrontierRecord],
                                        dict[int, list[int]]]:
@@ -298,7 +296,8 @@ class ParallelParser:
                 if src is None:
                     src = self._block_at(rec.block_start)
                 if rec.kind == "edges":
-                    self._create_edges(ctx, src, self._insn_at(rec.last_addr))
+                    last = self._insn_at(rec.last_addr)
+                    self._create_edges(ctx, src, last, last.cf_kind)
                 else:  # intra
                     self._add_intra_target(ctx, src, rec.target,
                                            EdgeType(rec.etype))
@@ -444,7 +443,11 @@ class ParallelParser:
     def _parse_block(self, ctx: _TaskCtx, block: Block,
                      cache: dict[int, Instruction] | None) -> None:
         ctx.reached.add(block.start)
-        insns, ended_cf = self._linear_parse(block.start, cache)
+        # linearParsing; ``cache`` is the calling thread's decode cache
+        # (Section 6.3), or None to decode every block afresh.
+        insns, ended_cf, misses = self.decoder.scan_run(block.start, cache)
+        rt = self.rt
+        rt.charge(rt.cost.decode_insn * misses)
         if not insns:
             block.end = block.start  # degenerate: undecodable candidate
             return
@@ -452,7 +455,7 @@ class ParallelParser:
         block.has_teardown = has_teardown(insns)
         last = insns[-1] if ended_cf else None
         end = insns[-1].end
-        if self._foreign(end - 1):
+        if self.owned_range is not None and self._foreign(end - 1):
             # Linear overrun past the shard boundary: another shard may
             # parse the same bytes in its own fragment.  Claim rule: only
             # the owner of the end's last byte registers it (invariants
@@ -466,16 +469,6 @@ class ParallelParser:
             return
         self._register_end(ctx, block, end, last)
 
-    def _linear_parse(self, start: int,
-                      cache: dict[int, Instruction] | None
-                      ) -> tuple[list[Instruction], bool]:
-        """linearParsing; ``cache`` is the calling thread's decode cache
-        (Section 6.3), or None to decode every block afresh."""
-        insns, ended_cf, misses = self.decoder.scan_run(start, cache)
-        rt = self.rt
-        rt.charge(rt.cost.decode_insn * misses)
-        return insns, ended_cf
-
     # -- invariants 2-4: end registration, edge creation, splitting ------------
 
     def _register_end(self, ctx: _TaskCtx | None, block: Block, end: int,
@@ -488,8 +481,8 @@ class ParallelParser:
                     acc.value = block
                     block.end = end
                     if last is not None:
-                        block.last_kind = last.cf_kind
-                        self._create_edges(ctx, block, last)
+                        kind = block.last_kind = last.cf_kind
+                        self._create_edges(ctx, block, last, kind)
                     return
                 if acc.value is block:
                     return
@@ -547,14 +540,15 @@ class ParallelParser:
 
     def _ensure_block(self, start: int) -> tuple[Block, bool]:
         """Invariant 1: create-if-absent; the winner parses the block."""
+        return self.blocks_by_start.ensure(start, self._new_block)
+
+    def _new_block(self, start: int) -> Block:
+        # Charged inside the map's insert, where the accessor charged it:
+        # on vtime that is under the entry lock.
         rt = self.rt
-        with self.blocks_by_start.accessor(start) as acc:
-            if acc.created:
-                rt.charge(rt.cost.block_create)
-                self._n_blocks.inc()
-                acc.value = Block(start)
-                return acc.value, True
-            return acc.value, False
+        rt.charge(rt.cost.block_create)
+        self._n_blocks.inc()
+        return Block(start)
 
     def _make_function(self, addr: int, name: str, via: str
                        ) -> tuple[Function, bool, list[Block]]:
@@ -578,8 +572,9 @@ class ParallelParser:
     # -- invariant 3: the edge creation cases of Listing 3 ---------------------
 
     def _create_edges(self, ctx: _TaskCtx, block: Block,
-                      last: Instruction) -> None:
-        kind = last.cf_kind
+                      last: Instruction, kind: ControlFlowKind) -> None:
+        """Invariant 3's edges for ``block`` ending in ``last``, whose
+        ``cf_kind`` the caller has already read as ``kind``."""
         if (self.owned_range is not None and kind in _DIRECT_KINDS
                 and (self._foreign(last.direct_target)
                      or (kind is ControlFlowKind.COND_JUMP
@@ -608,7 +603,7 @@ class ParallelParser:
 
     def _add_intra_target(self, ctx: _TaskCtx, block: Block, target: int,
                           etype: EdgeType) -> Block | None:
-        if self._foreign(target):
+        if self.owned_range is not None and self._foreign(target):
             self._defer_frontier(ctx, "intra", block=block, target=target,
                                  etype=etype)
             return None
@@ -767,7 +762,7 @@ class ParallelParser:
         but never drops it; the caller's function exists because its own
         traversal recorded the site.
         """
-        if self._foreign(site.fallthrough):
+        if self.owned_range is not None and self._foreign(site.fallthrough):
             self._defer_frontier(None, "resume", site=site)
             return
         if self.op_trace is not None:
@@ -808,8 +803,9 @@ class ParallelParser:
             # Only UNSET functions are summarized, and statuses never
             # return to UNSET, so the memo covers every lookup.
             def precompute(f: Function) -> None:
-                memo[f.addr] = return_summary(
-                    _function_closure(rt, f).values())
+                closure = _function_closure(f)
+                rt.charge(rt.cost.closure_per_block * len(closure))
+                memo[f.addr] = return_summary(closure.values())
 
             rt.parallel_for(
                 [f for f in funcs

@@ -5,7 +5,10 @@ Listings 4–6: ``insert`` is an atomic insert-if-absent whose boolean result
 tells the caller whether it created the entry (invariants 1 and 5), and an
 *accessor* holds an entry-level lock for the duration of a compound
 operation (invariants 2–4: block-end registration, edge creation and block
-splitting are mutually exclusive per end address).
+splitting are mutually exclusive per end address).  ``ensure(key, make)``
+is the insert-if-absent of Listing 4 with the value built only by the
+winner: ``(value, created)``, as ``with accessor(key)`` plus ``make(key)``
+on creation would give, charged and counted the same.
 
 Two implementations share one API and one read-only half; a runtime picks
 between them in :meth:`Runtime.make_map <repro.runtime.api.Runtime.make_map>`:
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
+from operator import itemgetter
 from typing import Any, Generic, TypeVar
 
 from repro.errors import RuntimeConfigError
@@ -38,6 +42,9 @@ K = TypeVar("K")
 V = TypeVar("V")
 
 _MISSING = object()
+
+#: ``sorted_items``' default sort key: the item's key, without a frame.
+_KEY = itemgetter(0)
 
 
 #: A context that yields None and holds nothing: what
@@ -217,8 +224,7 @@ class _MapReads(Generic[K, V]):
         it is structure-safe like the rest of the snapshot API.
         """
         return sorted(self.items_snapshot(),
-                      key=(lambda kv: key(kv[0])) if key else
-                      (lambda kv: kv[0]))
+                      key=(lambda kv: key(kv[0])) if key else _KEY)
 
 
 class ConcurrentHashMap(_MapReads[K, V]):
@@ -342,6 +348,17 @@ class ConcurrentHashMap(_MapReads[K, V]):
             return Accessor(entry, created, key, rt,
                             ("map", self._mname, key))
         return Accessor(entry, created, key)
+
+    def ensure(self, key: K, make: Callable[[K], V]) -> tuple[V, bool]:
+        """``(value, created)`` for ``key``, inserting ``make(key)`` if it
+        is absent (Listing 4).  This is the accessor path: ``make`` runs
+        under the entry lock, so whatever it charges lands where the
+        caller's own ``with accessor`` body would have charged it."""
+        with self.accessor(key) as acc:
+            if acc.created:
+                acc.value = value = make(key)
+                return value, True
+            return acc.value, False
 
     def install_many(self, items: Iterable[tuple[K, V]]) -> int:
         """Bulk insert-if-absent for single-writer phases (the procs
@@ -510,6 +527,28 @@ class SingleWriterMap(_MapReads[K, V]):
             cell.created = False
         self._acquires.n += 1
         return cell
+
+    def ensure(self, key: K, make: Callable[[K], V]) -> tuple[V, bool]:
+        """:meth:`ConcurrentHashMap.ensure` with one dict lookup: the same
+        charge, counters, ``make`` call and errors as the accessor path."""
+        self._charge(self._op_cost)
+        self._ops.n += 1
+        cell = self._d.get(key)
+        if cell is None:
+            self._created.n += 1
+            self._acquires.n += 1
+            value = make(key)
+            self._d[key] = _Cell(key, value)
+            return value, True
+        if cell._held:
+            raise RuntimeConfigError(
+                "serial runtime: recursive acquisition of a non-reentrant lock"
+            )
+        self._acquires.n += 1
+        value = cell.v
+        if value is _MISSING:
+            raise KeyError(key)
+        return value, False
 
     def install_many(self, items: Iterable[tuple[K, V]]) -> int:
         """Bulk insert-if-absent, charged and counted per item."""

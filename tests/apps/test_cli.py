@@ -245,6 +245,24 @@ class TestCliMalformedImages:
         assert out == "" and "Traceback" not in err
         assert err.startswith("error:") and "is not UTF-8" in err
         assert sum("error:" in line for line in err.splitlines()) == 1
+        if where == "debug-string":
+            assert ".debug" in err
+
+    @pytest.mark.parametrize("command", ["parse", "hpcstruct"])
+    def test_trailing_symtab_bytes_are_one_error_line_and_exit_2(
+            self, capsys, tmp_path, command):
+        img = tiny_binary().binary.image
+        broken = BinaryImage(img.name)
+        for s in img.sections.values():
+            data = bytes(s.data) + (b"garbage" if s.name == fmt.SYMTAB
+                                    else b"")
+            broken.add_section(Section(s.name, s.addr, data, s.flags))
+        path = str(tmp_path / "bad.sbin")
+        broken.save(path)
+        assert exit_status(command, path, "--backend", "serial") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "error: trailing bytes after .symtab\n"
 
     def test_parse_never_decodes_debug(self, capsys, tmp_path):
         """``.debug`` decodes at first use: a command that never reads

@@ -78,7 +78,7 @@ class TestRoundTrip:
                                            1 << 60)).getvalue()
         r = ByteReader(raw)
         assert r.record(rec) == (200, 60000, 4_000_000_000, 1 << 60)
-        assert r.exhausted
+        r.end("the fields")
         ref = FieldReader(raw)
         assert (ref.u8(), ref.u16(), ref.u32(), ref.u64()) == \
             (200, 60000, 4_000_000_000, 1 << 60)
@@ -104,16 +104,28 @@ class TestRoundTrip:
         r = ByteReader(raw)
         assert r.named(tail) == ("sym", 7, 1)
         assert r.array(pair) == [(1, 2), (3, 4)]
-        assert r.exhausted
+        r.end("the fields")
         ref = FieldReader(raw)
         assert (ref.string(), ref.u64(), ref.u8()) == ("sym", 7, 1)
         assert [(ref.u64(), ref.u64()) for _ in range(ref.u32())] == \
             [(1, 2), (3, 4)]
 
+    def test_end_rejects_trailing_bytes(self):
+        raw = ByteWriter().string("x").getvalue()
+        r = ByteReader(raw + b"!")
+        assert r.string() == "x"
+        with pytest.raises(ImageFormatError,
+                           match="^trailing bytes after .things$"):
+            r.end(".things")
+        r = ByteReader(raw)
+        r.string()
+        r.end(".things")
+
     def test_reads_from_an_offset_in_place(self):
         raw = b"HEAD" + ByteWriter().string("x").getvalue()
         r = ByteReader(memoryview(raw), 4)
-        assert r.string() == "x" and r.exhausted
+        assert r.string() == "x"
+        r.end("the fields")
 
     @given(_FIELDS)
     def test_arbitrary_sequences(self, fields):
@@ -121,7 +133,8 @@ class TestRoundTrip:
         r, ref = ByteReader(raw), FieldReader(raw)
         assert _read(r, fields) == [v for _, v in fields]
         assert _read_reference(ref, fields) == [v for _, v in fields]
-        assert r.exhausted and ref.exhausted
+        r.end("the fields")
+        assert ref.exhausted
 
 
 class TestErrors:

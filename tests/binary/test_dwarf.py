@@ -1,5 +1,7 @@
 """Tests for the DWARF-like debug information model."""
 
+import pytest
+
 from repro.binary import (
     CompilationUnit,
     DebugInfo,
@@ -7,6 +9,7 @@ from repro.binary import (
     InlinedCall,
     LineRow,
 )
+from repro.errors import ImageFormatError
 
 
 def sample_debug_info():
@@ -87,6 +90,31 @@ class TestSerialization:
         back = DebugInfo.from_bytes(DebugInfo().to_bytes())
         assert back.die_count() == 0
         assert back.cus == []
+
+    def test_trailing_bytes_are_a_format_error(self):
+        raw = sample_debug_info().to_bytes()
+        with pytest.raises(ImageFormatError,
+                           match="^trailing bytes after .debug$"):
+            DebugInfo.from_bytes(raw + b"\x00\x00")
+
+    @pytest.mark.parametrize("string, record", [
+        ("cu.c", "CU name"), ("fn", "function name"),
+        ("decl.c", "decl file"), ("callee", "inline callee"),
+        ("call.h", "call file"), ("line.c", "line file")])
+    def test_string_that_is_not_utf8_names_its_record(self, string,
+                                                      record):
+        inline = InlinedCall("callee", "call.h", 2, ranges=[(0x12, 0x14)])
+        fn = FunctionDIE("fn", ranges=[(0x10, 0x20)], decl_file="decl.c",
+                         decl_line=1, inlines=[inline])
+        di = DebugInfo(cus=[CompilationUnit(
+            "cu.c", functions=[fn], line_rows=[LineRow(0x10, "line.c", 3)])])
+        raw = bytearray(di.to_bytes())
+        raw[raw.index(len(string).to_bytes(4, "little")
+                      + string.encode()) + 4] = 0xFF
+        with pytest.raises(ImageFormatError,
+                           match=f"^.debug {record} at offset .* is not "
+                                 "UTF-8"):
+            DebugInfo.from_bytes(bytes(raw))
 
     def test_line_rows_roundtrip(self):
         back = DebugInfo.from_bytes(sample_debug_info().to_bytes())

@@ -106,6 +106,21 @@ class TestMalformedImages:
         with pytest.raises(ImageFormatError, match="trailing bytes"):
             load_image(raw + b"\xde\xad")
 
+    @pytest.mark.parametrize("section", [fmt.SYMTAB, fmt.DYNSYM,
+                                         fmt.EH_FRAME, fmt.DEBUG])
+    def test_trailing_bytes_after_a_metadata_section(self, section):
+        img = build_test_binary()
+        broken = BinaryImage(name=img.name)
+        for s in img.sections.values():
+            data = bytes(s.data) + (b"garbage" if s.name == section else b"")
+            broken.add_section(Section(s.name, s.addr, data, s.flags))
+        lb = load_image(broken.to_bytes())
+        with pytest.raises(ImageFormatError,
+                           match=f"^trailing bytes after {section}$"):
+            {fmt.SYMTAB: lambda: lb.symtab, fmt.DYNSYM: lambda: lb.dynsym,
+             fmt.EH_FRAME: lambda: lb.eh_frame_starts,
+             fmt.DEBUG: lambda: lb.debug_info}[section]()
+
     def test_overlapping_loadable_sections(self):
         img = BinaryImage(name="overlap")
         img.add_section(Section(fmt.TEXT, 0x1000, b"\x01" * 0x20,

@@ -161,6 +161,14 @@ class TestFromBytes:
         with pytest.raises(ImageFormatError, match="symbol name"):
             SymbolTable.from_bytes(bytes(bad))
 
+    def test_trailing_bytes_are_a_format_error(self, raw):
+        with pytest.raises(ImageFormatError,
+                           match="^trailing bytes after .symtab$"):
+            SymbolTable.from_bytes(raw + b"garbage")
+        with pytest.raises(ImageFormatError,
+                           match="^trailing bytes after .dynsym$"):
+            SymbolTable.from_bytes(raw + b"\x00", ".dynsym")
+
     def test_truncated_inside_every_field(self, raw):
         # Every cut through the count and the first two records.
         for end in range(_record_ends(raw)[1]):

@@ -29,19 +29,21 @@ from repro.synth import tensorflow_like
 _ISA = os.path.join(os.path.dirname(repro.__file__), "isa") + os.sep
 
 #: Measured on ``tensorflow_like(seed=104, scale=0.1)`` (4 612 decoded
-#: instructions, 1 285 blocks, warm process): 39.01 calls per
+#: instructions, 1 285 blocks, warm process): 33.39 calls per
 #: instruction, 1.698 of them inside ``repro.isa`` — all per *block*:
 #: one ``scan_run``, one ``has_teardown``, and the ``end`` /
 #: ``cf_kind`` / ``direct_target`` reads of its last instruction;
-#: 140.0 calls per block, 35.6 of them while ``finalize`` runs.
-#: Budgets are those + 5 %.  The frozen-dataclass ``Instruction`` and
-#: finalize's ``EdgeType.interprocedural`` calls measured 41.48,
-#: 148.9 and 41.6; the commit before the compiled decode table 61.24
-#: and 8.47 per instruction.
-CALLS_PER_INSN = 41.0
+#: 119.8 calls per block, 24.3 of them while ``finalize`` runs.
+#: Budgets are those + 5 %.  Before finalize walked each closure once
+#: and a block was created with one map visit: 39.01, 140.0 and 35.6;
+#: the frozen-dataclass ``Instruction`` and finalize's
+#: ``EdgeType.interprocedural`` calls: 41.48, 148.9 and 41.6; the
+#: commit before the compiled decode table 61.24 and 8.47 per
+#: instruction.
+CALLS_PER_INSN = 35.1
 ISA_CALLS_PER_INSN = 1.78
-CALLS_PER_BLOCK = 147.0
-FINALIZE_CALLS_PER_BLOCK = 37.4
+CALLS_PER_BLOCK = 125.8
+FINALIZE_CALLS_PER_BLOCK = 25.5
 
 
 def _parse(binary):

@@ -306,10 +306,9 @@ class TestDecodeCache:
         assert parser.blocks_by_start.get(bogus).is_empty
         cache = parser.local_decode_cache()
         assert real in cache
-        # Decoded once: a second pass is all hits and charges nothing.
-        before = rt.now()
-        insns, _ended_cf = parser._linear_parse(real, cache)
-        assert insns and rt.now() == before
+        # Decoded once: a second pass is all hits, so nothing to charge.
+        insns, _ended_cf, misses = parser.decoder.scan_run(real, cache)
+        assert insns and misses == 0
 
 
 class TestSeedEntries:

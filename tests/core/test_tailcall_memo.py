@@ -1,30 +1,37 @@
-"""Tail-call correction memoizes closures across rounds: the oracle.
+"""Tail-call correction memoizes closures across rounds: the oracles.
 
-From round 2 on, :func:`repro.core.finalize._correct_tail_calls`
-re-walks only the closures of functions containing a flipped edge's
-source block and of functions minted in the previous round; every other
-function charges its memoized closure's size instead.  The per-round
-full recomputation it replaced is kept below, verbatim, as the oracle:
-on inputs whose correction runs two rounds — serially and on the procs
-coordinator — both must produce the same closures in every round, the
-same :class:`~repro.core.cfg.ParseStats`, the same serial clock and the
-same virtual-time makespans.  No hypothesis needed.
+:func:`repro.core.finalize._correct_tail_calls` starts from the
+closures the unreachable-block sweep computed (when it ran), and from
+round 2 on re-walks only the closures of functions containing a
+flipped edge's source block; every other function charges its
+memoized closure's size instead.  The per-round full recomputation it
+replaced is kept below as the oracle, verbatim but for its closure
+walk, which now charges at the call as every caller does: on inputs whose
+correction runs two rounds — serially and on the procs coordinator —
+both must produce the same closures in every round, the same
+:class:`~repro.core.cfg.ParseStats`, the same serial clock and the
+same virtual-time makespans.  Finalize mints no function, so the
+oracle's minting loop never fires.
+
+Dead-function removal reads the interprocedural in-degree correction
+leaves behind; the walk over every function's out-edges it replaced is
+the second oracle.  No hypothesis needed.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import pytest
 
 from repro.core import finalize as fin
 from repro.core import parse_binary
-from repro.core.cfg import Block, EdgeType, Function
+from repro.core.cfg import INTER_EDGES, Block, EdgeType, Function
 from repro.core.parallel_parser import ParseOptions
 from repro.runtime import SerialRuntime, VirtualTimeRuntime
-from repro.runtime.cost import DEFAULT_COSTS
 from repro.runtime.procs import ProcsRuntime
-from repro.synth import hostile_binary, tensorflow_like
+from repro.synth import HOSTILE_PRESETS, hostile_binary, tensorflow_like
+
+from tests.core.test_parallel_parser import make_binary
+from tests.core.test_tailcall_heuristic import _unreached_after_teardown
 
 
 def _full_correct_tail_calls(parser, blocks: dict[int, Block],
@@ -43,7 +50,8 @@ def _full_correct_tail_calls(parser, blocks: dict[int, Block],
 
         def compute(fa):
             addr, func = fa
-            closures[addr] = fin._function_closure(rt, func)
+            closures[addr] = fin._function_closure(func)
+            rt.charge(rt.cost.closure_per_block * len(closures[addr]))
 
         rt.parallel_for(sorted(functions.items()), compute)
         if rounds is not None:
@@ -101,8 +109,34 @@ def _full_correct_tail_calls(parser, blocks: dict[int, Block],
     return None
 
 
-#: A runtime stand-in that charges nothing (for the spy's fresh walks).
-_NO_CHARGE = SimpleNamespace(charge=lambda units: None, cost=DEFAULT_COSTS)
+def _inter_in_degree(blocks: dict[int, Block]) -> dict[int, int]:
+    """Each block's interprocedural in-degree, counted afresh."""
+    counts: dict[int, int] = {}
+    for b in blocks.values():
+        for e in b.out_edges:
+            if e.etype.interprocedural:
+                counts[e.dst.start] = counts.get(e.dst.start, 0) + 1
+    return counts
+
+
+def _walk_remove_dead_functions(parser, functions: dict[int, Function],
+                                inter_in=None) -> dict[int, Function]:
+    """Dead-function removal before the in-degree: walk every function's
+    blocks for interprocedural out-edges (``inter_in`` is ignored)."""
+    incoming: set[int] = set()
+    for addr, func in functions.items():
+        for b in func.blocks:
+            for e in b.out_edges:
+                if e.etype in INTER_EDGES:
+                    incoming.add(e.dst.start)
+    kept: dict[int, Function] = {}
+    for addr, func in sorted(functions.items()):
+        if func.from_symtab or addr in incoming:
+            kept[addr] = func
+        else:
+            parser.stats.n_funcs_removed += 1
+            parser.rt.metrics.inc("finalize.dead_functions_removed")
+    return kept
 
 
 class _Recorder:
@@ -112,9 +146,10 @@ class _Recorder:
     def __init__(self, monkeypatch, oracle: bool):
         self.rounds: list[dict[int, frozenset[int]]] = []
         if oracle:
-            def correct(parser, blocks, functions):
-                return _full_correct_tail_calls(parser, blocks, functions,
-                                                self.rounds)
+            def correct(parser, blocks, functions, memo):
+                closures = _full_correct_tail_calls(parser, blocks,
+                                                    functions, self.rounds)
+                return closures, _inter_in_degree(blocks)
             monkeypatch.setattr(fin, "_correct_tail_calls", correct)
             return
         refresh = fin._refresh_closures
@@ -124,8 +159,8 @@ class _Recorder:
             # The memo must hold exactly what a fresh walk finds.
             assert closures.keys() == functions.keys()
             for addr, func in functions.items():
-                assert closures[addr] == \
-                    fin._function_closure(_NO_CHARGE, func), hex(addr)
+                assert closures[addr] == fin._function_closure(func), \
+                    hex(addr)
             self.rounds.append({a: frozenset(c)
                                 for a, c in closures.items()})
 
@@ -201,3 +236,40 @@ def test_coordinator_memoized_correction_matches(preset, seed,
         results.append((rec.rounds, cfg.stats, cfg.signature()))
     assert len(results[1][0]) == 2, "input no longer runs two rounds"
     assert results[0] == results[1]
+
+
+#: A hand-written binary whose correction orphans a function (rule 3
+#: turns F's tail call to V into a jump), then the synthetic ones.
+_DEAD_FUNCTION_INPUTS = ["orphaned-tailcall", *HOSTILE_PRESETS,
+                         "tensorflow"]
+
+
+def _dead_function_input(name: str):
+    if name == "orphaned-tailcall":
+        return make_binary(_unreached_after_teardown, {"F": "F"})[0]
+    return _binary(name, 104 if name == "tensorflow" else 0)
+
+
+def _parse_removing(binary, monkeypatch, walk: bool, rt):
+    with monkeypatch.context() as mp:
+        if walk:
+            mp.setattr(fin, "_remove_dead_functions",
+                       _walk_remove_dead_functions)
+        cfg = parse_binary(binary, rt)
+    return ([f.addr for f in cfg.functions()], cfg.stats, cfg.signature(),
+            rt.now(), rt.metrics.snapshot())
+
+
+@pytest.mark.parametrize("name", _DEAD_FUNCTION_INPUTS)
+def test_dead_functions_match_the_edge_walk(name, monkeypatch):
+    binary = _dead_function_input(name)
+    by_degree = _parse_removing(binary, monkeypatch, False,
+                                SerialRuntime(enable_metrics=True))
+    by_walk = _parse_removing(binary, monkeypatch, True,
+                              SerialRuntime(enable_metrics=True))
+    assert by_degree == by_walk
+    if name == "orphaned-tailcall":
+        assert by_degree[1].n_funcs_removed == 1
+    assert _parse_removing(binary, monkeypatch, False,
+                           VirtualTimeRuntime(4)) == \
+        _parse_removing(binary, monkeypatch, True, VirtualTimeRuntime(4))

@@ -12,6 +12,8 @@ import threading
 import pytest
 
 from repro.core import parse_binary
+from repro.core.cfg import Block
+from repro.core.parallel_parser import ParallelParser
 from repro.errors import RuntimeConfigError
 from repro.runtime import (
     ConcurrentHashMap,
@@ -261,6 +263,104 @@ class TestAccessorSingleWriter(TestAccessor):
     new_map = staticmethod(SingleWriterMap)
     #: needs workers that can meet — not a single-writer case.
     test_accessor_mutual_exclusion_vtime = None
+
+
+class TestEnsure:
+    """``ensure(key, make)`` is ``with accessor(key)`` plus ``make(key)``
+    on creation, in one call: same values, charges and counters."""
+
+    new_map = staticmethod(ConcurrentHashMap)
+    KEYS = ["a", "b", "a", "c", "b", "a"]
+
+    def _run(self, op):
+        """Apply ``op(m, key, make)`` to KEYS on a fresh map; returns the
+        results, the keys ``make`` saw, the clock and the counters."""
+        rt = SerialRuntime()
+        made = []
+
+        def make(key):
+            made.append(key)
+            rt.charge(7)
+            return key.upper()
+
+        def body():
+            m = self.new_map(rt, name="e")
+            return [op(m, k, make) for k in self.KEYS]
+
+        results = rt.run(body)
+        counters = {n: rt.metrics.counter(f"map.e.{n}")
+                    for n in ("ops", "created", "acquires")}
+        return results, made, rt.now(), counters
+
+    @staticmethod
+    def _by_accessor(m, key, make):
+        with m.accessor(key) as acc:
+            if acc.created:
+                acc.value = make(key)
+                return acc.value, True
+            return acc.value, False
+
+    def test_same_values_clock_and_counters_as_the_accessor(self):
+        assert self._run(lambda m, k, make: m.ensure(k, make)) == \
+            self._run(self._by_accessor)
+
+    def test_make_runs_once_per_created_key(self):
+        results, made, _, counters = self._run(
+            lambda m, k, make: m.ensure(k, make))
+        assert made == ["a", "b", "c"]
+        assert [created for _, created in results] == \
+            [True, True, False, True, False, False]
+        assert [v for v, _ in results] == ["A", "B", "A", "C", "B", "A"]
+        assert counters == {"ops": 6, "created": 3, "acquires": 6}
+
+    def test_ensure_on_a_held_key_is_a_config_error(self):
+        rt = SerialRuntime()
+
+        def body():
+            m = self.new_map(rt)
+            with m.accessor("k") as acc:
+                acc.value = 1
+                with pytest.raises(RuntimeConfigError):
+                    m.ensure("k", lambda key: 2)
+            assert m.ensure("k", lambda key: 2) == (1, False)
+
+        rt.run(body)
+
+
+class TestEnsureSingleWriter(TestEnsure):
+    new_map = staticmethod(SingleWriterMap)
+
+
+def _accessor_ensure_block(self, start):
+    """``ParallelParser._ensure_block`` before ``ensure``, verbatim."""
+    rt = self.rt
+    with self.blocks_by_start.accessor(start) as acc:
+        if acc.created:
+            rt.charge(rt.cost.block_create)
+            self._n_blocks.inc()
+            acc.value = Block(start)
+            return acc.value, True
+        return acc.value, False
+
+
+@pytest.mark.parametrize("preset", HOSTILE_PRESETS)
+def test_vtime_block_creation_matches_the_accessor_path(preset,
+                                                        monkeypatch):
+    """On vtime the block's charge stays inside the entry lock: the
+    makespan and every metric, lock waits and queue delays included,
+    equal the accessor-based block creation's."""
+    binary = hostile_binary(preset).binary
+    seen = []
+    for oracle in (False, True):
+        with monkeypatch.context() as mp:
+            if oracle:
+                mp.setattr(ParallelParser, "_ensure_block",
+                           _accessor_ensure_block)
+            rt = VirtualTimeRuntime(4)
+            cfg = parse_binary(binary, rt)
+        seen.append((cfg.signature(), rt.makespan,
+                     json.dumps(rt.metrics.snapshot(), sort_keys=True)))
+    assert seen[0] == seen[1]
 
 
 class TestInvariantUnderVirtualTime:
